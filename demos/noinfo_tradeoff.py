@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from dpaudit import (
+    MechanismPair,
     adp_test_budgeted,
     delta_at_epsilon,
-    from_distributions,
     noinfo_rate,
     randomized_response,
     tight_perturbation,
@@ -43,7 +43,7 @@ def main() -> None:
             q0, q1, _ = tight_perturbation(p0, p1, EPS, distance)
         accepts = 0
         for trial in range(TRIALS):
-            mech = from_distributions(q0, q1, seed=trial + 1)
+            mech = MechanismPair(q0, q1, seed=trial + 1)
             out = adp_test_budgeted(mech, EPS, delta_claim, TESTER_ALPHA, r)
             accepts += out.accepted
         low, high = wilson_interval(accepts, TRIALS)

@@ -21,7 +21,6 @@ from .distributions import DiscreteDistribution
 from .fixtures import FIXTURE_NAMES, CertificationError, build_fixture
 from .fullinfo import CalibrationCache, IdentityTesterConfig
 from .harness import ExperimentConfig, run_experiment, sweep
-from .mechanisms import SideInfo
 from .noinfo import adp_test_budgeted
 from .randomprivacy import (
     constant_family,
@@ -111,7 +110,6 @@ def _cmd_test(args) -> int:
         trials=args.trials,
         seed=args.seed,
         out=args.out,
-        threads=args.threads,
     )
     oc = run_experiment(cfg)
     row = oc.grid[0]
@@ -234,7 +232,6 @@ def _cmd_sweep(args) -> int:
         target=doc["target"],
         trials=int(doc.get("trials", 1)),
         seed=int(doc.get("seed", 0)),
-        threads=int(doc.get("threads", 1)),
     )
     values = [_coerce(v) for v in args.values.split(",") if v != ""]
     results = sweep(base, args.parameter, values)
@@ -254,6 +251,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if args.n < (2 if args.null == "twopoint" else 1):
+        raise ValueError("--n must be >= 2 for the twopoint null and >= 1 otherwise")
     if args.null == "uniform":
         q = DiscreteDistribution(np.full(args.n, 1.0 / args.n))
     elif args.null == "twopoint":
@@ -309,7 +308,6 @@ def _build_parser() -> _Parser:
     test.add_argument("--inner-budget", type=int)
     test.add_argument("--trials", type=int, default=1)
     test.add_argument("--seed", type=int, default=0)
-    test.add_argument("--threads", type=int, default=1)
     test.add_argument("--out", help="per-trial CSV path")
     test.set_defaults(func=_cmd_test)
 

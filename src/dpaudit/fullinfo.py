@@ -7,9 +7,11 @@ black box actually produces the claimed distributions. The pDP tester
 estimates every outcome probability to within a small multiplicative
 band and reads the privacy ratio off the empirical frequencies.
 
-Identity-test thresholds are calibrated by Monte Carlo against the
-claimed distribution and cached, keyed by a digest of the distribution
-and the test parameters, so repeated experiments do not re-simulate.
+Identity-test thresholds are calibrated by Monte Carlo on fixed-size
+row blocks of null counts and cached, keyed by a digest of the
+distribution and the test parameters, so repeated experiments do not
+re-simulate. The aDP tester draws and scores each database's majority
+reps as one block, through the same row-vectorised statistic.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
+import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +30,7 @@ import numpy as np
 
 from .distributions import DiscreteDistribution, delta_at_epsilon, min_mass
 from .mechanisms import MechanismPair, SideInfo
-from .noinfo import poisson_nonzero, poissonized_histogram
+from .noinfo import poisson_nonzero
 from .outcomes import TestOutcome, Verdict
 
 #: Bump when the identity statistic changes; invalidates cached thresholds.
@@ -104,25 +109,36 @@ class IdentityTesterConfig:
 
 def identity_statistic(
     q: DiscreteDistribution, counts: np.ndarray, rate: float
-) -> float:
+) -> float | np.ndarray:
     """Debiased chi-squared statistic for Poissonized counts against q.
 
     sum over the support of ((X_i - rate q_i)^2 - X_i) / (rate q_i); each
     term has mean zero under the null, so the statistic concentrates near
     zero when the box matches q. Any observed mass outside q's support
-    returns +inf (such an outcome is impossible under the claim).
+    gives +inf (such an outcome is impossible under the claim).
+
+    ``counts`` has shape (..., n): a 1-D histogram gives a float, a block
+    of histograms one statistic per row.
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    c = np.asarray(counts, dtype=np.float64)
-    if c.shape != q.probs.shape:
+    c = np.asarray(counts)
+    if c.ndim < 1 or c.shape[-1] != q.n:
         raise ValueError("counts length must match the distribution")
     support = q.probs > 0.0
-    if c[~support].sum() > 0:
-        return math.inf
+    off_support = c[..., ~support].sum(axis=-1) > 0
+    c = c if support.all() else c[..., support]
     means = rate * q.probs[support]
-    cs = c[support]
-    return float((((cs - means) ** 2 - cs) / means).sum())
+    terms = np.subtract(c, means, dtype=np.float64)
+    np.square(terms, out=terms)
+    terms -= c
+    terms /= means
+    stats = np.where(off_support, math.inf, terms.sum(axis=-1))
+    return float(stats) if stats.ndim == 0 else stats
+
+
+#: Rows of null counts simulated at a time in calibration, bounding its memory.
+_CALIBRATION_BLOCK = 256
 
 
 def calibrate_identity_threshold(
@@ -138,17 +154,19 @@ def calibrate_identity_threshold(
     confidence plus 2.5 standard errors (capped at 0.995), nudged up one
     ulp so a simulated tie still accepts. The cushion keeps the realized
     null acceptance rate above the configured confidence despite quantile
-    estimation noise.
+    estimation noise. Null counts are drawn in row blocks; zero-mean bins
+    consume no randomness, so the result does not depend on the block size.
     """
     if trials < 100:
         raise ValueError("calibration needs at least 100 trials")
-    support = q.probs > 0.0
-    means = cfg.sample_budget * q.probs[support]
-    counts = rng.poisson(means, size=(trials, means.size))
-    stats = (((counts - means) ** 2 - counts) / means).sum(axis=1)
+    means = cfg.sample_budget * q.probs
+    stats = []
+    for start in range(0, trials, _CALIBRATION_BLOCK):
+        counts = rng.poisson(means, size=(min(_CALIBRATION_BLOCK, trials - start), q.n))
+        stats.append(identity_statistic(q, counts, cfg.sample_budget))
     se = math.sqrt(cfg.confidence * (1.0 - cfg.confidence) / trials)
     level = min(0.995, cfg.confidence + 2.5 * se)
-    threshold = float(np.quantile(stats, level, method="higher"))
+    threshold = float(np.quantile(np.concatenate(stats), level, method="higher"))
     return float(np.nextafter(threshold, math.inf))
 
 
@@ -175,7 +193,9 @@ class CalibrationCache:
     Optionally persists to a JSON file so repeated CLI runs skip the
     Monte Carlo. Calibration RNG is seeded from the cache key itself, so
     a given configuration always produces the same threshold no matter
-    which process computes it first.
+    which process computes it first. The file is replaced atomically on
+    every write, and a file that cannot be read back as a JSON object of
+    numbers is treated as empty, with a warning.
     """
 
     DEFAULT_TRIALS = 2000
@@ -183,11 +203,15 @@ class CalibrationCache:
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._table: dict[str, float] = {}
-        if self.path is not None and self.path.exists():
-            self._table = {
-                str(k): float(v)
-                for k, v in json.loads(self.path.read_text()).items()
-            }
+        if self.path is None or not self.path.exists():
+            return
+        try:
+            doc = json.loads(self.path.read_text())
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
+            self._table = {str(k): float(v) for k, v in doc.items()}
+        except (OSError, ValueError, TypeError) as exc:
+            warnings.warn(f"ignoring unreadable calibration cache {self.path}: {exc}")
 
     @staticmethod
     def _key(q: DiscreteDistribution, cfg: IdentityTesterConfig, trials: int) -> str:
@@ -218,7 +242,14 @@ class CalibrationCache:
             rng = np.random.default_rng(int(key[:16], 16))
             self._table[key] = calibrate_identity_threshold(q, cfg, trials, rng)
             if self.path is not None:
-                self.path.write_text(json.dumps(self._table, indent=0, sort_keys=True))
+                fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
+                try:
+                    with os.fdopen(fd, "w") as out:
+                        out.write(json.dumps(self._table, indent=0, sort_keys=True))
+                    os.replace(tmp, self.path)
+                finally:
+                    if os.path.exists(tmp):
+                        os.unlink(tmp)
         return self._table[key]
 
 
@@ -269,24 +300,19 @@ def adp_test_fi(
     k = SUBTEST_REPS if reps is None else reps
     if k < 1:
         raise ValueError("reps must be >= 1")
-    base_cfg = IdentityTesterConfig.for_universe(mech.n, alpha)
+    cfg = IdentityTesterConfig.for_universe(mech.n, alpha)
     before = tuple(mech.query_counter)
     fractions = []
     thresholds = []
     for db, q in ((0, side.q0), (1, side.q1)):
-        cfg = IdentityTesterConfig(
-            alpha=alpha,
-            confidence=IDENTITY_CONFIDENCE,
-            sample_budget=base_cfg.sample_budget,
-        )
-        cfg.threshold = cache.threshold_for(q, cfg, calibration_trials)
-        rejections = 0
-        for _ in range(k):
-            counts, _r = poissonized_histogram(mech, db, cfg.sample_budget, rng)
-            if identity_test(q, counts, cfg).rejected:
-                rejections += 1
-        fractions.append(rejections / k)
-        thresholds.append(cfg.threshold)
+        threshold = cache.threshold_for(q, cfg, calibration_trials)
+        if not math.isfinite(threshold):
+            raise ValueError("identity threshold is not finite")
+        # the k Poissonized reps of identity_test, drawn and scored as one block
+        sizes = rng.poisson(cfg.sample_budget, size=k)
+        stats = identity_statistic(q, mech.draw_many(db, sizes), cfg.sample_budget)
+        fractions.append(int(np.count_nonzero(stats >= threshold)) / k)
+        thresholds.append(threshold)
     after = tuple(mech.query_counter)
 
     statistic = max(fractions)
@@ -301,7 +327,7 @@ def adp_test_fi(
             "claimed_slack": claimed_slack,
             "rejection_fractions": tuple(fractions),
             "identity_thresholds": tuple(thresholds),
-            "sample_budget": base_cfg.sample_budget,
+            "sample_budget": cfg.sample_budget,
             "reps": k,
         },
     )

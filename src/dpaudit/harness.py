@@ -2,10 +2,10 @@
 
 An experiment is (tester spec, target spec, trials, seed). Each trial
 gets its own RNG derived from (seed, trial index) and a fresh mechanism
-clone with a derived seed, so parallel and serial runs produce identical
-results and a re-run is byte-identical. Per-trial records can be written
-to CSV; the aggregate is an OperatingCharacteristic row holding the
-accept rate with a Wilson interval and the mean query count at the
+clone with a derived seed, so a trial's outcome depends only on the seed
+and its index, and a re-run is byte-identical. Per-trial records can be
+written to CSV; the aggregate is an OperatingCharacteristic row holding
+the accept rate with a Wilson interval and the mean query count at the
 target's distance from the claimed parameters.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,13 +67,10 @@ class ExperimentConfig:
     trials: int
     seed: int = 0
     out: str | None = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.tester.get("kind") not in TESTER_KINDS:
             raise ValueError(f"tester kind must be one of {TESTER_KINDS}")
 
@@ -228,18 +224,11 @@ def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
     base_mech, side = _resolve_target(cfg.target, seed=cfg.seed)
     runner = _make_runner(cfg.tester, side)
 
-    def one_trial(trial: int) -> TestOutcome:
+    records = []
+    for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial])
         mech = base_mech.spawn(seed=cfg.seed * 1_000_003 + trial + 1)
-        return runner(mech, rng)
-
-    indices = range(cfg.trials)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(one_trial, indices))
-    else:
-        outcomes = [one_trial(t) for t in indices]
-    records = list(zip(indices, outcomes))
+        records.append((trial, runner(mech, rng)))
 
     if cfg.out is not None:
         Path(cfg.out).write_text(_csv_text(records))
@@ -278,11 +267,10 @@ def sweep(
             trials=base.trials,
             seed=base.seed,
             out=None,
-            threads=base.threads,
         )
         parts = parameter.split(".")
         if len(parts) == 1:
-            if parts[0] not in ("trials", "seed", "threads"):
+            if parts[0] not in ("trials", "seed"):
                 raise ValueError(f"unknown parameter name: {parameter!r}")
             setattr(cfg, parts[0], value)
         else:

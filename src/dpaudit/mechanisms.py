@@ -13,9 +13,8 @@ through a rare outcome, and explicit distribution pairs.
 
 from __future__ import annotations
 
-import math
+import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -64,24 +63,28 @@ class MechanismPair:
             return np.zeros(self.n, dtype=np.int64)
         return self._rngs[db].multinomial(count, self._pvals[db])
 
+    def draw_many(self, db: int, counts: np.ndarray) -> np.ndarray:
+        """Histograms of ``counts[j]`` fresh samples from database ``db``.
+
+        One multinomial call for a 1-D array of non-negative integer counts:
+        row j of the (len(counts), n) result, the stream state after the call
+        and the query count equal those of ``draw(db, counts[j])`` in turn.
+        """
+        if db not in (0, 1):
+            raise ValueError("db must be 0 or 1")
+        counts = np.asarray(counts)
+        integral = counts.size == 0 or counts.dtype.kind in "iu"
+        if counts.ndim != 1 or not integral or (counts.size and counts.min() < 0):
+            raise ValueError("counts must be a 1-D array of non-negative integers")
+        self.query_counter[db] += int(counts.sum())
+        return self._rngs[db].multinomial(counts.astype(np.int64), self._pvals[db])
+
     def spawn(self, seed: int) -> "MechanismPair":
         """Fresh pair over the same truth with its own streams and counters."""
         return MechanismPair(self.truth[0], self.truth[1], seed=seed)
 
     def __repr__(self) -> str:
         return f"MechanismPair(n={self.n}, seed={self.seed})"
-
-
-def from_distributions(
-    p0: DiscreteDistribution, p1: DiscreteDistribution, seed: int = 0
-) -> MechanismPair:
-    """Mechanism pair with the given ground-truth output distributions."""
-    return MechanismPair(p0, p1, seed=seed)
-
-
-def draw(mech: MechanismPair, db: int, count: int) -> np.ndarray:
-    """Function form of :meth:`MechanismPair.draw`."""
-    return mech.draw(db, count)
 
 
 def randomized_response(flip_prob: float, seed: int = 0) -> MechanismPair:
@@ -153,8 +156,6 @@ class SideInfo:
         return self.q0.n
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "q0": {"n": self.q0.n, "probs": [float(p) for p in self.q0.probs]},
@@ -164,8 +165,6 @@ class SideInfo:
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "SideInfo":
-        import json
-
         data = json.loads(doc) if isinstance(doc, str) else doc
         if not isinstance(data, dict) or "q0" not in data or "q1" not in data:
             raise ValueError("side info document must contain q0 and q1")
@@ -195,7 +194,7 @@ def mechanism_from_config(config: dict, seed: int = 0) -> MechanismPair:
     if kind == "leaky_mechanism":
         return leaky_mechanism(float(config["delta"]), int(config.get("n", 3)), seed=seed)
     if kind == "explicit":
-        return from_distributions(
+        return MechanismPair(
             DiscreteDistribution.from_json(config["p0"]),
             DiscreteDistribution.from_json(config["p1"]),
             seed=seed,

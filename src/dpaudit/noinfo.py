@@ -111,17 +111,20 @@ def poissonized_histogram(
     return mech.draw(db, r), r
 
 
+def _slack(x, y, r0: int, r1: int, eps: float) -> list[float]:
+    """[z_forward, z_reverse] from the stacked frequencies [x / r0, y / r1]."""
+    freqs = np.array((x, y), dtype=np.float64)
+    freqs /= ((r0,), (r1,))
+    return np.maximum(0.0, freqs - math.exp(eps) * freqs[::-1]).sum(axis=1).tolist()
+
+
 def adp_statistic(x: np.ndarray, y: np.ndarray, r: int, eps: float) -> float:
-    """Plug-in slack estimate sum_i max(0, (x_i - e^eps * y_i) / r)."""
+    """Plug-in slack estimate sum_i max(0, x_i / r - e^eps * y_i / r)."""
     if r <= 0:
         raise ValueError("r must be positive")
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape:
-        raise ValueError("count vectors must have equal length")
-    return float(np.maximum(0.0, (xa - math.exp(eps) * ya) / r).sum())
+    return _slack(x, y, r, r, eps)[0]
 
 
 def _statistic_outcome(
@@ -136,16 +139,8 @@ def _statistic_outcome(
     queries: tuple[int, int],
     extra: dict | None = None,
 ) -> TestOutcome:
-    """Decision shared by the Poissonized and fixed-budget testers.
-
-    Counts are normalized by their own database's sample count, which
-    reduces to the single-r statistic when the counts share one draw.
-    """
-    scale = math.exp(eps)
-    xf = np.asarray(x, dtype=np.float64) / r0
-    yf = np.asarray(y, dtype=np.float64) / r1
-    z_forward = float(np.maximum(0.0, xf - scale * yf).sum())
-    z_reverse = float(np.maximum(0.0, yf - scale * xf).sum())
+    """Decision shared by the Poissonized and fixed-budget testers."""
+    z_forward, z_reverse = _slack(x, y, r0, r1, eps)
     statistic = max(z_forward, z_reverse) if both_directions else z_forward
     threshold = delta + alpha
     verdict = Verdict.ACCEPT if statistic < threshold else Verdict.REJECT
@@ -173,12 +168,8 @@ def adp_test_ni(
     if mech.n != cfg.n:
         raise ValueError("mechanism universe does not match config n")
     assert cfg.lambda_rate is not None
-    if cfg.shared_r:
-        r0, retries = poisson_nonzero(cfg.lambda_rate, rng)
-        r1, extra_retries = r0, 0
-    else:
-        r0, retries = poisson_nonzero(cfg.lambda_rate, rng)
-        r1, extra_retries = poisson_nonzero(cfg.lambda_rate, rng)
+    r0, retries = poisson_nonzero(cfg.lambda_rate, rng)
+    r1, extra_retries = (r0, 0) if cfg.shared_r else poisson_nonzero(cfg.lambda_rate, rng)
     x = mech.draw(0, r0)
     y = mech.draw(1, r1)
     return _statistic_outcome(

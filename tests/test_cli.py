@@ -272,6 +272,30 @@ def test_calibrate_null_file_size_mismatch(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--n", "0", "--alpha", "0.3"],
+        ["calibrate", "--null", "twopoint", "--n", "1", "--alpha", "0.3"],
+    ],
+)
+def test_calibrate_bad_universe_exits_1(capsys, argv):
+    code, cap = run(capsys, argv)
+    assert code == 1
+    assert "error:" in cap.err
+
+
+def test_calibrate_truncated_cache_is_rebuilt(capsys, tmp_path):
+    cache = tmp_path / "f.json"
+    cache.write_text('{"abc": 1.0, ')
+    argv = ["calibrate", "--n", "2", "--alpha", "0.3", "--trials", "200", "--cache", str(cache)]
+    with pytest.warns(UserWarning, match="calibration cache"):
+        code, cap = run(capsys, argv)
+    assert code == 0
+    threshold = json.loads(cap.out)["threshold"]
+    assert list(json.loads(cache.read_text()).values()) == [threshold]
+
+
 def test_sweep_verb(capsys, tmp_path):
     config = write_json(
         tmp_path / "config.json",

@@ -1,6 +1,7 @@
 """Full-information testers: identity-test calibration, the free exact
 check on claimed distributions, and the frequency-band pDP test."""
 
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,9 @@ from dpaudit import (
     pdp_test_fi,
     randomized_response,
 )
+from dpaudit import fullinfo
 from dpaudit.fullinfo import SUBTEST_REPS
+from dpaudit.noinfo import poissonized_histogram
 
 UNIFORM2 = make_distribution([1.0, 1.0])
 
@@ -63,10 +66,24 @@ def test_identity_statistic_support_violation_is_infinite():
     assert math.isfinite(identity_statistic(q, np.array([3, 4, 0]), 10.0))
 
 
+def test_identity_statistic_rows_match_single_histograms():
+    q = make_distribution([2.0, 1.0, 0.0, 1.0])
+    block = np.array([[10, 4, 0, 6], [3, 4, 1, 5], [0, 0, 0, 0]])
+    stats = identity_statistic(q, block, 20.0)
+    assert stats.shape == (3,)
+    assert stats.tolist() == [identity_statistic(q, row, 20.0) for row in block]
+    assert stats[1] == math.inf
+    assert isinstance(identity_statistic(q, block[0], 20.0), float)
+
+
 def test_identity_statistic_validation():
     q = make_distribution([1.0, 1.0])
     with pytest.raises(ValueError):
         identity_statistic(q, np.array([1, 2, 3]), 10.0)
+    with pytest.raises(ValueError):
+        identity_statistic(q, np.ones((4, 3)), 10.0)
+    with pytest.raises(ValueError):
+        identity_statistic(q, np.array(5), 10.0)
     with pytest.raises(ValueError):
         identity_statistic(q, np.array([1, 2]), 0.0)
 
@@ -88,6 +105,28 @@ def test_calibration_contract():
         if identity_test(UNIFORM2, counts, cfg).accepted:
             accepts += 1
     assert accepts / 600 >= cfg.confidence - 0.05
+
+
+def one_shot_calibration(q, cfg, trials, rng):
+    """Reference calibration: every null row in one unblocked draw over q's support."""
+    support = q.probs > 0.0
+    means = cfg.sample_budget * q.probs[support]
+    counts = rng.poisson(means, size=(trials, means.size))
+    stats = (((counts - means) ** 2 - counts) / means).sum(axis=1)
+    se = math.sqrt(cfg.confidence * (1.0 - cfg.confidence) / trials)
+    level = min(0.995, cfg.confidence + 2.5 * se)
+    return float(np.nextafter(np.quantile(stats, level, method="higher"), math.inf))
+
+
+@pytest.mark.parametrize("trials", [100, 257, 2000])
+@pytest.mark.parametrize("probs", [[1.0] * 64, [0.5, 0.0, 0.25, 0.0, 0.25]])
+def test_blocked_calibration_equals_one_shot(trials, probs):
+    q = make_distribution(probs)
+    cfg = IdentityTesterConfig.for_universe(q.n, 0.3)
+    blocked_rng, reference_rng = np.random.default_rng(trials), np.random.default_rng(trials)
+    blocked = calibrate_identity_threshold(q, cfg, trials, blocked_rng)
+    assert blocked == one_shot_calibration(q, cfg, trials, reference_rng)
+    assert blocked_rng.random() == reference_rng.random()
 
 
 def test_identity_test_requires_calibration():
@@ -120,6 +159,101 @@ def test_cache_is_deterministic_and_persistent(tmp_path):
     # different trial count, different key
     fourth = CalibrationCache().threshold_for(UNIFORM2, cfg, 4000)
     assert fourth != first
+
+
+def test_cache_treats_unreadable_file_as_empty(tmp_path):
+    path = tmp_path / "thresholds.json"
+    cfg = IdentityTesterConfig.for_universe(2, 0.4)
+    expected = CalibrationCache().threshold_for(UNIFORM2, cfg)
+    for text in ('{"abc": 1.0, ', "[1.0]", '{"abc": "x"}', "\xff"):
+        path.write_text(text)
+        with pytest.warns(UserWarning, match="calibration cache"):
+            cache = CalibrationCache(path)
+        assert cache.threshold_for(UNIFORM2, cfg) == expected
+        # the rewritten file is a valid table again
+        assert list(json.loads(path.read_text()).values()) == [expected]
+
+
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "thresholds.json"
+    cfg = IdentityTesterConfig.for_universe(2, 0.4)
+    CalibrationCache(path).threshold_for(UNIFORM2, cfg)
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(fullinfo.os, "replace", interrupted)
+    with pytest.raises(OSError):
+        CalibrationCache(path).threshold_for(UNIFORM2, cfg, 4000)
+    # the old table is intact and no temporary file is left behind
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def per_rep_adp_fi(mech, side, alpha, rng, reps):
+    """Reference identity stage of adp_test_fi: one histogram and test per rep."""
+    cache = CalibrationCache()
+    cfg = IdentityTesterConfig.for_universe(mech.n, alpha)
+    fractions, thresholds = [], []
+    for db, q in ((0, side.q0), (1, side.q1)):
+        cfg.threshold = cache.threshold_for(q, cfg)
+        rejections = 0
+        for _ in range(reps):
+            counts, _r = poissonized_histogram(mech, db, cfg.sample_budget, rng)
+            rejections += identity_test(q, counts, cfg).rejected
+        fractions.append(rejections / reps)
+        thresholds.append(cfg.threshold)
+    return tuple(fractions), tuple(thresholds), tuple(mech.query_counter)
+
+
+@pytest.mark.parametrize(
+    "box, claim, eps, delta, alpha, reps",
+    [
+        # wide geometric ladder, truthful claim
+        ("geometric", "truth", 0.5, 0.0, 0.3, SUBTEST_REPS),
+        # zero-mass bins in both claimed distributions
+        ("leaky", "truth", 0.0, 0.05, 0.2, SUBTEST_REPS),
+        # db 1 emits an outcome its claim gives zero mass: infinite statistics
+        ("leaky", "db0-twice", 0.0, 0.05, 0.2, 5),
+        # box contradicts the claim on db 1 with a borderline budget
+        ("flat", "rr", math.log(3.0), 0.0, 0.15, SUBTEST_REPS),
+    ],
+)
+def test_adp_fi_equals_per_rep_loop(box, claim, eps, delta, alpha, reps):
+    def make_box(seed):
+        if box == "geometric":
+            return mechanism_from_config(
+                {"mechanism": "truncated_geometric", "eps": 0.5, "n": 256}, seed=seed
+            )
+        if box == "leaky":
+            return leaky_mechanism(0.05, n=5, seed=seed)
+        return mechanism_from_config(
+            {
+                "mechanism": "explicit",
+                "p0": {"n": 2, "probs": [0.7, 0.3]},
+                "p1": {"n": 2, "probs": [0.6, 0.4]},
+            },
+            seed=seed,
+        )
+
+    truth = make_box(0).truth
+    side = {
+        "truth": SideInfo(*truth),
+        "db0-twice": SideInfo(truth[0], truth[0]),
+        "rr": SideInfo(*randomized_response(0.25).truth),
+    }[claim]
+    for seed in range(3):
+        mech = make_box(seed)
+        out = adp_test_fi(mech, side, eps, delta, alpha, np.random.default_rng(seed), reps=reps)
+        fractions, thresholds, queries = per_rep_adp_fi(
+            make_box(seed), side, alpha, np.random.default_rng(seed), reps
+        )
+        assert out.diagnostics["rejection_fractions"] == fractions
+        assert out.diagnostics["identity_thresholds"] == thresholds
+        assert out.statistic == max(fractions)
+        assert out.verdict is (Verdict.ACCEPT if max(fractions) < 0.5 else Verdict.REJECT)
+        assert out.queries_used == queries == tuple(mech.query_counter)
 
 
 def test_adp_fi_exact_check_rejects_without_sampling():

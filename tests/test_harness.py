@@ -43,8 +43,6 @@ def test_config_validation():
         ExperimentConfig(tester=NI_TESTER, target=RR_TARGET, trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(tester={"kind": "bogus"}, target=RR_TARGET, trials=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(tester=NI_TESTER, target=RR_TARGET, trials=1, threads=0)
 
 
 def test_run_experiment_accepts_truthful_claim():
@@ -77,15 +75,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == "trial,verdict,statistic,threshold,queries_0,queries_1"
-
-
-def test_parallel_equals_serial(tmp_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    base = dict(tester=NI_TESTER, target=RR_TARGET, trials=10, seed=3)
-    run_experiment(ExperimentConfig(**base, out=str(serial), threads=1))
-    run_experiment(ExperimentConfig(**base, out=str(parallel), threads=4))
-    assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_seed_changes_trial_outcomes(tmp_path):

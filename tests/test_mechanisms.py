@@ -62,6 +62,30 @@ def test_draw_validation():
         mech.draw(0, -1)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: truncated_geometric(0.5, 6, seed=4), lambda: leaky_mechanism(0.2, 5, seed=4)]
+)
+def test_draw_many_equals_sequential_draws(make):
+    counts = np.array([5, 0, 1234, 0, 1, 77])
+    batched, sequential = make(), make()
+    block = batched.draw_many(1, counts)
+    assert block.shape == (counts.size, batched.n)
+    for row, count in zip(block, counts):
+        assert np.array_equal(row, sequential.draw(1, count))
+    assert batched.query_counter == sequential.query_counter == [0, int(counts.sum())]
+    # the stream carries on exactly where the sequential draws left it
+    assert np.array_equal(batched.draw(1, 500), sequential.draw(1, 500))
+    assert batched.draw_many(0, []).shape == (0, batched.n)
+
+
+def test_draw_many_validation():
+    mech = randomized_response(0.1)
+    for db, counts in ((0, [3, -1]), (0, [[1, 2]]), (2, [1]), (0, [1.5])):
+        with pytest.raises(ValueError):
+            mech.draw_many(db, counts)
+    assert mech.query_counter == [0, 0]
+
+
 def test_spawn_resets_state_and_keeps_truth():
     mech = randomized_response(0.25, seed=3)
     mech.draw(0, 100)
