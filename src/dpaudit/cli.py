@@ -20,7 +20,7 @@ import numpy as np
 from .distributions import DiscreteDistribution
 from .fixtures import FIXTURE_NAMES, CertificationError, build_fixture
 from .fullinfo import CalibrationCache, IdentityTesterConfig
-from .harness import ExperimentConfig, run_experiment, sweep
+from .harness import TESTER_KINDS, ExperimentConfig, run_experiment, sweep
 from .noinfo import adp_test_budgeted
 from .randomprivacy import (
     constant_family,
@@ -95,11 +95,9 @@ def _target_from_args(args) -> dict:
 def _cmd_test(args) -> int:
     if args.tester == "random":
         return _cmd_test_random(args)
-    tester: dict = {"kind": args.tester, "eps": args.eps, "alpha": args.alpha}
     if args.eps is None or args.alpha is None:
         raise ValueError("--eps and --alpha are required")
-    if args.tester in ("adp-ni", "adp-budgeted", "adp-fi"):
-        tester["delta"] = args.delta
+    tester = {"kind": args.tester, "eps": args.eps, "delta": args.delta, "alpha": args.alpha}
     if args.tester == "adp-budgeted":
         if args.budget is None:
             raise ValueError("adp-budgeted needs --budget")
@@ -285,10 +283,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     test = sub.add_parser("test", help="run a tester")
-    test.add_argument(
-        "tester",
-        choices=("adp-ni", "adp-budgeted", "adp-fi", "pdp-fi", "random"),
-    )
+    test.add_argument("tester", choices=TESTER_KINDS + ("random",))
     test.add_argument("--mech", help="mechanism config JSON file")
     test.add_argument("--fixture", choices=FIXTURE_NAMES)
     test.add_argument("--fixture-params", nargs="*", metavar="K=V")
@@ -360,7 +355,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,8 +19,10 @@ after construction and nothing here mutates shared state.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,6 +37,47 @@ BRUTE_FORCE_MAX_N = 20
 #: Recognized privacy notions. The random notions weigh privacy failures
 #: over a data distribution instead of over worst-case neighbors.
 NOTIONS = ("pDP", "aDP", "RpDP", "RaDP")
+
+_FLOAT_MAX = sys.float_info.max
+
+#: Largest eps (or pDP alpha) whose e^eps is finite.
+_EPS_MAX = math.log(_FLOAT_MAX)
+
+
+def _check(
+    name: str, value, low: float, high: float = _FLOAT_MAX, open_low: bool = False
+) -> float:
+    """``float(value)`` if it lies in [low, high] ((low, high] if ``open_low``).
+
+    The one range check of the package's entry points: NaN, +-inf,
+    values out of range and non-numbers (``None``) raise ValueError
+    naming the parameter.
+    """
+    try:
+        v = float(value)
+    except TypeError:
+        v = math.nan
+    if (v > low if open_low else v >= low) and v <= high:
+        return v
+    bracket = "(" if open_low else "["
+    raise ValueError(f"{name} must lie in {bracket}{low:g}, {high:g}]; got {value!r}")
+
+
+def _positive_finite(formula):
+    """Make a rate or count formula raise ValueError unless its result is
+    a finite number > 0, also where the arithmetic overflows or divides by
+    a square that underflowed to zero."""
+
+    @functools.wraps(formula)
+    def checked(*args, **kwargs):
+        try:
+            value = formula(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        _check(formula.__name__, value, 0.0, open_low=True)
+        return value
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -109,14 +152,10 @@ class PrivacyParams:
     def __post_init__(self) -> None:
         if self.notion not in NOTIONS:
             raise ValueError(f"notion must be one of {NOTIONS}")
-        if not (self.epsilon >= 0):
-            raise ValueError("epsilon must be >= 0")
-        if not (0.0 <= self.delta <= 1.0):
-            raise ValueError("delta must lie in [0, 1]")
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ValueError("gamma must lie in [0, 1]")
-        if not (self.penalty_weight > 0):
-            raise ValueError("penalty_weight must be positive")
+        _check("epsilon", self.epsilon, 0.0, _EPS_MAX)
+        _check("delta", self.delta, 0.0, 1.0)
+        _check("gamma", self.gamma, 0.0, 1.0)
+        _check("penalty_weight", self.penalty_weight, 0.0, open_low=True)
         if self.notion in ("pDP", "RpDP") and self.delta != 0.0:
             raise ValueError(f"{self.notion} does not use delta; it must be 0")
         if self.notion in ("pDP", "aDP") and self.gamma != 0.0:
@@ -130,15 +169,10 @@ def make_distribution(weights: Sequence[float] | np.ndarray) -> DiscreteDistribu
     vector.
     """
     arr = np.asarray(weights, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("weights must be a non-empty one-dimensional vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("weights must be finite")
-    if np.any(arr < 0):
-        raise ValueError("weights must be non-negative")
     total = float(arr.sum())
-    if total <= 0:
+    if not total > 0:
         raise ValueError("weights must have positive total mass")
+    # DiscreteDistribution rejects what is not a finite non-negative vector
     return DiscreteDistribution(arr / total)
 
 
@@ -196,8 +230,7 @@ def delta_at_epsilon_directed(
     P(E) <= e^eps Q(E) + delta: the pointwise sum of positive parts equals
     the single worst event {i : p_i > e^eps q_i}.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    eps = _check("eps", eps, 0.0, _EPS_MAX)
     pa, qa = _paired(p, q)
     return float(np.maximum(0.0, pa - math.exp(eps) * qa).sum())
 
@@ -230,8 +263,7 @@ def brute_force_delta(
     Maximizes P(E) - e^eps Q(E) over all 2^n events and both ordered
     directions, floored at zero. Only valid for n <= BRUTE_FORCE_MAX_N.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    eps = _check("eps", eps, 0.0, _EPS_MAX)
     pa, qa = _paired(p, q)
     if p.n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute-force enumeration is capped at n <= {BRUTE_FORCE_MAX_N}")
@@ -255,8 +287,7 @@ def approx_max_divergence_bruteforce(
     zero numerator, in which case the supremum is -inf. Raises if no
     event qualifies (delta > 1) or n exceeds BRUTE_FORCE_MAX_N.
     """
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError("delta must lie in [0, 1]")
+    delta = _check("delta", delta, 0.0, 1.0)
     pa, qa = _paired(p, q)
     if p.n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute-force enumeration is capped at n <= {BRUTE_FORCE_MAX_N}")

@@ -10,6 +10,13 @@ fixture that exists is a fixture that has been verified.
 Outcome label convention: the distinguished outcomes are indices 0, 1, 2
 of the probability vectors; block fixtures lay their three index ranges
 out contiguously.
+
+The CLI and the harness build fixtures by name through one registry,
+``_FIXTURES``: name -> (builder, {parameter: type}). ``build_fixture``
+converts each listed parameter by its type and ignores other keys, so an
+emitted document, whose params also hold derived values, rebuilds as is.
+To add a fixture, add its entry there; ``FIXTURE_NAMES`` and the CLI's
+choices follow.
 """
 
 from __future__ import annotations
@@ -20,9 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
+    _EPS_MAX,
     BRUTE_FORCE_MAX_N,
     DiscreteDistribution,
     PrivacyParams,
+    _check,
     brute_force_delta,
     delta_at_epsilon,
     delta_at_epsilon_directed,
@@ -97,10 +106,9 @@ def pdp_unverifiable_fixture(
     A >= ln(1 + e^{-eps}) (so the private instance's outcome-1 ratio
     stays within eps; very small A breaks that side).
     """
-    if eps < 0 or alpha <= 0:
-        raise ValueError("eps must be >= 0 and alpha positive")
-    if A <= 2.0 * eps + alpha:
-        raise ValueError("A must exceed 2 * eps + alpha")
+    _check("eps", eps, 0.0, _EPS_MAX)
+    _check("alpha", alpha, 0.0, open_low=True)
+    _check("A", A, 2.0 * eps + alpha, open_low=True)
     if A < math.log(1.0 + math.exp(-eps)):
         raise ValueError("A must be at least ln(1 + e^-eps)")
 
@@ -148,8 +156,9 @@ def adp_twopoint_fixture(
     certification reports both, and the fixture's tightness claims are
     about the directed value.
     """
-    if eps < 0 or delta < 0 or alpha <= 0:
-        raise ValueError("eps, delta must be >= 0 and alpha positive")
+    _check("eps", eps, 0.0, _EPS_MAX)
+    _check("delta", delta, 0.0, 1.0)
+    _check("alpha", alpha, 0.0, open_low=True)
     if math.exp(eps) / 2.0 + delta + alpha >= 1.0:
         raise ValueError("need e^eps / 2 + delta + alpha < 1")
 
@@ -281,8 +290,7 @@ def fi_pdp_fixture(
         raise ValueError("beta must lie strictly inside (0, 1/2)")
     if beta > 1.0 / (1.0 + math.exp(eps)):
         raise ValueError("beta must be at most 1 / (1 + e^eps)")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check("alpha", alpha, 0.0, open_low=True)
 
     e_pos, e_neg, e_neg_a = math.exp(eps), math.exp(-eps), math.exp(-alpha)
     q0 = _dist([beta, beta, 1.0 - 2.0 * beta])
@@ -328,8 +336,9 @@ def mean_sideinfo_fixture(
     the private instance to within e^{-A}. The base pair must be eps-pDP
     and put zero mass on the last outcome in both databases.
     """
-    if eps < 0 or alpha <= 0 or A <= 0:
-        raise ValueError("eps must be >= 0, alpha and A positive")
+    _check("eps", eps, 0.0, _EPS_MAX)
+    _check("alpha", alpha, 0.0, open_low=True)
+    _check("A", A, 0.0, open_low=True)
     p0, p1 = base.truth
     if p0.probs[-1] != 0.0 or p1.probs[-1] != 0.0:
         raise ValueError("base must put zero mass on the last outcome")
@@ -384,10 +393,8 @@ def tight_perturbation(
     shifting the first distribution's mass into the event, sized by
     bisection because the removal side can wake up the reverse direction.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check("eps", eps, 0.0, _EPS_MAX)
+    _check("alpha", alpha, 0.0, open_low=True)
     fwd0 = delta_at_epsilon_directed(p0, p1, eps)
     rev0 = delta_at_epsilon_directed(p1, p0, eps)
     base = max(fwd0, rev0)
@@ -492,14 +499,26 @@ def distinguish(
     return 0 if outcome.accepted else 1
 
 
-#: CLI-facing fixture registry: name -> (builder, needs_base_mechanism).
-FIXTURE_NAMES = (
-    "pdp-unverifiable",
-    "adp-twopoint",
-    "adp-lowfreq",
-    "fi-pdp",
-    "mean-sideinfo",
-)
+def _mean_sideinfo(eps: float, alpha: float, A: float, base: dict, seed: int = 0):
+    pair = mean_sideinfo_fixture(
+        eps, alpha, A, mechanism_from_config(base, seed=seed + 17), seed=seed
+    )
+    # Keep the base config in params so an emitted fixture document can be
+    # rebuilt and re-certified from the file alone.
+    pair.params["base"] = base
+    return pair
+
+
+#: name -> (builder returning the pair or (side info, pair), {parameter: type})
+_FIXTURES = {
+    "pdp-unverifiable": (pdp_unverifiable_fixture, {"eps": float, "alpha": float, "A": float}),
+    "adp-twopoint": (adp_twopoint_fixture, {"eps": float, "delta": float, "alpha": float}),
+    "adp-lowfreq": (adp_lowfreq_fixture, {"n": int, "delta": float, "alpha": float}),
+    "fi-pdp": (fi_pdp_fixture, {"eps": float, "alpha": float, "beta": float}),
+    "mean-sideinfo": (_mean_sideinfo, {"eps": float, "alpha": float, "A": float, "base": dict}),
+}
+
+FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def build_fixture(
@@ -508,58 +527,16 @@ def build_fixture(
     """Build a fixture by registry name from a flat parameter mapping.
 
     mean-sideinfo expects a ``base`` entry holding a mechanism config
-    document; fi-pdp returns its side information alongside the pair.
+    document; fi-pdp returns its side information alongside the pair. A
+    missing parameter raises KeyError; an unknown name or a value of the
+    wrong type raises ValueError.
     """
-    params = dict(params)
-    if name == "pdp-unverifiable":
-        return (
-            pdp_unverifiable_fixture(
-                float(params["eps"]),
-                float(params["alpha"]),
-                float(params["A"]),
-                seed=seed,
-            ),
-            None,
-        )
-    if name == "adp-twopoint":
-        return (
-            adp_twopoint_fixture(
-                float(params["eps"]),
-                float(params["delta"]),
-                float(params["alpha"]),
-                seed=seed,
-            ),
-            None,
-        )
-    if name == "adp-lowfreq":
-        return (
-            adp_lowfreq_fixture(
-                int(params["n"]),
-                float(params["delta"]),
-                float(params["alpha"]),
-                seed=seed,
-            ),
-            None,
-        )
-    if name == "fi-pdp":
-        side, pair = fi_pdp_fixture(
-            float(params["eps"]),
-            float(params["alpha"]),
-            float(params["beta"]),
-            seed=seed,
-        )
-        return pair, side
-    if name == "mean-sideinfo":
-        base = mechanism_from_config(params["base"], seed=seed + 17)
-        pair = mean_sideinfo_fixture(
-            float(params["eps"]),
-            float(params["alpha"]),
-            float(params["A"]),
-            base,
-            seed=seed,
-        )
-        # Keep the base config in params so an emitted fixture document
-        # can be rebuilt and re-certified from the file alone.
-        pair.params["base"] = params["base"]
-        return pair, None
-    raise ValueError(f"unknown fixture name: {name!r}")
+    if name not in _FIXTURES:
+        raise ValueError(f"unknown fixture name: {name!r}")
+    builder, types = _FIXTURES[name]
+    try:
+        args = {key: cast(params[key]) for key, cast in types.items()}
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"bad {name} parameter: {exc}") from None
+    built = builder(**args, seed=seed)
+    return built[::-1] if isinstance(built, tuple) else (built, None)

@@ -28,7 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, delta_at_epsilon, min_mass
+from .distributions import (
+    _EPS_MAX,
+    DiscreteDistribution,
+    _check,
+    _positive_finite,
+    delta_at_epsilon,
+    min_mass,
+)
 from .mechanisms import MechanismPair, SideInfo
 from .noinfo import poisson_nonzero
 from .outcomes import TestOutcome, Verdict
@@ -51,12 +58,11 @@ IDENTITY_CONFIDENCE = 2.0 / 3.0
 EXACT_CHECK_TOL = 1e-12
 
 
+@_positive_finite
 def identity_budget(n: int, alpha: float) -> int:
     """Poisson rate for one identity test on an n-outcome universe."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check("n", n, 1.0)
+    _check("alpha", alpha, 0.0, open_low=True)
     return max(1, math.ceil(BUDGET_CONSTANT * math.sqrt(n) / (alpha * alpha)))
 
 
@@ -91,12 +97,11 @@ class IdentityTesterConfig:
     threshold: float = float("nan")
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        _check("alpha", self.alpha, 0.0, open_low=True)
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must lie strictly inside (0, 1)")
-        if self.sample_budget < 1:
-            raise ValueError("sample_budget must be >= 1")
+        # a Poisson rate numpy can draw, packed as an int64 into cache keys
+        _check("sample_budget", self.sample_budget, 1.0, 2.0**62)
 
     @classmethod
     def for_universe(
@@ -120,8 +125,7 @@ def identity_statistic(
     ``counts`` has shape (..., n): a 1-D histogram gives a float, a block
     of histograms one statistic per row.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    _check("rate", rate, 0.0, open_low=True)
     c = np.asarray(counts)
     if c.ndim < 1 or c.shape[-1] != q.n:
         raise ValueError("counts length must match the distribution")
@@ -157,8 +161,7 @@ def calibrate_identity_threshold(
     estimation noise. Null counts are drawn in row blocks; zero-mean bins
     consume no randomness, so the result does not depend on the block size.
     """
-    if trials < 100:
-        raise ValueError("calibration needs at least 100 trials")
+    _check("trials", trials, 100.0)
     means = cfg.sample_budget * q.probs
     stats = []
     for start in range(0, trials, _CALIBRATION_BLOCK):
@@ -274,16 +277,12 @@ def adp_test_fi(
     probability >= 2/3, close enough to the claim that its true slack is
     at most delta + (1 + e^eps) * alpha.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError("delta must lie in [0, 1]")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    delta = _check("delta", delta, 0.0, 1.0)
+    _check("alpha", alpha, 0.0, open_low=True)
     if mech.n != side.n:
         raise ValueError("mechanism universe does not match the side information")
 
-    claimed_slack = delta_at_epsilon(side.q0, side.q1, eps)
+    claimed_slack = delta_at_epsilon(side.q0, side.q1, eps)  # checks eps
     if claimed_slack > delta + EXACT_CHECK_TOL:
         return TestOutcome(
             Verdict.REJECT,
@@ -298,8 +297,7 @@ def adp_test_fi(
 
     cache = cache if cache is not None else CalibrationCache()
     k = SUBTEST_REPS if reps is None else reps
-    if k < 1:
-        raise ValueError("reps must be >= 1")
+    _check("reps", k, 1.0)
     cfg = IdentityTesterConfig.for_universe(mech.n, alpha)
     before = tuple(mech.query_counter)
     fractions = []
@@ -339,7 +337,8 @@ class FiPdpConfig:
 
     ``beta`` is the smallest claimed outcome probability; the sample rate
     ln(n) / (alpha^2 beta^2) makes every empirical frequency land within
-    a multiplicative e^alpha of its claim with good probability.
+    a multiplicative e^alpha of its claim with good probability. ``alpha``
+    is at most ln(max float), so that e^alpha is finite.
     """
 
     eps: float
@@ -348,15 +347,13 @@ class FiPdpConfig:
     lambda_rate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError("beta must lie in (0, 1]")
-        if self.lambda_rate is not None and self.lambda_rate <= 0:
-            raise ValueError("lambda_rate must be positive")
+        self.eps = _check("eps", self.eps, 0.0, _EPS_MAX)
+        self.alpha = _check("alpha", self.alpha, 0.0, _EPS_MAX, open_low=True)
+        self.beta = _check("beta", self.beta, 0.0, 1.0, open_low=True)
+        if self.lambda_rate is not None:
+            self.lambda_rate = _check("lambda_rate", self.lambda_rate, 0.0, open_low=True)
 
+    @_positive_finite
     def rate(self, n: int) -> float:
         if n < 2:
             raise ValueError("pDP testing needs a universe of size >= 2")
@@ -366,12 +363,8 @@ class FiPdpConfig:
 
     @classmethod
     def for_side(cls, side: SideInfo, eps: float, alpha: float) -> "FiPdpConfig":
-        beta = min_mass([side.q0, side.q1])
-        if beta <= 0.0:
-            raise ValueError(
-                "claimed distributions must give every outcome positive mass"
-            )
-        return cls(eps=eps, alpha=alpha, beta=beta)
+        """Config whose beta is the smallest (and positive) claimed probability."""
+        return cls(eps=eps, alpha=alpha, beta=min_mass([side.q0, side.q1]))
 
 
 def pdp_test_fi(
@@ -391,15 +384,13 @@ def pdp_test_fi(
     """
     if mech.n != side.n:
         raise ValueError("mechanism universe does not match the side information")
-    if mech.n < 2:
-        raise ValueError("pDP testing needs a universe of size >= 2")
     claimed_min = min_mass([side.q0, side.q1])
     if claimed_min <= 0.0:
         raise ValueError("claimed distributions must give every outcome positive mass")
     if cfg.beta > claimed_min + 1e-12:
         raise ValueError("cfg.beta exceeds the smallest claimed outcome probability")
 
-    rate = cfg.rate(mech.n)
+    rate = cfg.rate(mech.n)  # checks n >= 2
     r0, retries0 = poisson_nonzero(rate, rng)
     r1, retries1 = poisson_nonzero(rate, rng)
     x = mech.draw(0, r0)

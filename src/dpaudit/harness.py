@@ -7,13 +7,21 @@ and its index, and a re-run is byte-identical. Per-trial records can be
 written to CSV; the aggregate is an OperatingCharacteristic row holding
 the accept rate with a Wilson interval and the mean query count at the
 target's distance from the claimed parameters.
+
+Tester kinds live in one registry, ``_TESTERS``: kind -> (runner
+factory, notion). A factory reads the tester document once per
+experiment, builds and validates its configuration, and returns the
+per-trial ``run(mech, rng)``; the notion ("aDP" or "pDP") selects how the
+target's distance from the claim is measured. To add a tester, add its
+factory and entry there; ``TESTER_KINDS`` and the CLI's choices follow.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +41,10 @@ from .outcomes import TestOutcome
 #: Two-sided 95% normal quantile used for all Wilson intervals.
 Z95 = 1.959963984540054
 
-TESTER_KINDS = ("adp-ni", "adp-budgeted", "adp-fi", "pdp-fi")
-
-
 def wilson_interval(
     successes: int, trials: int, z: float = Z95
 ) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion, clamped to [0, 1]."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (0 <= successes <= trials):
@@ -49,7 +54,7 @@ def wilson_interval(
     denom = 1.0 + z2 / trials
     center = phat + z2 / (2.0 * trials)
     spread = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
-    return (center - spread) / denom, (center + spread) / denom
+    return max(0.0, (center - spread) / denom), min(1.0, (center + spread) / denom)
 
 
 @dataclass
@@ -69,8 +74,10 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1; got {self.trials!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0; got {self.seed!r}")
         if self.tester.get("kind") not in TESTER_KINDS:
             raise ValueError(f"tester kind must be one of {TESTER_KINDS}")
 
@@ -128,71 +135,56 @@ def _resolve_target(target: dict, seed: int):
     return mech, side
 
 
-def _make_runner(tester: dict, side: SideInfo | None):
-    """Tester spec -> callable(mech, rng) -> TestOutcome."""
-    kind = tester["kind"]
-    if kind == "adp-ni":
-        def run(mech: MechanismPair, rng: np.random.Generator) -> TestOutcome:
-            cfg = AdpNiConfig(
-                n=mech.n,
-                eps=float(tester["eps"]),
-                delta=float(tester.get("delta", 0.0)),
-                alpha=float(tester["alpha"]),
-                lambda_rate=tester.get("lambda_rate"),
-                both_directions=bool(tester.get("both_directions", True)),
-            )
-            return adp_test_ni(mech, cfg, rng)
+def _claim(tester: dict) -> tuple[float, float, float]:
+    return float(tester["eps"]), float(tester.get("delta", 0.0)), float(tester["alpha"])
 
-        return run
-    if kind == "adp-budgeted":
-        def run(mech: MechanismPair, rng: np.random.Generator) -> TestOutcome:
-            return adp_test_budgeted(
-                mech,
-                float(tester["eps"]),
-                float(tester.get("delta", 0.0)),
-                float(tester["alpha"]),
-                int(tester["r"]),
-            )
 
-        return run
-    if kind == "adp-fi":
-        if side is None:
-            raise ValueError("adp-fi needs side information")
-        cache = CalibrationCache(tester.get("cache_path"))
+def _adp_ni(tester: dict, mech: MechanismPair, side: SideInfo | None):
+    eps, delta, alpha = _claim(tester)
+    lambda_rate, both = tester.get("lambda_rate"), bool(tester.get("both_directions", True))
+    cfg = AdpNiConfig(mech.n, eps, delta, alpha, lambda_rate, both_directions=both)
+    return lambda mech, rng: adp_test_ni(mech, cfg, rng)
 
-        def run(mech: MechanismPair, rng: np.random.Generator) -> TestOutcome:
-            return adp_test_fi(
-                mech,
-                side,
-                float(tester["eps"]),
-                float(tester.get("delta", 0.0)),
-                float(tester["alpha"]),
-                rng,
-                cache=cache,
-                calibration_trials=tester.get("calibration_trials"),
-                reps=tester.get("reps"),
-            )
 
-        return run
-    if kind == "pdp-fi":
-        if side is None:
-            raise ValueError("pdp-fi needs side information")
-        cfg = FiPdpConfig.for_side(side, float(tester["eps"]), float(tester["alpha"]))
-        if tester.get("lambda_rate") is not None:
-            cfg.lambda_rate = float(tester["lambda_rate"])
+def _adp_budgeted(tester: dict, mech: MechanismPair, side: SideInfo | None):
+    claim, r = _claim(tester), int(tester["r"])
+    return lambda mech, rng: adp_test_budgeted(mech, *claim, r)
 
-        def run(mech: MechanismPair, rng: np.random.Generator) -> TestOutcome:
-            return pdp_test_fi(mech, side, cfg, rng)
 
-        return run
-    raise ValueError(f"unknown tester kind: {kind!r}")
+def _adp_fi(tester: dict, mech: MechanismPair, side: SideInfo | None):
+    if side is None:
+        raise ValueError("adp-fi needs side information")
+    claim, cache = _claim(tester), CalibrationCache(tester.get("cache_path"))
+    trials, reps = tester.get("calibration_trials"), tester.get("reps")
+    return lambda mech, rng: adp_test_fi(
+        mech, side, *claim, rng, cache=cache, calibration_trials=trials, reps=reps
+    )
+
+
+def _pdp_fi(tester: dict, mech: MechanismPair, side: SideInfo | None):
+    if side is None:
+        raise ValueError("pdp-fi needs side information")
+    cfg = FiPdpConfig.for_side(side, float(tester["eps"]), float(tester["alpha"]))
+    if tester.get("lambda_rate") is not None:
+        cfg = replace(cfg, lambda_rate=float(tester["lambda_rate"]))
+    return lambda mech, rng: pdp_test_fi(mech, side, cfg, rng)
+
+
+#: kind -> (runner factory, notion of the claim)
+_TESTERS = {
+    "adp-ni": (_adp_ni, "aDP"),
+    "adp-budgeted": (_adp_budgeted, "aDP"),
+    "adp-fi": (_adp_fi, "aDP"),
+    "pdp-fi": (_pdp_fi, "pDP"),
+}
+
+TESTER_KINDS = tuple(_TESTERS)
 
 
 def _distance_from_claim(tester: dict, mech: MechanismPair) -> float:
     """How far the target truth sits from the tester's claimed parameters."""
-    kind = tester["kind"]
     p0, p1 = mech.truth
-    if kind in ("adp-ni", "adp-budgeted", "adp-fi"):
+    if _TESTERS[tester["kind"]][1] == "aDP":
         slack = delta_at_epsilon(p0, p1, float(tester["eps"]))
         return max(0.0, slack - float(tester.get("delta", 0.0)))
     true_eps = exact_pdp_epsilon(p0, p1)
@@ -222,7 +214,11 @@ def _csv_text(records: list[tuple[int, TestOutcome]]) -> str:
 def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
     """Run all trials, optionally write the per-trial CSV, aggregate."""
     base_mech, side = _resolve_target(cfg.target, seed=cfg.seed)
-    runner = _make_runner(cfg.tester, side)
+    factory = _TESTERS[cfg.tester["kind"]][0]
+    try:
+        runner = factory(cfg.tester, base_mech, side)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"bad {cfg.tester['kind']} tester parameter: {exc}") from None
 
     records = []
     for trial in range(cfg.trials):
@@ -257,33 +253,25 @@ def sweep(
     or a path into the tester/target documents ("tester.alpha",
     "target.mechanism.n"). Unknown names raise ValueError.
     """
+    parts = parameter.split(".")
     results = []
     for value in values:
-        tester = copy.deepcopy(base.tester)
-        target = copy.deepcopy(base.target)
-        cfg = ExperimentConfig(
-            tester=tester,
-            target=target,
-            trials=base.trials,
-            seed=base.seed,
-            out=None,
-        )
-        parts = parameter.split(".")
+        fields = {
+            "tester": copy.deepcopy(base.tester),
+            "target": copy.deepcopy(base.target),
+            "trials": base.trials,
+            "seed": base.seed,
+        }
+        node = fields
+        for part in parts[:-1]:
+            node = node.get(part) if isinstance(node, dict) else None
         if len(parts) == 1:
-            if parts[0] not in ("trials", "seed"):
-                raise ValueError(f"unknown parameter name: {parameter!r}")
-            setattr(cfg, parts[0], value)
+            known = parts[0] in ("trials", "seed")
         else:
-            root = {"tester": tester, "target": target}.get(parts[0])
-            if root is None:
-                raise ValueError(f"unknown parameter name: {parameter!r}")
-            node = root
-            for part in parts[1:-1]:
-                if not isinstance(node, dict) or part not in node:
-                    raise ValueError(f"unknown parameter name: {parameter!r}")
-                node = node[part]
-            if not isinstance(node, dict) or parts[-1] not in node:
-                raise ValueError(f"unknown parameter name: {parameter!r}")
-            node[parts[-1]] = value
-        results.append(run_experiment(cfg))
+            known = isinstance(node, dict) and parts[-1] in node
+        if not known:
+            raise ValueError(f"unknown parameter name: {parameter!r}")
+        node[parts[-1]] = value
+        # a new config, so that a swept trials or seed is checked too
+        results.append(run_experiment(ExperimentConfig(**fields)))
     return results

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, make_distribution
+from .distributions import _EPS_MAX, DiscreteDistribution, _check, make_distribution
 
 
 class MechanismPair:
@@ -109,8 +109,7 @@ def truncated_geometric(eps: float, n: int, seed: int = 0) -> MechanismPair:
     what keeps every outcome ratio within e^{+-eps}; odd n would break the
     eps-pDP contract through unequal normalization.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check("eps", eps, 0.0, _EPS_MAX, open_low=True)
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be an even integer >= 2")
     c0 = n // 2 - 1
@@ -156,12 +155,8 @@ class SideInfo:
         return self.q0.n
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "q0": {"n": self.q0.n, "probs": [float(p) for p in self.q0.probs]},
-                "q1": {"n": self.q1.n, "probs": [float(p) for p in self.q1.probs]},
-            }
-        )
+        """``{"q0": ..., "q1": ...}``, each in DiscreteDistribution's format."""
+        return f'{{"q0": {self.q0.to_json()}, "q1": {self.q1.to_json()}}}'
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "SideInfo":
@@ -174,6 +169,21 @@ class SideInfo:
         )
 
 
+#: Mechanism registry: config "mechanism" field -> builder(config, seed).
+_MECHANISMS = {
+    "randomized_response": lambda c, seed: randomized_response(float(c["flip_prob"]), seed),
+    "truncated_geometric": lambda c, seed: truncated_geometric(
+        float(c["eps"]), int(c["n"]), seed
+    ),
+    "leaky_mechanism": lambda c, seed: leaky_mechanism(
+        float(c["delta"]), int(c.get("n", 3)), seed
+    ),
+    "explicit": lambda c, seed: MechanismPair(
+        DiscreteDistribution.from_json(c["p0"]), DiscreteDistribution.from_json(c["p1"]), seed
+    ),
+}
+
+
 def mechanism_from_config(config: dict, seed: int = 0) -> MechanismPair:
     """Build a zoo mechanism from a JSON-style config document.
 
@@ -183,20 +193,14 @@ def mechanism_from_config(config: dict, seed: int = 0) -> MechanismPair:
     * ``{"mechanism": "truncated_geometric", "eps": 0.1, "n": 4}``
     * ``{"mechanism": "leaky_mechanism", "delta": 0.2, "n": 3}``
     * ``{"mechanism": "explicit", "p0": {...}, "p1": {...}}``
+
+    A value of the wrong type (``null``, ``Infinity`` as ``n``) raises
+    ValueError, as does an unknown kind; a missing field raises KeyError.
     """
-    if not isinstance(config, dict) or "mechanism" not in config:
-        raise ValueError("mechanism config must be an object with a mechanism field")
-    kind = config["mechanism"]
-    if kind == "randomized_response":
-        return randomized_response(float(config["flip_prob"]), seed=seed)
-    if kind == "truncated_geometric":
-        return truncated_geometric(float(config["eps"]), int(config["n"]), seed=seed)
-    if kind == "leaky_mechanism":
-        return leaky_mechanism(float(config["delta"]), int(config.get("n", 3)), seed=seed)
-    if kind == "explicit":
-        return MechanismPair(
-            DiscreteDistribution.from_json(config["p0"]),
-            DiscreteDistribution.from_json(config["p1"]),
-            seed=seed,
-        )
-    raise ValueError(f"unknown mechanism kind {kind!r}")
+    kind = config.get("mechanism") if isinstance(config, dict) else None
+    if not isinstance(kind, str) or kind not in _MECHANISMS:
+        raise ValueError(f"mechanism field must be one of {tuple(_MECHANISMS)}; got {kind!r}")
+    try:
+        return _MECHANISMS[kind](config, seed)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"bad {kind} config: {exc}") from None

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _EPS_MAX, _check, _positive_finite
 from .mechanisms import MechanismPair
 from .outcomes import TestOutcome, Verdict
 
@@ -30,19 +31,18 @@ from .outcomes import TestOutcome, Verdict
 _MAX_POISSON_RETRIES = 1000
 
 
+@_positive_finite
 def noinfo_rate(n: int, eps: float, alpha: float) -> float:
     """Poisson sampling rate max{4n(1+e^{2eps})^2, 12(1+e^{2eps})} / alpha^2.
 
     The squared factor on the n-dependent branch is what the variance
     argument needs for the stated 2/3 confidence; the weaker unsquared
-    form undershoots it.
+    form undershoots it. A rate that is not a finite float (large eps,
+    tiny alpha) raises ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    n = _check("n", n, 1.0)
+    eps = _check("eps", eps, 0.0, _EPS_MAX)
+    alpha = _check("alpha", alpha, 0.0, open_low=True)
     b = 1.0 + math.exp(2.0 * eps)
     return max(4.0 * n * b * b, 12.0 * b) / (alpha * alpha)
 
@@ -51,7 +51,9 @@ def noinfo_rate(n: int, eps: float, alpha: float) -> float:
 class AdpNiConfig:
     """Configuration for the no-information aDP tester.
 
-    ``lambda_rate`` defaults to :func:`noinfo_rate`. ``both_directions``
+    ``lambda_rate`` defaults to :func:`noinfo_rate`, which also checks
+    ``n``, ``eps`` and ``alpha`` (so a claim whose default rate is not
+    finite is rejected even with an explicit rate). ``both_directions``
     tests the slack in both orderings of the databases (the privacy
     definition is symmetric); turn it off to reproduce the literal
     one-direction listing. ``shared_r`` reuses a single Poisson draw for
@@ -68,24 +70,16 @@ class AdpNiConfig:
     shared_r: bool = True
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
-        if not (0.0 <= self.delta <= 1.0):
-            raise ValueError("delta must lie in [0, 1]")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.lambda_rate is None:
-            self.lambda_rate = noinfo_rate(self.n, self.eps, self.alpha)
-        elif self.lambda_rate <= 0:
-            raise ValueError("lambda_rate must be positive")
+        self.delta = _check("delta", self.delta, 0.0, 1.0)
+        rate = noinfo_rate(self.n, self.eps, self.alpha)
+        if self.lambda_rate is not None:
+            rate = _check("lambda_rate", self.lambda_rate, 0.0, open_low=True)
+        self.lambda_rate = rate
 
 
 def poisson_nonzero(rate: float, rng: np.random.Generator) -> tuple[int, int]:
     """Poisson draw conditioned on being positive; returns (value, retries)."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    _check("rate", rate, 0.0, open_low=True)
     retries = 0
     while True:
         r = int(rng.poisson(rate))
@@ -93,7 +87,7 @@ def poisson_nonzero(rate: float, rng: np.random.Generator) -> tuple[int, int]:
             return r, retries
         retries += 1
         if retries > _MAX_POISSON_RETRIES:
-            raise RuntimeError("Poisson draw returned zero too many times")
+            raise ValueError(f"rate {rate!r} is too small: the Poisson draw stays zero")
 
 
 def poissonized_histogram(
@@ -105,8 +99,7 @@ def poissonized_histogram(
     Poisson(rate * p_i) variables, which is what every concentration
     argument in this package relies on. Returns (counts, r); r may be 0.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    _check("rate", rate, 0.0, open_low=True)
     r = int(rng.poisson(rate))
     return mech.draw(db, r), r
 
@@ -120,11 +113,8 @@ def _slack(x, y, r0: int, r1: int, eps: float) -> list[float]:
 
 def adp_statistic(x: np.ndarray, y: np.ndarray, r: int, eps: float) -> float:
     """Plug-in slack estimate sum_i max(0, x_i / r - e^eps * y_i / r)."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    return _slack(x, y, r, r, eps)[0]
+    _check("r", r, 1.0)
+    return _slack(x, y, r, r, _check("eps", eps, 0.0, _EPS_MAX))[0]
 
 
 def _statistic_outcome(
@@ -200,8 +190,10 @@ def adp_test_budgeted(
     random-privacy conversion); the Poissonized form draws a random
     sample count by design.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    eps = _check("eps", eps, 0.0, _EPS_MAX)
+    delta = _check("delta", delta, 0.0, 1.0)
+    alpha = _check("alpha", alpha, 0.0, open_low=True)
+    _check("r", r, 1.0)
     x = mech.draw(0, r)
     y = mech.draw(1, r)
     return _statistic_outcome(
@@ -217,10 +209,12 @@ def counts_tester(
     Returns a callable ``tester(x, y, r, rng=None) -> TestOutcome`` for
     use as the budgeted tester in reductions.
     """
+    eps = _check("eps", eps, 0.0, _EPS_MAX)
+    delta = _check("delta", delta, 0.0, 1.0)
+    alpha = _check("alpha", alpha, 0.0, open_low=True)
 
     def tester(x, y, r, rng=None) -> TestOutcome:
-        if r <= 0:
-            raise ValueError("r must be positive")
+        _check("r", r, 1.0)
         return _statistic_outcome(
             x, y, r, r, eps, delta, alpha, both_directions, queries=(0, 0)
         )

@@ -18,7 +18,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, make_distribution
+from .distributions import DiscreteDistribution, _check, _positive_finite, make_distribution
 from .mechanisms import MechanismPair, SideInfo
 from .outcomes import TestOutcome, Verdict
 
@@ -41,8 +41,7 @@ class DataDistribution:
     def __post_init__(self) -> None:
         if len(self.values) != self.entry_dist.n:
             raise ValueError("values and entry distribution must have equal length")
-        if self.db_size < 1:
-            raise ValueError("db_size must be >= 1")
+        _check("db_size", self.db_size, 1.0)
 
 
 def data_distribution(
@@ -129,6 +128,7 @@ def value_flag_family(
     )
 
 
+@_positive_finite
 def amplification_reps(penalty_weight: float, alpha: float) -> int:
     """Majority repetitions of the inner tester per sampled pair.
 
@@ -136,13 +136,12 @@ def amplification_reps(penalty_weight: float, alpha: float) -> int:
     1/3 error below alpha / (2 w) so that per-pair flips do not move the
     measure estimate by more than the slack the accept rule leaves.
     """
-    if penalty_weight <= 0:
-        raise ValueError("penalty_weight must be positive")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check("penalty_weight", penalty_weight, 0.0, open_low=True)
+    _check("alpha", alpha, 0.0, open_low=True)
     return max(1, math.ceil(18.0 * math.log(2.0 * penalty_weight / alpha)))
 
 
+@_positive_finite
 def trial_count(penalty_weight: float, alpha: float, gamma: float) -> int:
     """Neighbor pairs to sample for the measure estimate.
 
@@ -150,12 +149,9 @@ def trial_count(penalty_weight: float, alpha: float, gamma: float) -> int:
     a Bernstein-style count that concentrates the empirical non-private
     fraction to within alpha/(2w) with probability >= 2/3.
     """
-    if penalty_weight <= 0:
-        raise ValueError("penalty_weight must be positive")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    _check("penalty_weight", penalty_weight, 0.0, open_low=True)
+    _check("alpha", alpha, 0.0, open_low=True)
+    _check("gamma", gamma, 0.0, 1.0)
     a = alpha / penalty_weight
     numerator = 2.0 * (a / 2.0 + gamma) ** 2 + 2.0 * a
     return math.ceil(math.log(3.0) * numerator / (a * a))
@@ -183,10 +179,14 @@ def random_privacy_test(
     pairs that meet it, each with probability >= 2/3 on fresh samples;
     any of the two-database testers in this package qualifies.
     """
-    m = trial_count(penalty_weight, alpha, gamma) if trials is None else trials
-    k = amplification_reps(penalty_weight, alpha) if reps is None else reps
-    if m < 1 or k < 1:
-        raise ValueError("trials and reps must be >= 1")
+    # the formulas check gamma, alpha and penalty_weight, also when
+    # trials and reps are given
+    m = trial_count(penalty_weight, alpha, gamma)
+    k = amplification_reps(penalty_weight, alpha)
+    m = m if trials is None else trials
+    k = k if reps is None else reps
+    _check("trials", m, 1.0)
+    _check("reps", k, 1.0)
 
     marked = 0
     queries = [0, 0]

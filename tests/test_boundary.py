@@ -1,0 +1,401 @@
+"""The input boundary: every entry point rejects NaN, infinities and
+out-of-range parameters with ValueError, and the CLI keeps its exit-code
+contract (0 done, 1 usage or configuration error, 2 certification gate)
+for any argv."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dpaudit import (
+    FIXTURE_NAMES,
+    AdpNiConfig,
+    CertificationError,
+    ExperimentConfig,
+    FiPdpConfig,
+    IdentityTesterConfig,
+    PrivacyParams,
+    SideInfo,
+    adp_lowfreq_fixture,
+    adp_statistic,
+    adp_test_budgeted,
+    adp_test_fi,
+    adp_twopoint_fixture,
+    amplification_reps,
+    brute_force_delta,
+    build_fixture,
+    constant_family,
+    counts_tester,
+    data_distribution,
+    delta_at_epsilon,
+    fi_pdp_fixture,
+    identity_budget,
+    leaky_mechanism,
+    mechanism_from_config,
+    noinfo_rate,
+    pdp_test_fi,
+    pdp_unverifiable_fixture,
+    random_privacy_test,
+    randomized_response,
+    sweep,
+    tight_perturbation,
+    trial_count,
+    truncated_geometric,
+)
+from dpaudit.cli import main
+from dpaudit.harness import TESTER_KINDS
+
+NAN = math.nan
+RR = randomized_response(0.25)
+RR_SIDE = SideInfo(*RR.truth)
+
+
+def rng():
+    return np.random.default_rng(0)
+
+
+# -- library-level regressions: each call returned a verdict or raised
+#    OverflowError before the shared range check
+
+def test_adp_test_fi_rejects_nan_eps():
+    with pytest.raises(ValueError, match="eps"):
+        adp_test_fi(RR, RR_SIDE, NAN, 0.0, 0.3, rng())
+
+
+def test_pdp_test_fi_rejects_nan_eps():
+    with pytest.raises(ValueError, match="eps"):
+        pdp_test_fi(RR, RR_SIDE, FiPdpConfig.for_side(RR_SIDE, NAN, 0.2), rng())
+
+
+@pytest.mark.parametrize(
+    "eps, delta, alpha, name",
+    [(0.0, 2.0, 0.3, "delta"), (0.0, 0.0, math.inf, "alpha"), (NAN, 0.0, 0.3, "eps")],
+)
+def test_adp_test_budgeted_rejects_bad_claim(eps, delta, alpha, name):
+    with pytest.raises(ValueError, match=name):
+        adp_test_budgeted(RR, eps, delta, alpha, 10)
+    assert RR.query_counter == [0, 0]
+
+
+def test_adp_ni_config_rejects_nan_eps():
+    with pytest.raises(ValueError, match="eps"):
+        AdpNiConfig(n=2, eps=NAN, delta=0.0, alpha=0.3)
+
+
+def test_noinfo_rate_overflow_is_value_error():
+    with pytest.raises(ValueError, match="noinfo_rate"):
+        noinfo_rate(2, 400, 0.1)
+
+
+def test_delta_at_epsilon_overflow_is_value_error():
+    p, q = RR.truth
+    with pytest.raises(ValueError, match="eps"):
+        delta_at_epsilon(p, q, 800)
+
+
+def test_counts_tester_checks_claim_when_built():
+    with pytest.raises(ValueError, match="delta"):
+        counts_tester(0.0, NAN, 0.3)
+
+
+def test_random_privacy_test_checks_claim_with_explicit_sizes():
+    family = constant_family(RR.truth[0])
+    dd = data_distribution([0])
+
+    def inner(mech, g):
+        return adp_test_budgeted(mech, 0.0, 0.0, 0.3, 10)
+
+    for kwargs in (
+        {"gamma": NAN, "alpha": 0.3, "penalty_weight": 1.0},
+        {"gamma": 0.0, "alpha": 0.3, "penalty_weight": math.inf},
+    ):
+        with pytest.raises(ValueError):
+            random_privacy_test(family, dd, inner, rng=rng(), trials=2, reps=1, **kwargs)
+    with pytest.raises(ValueError, match="trials"):
+        random_privacy_test(family, dd, inner, 0.0, 0.3, 1.0, rng(), trials=NAN, reps=1)
+
+
+def test_fi_pdp_config_rejects_alpha_whose_exponential_overflows():
+    with pytest.raises(ValueError, match="alpha"):
+        FiPdpConfig(eps=0.5, alpha=800.0, beta=0.25)
+
+
+def test_fi_pdp_rate_with_underflowing_beta_is_value_error():
+    # beta^2 underflows to zero, so the rate formula would divide by zero
+    with pytest.raises(ValueError, match="rate"):
+        FiPdpConfig(eps=0.5, alpha=0.3, beta=1e-170).rate(2)
+
+
+# -- CLI-level regressions
+
+@pytest.fixture
+def rr_mech(tmp_path):
+    path = tmp_path / "rr.json"
+    path.write_text(json.dumps({"mechanism": "randomized_response", "flip_prob": 0.25}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "adp-ni", "--eps", "400", "--alpha", "0.3"],
+        ["test", "adp-budgeted", "--eps", "800", "--alpha", "0.3", "--budget", "10"],
+        ["test", "adp-fi", "--side", "truth", "--eps", "800", "--alpha", "0.3"],
+        ["test", "adp-fi", "--side", "truth", "--eps", "nan", "--alpha", "0.3"],
+        ["test", "pdp-fi", "--side", "truth", "--eps", "nan", "--alpha", "0.2"],
+    ],
+)
+def test_cli_bad_claim_exits_1_without_traceback(capsys, rr_mech, argv):
+    assert main(argv + ["--mech", rr_mech]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixture", "adp-lowfreq", "--params", "n=inf", "delta=0.3", "alpha=0.1"],
+        ["test", "random", "--alpha", "0.3", "--penalty", "1e308",
+         "--inner-alpha", "0.2", "--inner-budget", "10"],
+    ],
+)
+def test_cli_overflowing_parameters_exit_1(capsys, tmp_path, argv):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"kind": "constant", "dist": {"probs": [0.5, 0.5]}}))
+    if argv[1] == "random":
+        argv = argv + ["--family", str(family)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_checks_swept_trials_and_seed(tmp_path):
+    base = ExperimentConfig(
+        tester={"kind": "adp-ni", "eps": 0.0, "alpha": 0.3},
+        target={"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}},
+        trials=1,
+    )
+    for parameter, value in (("trials", NAN), ("trials", 0.5), ("seed", -1), ("seed", 1e308)):
+        with pytest.raises(ValueError, match=parameter):
+            sweep(base, parameter, [value])
+
+
+# -- fuzzed argv: the exit-code contract holds for any combination
+
+VALUES = ("nan", "inf", "-inf", "-1", "0", "0.3", "800", "1e308", "abc")
+# integer-valued flags keep their sizes small: calibrate --n and
+# adp-lowfreq n allocate memory in proportion to n
+SMALL = {
+    "--trials": ("nan", "-1", "0", "0.3", "1", "3", "abc"),
+    "--budget": ("nan", "-1", "0", "0.3", "1", "1000", "abc"),
+    "--inner-budget": ("nan", "-1", "0", "0.3", "1", "1000", "abc"),
+    "--db-size": ("nan", "-1", "0", "1", "3", "abc"),
+    "--n": ("nan", "-1", "0", "1", "2", "64", "abc"),
+    "--seed": ("-1", "0", "7", "0.3", "abc"),
+    "n": ("nan", "inf", "-1", "0", "3", "18", "abc"),
+    # the reduction samples ~ (penalty / alpha)^2 neighbour pairs: at
+    # penalty 800 and alpha 0.3, a valid run would sample 1.4 million
+    "--penalty": ("nan", "inf", "-1", "0", "0.3", "1", "1e308", "abc"),
+}
+# in-range values, drawn half the time so that runs also get past the checks
+PLAUSIBLE = {
+    "--eps": ("0", "0.3", "1.0986122886681098"),
+    "--delta": ("0", "0.05"),
+    "--alpha": ("0.2", "0.3"),
+    "--gamma": ("0", "0.1"),
+    "--penalty": ("1",),
+    "--inner-eps": ("0",),
+    "--inner-delta": ("0",),
+    "--inner-alpha": ("0.2",),
+    "--inner-budget": ("100",),
+    "--budget": ("100",),
+    "--trials": ("2",),
+    "--seed": ("0", "7"),
+    "--db-size": ("1", "2"),
+    "--n": ("2", "16"),
+    "eps": ("0", "0.3"),
+    "delta": ("0.05", "0.3"),
+    "alpha": ("0.1", "0.2"),
+    "A": ("3",),
+    "beta": ("0.2",),
+    "n": ("6", "18"),
+}
+FIXTURE_PARAMS = {
+    "pdp-unverifiable": ("eps", "alpha", "A"),
+    "adp-twopoint": ("eps", "delta", "alpha"),
+    "adp-lowfreq": ("n", "delta", "alpha"),
+    "fi-pdp": ("eps", "alpha", "beta"),
+    "mean-sideinfo": ("eps", "alpha", "A"),
+}
+
+
+@st.composite
+def argvs(draw, files):
+    """argv for one of the five verbs: the flags a run needs are usually
+    present; each value comes from VALUES (SMALL for sizes) or, half the
+    time, from PLAUSIBLE."""
+
+    def value(flag):
+        pool = PLAUSIBLE.get(flag, ()) if draw(st.booleans()) else ()
+        return draw(st.sampled_from(pool or SMALL.get(flag, VALUES)))
+
+    def flags(needed, optional=()):
+        names = [name for name in needed if draw(st.integers(0, 9))]
+        names += draw(st.lists(st.sampled_from(optional), unique=True)) if optional else []
+        return [item for name in names for item in (name, value(name))]
+
+    def fixture_params(name):
+        keys = [key for key in FIXTURE_PARAMS[name] if draw(st.integers(0, 9))]
+        keys += draw(st.lists(st.just("bogus"), max_size=1))
+        return [f"{key}={value(key)}" for key in keys]
+
+    verb = draw(st.sampled_from(("test", "fixture", "sweep", "calibrate", "certify")))
+    out = ["--out", files["out"]]
+    if verb == "test":
+        tester = draw(st.sampled_from(TESTER_KINDS + ("random",)))
+        if tester == "random":
+            family = draw(st.sampled_from(files["family"]))
+            return ["test", "random", "--family", family] + flags(
+                ["--alpha", "--inner-alpha", "--inner-budget"],
+                ["--gamma", "--penalty", "--db-size", "--inner-eps", "--inner-delta", "--seed"],
+            ) + out
+        if draw(st.booleans()):
+            target = ["--mech", files["mech"]]
+        else:
+            name = draw(st.sampled_from(FIXTURE_NAMES))
+            target = ["--fixture", name, "--fixture-params", *fixture_params(name),
+                      "--instance", draw(st.sampled_from(("private", "far")))]
+        if tester in ("adp-fi", "pdp-fi") or draw(st.booleans()):
+            target += ["--side", draw(st.sampled_from(("truth", "claim", files["side"])))]
+        needed = ["--eps", "--alpha"] + (["--budget"] if tester == "adp-budgeted" else [])
+        return ["test", tester] + target + flags(needed, ["--delta", "--trials", "--seed"]) + out
+    if verb in ("fixture", "certify"):
+        if verb == "certify" and draw(st.booleans()):
+            return ["certify", "--fixture-file", draw(st.sampled_from(files["fixture"]))] + out
+        name = draw(st.sampled_from(FIXTURE_NAMES))
+        base = ["--base", files["base"]] if draw(st.integers(0, 9)) else []
+        return [verb, name, "--params", *fixture_params(name)] + base + flags([], ["--seed"]) + out
+    if verb == "sweep":
+        parameter = draw(st.sampled_from(
+            ("tester.alpha", "tester.eps", "tester.delta", "trials", "seed",
+             "target.mechanism.flip_prob", "tester.bogus", "bogus")
+        ))
+        values = ",".join(draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=2)))
+        return ["sweep", "--config", files["sweep"], "--parameter", parameter,
+                "--values", values] + out
+    null = draw(st.sampled_from(("uniform", "twopoint", files["null"])))
+    trials = draw(st.sampled_from(((), ("--trials", "nan"), ("--trials", "99"),
+                                   ("--trials", "257"))))
+    return ["calibrate", "--null", null, "--cache", files["cache"], *trials] + flags(
+        ["--n", "--alpha"]
+    ) + out
+
+
+def write_fuzz_files(root):
+    def put(name, doc):
+        path = root / name
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return str(path)
+
+    rr = {"mechanism": "randomized_response", "flip_prob": 0.25}
+    assert main(["fixture", "adp-twopoint", "--params", "eps=0.1", "delta=0.05",
+                 "alpha=0.1", "--out", str(root / "two.json")]) == 0
+    return {
+        "mech": put("rr.json", rr),
+        "side": put("side.json", RR_SIDE.to_json()),
+        "base": put("base.json", {"mechanism": "explicit", "p0": {"probs": [0.5, 0.5, 0.0]},
+                                  "p1": {"probs": [0.6, 0.4, 0.0]}}),
+        "family": [
+            put("constant.json", {"kind": "constant", "dist": {"probs": [0.5, 0.5]}}),
+            put("flag.json", {"kind": "value_flag", "flag_prob": 0.2,
+                              "flagged": {"probs": [0.9, 0.1]}, "plain": {"probs": [0.5, 0.5]}}),
+        ],
+        "fixture": [str(root / "two.json"), put("broken.json", "{")],
+        "sweep": put("sweep.json", {
+            "tester": {"kind": "adp-ni", "eps": 0.0, "delta": 0.0, "alpha": 0.3},
+            "target": {"mechanism": rr},
+            "trials": 2,
+        }),
+        "null": put("null.json", {"probs": [0.25, 0.75]}),
+        "cache": str(root / "cache.json"),
+        "out": str(root / "out"),
+    }
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    return write_fuzz_files(tmp_path_factory.mktemp("fuzz"))
+
+
+def test_cli_fuzz_exit_codes(fuzz_files, capsys):
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(argvs(fuzz_files))
+    def check(argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+
+    check()
+
+
+# -- public constructors and testers: validate, or raise ValueError
+
+EXTREMES = (NAN, math.inf, -math.inf, -1.0, 0.0, 0.05, 0.3, 0.9, 800.0, 1e308)
+x = st.sampled_from(EXTREMES)
+small_int = st.sampled_from((-1, 0, 1, 2, 3, 18))
+LEAKY = leaky_mechanism(0.3, seed=1)
+CONSTRUCTORS = {
+    "PrivacyParams": (lambda e, d, g, w: PrivacyParams(e, d, g, w, "RaDP"), (x, x, x, x)),
+    "AdpNiConfig": (lambda n, e, d, a: AdpNiConfig(n, e, d, a), (small_int, x, x, x)),
+    "FiPdpConfig": (lambda e, a, b: FiPdpConfig(e, a, b).rate(2), (x, x, x)),
+    "IdentityTesterConfig": (IdentityTesterConfig.for_universe, (small_int, x)),
+    "identity_budget": (identity_budget, (small_int, x)),
+    "trial_count": (trial_count, (x, x, x)),
+    "amplification_reps": (amplification_reps, (x, x)),
+    "delta_at_epsilon": (lambda e: delta_at_epsilon(*LEAKY.truth, e), (x,)),
+    "brute_force_delta": (lambda e: brute_force_delta(*LEAKY.truth, e), (x,)),
+    "adp_statistic": (lambda r, e: adp_statistic([3, 1], [1, 3], r, e), (x, x)),
+    "adp_test_budgeted": (lambda e, d, a, r: adp_test_budgeted(LEAKY.spawn(1), e, d, a, r),
+                          (x, x, x, small_int)),
+    "counts_tester": (lambda e, d, a: counts_tester(e, d, a)([2, 1], [0, 3], 3), (x, x, x)),
+    "adp_test_fi": (lambda e, d, a: adp_test_fi(RR.spawn(2), RR_SIDE, e, d, a, rng(),
+                                                calibration_trials=100, reps=3), (x, x, x)),
+    "pdp_test_fi": (lambda e, a: pdp_test_fi(
+        RR.spawn(3), RR_SIDE, FiPdpConfig.for_side(RR_SIDE, e, a), rng()), (x, x)),
+    "truncated_geometric": (lambda e, n: truncated_geometric(e, n), (x, small_int)),
+    "randomized_response": (randomized_response, (x,)),
+    "leaky_mechanism": (lambda d, n: leaky_mechanism(d, n), (x, small_int)),
+    "mechanism_from_config": (lambda f, n: mechanism_from_config(
+        {"mechanism": "truncated_geometric", "eps": f, "n": n}), (x, x)),
+    "tight_perturbation": (lambda e, a: tight_perturbation(*LEAKY.truth, e, a), (x, x)),
+}
+# a fixture exists only once certified, so these may also fail their gate
+FIXTURES = {
+    "pdp_unverifiable_fixture": (pdp_unverifiable_fixture, (x, x, x)),
+    "adp_twopoint_fixture": (adp_twopoint_fixture, (x, x, x)),
+    "adp_lowfreq_fixture": (adp_lowfreq_fixture, (small_int, x, x)),
+    "fi_pdp_fixture": (fi_pdp_fixture, (x, x, x)),
+    "build_fixture": (lambda n: build_fixture("adp-lowfreq", {"n": n, "delta": 0.3, "alpha": 0.1}),
+                      (x,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS) + sorted(FIXTURES))
+def test_entry_points_validate_or_raise_value_error(name):
+    fn, args = CONSTRUCTORS.get(name) or FIXTURES[name]
+    allowed = (ValueError, CertificationError) if name in FIXTURES else ValueError
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(st.tuples(*args))
+    def check(values):
+        try:
+            fn(*values)
+        except allowed:
+            return
+        assert all(math.isfinite(v) for v in values), f"accepted {values}"
+
+    check()

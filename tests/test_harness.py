@@ -31,6 +31,16 @@ def test_wilson_interval_values():
         wilson_interval(5, 4)
 
 
+def test_wilson_interval_endpoints_stay_in_unit_interval():
+    # unclamped, 1068 of these bounds fell outside [0, 1] by rounding,
+    # e.g. wilson_interval(11, 11)[1] == 1.0000000000000002
+    for n in range(1, 3001):
+        for k in (0, n):
+            low, high = wilson_interval(k, n)
+            assert 0.0 <= low <= high <= 1.0, (k, n)
+    assert wilson_interval(11, 11)[1] == 1.0
+
+
 def test_wilson_interval_brackets_noisier_rates():
     # interval always contains the point estimate
     for k, n in [(1, 7), (33, 100), (199, 200)]:

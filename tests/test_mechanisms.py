@@ -180,3 +180,11 @@ def test_side_info_round_trip():
         SideInfo(make_distribution([1, 1]), make_distribution([1, 1, 1]))
     with pytest.raises(ValueError):
         SideInfo.from_json({"q0": {"n": 2, "probs": [0.5, 0.5]}})
+
+
+def test_side_info_json_is_pinned():
+    # built from DiscreteDistribution.to_json: one serialisation of a vector
+    side = SideInfo(make_distribution([3, 1]), make_distribution([1, 3]))
+    assert side.to_json() == (
+        '{"q0": {"n": 2, "probs": [0.75, 0.25]}, "q1": {"n": 2, "probs": [0.25, 0.75]}}'
+    )
