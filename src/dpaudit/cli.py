@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, _check
 from .fixtures import FIXTURE_NAMES, CertificationError, build_fixture
 from .fullinfo import CalibrationCache, IdentityTesterConfig
 from .harness import TESTER_KINDS, ExperimentConfig, run_experiment, sweep
@@ -68,7 +68,18 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return doc
+
+
+def _integer(doc: dict, key: str, default: int) -> int:
+    """int(doc[key]), or default if absent; null or infinity raises ValueError."""
+    try:
+        return int(doc.get(key, default))
+    except (TypeError, OverflowError):
+        raise ValueError(f"{key} must be an integer; got {doc[key]!r}") from None
 
 
 def _target_from_args(args) -> dict:
@@ -135,7 +146,7 @@ def _cmd_test_random(args) -> int:
         family = constant_family(DiscreteDistribution.from_json(doc["dist"]))
         dd = data_distribution([0], db_size=args.db_size)
     elif kind == "value_flag":
-        flag_prob = float(doc["flag_prob"])
+        flag_prob = _check("flag_prob", doc["flag_prob"], 0.0, 1.0)
         family = value_flag_family(
             {1},
             DiscreteDistribution.from_json(doc["flagged"]),
@@ -201,10 +212,12 @@ def _cmd_certify(args) -> int:
     if args.fixture_file is not None:
         doc = _load_json(args.fixture_file)
         pair, _side = build_fixture(
-            doc["name"], doc["params"], seed=doc.get("seed", 0)
+            doc["name"], doc["params"], seed=_integer(doc, "seed", 0)
         )
         rebuilt = pair.to_json_dict()
         for instance in ("private", "far"):
+            if not isinstance(doc[instance], dict):
+                raise ValueError(f"{instance} must be an object; got {doc[instance]!r}")
             for db in ("p0", "p1"):
                 stored = DiscreteDistribution.from_json(doc[instance][db]).probs
                 fresh = DiscreteDistribution.from_json(rebuilt[instance][db]).probs
@@ -228,8 +241,8 @@ def _cmd_sweep(args) -> int:
     base = ExperimentConfig(
         tester=doc["tester"],
         target=doc["target"],
-        trials=int(doc.get("trials", 1)),
-        seed=int(doc.get("seed", 0)),
+        trials=_integer(doc, "trials", 1),
+        seed=_integer(doc, "seed", 0),
     )
     values = [_coerce(v) for v in args.values.split(",") if v != ""]
     results = sweep(base, args.parameter, values)

@@ -188,17 +188,23 @@ def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return float(0.5 * np.abs(pa - qa).sum())
 
 
-def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """KL divergence sum_i p_i ln(p_i / q_i); inf on support mismatch."""
+def _log_ratio(p: DiscreteDistribution, q: DiscreteDistribution):
+    """(p_i, ln(p_i / q_i)) on p's support; None if q misses mass there."""
     pa, qa = _paired(p, q)
     support = pa > 0
     if np.any(qa[support] == 0):
-        return math.inf
+        return None
     ps = pa[support]
     # ratios of subnormals can overflow to inf; the resulting inf is the
     # correct value, so only the warning is suppressed
     with np.errstate(over="ignore"):
-        return float(np.sum(ps * np.log(ps / qa[support])))
+        return ps, np.log(ps / qa[support])
+
+
+def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+    """KL divergence sum_i p_i ln(p_i / q_i); inf on support mismatch."""
+    ratio = _log_ratio(p, q)
+    return math.inf if ratio is None else float(np.sum(ratio[0] * ratio[1]))
 
 
 def max_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -208,17 +214,22 @@ def max_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     this pointwise form is exact. Returns inf if q misses mass somewhere
     p has it.
     """
-    pa, qa = _paired(p, q)
-    support = pa > 0
-    if np.any(qa[support] == 0):
-        return math.inf
-    with np.errstate(over="ignore"):
-        return float(np.max(np.log(pa[support] / qa[support])))
+    ratio = _log_ratio(p, q)
+    return math.inf if ratio is None else float(np.max(ratio[1]))
 
 
 def exact_pdp_epsilon(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Smallest eps such that the pair satisfies eps-pDP in both directions."""
     return max(max_divergence(p, q), max_divergence(q, p))
+
+
+def _slack(a, b, eps: float, r=1) -> list[float]:
+    """[sum_i max(0, u_i - e^eps v_i), the same with u, v swapped] for
+    u = a / r, v = b / r: probability vectors, or counts over their
+    sample size. The caller checks eps."""
+    rows = np.array((a, b), dtype=np.float64)
+    rows /= r
+    return np.maximum(0.0, rows - math.exp(eps) * rows[::-1]).sum(axis=1).tolist()
 
 
 def delta_at_epsilon_directed(
@@ -231,8 +242,7 @@ def delta_at_epsilon_directed(
     the single worst event {i : p_i > e^eps q_i}.
     """
     eps = _check("eps", eps, 0.0, _EPS_MAX)
-    pa, qa = _paired(p, q)
-    return float(np.maximum(0.0, pa - math.exp(eps) * qa).sum())
+    return _slack(*_paired(p, q), eps)[0]
 
 
 def delta_at_epsilon(p: DiscreteDistribution, q: DiscreteDistribution, eps: float) -> float:
@@ -241,10 +251,8 @@ def delta_at_epsilon(p: DiscreteDistribution, q: DiscreteDistribution, eps: floa
     Non-increasing in eps; at eps = 0 it equals the total variation
     distance.
     """
-    return max(
-        delta_at_epsilon_directed(p, q, eps),
-        delta_at_epsilon_directed(q, p, eps),
-    )
+    eps = _check("eps", eps, 0.0, _EPS_MAX)
+    return max(_slack(*_paired(p, q), eps))
 
 
 def _event_masses(probs: np.ndarray) -> np.ndarray:

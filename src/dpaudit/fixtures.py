@@ -32,9 +32,10 @@ from .distributions import (
     DiscreteDistribution,
     PrivacyParams,
     _check,
+    _paired,
+    _slack,
     brute_force_delta,
     delta_at_epsilon,
-    delta_at_epsilon_directed,
     exact_pdp_epsilon,
     kl_divergence,
     min_mass,
@@ -170,8 +171,8 @@ def adp_twopoint_fixture(
     private = MechanismPair(uniform, p1, seed=seed)
     far = MechanismPair(uniform, q1, seed=seed + 1)
 
-    d_private = delta_at_epsilon_directed(p1, uniform, eps)
-    d_far = delta_at_epsilon_directed(q1, uniform, eps)
+    d_private, rev_private = _slack(p1.probs, uniform.probs, eps)
+    d_far, rev_far = _slack(q1.probs, uniform.probs, eps)
     _certify(abs(d_private - delta) <= CERT_TOL, "private directed slack != delta")
     _certify(
         abs(d_far - (delta + alpha)) <= CERT_TOL, "far directed slack != delta + alpha"
@@ -185,8 +186,8 @@ def adp_twopoint_fixture(
         certification={
             "delta_directed_private": d_private,
             "delta_directed_far": d_far,
-            "delta_two_sided_private": delta_at_epsilon(uniform, p1, eps),
-            "delta_two_sided_far": delta_at_epsilon(uniform, q1, eps),
+            "delta_two_sided_private": max(rev_private, d_private),
+            "delta_two_sided_far": max(rev_far, d_far),
         },
     )
 
@@ -232,8 +233,7 @@ def adp_lowfreq_fixture(
     far = MechanismPair(x, y, seed=seed + 1)
 
     d_private = delta_at_epsilon(x, x, 0.0)
-    d_fwd = delta_at_epsilon_directed(x, y, 0.0)
-    d_rev = delta_at_epsilon_directed(y, x, 0.0)
+    d_fwd, d_rev = _slack(x.probs, y.probs, 0.0)
     _certify(d_private <= CERT_TOL, "private pair has nonzero slack")
     _certify(abs(d_fwd - a) <= CERT_TOL, "far forward slack != a")
     _certify(abs(d_rev - a) <= CERT_TOL, "far reverse slack != a")
@@ -395,8 +395,7 @@ def tight_perturbation(
     """
     _check("eps", eps, 0.0, _EPS_MAX)
     _check("alpha", alpha, 0.0, open_low=True)
-    fwd0 = delta_at_epsilon_directed(p0, p1, eps)
-    rev0 = delta_at_epsilon_directed(p1, p0, eps)
+    fwd0, rev0 = _slack(*_paired(p0, p1), eps)
     base = max(fwd0, rev0)
     if base <= 0.0:
         raise ValueError("pair must have positive slack")
@@ -405,8 +404,7 @@ def tight_perturbation(
 
     swapped = rev0 > fwd0
     hi, lo = (p1.probs, p0.probs) if swapped else (p0.probs, p1.probs)
-    scale = math.exp(eps)
-    event = hi > scale * lo
+    event = hi > math.exp(eps) * lo
     target = base + alpha
 
     t = alpha * math.exp(-eps)
@@ -439,24 +437,19 @@ def tight_perturbation(
             out[~event] *= 1.0 - theta * alpha / outside_mass
             return out
 
-        def slack(theta: float) -> float:
-            q = at(theta)
-            f = float(np.maximum(0.0, q - scale * lo).sum())
-            r = float(np.maximum(0.0, lo - scale * q).sum())
-            return max(f, r)
-
-        low_theta, high_theta = 0.0, 1.0
+        low_theta, mid, high_theta = 0.0, 0.5, 1.0
         # the full move always reaches the target in real arithmetic
         # (the witness side gains exactly alpha at theta = 1); leave one
         # order of magnitude under CERT_TOL for rounding in the sums
-        if slack(1.0) < target - 1e-13:
+        if max(_slack(at(1.0), lo, eps)) < target - 1e-13:
             raise ValueError("perturbation cannot reach the target slack")
-        for _ in range(200):
-            mid = 0.5 * (low_theta + high_theta)
-            if slack(mid) < target:
+        # halve until the midpoint rounds onto an endpoint
+        while low_theta < mid < high_theta:
+            if max(_slack(at(mid), lo, eps)) < target:
                 low_theta = mid
             else:
                 high_theta = mid
+            mid = 0.5 * (low_theta + high_theta)
         hi_new = at(high_theta)
         lo_new = lo
         info = {"branch": "grow_high", "theta": high_theta}
@@ -531,7 +524,7 @@ def build_fixture(
     missing parameter raises KeyError; an unknown name or a value of the
     wrong type raises ValueError.
     """
-    if name not in _FIXTURES:
+    if not isinstance(name, str) or name not in _FIXTURES:
         raise ValueError(f"unknown fixture name: {name!r}")
     builder, types = _FIXTURES[name]
     try:

@@ -44,7 +44,7 @@ Z95 = 1.959963984540054
 def wilson_interval(
     successes: int, trials: int, z: float = Z95
 ) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion, clamped to [0, 1]."""
+    """Wilson score interval; its bound is exactly 0 (1) at 0 (all) successes."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (0 <= successes <= trials):
@@ -54,7 +54,9 @@ def wilson_interval(
     denom = 1.0 + z2 / trials
     center = phat + z2 / (2.0 * trials)
     spread = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
-    return max(0.0, (center - spread) / denom), min(1.0, (center + spread) / denom)
+    low = 0.0 if successes == 0 else (center - spread) / denom
+    high = 1.0 if successes == trials else (center + spread) / denom
+    return low, high
 
 
 @dataclass
@@ -78,8 +80,10 @@ class ExperimentConfig:
             raise ValueError(f"trials must be an integer >= 1; got {self.trials!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0; got {self.seed!r}")
-        if self.tester.get("kind") not in TESTER_KINDS:
-            raise ValueError(f"tester kind must be one of {TESTER_KINDS}")
+        if not isinstance(self.tester, dict) or self.tester.get("kind") not in TESTER_KINDS:
+            raise ValueError(f"tester must be an object whose kind is one of {TESTER_KINDS}")
+        if not isinstance(self.target, dict):
+            raise ValueError(f"target must be an object; got {self.target!r}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,8 @@ def _resolve_target(target: dict, seed: int):
         mech = spec if isinstance(spec, MechanismPair) else mechanism_from_config(spec, seed=seed)
     elif "fixture" in target:
         fx = target["fixture"]
+        if not isinstance(fx, dict):
+            raise ValueError(f"target fixture must be an object; got {fx!r}")
         pair, claimed_side = build_fixture(fx["name"], fx.get("params", {}), seed=seed)
         instance = fx.get("instance", "private")
         if instance not in ("private", "far"):
@@ -187,10 +193,7 @@ def _distance_from_claim(tester: dict, mech: MechanismPair) -> float:
     if _TESTERS[tester["kind"]][1] == "aDP":
         slack = delta_at_epsilon(p0, p1, float(tester["eps"]))
         return max(0.0, slack - float(tester.get("delta", 0.0)))
-    true_eps = exact_pdp_epsilon(p0, p1)
-    if math.isinf(true_eps):
-        return math.inf
-    return max(0.0, true_eps - float(tester["eps"]))
+    return max(0.0, exact_pdp_epsilon(p0, p1) - float(tester["eps"]))
 
 
 def _csv_text(records: list[tuple[int, TestOutcome]]) -> str:

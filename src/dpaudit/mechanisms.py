@@ -107,7 +107,9 @@ def truncated_geometric(eps: float, n: int, seed: int = 0) -> MechanismPair:
     i, with centers c0 = n/2 - 1 and c1 = n/2 (zero-based). n must be even
     and >= 2: even n makes the two normalizers equal by symmetry, which is
     what keeps every outcome ratio within e^{+-eps}; odd n would break the
-    eps-pDP contract through unequal normalization.
+    eps-pDP contract through unequal normalization. Outcomes with a
+    subnormal weight, whose ratio is distorted, get no mass in either
+    database; above eps ~708.4 none is left and ValueError is raised.
     """
     _check("eps", eps, 0.0, _EPS_MAX, open_low=True)
     if n < 2 or n % 2 != 0:
@@ -117,6 +119,8 @@ def truncated_geometric(eps: float, n: int, seed: int = 0) -> MechanismPair:
     idx = np.arange(n, dtype=np.float64)
     w0 = np.exp(-eps * np.abs(idx - c0))
     w1 = np.exp(-eps * np.abs(idx - c1))
+    underflow = np.minimum(w0, w1) < np.finfo(np.float64).tiny
+    w0[underflow] = w1[underflow] = 0.0
     return MechanismPair(make_distribution(w0), make_distribution(w1), seed=seed)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _EPS_MAX, _check, _positive_finite
+from .distributions import _EPS_MAX, _check, _positive_finite, _slack
 from .mechanisms import MechanismPair
 from .outcomes import TestOutcome, Verdict
 
@@ -56,9 +56,8 @@ class AdpNiConfig:
     finite is rejected even with an explicit rate). ``both_directions``
     tests the slack in both orderings of the databases (the privacy
     definition is symmetric); turn it off to reproduce the literal
-    one-direction listing. ``shared_r`` reuses a single Poisson draw for
-    both databases; turn it off to draw per-database sample counts
-    independently.
+    one-direction listing. Both databases get the same Poisson sample
+    count.
     """
 
     n: int
@@ -67,7 +66,6 @@ class AdpNiConfig:
     alpha: float
     lambda_rate: float | None = None
     both_directions: bool = True
-    shared_r: bool = True
 
     def __post_init__(self) -> None:
         self.delta = _check("delta", self.delta, 0.0, 1.0)
@@ -104,24 +102,16 @@ def poissonized_histogram(
     return mech.draw(db, r), r
 
 
-def _slack(x, y, r0: int, r1: int, eps: float) -> list[float]:
-    """[z_forward, z_reverse] from the stacked frequencies [x / r0, y / r1]."""
-    freqs = np.array((x, y), dtype=np.float64)
-    freqs /= ((r0,), (r1,))
-    return np.maximum(0.0, freqs - math.exp(eps) * freqs[::-1]).sum(axis=1).tolist()
-
-
 def adp_statistic(x: np.ndarray, y: np.ndarray, r: int, eps: float) -> float:
     """Plug-in slack estimate sum_i max(0, x_i / r - e^eps * y_i / r)."""
     _check("r", r, 1.0)
-    return _slack(x, y, r, r, _check("eps", eps, 0.0, _EPS_MAX))[0]
+    return _slack(x, y, _check("eps", eps, 0.0, _EPS_MAX), r)[0]
 
 
 def _statistic_outcome(
     x: np.ndarray,
     y: np.ndarray,
-    r0: int,
-    r1: int,
+    r: int,
     eps: float,
     delta: float,
     alpha: float,
@@ -130,7 +120,7 @@ def _statistic_outcome(
     extra: dict | None = None,
 ) -> TestOutcome:
     """Decision shared by the Poissonized and fixed-budget testers."""
-    z_forward, z_reverse = _slack(x, y, r0, r1, eps)
+    z_forward, z_reverse = _slack(x, y, eps, r)
     statistic = max(z_forward, z_reverse) if both_directions else z_forward
     threshold = delta + alpha
     verdict = Verdict.ACCEPT if statistic < threshold else Verdict.REJECT
@@ -139,7 +129,7 @@ def _statistic_outcome(
         "z_forward": z_forward,
         "z_reverse": z_reverse,
         "both_directions": both_directions,
-        "r": (r0, r1),
+        "r": (r, r),
     }
     if extra:
         diagnostics.update(extra)
@@ -158,21 +148,12 @@ def adp_test_ni(
     if mech.n != cfg.n:
         raise ValueError("mechanism universe does not match config n")
     assert cfg.lambda_rate is not None
-    r0, retries = poisson_nonzero(cfg.lambda_rate, rng)
-    r1, extra_retries = (r0, 0) if cfg.shared_r else poisson_nonzero(cfg.lambda_rate, rng)
-    x = mech.draw(0, r0)
-    y = mech.draw(1, r1)
+    r, retries = poisson_nonzero(cfg.lambda_rate, rng)
+    x = mech.draw(0, r)
+    y = mech.draw(1, r)
     return _statistic_outcome(
-        x,
-        y,
-        r0,
-        r1,
-        cfg.eps,
-        cfg.delta,
-        cfg.alpha,
-        cfg.both_directions,
-        queries=(r0, r1),
-        extra={"retries": retries + extra_retries, "shared_r": cfg.shared_r},
+        x, y, r, cfg.eps, cfg.delta, cfg.alpha, cfg.both_directions,
+        queries=(r, r), extra={"retries": retries},
     )
 
 
@@ -197,7 +178,7 @@ def adp_test_budgeted(
     x = mech.draw(0, r)
     y = mech.draw(1, r)
     return _statistic_outcome(
-        x, y, r, r, eps, delta, alpha, both_directions, queries=(r, r)
+        x, y, r, eps, delta, alpha, both_directions, queries=(r, r)
     )
 
 
@@ -216,8 +197,7 @@ def counts_tester(
     def tester(x, y, r, rng=None) -> TestOutcome:
         _check("r", r, 1.0)
         return _statistic_outcome(
-            x, y, r, r, eps, delta, alpha, both_directions, queries=(0, 0)
+            x, y, r, eps, delta, alpha, both_directions, queries=(0, 0)
         )
 
-    tester.budget_note = "caller supplies r samples per database"
     return tester

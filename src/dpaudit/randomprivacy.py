@@ -19,7 +19,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from .distributions import DiscreteDistribution, _check, _positive_finite, make_distribution
-from .mechanisms import MechanismPair, SideInfo
+from .mechanisms import MechanismPair
 from .outcomes import TestOutcome, Verdict
 
 Database = tuple
@@ -75,16 +75,10 @@ def sample_neighbor_pair(
 
 @dataclass
 class MechanismFamily:
-    """Maps any database to an output distribution over a fixed universe.
-
-    ``claimed_resolver``, when given, supplies the distribution the
-    mechanism's operator claims for each database; full-information inner
-    testers read it through :meth:`side_info_for`.
-    """
+    """Maps any database to an output distribution over a fixed universe."""
 
     resolver: Callable[[Database], DiscreteDistribution]
     n: int
-    claimed_resolver: Callable[[Database], DiscreteDistribution] | None = None
 
     def distribution_for(self, db: Database) -> DiscreteDistribution:
         dist = self.resolver(db)
@@ -97,15 +91,10 @@ class MechanismFamily:
             self.distribution_for(d0), self.distribution_for(d1), seed=seed
         )
 
-    def side_info_for(self, d0: Database, d1: Database) -> SideInfo | None:
-        if self.claimed_resolver is None:
-            return None
-        return SideInfo(self.claimed_resolver(d0), self.claimed_resolver(d1))
-
 
 def constant_family(dist: DiscreteDistribution) -> MechanismFamily:
     """Family that ignores its database entirely: perfectly private."""
-    return MechanismFamily(lambda db: dist, dist.n, claimed_resolver=lambda db: dist)
+    return MechanismFamily(lambda db: dist, dist.n)
 
 
 def value_flag_family(

@@ -172,6 +172,39 @@ def test_cli_overflowing_parameters_exit_1(capsys, tmp_path, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+RR_TARGET = {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}}
+NI_TESTER = {"kind": "adp-ni", "eps": 0.2, "alpha": 0.1}
+SWEEP = ["sweep", "--parameter", "seed", "--values", "1", "--config"]
+RANDOM = ["test", "random", "--alpha", "0.3", "--inner-alpha", "0.2", "--inner-budget", "10",
+          "--family"]
+TWOPOINT = {"name": "adp-twopoint", "params": {"eps": 0.2, "delta": 0.05, "alpha": 0.1}}
+FLAG_FAMILY = {"kind": "value_flag", "flagged": {"probs": [0.7, 0.3]},
+               "plain": {"probs": [0.5, 0.5]}}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (SWEEP, {"tester": NI_TESTER, "target": {"fixture": "abc"}, "trials": 2}),
+        (SWEEP, {"tester": NI_TESTER, "target": RR_TARGET, "trials": None}),
+        (SWEEP, {"tester": "adp-ni", "target": RR_TARGET, "trials": 2}),
+        (SWEEP, [NI_TESTER]),
+        (RANDOM, dict(FLAG_FAMILY, flag_prob=None)),
+        (RANDOM, [FLAG_FAMILY]),
+        (["certify", "--fixture-file"], [{"name": "adp-twopoint"}]),
+        (["certify", "--fixture-file"], dict(TWOPOINT, seed=None)),
+        (["certify", "--fixture-file"], dict(TWOPOINT, private=[1])),
+        (SWEEP, {"tester": NI_TESTER, "target": {"fixture": {"name": ["x"]}}, "trials": 2}),
+    ],
+)
+def test_cli_wrong_shape_json_exits_1_without_traceback(capsys, tmp_path, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_sweep_checks_swept_trials_and_seed(tmp_path):
     base = ExperimentConfig(
         tester={"kind": "adp-ni", "eps": 0.0, "alpha": 0.3},

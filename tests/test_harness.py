@@ -32,13 +32,17 @@ def test_wilson_interval_values():
 
 
 def test_wilson_interval_endpoints_stay_in_unit_interval():
-    # unclamped, 1068 of these bounds fell outside [0, 1] by rounding,
-    # e.g. wilson_interval(11, 11)[1] == 1.0000000000000002
+    # by the formula alone, 1068 of these bounds fell outside [0, 1] by
+    # rounding (wilson_interval(11, 11)[1] == 1.0000000000000002) and others
+    # missed the exact endpoint (wilson_interval(0, 7)[0] == 3.58e-17)
     for n in range(1, 3001):
-        for k in (0, n):
+        assert wilson_interval(0, n)[0] == 0.0, n
+        assert wilson_interval(n, n)[1] == 1.0, n
+        for k in (0, 1, n // 2, n - 1, n):
             low, high = wilson_interval(k, n)
-            assert 0.0 <= low <= high <= 1.0, (k, n)
+            assert 0.0 <= low <= k / n <= high <= 1.0, (k, n)
     assert wilson_interval(11, 11)[1] == 1.0
+    assert wilson_interval(0, 7)[0] == 0.0
 
 
 def test_wilson_interval_brackets_noisier_rates():

@@ -122,6 +122,19 @@ def test_truncated_geometric_exact_epsilon():
         truncated_geometric(0.0, 4)
 
 
+@pytest.mark.parametrize("eps, n", [(1.5, 1024), (2.0, 1024), (2.5, 1024), (700.0, 4)])
+def test_truncated_geometric_tails_that_underflow_keep_the_exact_epsilon(eps, n):
+    # weights below the smallest normal float lose the e^{+-eps} ratio;
+    # the ladder drops those outcomes from both databases
+    mech = truncated_geometric(eps, n)
+    assert exact_pdp_epsilon(*mech.truth) == pytest.approx(eps, abs=1e-12)
+
+
+def test_truncated_geometric_raises_where_no_outcome_survives():
+    with pytest.raises(ValueError):
+        truncated_geometric(708.5, 4)
+
+
 def test_leaky_mechanism_exact_slack():
     mech = leaky_mechanism(0.5, 3)
     assert np.array_equal(mech.truth[0].probs, [0.5, 0.5, 0.0])

@@ -97,17 +97,6 @@ def test_rejects_blatant_leak():
     assert out.verdict is Verdict.REJECT
 
 
-def test_shared_r_flag():
-    mech = randomized_response(0.25, seed=5)
-    cfg = AdpNiConfig(n=2, eps=1.0, delta=0.0, alpha=0.3, shared_r=True)
-    out = adp_test_ni(mech, cfg, np.random.default_rng(3))
-    r0, r1 = out.diagnostics["r"]
-    assert r0 == r1
-    cfg2 = AdpNiConfig(n=2, eps=1.0, delta=0.0, alpha=0.3, shared_r=False)
-    out2 = adp_test_ni(mech.spawn(6), cfg2, np.random.default_rng(3))
-    assert out2.diagnostics["shared_r"] is False
-
-
 def test_one_directional_mode_misses_reverse_leak():
     # at eps = ln 2 these counts violate only the reverse ordering:
     # forward positive part is empty, reverse has (50 - 2*10)/100 on outcome 0
@@ -151,4 +140,3 @@ def test_counts_tester_closure():
     assert rejecting.verdict is Verdict.REJECT
     with pytest.raises(ValueError):
         tester([1], [1], 0)
-    assert "r samples" in tester.budget_note

@@ -73,13 +73,11 @@ def test_family_resolvers():
     flat = make_distribution([1, 1])
     fam = constant_family(flat)
     assert fam.distribution_for(("x",)) is flat
-    assert fam.side_info_for(("x",), ("y",)).n == 2
 
     spiky = make_distribution([9, 1])
     vf = value_flag_family({1}, spiky, flat)
     assert vf.distribution_for((1, 0)) is spiky
     assert vf.distribution_for((0, 1)) is flat  # only entry 0 matters
-    assert vf.side_info_for((0,), (1,)) is None
 
     wrong_size = MechanismFamily(lambda db: make_distribution([1, 1, 1]), n=2)
     with pytest.raises(ValueError):
