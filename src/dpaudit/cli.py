@@ -75,11 +75,15 @@ def _load_json(path: str) -> dict:
 
 
 def _integer(doc: dict, key: str, default: int) -> int:
-    """int(doc[key]), or default if absent; null or infinity raises ValueError."""
+    """int(doc[key]), or default if absent; null, infinity and a number
+    with a fractional part raise ValueError naming the key."""
+    value = doc.get(key, default)
     try:
-        return int(doc.get(key, default))
-    except (TypeError, OverflowError):
-        raise ValueError(f"{key} must be an integer; got {doc[key]!r}") from None
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be an integer; got {value!r}") from None
 
 
 def _target_from_args(args) -> dict:

@@ -10,8 +10,13 @@ band and reads the privacy ratio off the empirical frequencies.
 Identity-test thresholds are calibrated by Monte Carlo on fixed-size
 row blocks of null counts and cached, keyed by a digest of the
 distribution and the test parameters, so repeated experiments do not
-re-simulate. The aDP tester draws and scores each database's majority
-reps as one block, through the same row-vectorised statistic.
+re-simulate. The statistic is a sum of independent per-bin terms, so its
+null law depends only on the multiset of claimed masses: the cache keys
+and simulates each threshold on the ascending-sorted mass vector, and a
+claim and any permutation of it (the two databases of a mirror-image
+mechanism) share one Monte-Carlo run. The aDP tester draws and scores
+each database's majority reps as one block, through the same
+row-vectorised statistic.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ from .noinfo import poisson_nonzero
 from .outcomes import TestOutcome, Verdict
 
 #: Bump when the identity statistic changes; invalidates cached thresholds.
+#: Keying the cache on sorted masses is a cache-side choice, not a change
+#: to the statistic, so it does not bump this: an already-sorted claim keeps
+#: its key and threshold, and an entry under an unsorted vector is simply
+#: never looked up.
 STATISTIC_VERSION = 1
 
 #: Sample-budget constant for the identity tester, fixed by Monte Carlo:
@@ -156,10 +165,13 @@ def calibrate_identity_threshold(
     Simulates the statistic under the null (counts are independent
     Poissons with mean rate * q_i) and returns the empirical quantile at
     confidence plus 2.5 standard errors (capped at 0.995), nudged up one
-    ulp so a simulated tie still accepts. The cushion keeps the realized
-    null acceptance rate above the configured confidence despite quantile
-    estimation noise. Null counts are drawn in row blocks; zero-mean bins
-    consume no randomness, so the result does not depend on the block size.
+    ulp so a simulated tie still accepts. The nudge covers ties in q's bin
+    order: the same counts scored against a permutation of q sum their
+    terms in another order and can differ in the last bits. The cushion
+    keeps the realized null acceptance rate above the configured
+    confidence despite quantile estimation noise and such rare flips.
+    Null counts are drawn in row blocks; zero-mean bins consume no
+    randomness, so the result does not depend on the block size.
     """
     _check("trials", trials, 100.0)
     means = cfg.sample_budget * q.probs
@@ -192,6 +204,11 @@ def identity_test(
 
 class CalibrationCache:
     """Threshold cache keyed by (distribution, budget, alpha, confidence).
+
+    The distribution enters the key, and the calibration, as its masses
+    sorted ascending. This is exact: the null law of the identity statistic
+    is symmetric in the bins, so a claim and every permutation of it share
+    one key, one seeded Monte-Carlo run and one threshold.
 
     Optionally persists to a JSON file so repeated CLI runs skip the
     Monte Carlo. Calibration RNG is seeded from the cache key itself, so
@@ -240,6 +257,8 @@ class CalibrationCache:
         trials: int | None = None,
     ) -> float:
         trials = self.DEFAULT_TRIALS if trials is None else trials
+        # the null law is symmetric in the bins: calibrate on the sorted masses
+        q = DiscreteDistribution(np.sort(q.probs))
         key = self._key(q, cfg, trials)
         if key not in self._table:
             rng = np.random.default_rng(int(key[:16], 16))

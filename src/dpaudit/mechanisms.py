@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _EPS_MAX, DiscreteDistribution, _check, make_distribution
+from .distributions import DiscreteDistribution, _check, make_distribution
+
+_TINY = np.finfo(np.float64).tiny
+
+#: Largest eps of the truncated geometric ladder: its two central outcomes
+#: weigh e^-eps in one database at every n, and a weight below the smallest
+#: normal float is dropped, so above this no outcome is left.
+_GEOMETRIC_EPS_MAX = -float(np.log(_TINY))
 
 
 class MechanismPair:
@@ -109,9 +116,10 @@ def truncated_geometric(eps: float, n: int, seed: int = 0) -> MechanismPair:
     what keeps every outcome ratio within e^{+-eps}; odd n would break the
     eps-pDP contract through unequal normalization. Outcomes with a
     subnormal weight, whose ratio is distorted, get no mass in either
-    database; above eps ~708.4 none is left and ValueError is raised.
+    database; eps above -ln(smallest normal float) ~708.396, where none
+    is left, raises ValueError.
     """
-    _check("eps", eps, 0.0, _EPS_MAX, open_low=True)
+    _check("eps", eps, 0.0, _GEOMETRIC_EPS_MAX, open_low=True)
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be an even integer >= 2")
     c0 = n // 2 - 1
@@ -119,7 +127,7 @@ def truncated_geometric(eps: float, n: int, seed: int = 0) -> MechanismPair:
     idx = np.arange(n, dtype=np.float64)
     w0 = np.exp(-eps * np.abs(idx - c0))
     w1 = np.exp(-eps * np.abs(idx - c1))
-    underflow = np.minimum(w0, w1) < np.finfo(np.float64).tiny
+    underflow = np.minimum(w0, w1) < _TINY
     w0[underflow] = w1[underflow] = 0.0
     return MechanismPair(make_distribution(w0), make_distribution(w1), seed=seed)
 

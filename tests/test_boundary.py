@@ -195,6 +195,8 @@ FLAG_FAMILY = {"kind": "value_flag", "flagged": {"probs": [0.7, 0.3]},
         (["certify", "--fixture-file"], dict(TWOPOINT, seed=None)),
         (["certify", "--fixture-file"], dict(TWOPOINT, private=[1])),
         (SWEEP, {"tester": NI_TESTER, "target": {"fixture": {"name": ["x"]}}, "trials": 2}),
+        (SWEEP, {"tester": NI_TESTER, "target": RR_TARGET, "trials": 2.5}),
+        (["certify", "--fixture-file"], dict(TWOPOINT, seed=1.5)),
     ],
 )
 def test_cli_wrong_shape_json_exits_1_without_traceback(capsys, tmp_path, argv, doc):
@@ -203,6 +205,9 @@ def test_cli_wrong_shape_json_exits_1_without_traceback(capsys, tmp_path, argv, 
     assert main(argv + [str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    # a count or seed with a fractional part is named, not truncated
+    if isinstance(doc, dict):
+        assert all(key in err for key, value in doc.items() if isinstance(value, float))
 
 
 def test_sweep_checks_swept_trials_and_seed(tmp_path):

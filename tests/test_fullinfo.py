@@ -9,6 +9,7 @@ import pytest
 
 from dpaudit import (
     CalibrationCache,
+    ExperimentConfig,
     FiPdpConfig,
     IdentityTesterConfig,
     SideInfo,
@@ -24,6 +25,7 @@ from dpaudit import (
     mechanism_from_config,
     pdp_test_fi,
     randomized_response,
+    run_experiment,
 )
 from dpaudit import fullinfo
 from dpaudit.fullinfo import SUBTEST_REPS
@@ -189,6 +191,66 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
     # the old table is intact and no temporary file is left behind
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def counted_calibrations(monkeypatch):
+    """Count calibrate_identity_threshold calls made through the cache."""
+    calls = []
+    calibrate = fullinfo.calibrate_identity_threshold
+
+    def counting(q, cfg, trials, rng):
+        calls.append(q)
+        return calibrate(q, cfg, trials, rng)
+
+    monkeypatch.setattr(fullinfo, "calibrate_identity_threshold", counting)
+    return calls
+
+
+@pytest.mark.parametrize("claim_first", [True, False])
+def test_cache_calibrates_a_claim_and_its_permutation_once(tmp_path, monkeypatch, claim_first):
+    calls = counted_calibrations(monkeypatch)
+    path = tmp_path / "thresholds.json"
+    q = make_distribution([0.05, 0.6, 0.15, 0.2])
+    permuted = make_distribution(q.probs[[2, 0, 3, 1]])
+    cfg = IdentityTesterConfig.for_universe(q.n, 0.3)
+    cache = CalibrationCache(path)
+    first, second = (q, permuted) if claim_first else (permuted, q)
+    threshold = cache.threshold_for(first, cfg, 500)
+    assert cache.threshold_for(second, cfg, 500) == threshold
+    assert len(calls) == 1
+    assert np.array_equal(calls[0].probs, np.sort(q.probs))
+    # one persisted entry serves the pair, also in a fresh process
+    assert list(json.loads(path.read_text()).values()) == [threshold]
+    assert CalibrationCache(path).threshold_for(q, cfg, 500) == threshold
+    assert len(calls) == 1
+
+
+def test_adp_fi_on_a_mirrored_ladder_calibrates_once(monkeypatch):
+    # database 1 of the ladder is database 0 reversed: one null law for both
+    calls = counted_calibrations(monkeypatch)
+    out = run_experiment(
+        ExperimentConfig(
+            tester={"kind": "adp-fi", "eps": 0.5, "delta": 0.0, "alpha": 0.3},
+            target={
+                "mechanism": {"mechanism": "truncated_geometric", "eps": 0.5, "n": 64},
+                "side": "truth",
+            },
+            trials=3,
+        )
+    )
+    assert out.grid[0].mean_queries > 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("probs", [[0.05, 0.6, 0.15, 0.2], [0.2, 0.15, 0.6, 0.05]])
+def test_sorted_threshold_keeps_null_acceptance_of_an_unsorted_claim(probs):
+    # the cache simulates in sorted bin order; score nulls in q's own order
+    q = make_distribution(probs)
+    cfg = IdentityTesterConfig.for_universe(q.n, 0.3)
+    threshold = CalibrationCache().threshold_for(q, cfg)
+    counts = np.random.default_rng(7).poisson(cfg.sample_budget * q.probs, size=(4000, q.n))
+    accepted = identity_statistic(q, counts, cfg.sample_budget) < threshold
+    assert accepted.mean() >= cfg.confidence - 0.05
 
 
 def per_rep_adp_fi(mech, side, alpha, rng, reps):

@@ -135,6 +135,15 @@ def test_truncated_geometric_raises_where_no_outcome_survives():
         truncated_geometric(708.5, 4)
 
 
+@pytest.mark.parametrize("n", [2, 4, 1024])
+def test_truncated_geometric_eps_bound_is_where_the_centre_underflows(n):
+    # the two central outcomes weigh e^-eps in one database at every n
+    bound = -math.log(np.finfo(float).tiny)
+    assert np.count_nonzero(truncated_geometric(bound, n).truth[0].probs) == 2
+    with pytest.raises(ValueError, match="eps"):
+        truncated_geometric(math.nextafter(bound, math.inf), n)
+
+
 def test_leaky_mechanism_exact_slack():
     mech = leaky_mechanism(0.5, 3)
     assert np.array_equal(mech.truth[0].probs, [0.5, 0.5, 0.0])
