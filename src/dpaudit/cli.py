@@ -23,11 +23,17 @@ from .fullinfo import CalibrationCache, IdentityTesterConfig
 from .harness import TESTER_KINDS, ExperimentConfig, run_experiment, sweep
 from .noinfo import adp_test_budgeted
 from .randomprivacy import (
+    amplification_reps,
     constant_family,
     data_distribution,
     random_privacy_test,
+    trial_count,
     value_flag_family,
 )
+
+#: Largest reduction ``test random`` runs, in samples per database:
+#: trials x reps x --inner-budget. Larger runs exit 1 before they start.
+MAX_REDUCTION_SAMPLES = 10**8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,11 +81,14 @@ def _load_json(path: str) -> dict:
 
 
 def _integer(doc: dict, key: str, default: int) -> int:
-    """int(doc[key]), or default if absent; null, infinity and a number
-    with a fractional part raise ValueError naming the key."""
+    """int(doc[key]), or default if absent; null, infinity, a number with
+    a fractional part, a string and a boolean raise ValueError naming the
+    key."""
     value = doc.get(key, default)
     try:
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, (str, bool)) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
             raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -164,6 +173,16 @@ def _cmd_test_random(args) -> int:
     inner_delta = args.inner_delta if args.inner_delta is not None else 0.0
     if args.inner_alpha is None or args.inner_budget is None:
         raise ValueError("random needs --inner-alpha and --inner-budget")
+    # the formulas check --penalty, --alpha and --gamma
+    m = trial_count(args.penalty, args.alpha, args.gamma)
+    k = amplification_reps(args.penalty, args.alpha)
+    if m * k * args.inner_budget > MAX_REDUCTION_SAMPLES:
+        raise ValueError(
+            f"--penalty {args.penalty:g}, --alpha {args.alpha:g} and --gamma {args.gamma:g} "
+            f"ask for {m} pairs x {k} reps = {m * k} inner tests; at --inner-budget "
+            f"{args.inner_budget} that is {m * k * args.inner_budget:.3g} samples per "
+            f"database, above the cap of {MAX_REDUCTION_SAMPLES:.0e}"
+        )
 
     def inner(mech, rng):
         return adp_test_budgeted(

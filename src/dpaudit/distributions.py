@@ -228,8 +228,13 @@ def _slack(a, b, eps: float, r=1) -> list[float]:
     u = a / r, v = b / r: probability vectors, or counts over their
     sample size. The caller checks eps."""
     rows = np.array((a, b), dtype=np.float64)
-    rows /= r
-    return np.maximum(0.0, rows - math.exp(eps) * rows[::-1]).sum(axis=1).tolist()
+    if r != 1:  # x / 1 is exact, so the division only costs time
+        rows /= r
+    # u + (-(e^eps v)) rounds as u - e^eps v does, signed zeros included
+    d = rows[::-1] * -math.exp(eps)
+    d += rows
+    np.maximum(0.0, d, out=d)
+    return np.add.reduce(d, axis=1).tolist()
 
 
 def delta_at_epsilon_directed(
@@ -256,10 +261,17 @@ def delta_at_epsilon(p: DiscreteDistribution, q: DiscreteDistribution, eps: floa
 
 
 def _event_masses(probs: np.ndarray) -> np.ndarray:
-    """Mass of every one of the 2^n events, indexed by outcome bitmask."""
-    sums = np.zeros(1, dtype=np.float64)
+    """Mass of every one of the 2^n events, indexed by outcome bitmask.
+
+    Filled in place by doubling: the events that contain outcome i are
+    those without it, plus p_i.
+    """
+    sums = np.empty(1 << len(probs), dtype=np.float64)
+    sums[0] = 0.0
+    k = 1
     for p in probs:
-        sums = np.concatenate([sums, sums + p])
+        np.add(sums[:k], p, out=sums[k : 2 * k])
+        k *= 2
     return sums
 
 
@@ -278,8 +290,11 @@ def brute_force_delta(
     mp = _event_masses(pa)
     mq = _event_masses(qa)
     scale = math.exp(eps)
-    fwd = float(np.max(mp - scale * mq))
-    rev = float(np.max(mq - scale * mp))
+    # both directed differences in one scratch buffer
+    d = np.multiply(mq, scale)
+    fwd = float(np.subtract(mp, d, out=d).max())
+    np.multiply(mp, scale, out=d)
+    rev = float(np.subtract(mq, d, out=d).max())
     return max(0.0, fwd, rev)
 
 
@@ -301,19 +316,18 @@ def approx_max_divergence_bruteforce(
         raise ValueError(f"brute-force enumeration is capped at n <= {BRUTE_FORCE_MAX_N}")
     mp = _event_masses(pa)
     mq = _event_masses(qa)
-    qualifying = mp >= delta
-    if not np.any(qualifying):
+    if not np.any(mp >= delta):
         raise ValueError("no event has mass at least delta")
-    best = -math.inf
-    numer = mp[qualifying] - delta
-    denom = mq[qualifying]
+    # numerators in place of the masses; a positive one marks a
+    # qualifying event, since x - delta > 0 exactly when x > delta
+    numer = np.subtract(mp, delta, out=mp)
     positive = numer > 0
-    if np.any(positive & (denom == 0)):
+    if np.any(positive & (mq == 0)):
         return math.inf
-    usable = positive & (denom > 0)
-    if np.any(usable):
-        best = float(np.max(np.log(numer[usable] / denom[usable])))
-    return best
+    usable = positive & (mq > 0)
+    np.divide(numer, mq, out=numer, where=usable)
+    np.log(numer, out=numer, where=usable)
+    return float(np.max(numer, where=usable, initial=-math.inf))
 
 
 def min_mass(dists: Iterable[DiscreteDistribution]) -> float:

@@ -405,18 +405,20 @@ def tight_perturbation(
     swapped = rev0 > fwd0
     hi, lo = (p1.probs, p0.probs) if swapped else (p0.probs, p1.probs)
     event = hi > math.exp(eps) * lo
+    outside = ~event
     target = base + alpha
 
     t = alpha * math.exp(-eps)
-    if float(lo[event].sum()) >= t:
+    lo_event = float(lo[event].sum())
+    if lo_event >= t:
         # Drain t of the low distribution's event mass; the forward
         # witness gains e^eps * t = alpha and the reverse direction can
         # rise by at most t, which stays below the new forward value.
         lo_new = lo.copy()
-        lo_new[event] *= 1.0 - t / float(lo[event].sum())
-        outside_mass = float(lo[~event].sum())
+        lo_new[event] *= 1.0 - t / lo_event
+        outside_mass = float(lo[outside].sum())
         if outside_mass > 0.0:
-            lo_new[~event] *= 1.0 + t / outside_mass
+            lo_new[outside] *= 1.0 + t / outside_mass
         else:
             receiver = int(np.argmax(np.where(event, -np.inf, hi)))
             lo_new[receiver] += t
@@ -427,14 +429,14 @@ def tight_perturbation(
         # outside the event can enlarge the reverse direction, so find
         # the exact perturbation size by bisection on the TV budget.
         event_mass = float(hi[event].sum())
-        outside_mass = float(hi[~event].sum())
+        outside_mass = float(hi[outside].sum())
         if outside_mass < alpha:
             raise ValueError("no room outside the witness event")
 
         def at(theta: float) -> np.ndarray:
             out = hi.copy()
             out[event] *= 1.0 + theta * alpha / event_mass
-            out[~event] *= 1.0 - theta * alpha / outside_mass
+            out[outside] *= 1.0 - theta * alpha / outside_mass
             return out
 
         low_theta, mid, high_theta = 0.0, 0.5, 1.0

@@ -13,6 +13,7 @@ through a rare outcome, and explicit distribution pairs.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -32,7 +33,9 @@ class MechanismPair:
     """Sampling access to the two databases of a mechanism.
 
     Same seed reproduces identical sample streams; the two databases use
-    independent PRNG substreams, so their draws are independent. Query
+    independent PRNG substreams, so their draws are independent. Database
+    b's stream is ``Generator(PCG64(SeedSequence(seed, spawn_key=(b,))))``,
+    exactly the b-th child of ``SeedSequence(seed).spawn(2)``. Query
     accounting is exact: ``query_counter[b]`` is the total number of
     samples drawn from database ``b``.
 
@@ -51,11 +54,17 @@ class MechanismPair:
             raise ValueError("databases must share an outcome universe")
         self.n = p0.n
         self.truth: tuple[DiscreteDistribution, DiscreteDistribution] = (p0, p1)
-        self.seed = seed
-        s0, s1 = np.random.SeedSequence(seed).spawn(2)
-        self._rngs = (np.random.default_rng(s0), np.random.default_rng(s1))
         # multinomial requires exactly normalized pvals
         self._pvals = (p0.probs / p0.probs.sum(), p1.probs / p1.probs.sum())
+        self._reseed(seed)
+
+    def _reseed(self, seed: int) -> None:
+        """Fresh streams for ``seed`` and zeroed query counters."""
+        self.seed = seed
+        self._rngs = tuple(
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+            for b in (0, 1)
+        )
         self.query_counter = [0, 0]
 
     def draw(self, db: int, count: int) -> np.ndarray:
@@ -88,7 +97,9 @@ class MechanismPair:
 
     def spawn(self, seed: int) -> "MechanismPair":
         """Fresh pair over the same truth with its own streams and counters."""
-        return MechanismPair(self.truth[0], self.truth[1], seed=seed)
+        pair = copy.copy(self)
+        pair._reseed(seed)
+        return pair
 
     def __repr__(self) -> str:
         return f"MechanismPair(n={self.n}, seed={self.seed})"
@@ -114,7 +125,9 @@ def truncated_geometric(eps: float, n: int, seed: int = 0) -> MechanismPair:
     i, with centers c0 = n/2 - 1 and c1 = n/2 (zero-based). n must be even
     and >= 2: even n makes the two normalizers equal by symmetry, which is
     what keeps every outcome ratio within e^{+-eps}; odd n would break the
-    eps-pDP contract through unequal normalization. Outcomes with a
+    eps-pDP contract through unequal normalization. Database 1 is built as
+    database 0 reversed, so the two are exact mirror images and share one
+    identity calibration at every eps. Outcomes with a
     subnormal weight, whose ratio is distorted, get no mass in either
     database; eps above -ln(smallest normal float) ~708.396, where none
     is left, raises ValueError.
@@ -122,14 +135,11 @@ def truncated_geometric(eps: float, n: int, seed: int = 0) -> MechanismPair:
     _check("eps", eps, 0.0, _GEOMETRIC_EPS_MAX, open_low=True)
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be an even integer >= 2")
-    c0 = n // 2 - 1
-    c1 = c0 + 1
-    idx = np.arange(n, dtype=np.float64)
-    w0 = np.exp(-eps * np.abs(idx - c0))
-    w1 = np.exp(-eps * np.abs(idx - c1))
-    underflow = np.minimum(w0, w1) < _TINY
-    w0[underflow] = w1[underflow] = 0.0
-    return MechanismPair(make_distribution(w0), make_distribution(w1), seed=seed)
+    w = np.exp(-eps * np.abs(np.arange(n, dtype=np.float64) - (n // 2 - 1)))
+    w[np.minimum(w, w[::-1]) < _TINY] = 0.0
+    p0 = make_distribution(w)
+    # reversal moves the centre c0 to n - 1 - c0 = c1
+    return MechanismPair(p0, DiscreteDistribution(p0.probs[::-1]), seed=seed)
 
 
 def leaky_mechanism(delta: float, n: int = 3, seed: int = 0) -> MechanismPair:

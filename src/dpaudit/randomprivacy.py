@@ -202,6 +202,7 @@ def random_privacy_test(
             "rule": "accept iff marked fraction <= gamma + alpha / penalty_weight",
             "trials": m,
             "reps": k,
+            "inner_tests": m * k,
             "marked": marked,
         },
     )

@@ -197,6 +197,10 @@ FLAG_FAMILY = {"kind": "value_flag", "flagged": {"probs": [0.7, 0.3]},
         (SWEEP, {"tester": NI_TESTER, "target": {"fixture": {"name": ["x"]}}, "trials": 2}),
         (SWEEP, {"tester": NI_TESTER, "target": RR_TARGET, "trials": 2.5}),
         (["certify", "--fixture-file"], dict(TWOPOINT, seed=1.5)),
+        (SWEEP, {"tester": NI_TESTER, "target": RR_TARGET, "trials": "2"}),
+        (SWEEP, {"tester": NI_TESTER, "target": RR_TARGET, "trials": True}),
+        (["certify", "--fixture-file"], dict(TWOPOINT, seed="1")),
+        (["certify", "--fixture-file"], dict(TWOPOINT, seed=True)),
     ],
 )
 def test_cli_wrong_shape_json_exits_1_without_traceback(capsys, tmp_path, argv, doc):
@@ -205,9 +209,24 @@ def test_cli_wrong_shape_json_exits_1_without_traceback(capsys, tmp_path, argv, 
     assert main(argv + [str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    # a count or seed with a fractional part is named, not truncated
+    # a count or seed with a fractional part, a string or a boolean is
+    # named, not converted
     if isinstance(doc, dict):
-        assert all(key in err for key, value in doc.items() if isinstance(value, float))
+        named = [key for key, value in doc.items() if isinstance(value, float)]
+        named += [key for key in ("trials", "seed") if isinstance(doc.get(key), (str, bool))]
+        assert all(key in err for key in named)
+
+
+def test_cli_rejects_a_reduction_above_the_size_cap(capsys, tmp_path):
+    # 1,413,842 pairs x 155 reps: ~2.2e8 inner tests even at one sample each
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"kind": "constant", "dist": {"probs": [0.5, 0.5]}}))
+    argv = ["test", "random", "--family", str(family), "--penalty", "800", "--alpha", "0.3",
+            "--gamma", "0.3", "--inner-alpha", "0.2", "--inner-budget", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(flag in err for flag in ("--penalty", "--alpha", "--gamma", "--inner-budget"))
 
 
 def test_sweep_checks_swept_trials_and_seed(tmp_path):

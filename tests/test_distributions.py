@@ -2,6 +2,7 @@
 event-enumeration oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dpaudit import (
     min_mass,
     tv_distance,
 )
+from dpaudit.distributions import _event_masses, _slack
 
 P = make_distribution([0.9, 0.1])
 Q = make_distribution([0.5, 0.5])
@@ -203,3 +205,111 @@ def test_min_mass_counts_zero_entries():
     assert min_mass([P]) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         min_mass([])
+
+
+# -- the in-place oracles reproduce these expressions bit for bit
+
+
+def slack_reference(a, b, eps, r=1):
+    rows = np.array((a, b), dtype=np.float64)
+    rows /= r
+    return np.maximum(0.0, rows - math.exp(eps) * rows[::-1]).sum(axis=1).tolist()
+
+
+def event_masses_reference(probs):
+    sums = np.zeros(1, dtype=np.float64)
+    for p in probs:
+        sums = np.concatenate([sums, sums + p])
+    return sums
+
+
+def brute_force_delta_reference(p, q, eps):
+    mp = event_masses_reference(p.probs)
+    mq = event_masses_reference(q.probs)
+    scale = math.exp(eps)
+    return max(0.0, float(np.max(mp - scale * mq)), float(np.max(mq - scale * mp)))
+
+
+def approx_max_divergence_reference(p, q, delta):
+    mp = event_masses_reference(p.probs)
+    mq = event_masses_reference(q.probs)
+    qualifying = mp >= delta
+    best = -math.inf
+    numer = mp[qualifying] - delta
+    denom = mq[qualifying]
+    positive = numer > 0
+    if np.any(positive & (denom == 0)):
+        return math.inf
+    usable = positive & (denom > 0)
+    if np.any(usable):
+        best = float(np.max(np.log(numer[usable] / denom[usable])))
+    return best
+
+
+def bits(values) -> bytes:
+    """The float64 bytes, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def seeded_pairs(max_n, count=6, seed=11):
+    """Distribution pairs of every size up to max_n, some with zero masses."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, max_n + 1):
+        for _ in range(count):
+            weights = rng.random((2, n)) * (rng.random((2, n)) > 0.25)
+            weights[:, 0] += 1e-3  # keep some mass
+            yield make_distribution(weights[0]), make_distribution(weights[1])
+
+
+SLACK_EPS = (0.0, 0.3, 5.0, 700.0)
+
+
+def test_slack_matches_reference_on_probabilities():
+    for p, q in seeded_pairs(64, count=3):
+        for eps in SLACK_EPS:
+            assert bits(_slack(p.probs, q.probs, eps)) == bits(
+                slack_reference(p.probs, q.probs, eps)
+            )
+
+
+def test_slack_matches_reference_on_counts():
+    rng = np.random.default_rng(12)
+    for p, q in seeded_pairs(16, count=2):
+        for r in (2, 7, 1000):
+            x, y = rng.multinomial(r, p.probs), rng.multinomial(r, q.probs)
+            for eps in SLACK_EPS:
+                assert bits(_slack(x, y, eps, r)) == bits(slack_reference(x, y, eps, r))
+
+
+def test_event_masses_match_reference():
+    for p, _q in seeded_pairs(16, count=2):
+        assert bits(_event_masses(p.probs)) == bits(event_masses_reference(p.probs))
+
+
+def test_brute_force_oracles_match_reference():
+    for p, q in seeded_pairs(16, count=2):
+        for eps in (0.0, 0.3, 5.0):
+            assert bits(brute_force_delta(p, q, eps)) == bits(
+                brute_force_delta_reference(p, q, eps)
+            )
+        for delta in (0.0, 0.1, 0.5, 0.9):
+            assert bits(approx_max_divergence_bruteforce(p, q, delta)) == bits(
+                approx_max_divergence_reference(p, q, delta)
+            )
+
+
+@pytest.mark.parametrize(
+    "oracle, arg", [(brute_force_delta, 0.3), (approx_max_divergence_bruteforce, 0.1)]
+)
+def test_brute_force_oracles_peak_at_three_event_vectors(oracle, arg):
+    rng = np.random.default_rng(13)
+    p, q = make_distribution(rng.random(16)), make_distribution(rng.random(16))
+    oracle(p, q, arg)  # first-call allocations do not count
+    tracemalloc.start()
+    try:
+        oracle(p, q, arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three 2^16 float64 vectors, plus 4 KiB for scalars and masks' headers
+    assert peak <= 3 * 2**16 * 8 + 4096

@@ -242,6 +242,24 @@ def test_adp_fi_on_a_mirrored_ladder_calibrates_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("eps", [0.37, 0.32])
+def test_adp_fi_on_a_mirrored_ladder_calibrates_once_at_any_eps(monkeypatch, eps):
+    # at eps 0.32, normalizing each database by its own sum leaves them
+    # mirror images only up to the last bits, which costs a second key
+    calls = counted_calibrations(monkeypatch)
+    run_experiment(
+        ExperimentConfig(
+            tester={"kind": "adp-fi", "eps": eps, "delta": 0.0, "alpha": 0.3},
+            target={
+                "mechanism": {"mechanism": "truncated_geometric", "eps": eps, "n": 64},
+                "side": "truth",
+            },
+            trials=3,
+        )
+    )
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("probs", [[0.05, 0.6, 0.15, 0.2], [0.2, 0.15, 0.6, 0.05]])
 def test_sorted_threshold_keeps_null_acceptance_of_an_unsorted_claim(probs):
     # the cache simulates in sorted bin order; score nulls in q's own order

@@ -96,6 +96,25 @@ def test_spawn_resets_state_and_keeps_truth():
     assert not np.array_equal(child.draw(0, 1000), mech.spawn(5).draw(0, 1000))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1])
+def test_streams_are_the_children_of_a_spawned_seed_sequence(seed):
+    # reference: default_rng over the children of a spawned seed sequence
+    mech = truncated_geometric(0.5, 6, seed=seed)
+    children = np.random.SeedSequence(seed).spawn(2)
+    pvals = [d.probs / d.probs.sum() for d in mech.truth]
+    counts = np.array([5, 0, 300])
+
+    def same_streams(pair):
+        rngs = [np.random.default_rng(child) for child in children]
+        for db in (0, 1):
+            rng, p = rngs[db], pvals[db]
+            assert np.array_equal(pair.draw(db, 1000), rng.multinomial(1000, p))
+            assert np.array_equal(pair.draw_many(db, counts), rng.multinomial(counts, p))
+
+    same_streams(mech)
+    same_streams(mech.spawn(seed))  # spawned after mech's streams moved on
+
+
 def test_mismatched_universes_rejected():
     with pytest.raises(ValueError):
         MechanismPair(make_distribution([1, 1]), make_distribution([1, 1, 1]))
@@ -128,6 +147,13 @@ def test_truncated_geometric_tails_that_underflow_keep_the_exact_epsilon(eps, n)
     # the ladder drops those outcomes from both databases
     mech = truncated_geometric(eps, n)
     assert exact_pdp_epsilon(*mech.truth) == pytest.approx(eps, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 6, 64, 1024])
+def test_truncated_geometric_database_1_mirrors_database_0(n):
+    for eps in np.random.default_rng(n).uniform(0.01, 5.0, 200):
+        p0, p1 = truncated_geometric(float(eps), n).truth
+        assert p1.probs.tobytes() == p0.probs[::-1].tobytes()
 
 
 def test_truncated_geometric_raises_where_no_outcome_survives():
