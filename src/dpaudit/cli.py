@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _check
+from .distributions import DiscreteDistribution, _check, _integer
 from .fixtures import FIXTURE_NAMES, CertificationError, build_fixture
-from .fullinfo import CalibrationCache, IdentityTesterConfig
+from .fullinfo import IDENTITY_CONFIDENCE, CalibrationCache, IdentityTesterConfig
 from .harness import TESTER_KINDS, ExperimentConfig, run_experiment, sweep
 from .noinfo import adp_test_budgeted
 from .randomprivacy import (
@@ -65,12 +65,15 @@ def _parse_params(pairs: list[str]) -> dict:
     return params
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _emit(doc: dict, out: str | None) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
 def _load_json(path: str) -> dict:
@@ -78,21 +81,6 @@ def _load_json(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{path} must hold a JSON object")
     return doc
-
-
-def _integer(doc: dict, key: str, default: int) -> int:
-    """int(doc[key]), or default if absent; null, infinity, a number with
-    a fractional part, a string and a boolean raise ValueError naming the
-    key."""
-    value = doc.get(key, default)
-    try:
-        if isinstance(value, (str, bool)) or (
-            isinstance(value, float) and not value.is_integer()
-        ):
-            raise ValueError
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be an integer; got {value!r}") from None
 
 
 def _target_from_args(args) -> dict:
@@ -235,7 +223,7 @@ def _cmd_certify(args) -> int:
     if args.fixture_file is not None:
         doc = _load_json(args.fixture_file)
         pair, _side = build_fixture(
-            doc["name"], doc["params"], seed=_integer(doc, "seed", 0)
+            doc["name"], doc["params"], seed=_integer("seed", doc.get("seed", 0))
         )
         rebuilt = pair.to_json_dict()
         for instance in ("private", "far"):
@@ -264,8 +252,8 @@ def _cmd_sweep(args) -> int:
     base = ExperimentConfig(
         tester=doc["tester"],
         target=doc["target"],
-        trials=_integer(doc, "trials", 1),
-        seed=_integer(doc, "seed", 0),
+        trials=_integer("trials", doc.get("trials", 1)),
+        seed=_integer("seed", doc.get("seed", 0)),
     )
     values = [_coerce(v) for v in args.values.split(",") if v != ""]
     results = sweep(base, args.parameter, values)
@@ -276,11 +264,7 @@ def _cmd_sweep(args) -> int:
             f"{value},{repr(row.distance)},{repr(row.accept_rate)},"
             f"{repr(row.wilson_low)},{repr(row.wilson_high)},{repr(row.mean_queries)}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -305,7 +289,7 @@ def _cmd_calibrate(args) -> int:
             "n": args.n,
             "alpha": args.alpha,
             "sample_budget": cfg.sample_budget,
-            "confidence": cfg.confidence,
+            "confidence": IDENTITY_CONFIDENCE,
             "trials": args.trials if args.trials is not None else cache.DEFAULT_TRIALS,
             "threshold": threshold,
         },

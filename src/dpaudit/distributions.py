@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -61,6 +62,31 @@ def _check(
         return v
     bracket = "(" if open_low else "["
     raise ValueError(f"{name} must lie in {bracket}{low:g}, {high:g}]; got {value!r}")
+
+
+def _integer(name: str, value) -> int:
+    """``int(value)`` for an integer or an integral float such as 18.0.
+
+    The one integer check of the package's documents and parameters: a
+    fractional part, NaN, +-inf, ``None``, a string, a boolean and any
+    other non-number raise ValueError naming the parameter.
+    """
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif not isinstance(value, bool):
+        try:
+            return operator.index(value)  # int and numpy integers
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer; got {value!r}")
+
+
+def _majority_reps(odds: float) -> int:
+    """max(1, ceil(18 ln(odds))): majority-vote repetitions of a test that
+    is right with probability >= 2/3, so that the vote errs with
+    probability <= 1 / odds (Hoeffding: exp(-k/18) <= 1 / odds)."""
+    return max(1, math.ceil(18.0 * math.log(odds)))
 
 
 def _positive_finite(formula):
@@ -124,13 +150,15 @@ class DiscreteDistribution:
     @classmethod
     def from_json(cls, doc: str | dict) -> "DiscreteDistribution":
         data = json.loads(doc) if isinstance(doc, str) else doc
-        try:
-            probs = data["probs"]
-        except (KeyError, TypeError):
+        if not isinstance(data, dict) or "probs" not in data:
             raise ValueError("distribution document must contain a probs array")
-        if "n" in data and int(data["n"]) != len(probs):
+        try:
+            probs = np.asarray(data["probs"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"probs must be an array of numbers; got {data['probs']!r}") from None
+        if "n" in data and _integer("n", data["n"]) != probs.size:
             raise ValueError("n field disagrees with probs length")
-        return cls(np.asarray(probs, dtype=np.float64))
+        return cls(probs)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ out contiguously.
 
 The CLI and the harness build fixtures by name through one registry,
 ``_FIXTURES``: name -> (builder, {parameter: type}). ``build_fixture``
-converts each listed parameter by its type and ignores other keys, so an
-emitted document, whose params also hold derived values, rebuilds as is.
+converts each listed parameter by its type (an ``int`` one only if it has
+no fractional part) and ignores other keys, so an emitted document, whose
+params also hold derived values, rebuilds as is.
 To add a fixture, add its entry there; ``FIXTURE_NAMES`` and the CLI's
 choices follow.
 """
@@ -32,6 +33,7 @@ from .distributions import (
     DiscreteDistribution,
     PrivacyParams,
     _check,
+    _integer,
     _paired,
     _slack,
     brute_force_delta,
@@ -523,14 +525,18 @@ def build_fixture(
 
     mean-sideinfo expects a ``base`` entry holding a mechanism config
     document; fi-pdp returns its side information alongside the pair. A
-    missing parameter raises KeyError; an unknown name or a value of the
-    wrong type raises ValueError.
+    missing parameter raises KeyError; an unknown name, a value of the
+    wrong type or an integer parameter with a fractional part raises
+    ValueError.
     """
     if not isinstance(name, str) or name not in _FIXTURES:
         raise ValueError(f"unknown fixture name: {name!r}")
     builder, types = _FIXTURES[name]
     try:
-        args = {key: cast(params[key]) for key, cast in types.items()}
+        args = {
+            key: _integer(key, params[key]) if cast is int else cast(params[key])
+            for key, cast in types.items()
+        }
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"bad {name} parameter: {exc}") from None
     built = builder(**args, seed=seed)

@@ -37,6 +37,8 @@ from .distributions import (
     _EPS_MAX,
     DiscreteDistribution,
     _check,
+    _integer,
+    _majority_reps,
     _positive_finite,
     delta_at_epsilon,
     min_mass,
@@ -58,7 +60,8 @@ STATISTIC_VERSION = 1
 #: test suite. The asymptotic requirement is only O(sqrt(n) / alpha^2).
 BUDGET_CONSTANT = 6.0
 
-#: Per-call success probability the identity tester is calibrated for.
+#: Per-call success probability the identity tester is calibrated for; it
+#: is packed into every cache key.
 IDENTITY_CONFIDENCE = 2.0 / 3.0
 
 #: Exact slack on the claimed distributions is compared against
@@ -75,50 +78,28 @@ def identity_budget(n: int, alpha: float) -> int:
     return max(1, math.ceil(BUDGET_CONSTANT * math.sqrt(n) / (alpha * alpha)))
 
 
-def hoeffding_majority_reps(failure: float) -> int:
-    """Repetitions so that majority vote fails with probability <= failure.
-
-    Each repetition must itself be correct with probability >= 2/3; the
-    bound used is exp(-k/18) <= failure.
-    """
-    if not (0.0 < failure < 1.0):
-        raise ValueError("failure probability must lie strictly inside (0, 1)")
-    return max(1, math.ceil(18.0 * math.log(1.0 / failure)))
-
-
 #: Majority repetitions for each of the two per-database identity checks,
 #: chosen so both succeed jointly with probability >= 2/3: each check is
 #: amplified to confidence sqrt(2/3).
-SUBTEST_REPS = hoeffding_majority_reps(1.0 - math.sqrt(2.0 / 3.0))
+SUBTEST_REPS = _majority_reps(1.0 / (1.0 - math.sqrt(2.0 / 3.0)))
 
 
 @dataclass
 class IdentityTesterConfig:
-    """Parameters of one Poissonized identity test.
-
-    ``threshold`` is NaN until calibrated; :func:`identity_test` refuses
-    to run without a finite threshold.
-    """
+    """Parameters of one Poissonized identity test, calibrated to succeed
+    with probability ``IDENTITY_CONFIDENCE``."""
 
     alpha: float
-    confidence: float = IDENTITY_CONFIDENCE
-    sample_budget: int = 0
-    threshold: float = float("nan")
+    sample_budget: int
 
     def __post_init__(self) -> None:
         _check("alpha", self.alpha, 0.0, open_low=True)
-        if not (0.0 < self.confidence < 1.0):
-            raise ValueError("confidence must lie strictly inside (0, 1)")
         # a Poisson rate numpy can draw, packed as an int64 into cache keys
         _check("sample_budget", self.sample_budget, 1.0, 2.0**62)
 
     @classmethod
-    def for_universe(
-        cls, n: int, alpha: float, confidence: float = IDENTITY_CONFIDENCE
-    ) -> "IdentityTesterConfig":
-        return cls(
-            alpha=alpha, confidence=confidence, sample_budget=identity_budget(n, alpha)
-        )
+    def for_universe(cls, n: int, alpha: float) -> "IdentityTesterConfig":
+        return cls(alpha=alpha, sample_budget=identity_budget(n, alpha))
 
 
 def identity_statistic(
@@ -164,12 +145,13 @@ def calibrate_identity_threshold(
 
     Simulates the statistic under the null (counts are independent
     Poissons with mean rate * q_i) and returns the empirical quantile at
-    confidence plus 2.5 standard errors (capped at 0.995), nudged up one
-    ulp so a simulated tie still accepts. The nudge covers ties in q's bin
-    order: the same counts scored against a permutation of q sum their
-    terms in another order and can differ in the last bits. The cushion
-    keeps the realized null acceptance rate above the configured
-    confidence despite quantile estimation noise and such rare flips.
+    IDENTITY_CONFIDENCE plus 2.5 standard errors (capped at 0.995), nudged
+    up one ulp so a simulated tie still accepts. The nudge covers ties in
+    q's bin order: the same counts scored against a permutation of q sum
+    their terms in another order and can differ in the last bits. The
+    cushion keeps the realized null acceptance rate above
+    IDENTITY_CONFIDENCE despite quantile estimation noise and such rare
+    flips.
     Null counts are drawn in row blocks; zero-mean bins consume no
     randomness, so the result does not depend on the block size.
     """
@@ -179,27 +161,10 @@ def calibrate_identity_threshold(
     for start in range(0, trials, _CALIBRATION_BLOCK):
         counts = rng.poisson(means, size=(min(_CALIBRATION_BLOCK, trials - start), q.n))
         stats.append(identity_statistic(q, counts, cfg.sample_budget))
-    se = math.sqrt(cfg.confidence * (1.0 - cfg.confidence) / trials)
-    level = min(0.995, cfg.confidence + 2.5 * se)
+    se = math.sqrt(IDENTITY_CONFIDENCE * (1.0 - IDENTITY_CONFIDENCE) / trials)
+    level = min(0.995, IDENTITY_CONFIDENCE + 2.5 * se)
     threshold = float(np.quantile(np.concatenate(stats), level, method="higher"))
     return float(np.nextafter(threshold, math.inf))
-
-
-def identity_test(
-    q: DiscreteDistribution, counts: np.ndarray, cfg: IdentityTesterConfig
-) -> TestOutcome:
-    """Decide whether Poissonized counts look like draws from q."""
-    if not math.isfinite(cfg.threshold):
-        raise ValueError("threshold not calibrated; see calibrate_identity_threshold")
-    statistic = identity_statistic(q, counts, cfg.sample_budget)
-    verdict = Verdict.ACCEPT if statistic < cfg.threshold else Verdict.REJECT
-    return TestOutcome(
-        verdict,
-        statistic,
-        cfg.threshold,
-        queries_used=(0, 0),
-        diagnostics={"rule": "accept iff statistic < calibrated null quantile"},
-    )
 
 
 class CalibrationCache:
@@ -242,7 +207,7 @@ class CalibrationCache:
                 "<qddqq",
                 q.n,
                 cfg.alpha,
-                cfg.confidence,
+                IDENTITY_CONFIDENCE,
                 cfg.sample_budget,
                 trials,
             )
@@ -256,7 +221,7 @@ class CalibrationCache:
         cfg: IdentityTesterConfig,
         trials: int | None = None,
     ) -> float:
-        trials = self.DEFAULT_TRIALS if trials is None else trials
+        trials = self.DEFAULT_TRIALS if trials is None else _integer("trials", trials)
         # the null law is symmetric in the bins: calibrate on the sorted masses
         q = DiscreteDistribution(np.sort(q.probs))
         key = self._key(q, cfg, trials)
@@ -315,7 +280,7 @@ def adp_test_fi(
         )
 
     cache = cache if cache is not None else CalibrationCache()
-    k = SUBTEST_REPS if reps is None else reps
+    k = SUBTEST_REPS if reps is None else _integer("reps", reps)
     _check("reps", k, 1.0)
     cfg = IdentityTesterConfig.for_universe(mech.n, alpha)
     before = tuple(mech.query_counter)
@@ -325,7 +290,7 @@ def adp_test_fi(
         threshold = cache.threshold_for(q, cfg, calibration_trials)
         if not math.isfinite(threshold):
             raise ValueError("identity threshold is not finite")
-        # the k Poissonized reps of identity_test, drawn and scored as one block
+        # k Poissonized identity tests, drawn and scored as one block
         sizes = rng.poisson(cfg.sample_budget, size=k)
         stats = identity_statistic(q, mech.draw_many(db, sizes), cfg.sample_budget)
         fractions.append(int(np.count_nonzero(stats >= threshold)) / k)
@@ -355,29 +320,25 @@ class FiPdpConfig:
     """Parameters for the full-information pDP tester.
 
     ``beta`` is the smallest claimed outcome probability; the sample rate
-    ln(n) / (alpha^2 beta^2) makes every empirical frequency land within
-    a multiplicative e^alpha of its claim with good probability. ``alpha``
-    is at most ln(max float), so that e^alpha is finite.
+    :meth:`rate`, ln(n) / (alpha^2 beta^2), makes every empirical
+    frequency land within a multiplicative e^alpha of its claim with good
+    probability. ``alpha`` is at most ln(max float), so that e^alpha is
+    finite.
     """
 
     eps: float
     alpha: float
     beta: float
-    lambda_rate: float | None = None
 
     def __post_init__(self) -> None:
         self.eps = _check("eps", self.eps, 0.0, _EPS_MAX)
         self.alpha = _check("alpha", self.alpha, 0.0, _EPS_MAX, open_low=True)
         self.beta = _check("beta", self.beta, 0.0, 1.0, open_low=True)
-        if self.lambda_rate is not None:
-            self.lambda_rate = _check("lambda_rate", self.lambda_rate, 0.0, open_low=True)
 
     @_positive_finite
     def rate(self, n: int) -> float:
         if n < 2:
             raise ValueError("pDP testing needs a universe of size >= 2")
-        if self.lambda_rate is not None:
-            return self.lambda_rate
         return math.log(n) / (self.alpha * self.alpha * self.beta * self.beta)
 
     @classmethod

@@ -11,9 +11,13 @@ target's distance from the claimed parameters.
 Tester kinds live in one registry, ``_TESTERS``: kind -> (runner
 factory, notion). A factory reads the tester document once per
 experiment, builds and validates its configuration, and returns the
-per-trial ``run(mech, rng)``; the notion ("aDP" or "pDP") selects how the
-target's distance from the claim is measured. To add a tester, add its
-factory and entry there; ``TESTER_KINDS`` and the CLI's choices follow.
+per-trial ``run(mech, rng)``. It reads the claim and the keys its tester
+takes (``r`` for ``adp-budgeted``; ``cache_path``, ``calibration_trials``
+and ``reps`` for ``adp-fi``) and ignores any other key: the sample rates
+of ``adp-ni`` and ``pdp-fi`` are always their formulas. The notion ("aDP"
+or "pDP") selects how the target's distance from the claim is measured.
+To add a tester, add its factory and entry there; ``TESTER_KINDS`` and
+the CLI's choices follow.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -99,10 +103,6 @@ class OCRow:
 class OperatingCharacteristic:
     grid: tuple[OCRow, ...] = field(default_factory=tuple)
 
-    @classmethod
-    def from_rows(cls, rows) -> "OperatingCharacteristic":
-        return cls(tuple(sorted(rows, key=lambda row: row.distance)))
-
 
 def _resolve_target(target: dict, seed: int):
     """Target spec -> (base mechanism, side info or None, truth pair)."""
@@ -146,14 +146,12 @@ def _claim(tester: dict) -> tuple[float, float, float]:
 
 
 def _adp_ni(tester: dict, mech: MechanismPair, side: SideInfo | None):
-    eps, delta, alpha = _claim(tester)
-    lambda_rate, both = tester.get("lambda_rate"), bool(tester.get("both_directions", True))
-    cfg = AdpNiConfig(mech.n, eps, delta, alpha, lambda_rate, both_directions=both)
+    cfg = AdpNiConfig(mech.n, *_claim(tester))
     return lambda mech, rng: adp_test_ni(mech, cfg, rng)
 
 
 def _adp_budgeted(tester: dict, mech: MechanismPair, side: SideInfo | None):
-    claim, r = _claim(tester), int(tester["r"])
+    claim, r = _claim(tester), tester["r"]
     return lambda mech, rng: adp_test_budgeted(mech, *claim, r)
 
 
@@ -171,8 +169,6 @@ def _pdp_fi(tester: dict, mech: MechanismPair, side: SideInfo | None):
     if side is None:
         raise ValueError("pdp-fi needs side information")
     cfg = FiPdpConfig.for_side(side, float(tester["eps"]), float(tester["alpha"]))
-    if tester.get("lambda_rate") is not None:
-        cfg = replace(cfg, lambda_rate=float(tester["lambda_rate"]))
     return lambda mech, rng: pdp_test_fi(mech, side, cfg, rng)
 
 
@@ -244,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
         wilson_high=high,
         mean_queries=mean_queries,
     )
-    return OperatingCharacteristic.from_rows([row])
+    return OperatingCharacteristic((row,))
 
 
 def sweep(

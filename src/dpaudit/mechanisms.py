@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _check, make_distribution
+from .distributions import DiscreteDistribution, _check, _integer, make_distribution
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -195,10 +195,10 @@ class SideInfo:
 _MECHANISMS = {
     "randomized_response": lambda c, seed: randomized_response(float(c["flip_prob"]), seed),
     "truncated_geometric": lambda c, seed: truncated_geometric(
-        float(c["eps"]), int(c["n"]), seed
+        float(c["eps"]), _integer("n", c["n"]), seed
     ),
     "leaky_mechanism": lambda c, seed: leaky_mechanism(
-        float(c["delta"]), int(c.get("n", 3)), seed
+        float(c["delta"]), _integer("n", c.get("n", 3)), seed
     ),
     "explicit": lambda c, seed: MechanismPair(
         DiscreteDistribution.from_json(c["p0"]), DiscreteDistribution.from_json(c["p1"]), seed
@@ -216,8 +216,9 @@ def mechanism_from_config(config: dict, seed: int = 0) -> MechanismPair:
     * ``{"mechanism": "leaky_mechanism", "delta": 0.2, "n": 3}``
     * ``{"mechanism": "explicit", "p0": {...}, "p1": {...}}``
 
-    A value of the wrong type (``null``, ``Infinity`` as ``n``) raises
-    ValueError, as does an unknown kind; a missing field raises KeyError.
+    A value of the wrong type (``null``, ``Infinity`` or ``4.5`` as ``n``)
+    raises ValueError, as does an unknown kind; a missing field raises
+    KeyError.
     """
     kind = config.get("mechanism") if isinstance(config, dict) else None
     if not isinstance(kind, str) or kind not in _MECHANISMS:

@@ -3,14 +3,17 @@
 The tester sees only sampling access to the two databases. It draws a
 Poissonized number of samples, so per-outcome counts are independent
 Poisson variables, and compares the plug-in estimate of the additive
-slack
+slack in both orderings of the databases (the privacy definition is
+symmetric),
 
-    z = sum_i max(0, (x_i - e^eps * y_i) / r)
+    z = max(sum_i max(0, (x_i - e^eps * y_i) / r),
+            sum_i max(0, (y_i - e^eps * x_i) / r)),
 
-against delta + alpha. Completeness and soundness follow from the
-statistic's concentration: E[z] is at least the true slack and at most
-the true slack plus sqrt(n / r) * (1 + e^{2 eps}), with variance at most
-(1 + e^{2 eps}) / r.
+against delta + alpha, at the rate :func:`noinfo_rate` derives. The
+statistic is ``distributions._slack`` over the counts. Completeness and
+soundness follow from the statistic's concentration: E[z] is at least
+the true slack and at most the true slack plus sqrt(n / r) *
+(1 + e^{2 eps}), with variance at most (1 + e^{2 eps}) / r.
 
 All functions are pure up to the supplied RNG and mechanism streams.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _EPS_MAX, _check, _positive_finite, _slack
+from .distributions import _EPS_MAX, _check, _integer, _positive_finite, _slack
 from .mechanisms import MechanismPair
 from .outcomes import TestOutcome, Verdict
 
@@ -51,28 +54,19 @@ def noinfo_rate(n: int, eps: float, alpha: float) -> float:
 class AdpNiConfig:
     """Configuration for the no-information aDP tester.
 
-    ``lambda_rate`` defaults to :func:`noinfo_rate`, which also checks
-    ``n``, ``eps`` and ``alpha`` (so a claim whose default rate is not
-    finite is rejected even with an explicit rate). ``both_directions``
-    tests the slack in both orderings of the databases (the privacy
-    definition is symmetric); turn it off to reproduce the literal
-    one-direction listing. Both databases get the same Poisson sample
-    count.
+    The Poisson sampling rate is :func:`noinfo_rate`, which also checks
+    ``n``, ``eps`` and ``alpha``, so a claim whose rate is not finite is
+    rejected here. Both databases get the same Poisson sample count.
     """
 
     n: int
     eps: float
     delta: float
     alpha: float
-    lambda_rate: float | None = None
-    both_directions: bool = True
 
     def __post_init__(self) -> None:
         self.delta = _check("delta", self.delta, 0.0, 1.0)
-        rate = noinfo_rate(self.n, self.eps, self.alpha)
-        if self.lambda_rate is not None:
-            rate = _check("lambda_rate", self.lambda_rate, 0.0, open_low=True)
-        self.lambda_rate = rate
+        self._rate = noinfo_rate(self.n, self.eps, self.alpha)
 
 
 def poisson_nonzero(rate: float, rng: np.random.Generator) -> tuple[int, int]:
@@ -88,26 +82,6 @@ def poisson_nonzero(rate: float, rng: np.random.Generator) -> tuple[int, int]:
             raise ValueError(f"rate {rate!r} is too small: the Poisson draw stays zero")
 
 
-def poissonized_histogram(
-    mech: MechanismPair, db: int, rate: float, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """Draw r ~ Poisson(rate), then r samples from the database.
-
-    Poissonization makes the per-outcome counts mutually independent
-    Poisson(rate * p_i) variables, which is what every concentration
-    argument in this package relies on. Returns (counts, r); r may be 0.
-    """
-    _check("rate", rate, 0.0, open_low=True)
-    r = int(rng.poisson(rate))
-    return mech.draw(db, r), r
-
-
-def adp_statistic(x: np.ndarray, y: np.ndarray, r: int, eps: float) -> float:
-    """Plug-in slack estimate sum_i max(0, x_i / r - e^eps * y_i / r)."""
-    _check("r", r, 1.0)
-    return _slack(x, y, _check("eps", eps, 0.0, _EPS_MAX), r)[0]
-
-
 def _statistic_outcome(
     x: np.ndarray,
     y: np.ndarray,
@@ -115,20 +89,18 @@ def _statistic_outcome(
     eps: float,
     delta: float,
     alpha: float,
-    both_directions: bool,
     queries: tuple[int, int],
     extra: dict | None = None,
 ) -> TestOutcome:
     """Decision shared by the Poissonized and fixed-budget testers."""
     z_forward, z_reverse = _slack(x, y, eps, r)
-    statistic = max(z_forward, z_reverse) if both_directions else z_forward
+    statistic = max(z_forward, z_reverse)
     threshold = delta + alpha
     verdict = Verdict.ACCEPT if statistic < threshold else Verdict.REJECT
     diagnostics = {
         "rule": "accept iff statistic < delta + alpha",
         "z_forward": z_forward,
         "z_reverse": z_reverse,
-        "both_directions": both_directions,
         "r": (r, r),
     }
     if extra:
@@ -141,29 +113,22 @@ def adp_test_ni(
 ) -> TestOutcome:
     """Poissonized no-information aDP test at claim (eps, delta).
 
-    Draws the sample count r ~ Poisson(lambda_rate), redrawing on r = 0
+    Draws the sample count r ~ Poisson(noinfo_rate), redrawing on r = 0
     (retries are recorded in diagnostics), samples both databases, and
     accepts iff the slack statistic stays below delta + alpha.
     """
     if mech.n != cfg.n:
         raise ValueError("mechanism universe does not match config n")
-    assert cfg.lambda_rate is not None
-    r, retries = poisson_nonzero(cfg.lambda_rate, rng)
+    r, retries = poisson_nonzero(cfg._rate, rng)
     x = mech.draw(0, r)
     y = mech.draw(1, r)
     return _statistic_outcome(
-        x, y, r, cfg.eps, cfg.delta, cfg.alpha, cfg.both_directions,
-        queries=(r, r), extra={"retries": retries},
+        x, y, r, cfg.eps, cfg.delta, cfg.alpha, queries=(r, r), extra={"retries": retries}
     )
 
 
 def adp_test_budgeted(
-    mech: MechanismPair,
-    eps: float,
-    delta: float,
-    alpha: float,
-    r: int,
-    both_directions: bool = True,
+    mech: MechanismPair, eps: float, delta: float, alpha: float, r: int
 ) -> TestOutcome:
     """Fixed-budget variant: exactly r samples per database, same decision.
 
@@ -174,17 +139,14 @@ def adp_test_budgeted(
     eps = _check("eps", eps, 0.0, _EPS_MAX)
     delta = _check("delta", delta, 0.0, 1.0)
     alpha = _check("alpha", alpha, 0.0, open_low=True)
+    r = _integer("r", r)
     _check("r", r, 1.0)
     x = mech.draw(0, r)
     y = mech.draw(1, r)
-    return _statistic_outcome(
-        x, y, r, eps, delta, alpha, both_directions, queries=(r, r)
-    )
+    return _statistic_outcome(x, y, r, eps, delta, alpha, queries=(r, r))
 
 
-def counts_tester(
-    eps: float, delta: float, alpha: float, both_directions: bool = True
-):
+def counts_tester(eps: float, delta: float, alpha: float):
     """Decision function over pre-drawn histograms of r samples each.
 
     Returns a callable ``tester(x, y, r, rng=None) -> TestOutcome`` for
@@ -196,8 +158,6 @@ def counts_tester(
 
     def tester(x, y, r, rng=None) -> TestOutcome:
         _check("r", r, 1.0)
-        return _statistic_outcome(
-            x, y, r, eps, delta, alpha, both_directions, queries=(0, 0)
-        )
+        return _statistic_outcome(x, y, r, eps, delta, alpha, queries=(0, 0))
 
     return tester

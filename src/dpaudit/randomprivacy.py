@@ -18,7 +18,14 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _check, _positive_finite, make_distribution
+from .distributions import (
+    DiscreteDistribution,
+    _check,
+    _integer,
+    _majority_reps,
+    _positive_finite,
+    make_distribution,
+)
 from .mechanisms import MechanismPair
 from .outcomes import TestOutcome, Verdict
 
@@ -127,7 +134,7 @@ def amplification_reps(penalty_weight: float, alpha: float) -> int:
     """
     _check("penalty_weight", penalty_weight, 0.0, open_low=True)
     _check("alpha", alpha, 0.0, open_low=True)
-    return max(1, math.ceil(18.0 * math.log(2.0 * penalty_weight / alpha)))
+    return _majority_reps(2.0 * penalty_weight / alpha)
 
 
 @_positive_finite
@@ -172,8 +179,8 @@ def random_privacy_test(
     # trials and reps are given
     m = trial_count(penalty_weight, alpha, gamma)
     k = amplification_reps(penalty_weight, alpha)
-    m = m if trials is None else trials
-    k = k if reps is None else reps
+    m = m if trials is None else _integer("trials", trials)
+    k = k if reps is None else _integer("reps", reps)
     _check("trials", m, 1.0)
     _check("reps", k, 1.0)
 

@@ -21,7 +21,6 @@ from dpaudit import (
     PrivacyParams,
     SideInfo,
     adp_lowfreq_fixture,
-    adp_statistic,
     adp_test_budgeted,
     adp_test_fi,
     adp_twopoint_fixture,
@@ -180,6 +179,13 @@ RANDOM = ["test", "random", "--alpha", "0.3", "--inner-alpha", "0.2", "--inner-b
 TWOPOINT = {"name": "adp-twopoint", "params": {"eps": 0.2, "delta": 0.05, "alpha": 0.1}}
 FLAG_FAMILY = {"kind": "value_flag", "flagged": {"probs": [0.7, 0.3]},
                "plain": {"probs": [0.5, 0.5]}}
+CALIBRATE = ["calibrate", "--n", "2", "--alpha", "0.3", "--trials", "100", "--null"]
+SIDE = ["test", "adp-fi", "--fixture", "adp-twopoint", "--fixture-params", "eps=0.2",
+        "delta=0.05", "alpha=0.1", "--eps", "0.2", "--alpha", "0.1", "--side"]
+HALVES = [0.5, 0.5]
+#: distribution documents whose n or probs has the wrong shape
+BAD_DISTS = ({"n": None, "probs": HALVES}, {"n": [2], "probs": HALVES}, {"n": 2, "probs": 5},
+             {"probs": {"0": 0.5, "1": 0.5}}, {"n": 2.5, "probs": HALVES})
 
 
 @pytest.mark.parametrize(
@@ -201,6 +207,13 @@ FLAG_FAMILY = {"kind": "value_flag", "flagged": {"probs": [0.7, 0.3]},
         (SWEEP, {"tester": NI_TESTER, "target": RR_TARGET, "trials": True}),
         (["certify", "--fixture-file"], dict(TWOPOINT, seed="1")),
         (["certify", "--fixture-file"], dict(TWOPOINT, seed=True)),
+        *((CALIBRATE, dist) for dist in BAD_DISTS),
+        *((SIDE, {"q0": dist, "q1": {"probs": HALVES}}) for dist in BAD_DISTS),
+        *(
+            (["certify", "--fixture-file"], dict(TWOPOINT, private={"p0": dist, "p1": dist}))
+            for dist in BAD_DISTS
+        ),
+        *((RANDOM, {"kind": "constant", "dist": dist}) for dist in BAD_DISTS),
     ],
 )
 def test_cli_wrong_shape_json_exits_1_without_traceback(capsys, tmp_path, argv, doc):
@@ -415,7 +428,6 @@ CONSTRUCTORS = {
     "amplification_reps": (amplification_reps, (x, x)),
     "delta_at_epsilon": (lambda e: delta_at_epsilon(*LEAKY.truth, e), (x,)),
     "brute_force_delta": (lambda e: brute_force_delta(*LEAKY.truth, e), (x,)),
-    "adp_statistic": (lambda r, e: adp_statistic([3, 1], [1, 3], r, e), (x, x)),
     "adp_test_budgeted": (lambda e, d, a, r: adp_test_budgeted(LEAKY.spawn(1), e, d, a, r),
                           (x, x, x, small_int)),
     "counts_tester": (lambda e, d, a: counts_tester(e, d, a)([2, 1], [0, 3], 3), (x, x, x)),

@@ -253,16 +253,30 @@ def test_fixture_missing_param_exits_1(capsys):
     capsys.readouterr()
 
 
-def test_calibrate_frozen_threshold(capsys):
-    code, cap = run(
-        capsys,
-        ["calibrate", "--n", "2", "--alpha", "0.3", "--trials", "200"],
-    )
-    assert code == 0
-    doc = json.loads(cap.out)
-    assert doc["sample_budget"] == 95
-    assert doc["trials"] == 200
-    assert doc["threshold"] == pytest.approx(0.45263157894736844, abs=1e-12)
+def test_fixture_integer_parameter_is_not_truncated(capsys):
+    argv = ["fixture", "adp-lowfreq", "--params", "delta=0.3", "alpha=0.1"]
+    code, cap = run(capsys, argv + ["n=18.5"])
+    assert code == 1
+    assert cap.err.startswith("error: n must be an integer; got 18.5")
+    # an integral float emits what the integer does
+    assert run(capsys, argv + ["n=18.0"])[1].out == run(capsys, argv + ["n=18"])[1].out
+
+
+def test_calibrate_frozen_threshold(capsys, tmp_path):
+    # the threshold's RNG is seeded from the cache key, so these pin its bytes
+    null = write_json(tmp_path / "null.json", {"n": 4, "probs": [0.1, 0.2, 0.3, 0.4]})
+    for args, budget, trials, threshold in [
+        (["--n", "2", "--alpha", "0.3", "--trials", "200"], 95, 200, 0.45263157894736844),
+        (["--null", "twopoint", "--n", "4", "--alpha", "0.4"], 75, 2000, 0.42222222222222233),
+        (["--null", null, "--n", "4", "--alpha", "0.3"], 134, 2000, 0.7761194029850751),
+    ]:
+        code, cap = run(capsys, ["calibrate"] + args)
+        assert code == 0
+        doc = json.loads(cap.out)
+        assert doc["sample_budget"] == budget
+        assert doc["trials"] == trials
+        assert doc["confidence"] == 2.0 / 3.0
+        assert doc["threshold"] == pytest.approx(threshold, abs=1e-12)
 
 
 def test_calibrate_null_file_size_mismatch(capsys, tmp_path):

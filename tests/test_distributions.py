@@ -24,7 +24,7 @@ from dpaudit import (
     min_mass,
     tv_distance,
 )
-from dpaudit.distributions import _event_masses, _slack
+from dpaudit.distributions import _event_masses, _integer, _slack
 
 P = make_distribution([0.9, 0.1])
 Q = make_distribution([0.5, 0.5])
@@ -182,6 +182,20 @@ def test_from_json_rejects_bad_documents():
         DiscreteDistribution.from_json({"n": 3, "probs": [0.5, 0.5]})
     with pytest.raises(ValueError):
         DiscreteDistribution.from_json({"n": 2})
+    # n is a whole number; an integral float still passes
+    with pytest.raises(ValueError, match="n must be an integer"):
+        DiscreteDistribution.from_json({"n": 2.5, "probs": [0.5, 0.5]})
+    assert DiscreteDistribution.from_json({"n": 2.0, "probs": [0.5, 0.5]}).n == 2
+
+
+def test_integer_check():
+    assert _integer("n", 18) == 18
+    assert _integer("n", 18.0) == 18 and type(_integer("n", 18.0)) is int
+    assert _integer("n", np.int64(4)) == 4
+    assert _integer("n", 2**70) == 2**70
+    for bad in (18.5, math.nan, math.inf, None, "3", True, [2]):
+        with pytest.raises(ValueError, match=r"^n must be an integer; got "):
+            _integer("n", bad)
 
 
 def test_privacy_params_validation():

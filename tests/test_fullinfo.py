@@ -15,11 +15,10 @@ from dpaudit import (
     SideInfo,
     Verdict,
     adp_test_fi,
+    amplification_reps,
     calibrate_identity_threshold,
-    hoeffding_majority_reps,
     identity_budget,
     identity_statistic,
-    identity_test,
     leaky_mechanism,
     make_distribution,
     mechanism_from_config,
@@ -28,8 +27,8 @@ from dpaudit import (
     run_experiment,
 )
 from dpaudit import fullinfo
-from dpaudit.fullinfo import SUBTEST_REPS
-from dpaudit.noinfo import poissonized_histogram
+from dpaudit.distributions import _majority_reps
+from dpaudit.fullinfo import IDENTITY_CONFIDENCE, SUBTEST_REPS
 
 UNIFORM2 = make_distribution([1.0, 1.0])
 
@@ -46,13 +45,11 @@ def test_identity_budget_formula():
 
 def test_majority_reps():
     # ceil(18 ln(1/failure)), floored at 1
-    assert hoeffding_majority_reps(1.0 - math.sqrt(2.0 / 3.0)) == 31
+    assert _majority_reps(1.0 / (1.0 - math.sqrt(2.0 / 3.0))) == 31
     assert SUBTEST_REPS == 31
-    assert hoeffding_majority_reps(0.999) == 1
-    with pytest.raises(ValueError):
-        hoeffding_majority_reps(0.0)
-    with pytest.raises(ValueError):
-        hoeffding_majority_reps(1.0)
+    assert _majority_reps(1.0 / 0.999) == 1
+    # the reduction's reps are the same formula at failure alpha / (2 w)
+    assert amplification_reps(2.0, 0.2) == _majority_reps(20.0)
 
 
 def test_identity_statistic_zero_mean_shape():
@@ -98,15 +95,14 @@ def test_calibration_contract():
     threshold = calibrate_identity_threshold(UNIFORM2, cfg, 2000, rng)
     assert math.isfinite(threshold)
 
-    # realized null acceptance should clear the configured confidence
-    cfg.threshold = threshold
+    # realized null acceptance should clear the calibrated confidence
     accepts = 0
     check = np.random.default_rng(6)
     for _ in range(600):
         counts = check.poisson(cfg.sample_budget * UNIFORM2.probs)
-        if identity_test(UNIFORM2, counts, cfg).accepted:
+        if identity_statistic(UNIFORM2, counts, cfg.sample_budget) < threshold:
             accepts += 1
-    assert accepts / 600 >= cfg.confidence - 0.05
+    assert accepts / 600 >= IDENTITY_CONFIDENCE - 0.05
 
 
 def one_shot_calibration(q, cfg, trials, rng):
@@ -115,8 +111,8 @@ def one_shot_calibration(q, cfg, trials, rng):
     means = cfg.sample_budget * q.probs[support]
     counts = rng.poisson(means, size=(trials, means.size))
     stats = (((counts - means) ** 2 - counts) / means).sum(axis=1)
-    se = math.sqrt(cfg.confidence * (1.0 - cfg.confidence) / trials)
-    level = min(0.995, cfg.confidence + 2.5 * se)
+    se = math.sqrt(IDENTITY_CONFIDENCE * (1.0 - IDENTITY_CONFIDENCE) / trials)
+    level = min(0.995, IDENTITY_CONFIDENCE + 2.5 * se)
     return float(np.nextafter(np.quantile(stats, level, method="higher"), math.inf))
 
 
@@ -132,20 +128,14 @@ def test_blocked_calibration_equals_one_shot(trials, probs):
 
 
 def test_identity_test_requires_calibration():
-    cfg = IdentityTesterConfig.for_universe(2, 0.3)
-    with pytest.raises(ValueError):
-        identity_test(UNIFORM2, np.array([10, 10]), cfg)
-
-
-def test_threshold_grows_with_confidence():
-    lo = IdentityTesterConfig.for_universe(4, 0.3, confidence=0.5)
-    hi = IdentityTesterConfig.for_universe(4, 0.3, confidence=0.9)
-    q = make_distribution([1.0, 1.0, 1.0, 1.0])
-    rng_a = np.random.default_rng(11)
-    rng_b = np.random.default_rng(11)
-    t_lo = calibrate_identity_threshold(q, lo, 4000, rng_a)
-    t_hi = calibrate_identity_threshold(q, hi, 4000, rng_b)
-    assert t_hi > t_lo
+    # the identity stage refuses to sample without a finite threshold
+    mech = randomized_response(0.25)
+    cache = CalibrationCache()
+    cache.threshold_for = lambda q, cfg, trials=None: math.nan
+    with pytest.raises(ValueError, match="not finite"):
+        adp_test_fi(mech, SideInfo(*mech.truth), math.log(3.0), 0.0, 0.3,
+                    np.random.default_rng(0), cache=cache)
+    assert mech.query_counter == [0, 0]
 
 
 def test_cache_is_deterministic_and_persistent(tmp_path):
@@ -268,7 +258,7 @@ def test_sorted_threshold_keeps_null_acceptance_of_an_unsorted_claim(probs):
     threshold = CalibrationCache().threshold_for(q, cfg)
     counts = np.random.default_rng(7).poisson(cfg.sample_budget * q.probs, size=(4000, q.n))
     accepted = identity_statistic(q, counts, cfg.sample_budget) < threshold
-    assert accepted.mean() >= cfg.confidence - 0.05
+    assert accepted.mean() >= IDENTITY_CONFIDENCE - 0.05
 
 
 def per_rep_adp_fi(mech, side, alpha, rng, reps):
@@ -277,13 +267,13 @@ def per_rep_adp_fi(mech, side, alpha, rng, reps):
     cfg = IdentityTesterConfig.for_universe(mech.n, alpha)
     fractions, thresholds = [], []
     for db, q in ((0, side.q0), (1, side.q1)):
-        cfg.threshold = cache.threshold_for(q, cfg)
+        threshold = cache.threshold_for(q, cfg)
         rejections = 0
         for _ in range(reps):
-            counts, _r = poissonized_histogram(mech, db, cfg.sample_budget, rng)
-            rejections += identity_test(q, counts, cfg).rejected
+            counts = mech.draw(db, int(rng.poisson(cfg.sample_budget)))
+            rejections += bool(identity_statistic(q, counts, cfg.sample_budget) >= threshold)
         fractions.append(rejections / reps)
-        thresholds.append(cfg.threshold)
+        thresholds.append(threshold)
     return tuple(fractions), tuple(thresholds), tuple(mech.query_counter)
 
 
@@ -380,8 +370,9 @@ def test_adp_fi_majority_amplification_reps_override():
         mech, side, math.log(3.0), 0.0, 0.3, np.random.default_rng(6), reps=5
     )
     assert out.diagnostics["reps"] == 5
-    with pytest.raises(ValueError):
-        adp_test_fi(mech, side, math.log(3.0), 0.0, 0.3, np.random.default_rng(6), reps=0)
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError):
+            adp_test_fi(mech, side, math.log(3.0), 0.0, 0.3, np.random.default_rng(6), reps=bad)
 
 
 def test_adp_fi_validation():
@@ -397,7 +388,6 @@ def test_fi_pdp_config():
     assert cfg.beta == pytest.approx(0.25)
     # ln(n) / (alpha^2 beta^2)
     assert cfg.rate(2) == pytest.approx(math.log(2) / (0.5**2 * 0.25**2))
-    assert FiPdpConfig(1.0, 0.5, 0.25, lambda_rate=77.0).rate(2) == 77.0
     with pytest.raises(ValueError):
         FiPdpConfig(eps=-1.0, alpha=0.5, beta=0.25)
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ import pytest
 
 from dpaudit import (
     ExperimentConfig,
-    OCRow,
     OperatingCharacteristic,
     run_experiment,
     sweep,
@@ -91,6 +90,41 @@ def test_rerun_is_byte_identical(tmp_path):
     assert header == "trial,verdict,statistic,threshold,queries_0,queries_1"
 
 
+@pytest.mark.parametrize(
+    "tester, side",
+    [
+        (NI_TESTER, None),
+        ({"kind": "pdp-fi", "eps": math.log(3.0), "alpha": 0.3}, "truth"),
+    ],
+)
+def test_tester_documents_ignore_rate_and_direction_keys(tmp_path, tester, side):
+    # the testers always sample at their formula rates and test both
+    # directions; such keys are ignored like any other unknown key
+    target = RR_TARGET if side is None else dict(RR_TARGET, side=side)
+    csvs = []
+    for extra in ({}, {"lambda_rate": 5.0, "both_directions": False}):
+        out = tmp_path / f"{len(csvs)}.csv"
+        cfg = ExperimentConfig(dict(tester, **extra), target, trials=4, seed=3, out=str(out))
+        run_experiment(cfg)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [("adp-budgeted", "r", 40), ("adp-fi", "reps", 3), ("adp-fi", "calibration_trials", 250)],
+)
+def test_integer_tester_keys_are_not_truncated(kind, key, value):
+    tester = {"kind": kind, "eps": 1.1, "alpha": 0.3}
+    target = dict(RR_TARGET, side="truth")
+    with pytest.raises(ValueError, match=f"must be an integer; got {value + 0.5}"):
+        cfg = ExperimentConfig(dict(tester, **{key: value + 0.5}), target, trials=1)
+        run_experiment(cfg)
+    for whole in (value, float(value)):
+        cfg = ExperimentConfig(dict(tester, **{key: whole}), target, trials=1)
+        assert run_experiment(cfg).grid[0].mean_queries > 0
+
+
 def test_seed_changes_trial_outcomes(tmp_path):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"
@@ -105,7 +139,7 @@ def test_seed_changes_trial_outcomes(tmp_path):
 
 
 def test_fixture_target_with_claimed_side():
-    tester = {"kind": "pdp-fi", "eps": 0.5, "alpha": 0.05, "lambda_rate": 2000.0}
+    tester = {"kind": "pdp-fi", "eps": 0.5, "alpha": 0.05}
     target = {
         "fixture": {
             "name": "fi-pdp",
@@ -205,13 +239,3 @@ def test_sweep_unknown_parameter():
 def test_sweep_empty_values():
     base = ExperimentConfig(tester=NI_TESTER, target=RR_TARGET, trials=2)
     assert sweep(base, "tester.alpha", []) == []
-
-
-def test_oc_rows_sorted_by_distance():
-    rows = [
-        OCRow(0.3, 0.1, 0.0, 0.2, 10.0),
-        OCRow(0.0, 0.9, 0.8, 1.0, 10.0),
-        OCRow(0.1, 0.5, 0.4, 0.6, 10.0),
-    ]
-    oc = OperatingCharacteristic.from_rows(rows)
-    assert [row.distance for row in oc.grid] == [0.0, 0.1, 0.3]

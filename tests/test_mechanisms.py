@@ -217,6 +217,17 @@ def test_mechanism_from_config_kinds():
     with pytest.raises(ValueError):
         mechanism_from_config({"flip_prob": 0.25})
 
+    # a fractional n is rejected, not truncated; an integral float is the integer
+    for config in (
+        {"mechanism": "truncated_geometric", "eps": 0.5, "n": 4.9},
+        {"mechanism": "leaky_mechanism", "delta": 0.2, "n": 3.7},
+    ):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            mechanism_from_config(config)
+    same = mechanism_from_config({"mechanism": "truncated_geometric", "eps": 0.5, "n": 4.0})
+    for mine, theirs in zip(same.truth, tg.truth):
+        assert mine.probs.tobytes() == theirs.probs.tobytes()
+
 
 def test_side_info_round_trip():
     side = SideInfo(make_distribution([3, 1]), make_distribution([1, 3]))

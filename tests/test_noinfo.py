@@ -8,7 +8,6 @@ import pytest
 from dpaudit import (
     AdpNiConfig,
     Verdict,
-    adp_statistic,
     adp_test_budgeted,
     adp_test_ni,
     counts_tester,
@@ -16,7 +15,7 @@ from dpaudit import (
     noinfo_rate,
     randomized_response,
 )
-from dpaudit.noinfo import poisson_nonzero, poissonized_histogram
+from dpaudit.noinfo import poisson_nonzero
 
 
 def test_rate_formula_frozen():
@@ -38,28 +37,33 @@ def test_rate_validation():
 
 
 def test_statistic_worked_example():
+    def z_forward(x, y, r, eps):
+        return counts_tester(eps, 0.0, 0.1)(x, y, r).diagnostics["z_forward"]
+
     # (9 - 5)/10 on outcome 0, (1 - 5)/10 clipped to 0 on outcome 1
-    assert adp_statistic([9, 1], [5, 5], 10, 0.0) == pytest.approx(0.4)
-    assert adp_statistic([5, 5], [5, 5], 10, 0.0) == 0.0
+    assert z_forward([9, 1], [5, 5], 10, 0.0) == pytest.approx(0.4)
+    assert z_forward([5, 5], [5, 5], 10, 0.0) == 0.0
     # e^eps scaling kills the positive part entirely
-    assert adp_statistic([9, 1], [5, 5], 10, 1.0) == 0.0
+    assert z_forward([9, 1], [5, 5], 10, 1.0) == 0.0
     with pytest.raises(ValueError):
-        adp_statistic([1], [1], 0, 0.0)
+        z_forward([1], [1], 0, 0.0)
     with pytest.raises(ValueError):
-        adp_statistic([1, 2], [1], 5, 0.0)
+        z_forward([1, 2], [1], 5, 0.0)
 
 
 def test_config_defaults_and_validation():
+    # the tester samples at the formula rate: the same stream, the same r
     cfg = AdpNiConfig(n=2, eps=0.1, delta=0.0, alpha=0.1)
-    assert cfg.lambda_rate == pytest.approx(noinfo_rate(2, 0.1, 0.1))
-    explicit = AdpNiConfig(n=2, eps=0.1, delta=0.0, alpha=0.1, lambda_rate=500.0)
-    assert explicit.lambda_rate == 500.0
+    out = adp_test_ni(randomized_response(0.25), cfg, np.random.default_rng(0))
+    r, _retries = poisson_nonzero(noinfo_rate(2, 0.1, 0.1), np.random.default_rng(0))
+    assert out.diagnostics["r"] == (r, r)
     with pytest.raises(ValueError):
         AdpNiConfig(n=0, eps=0.0, delta=0.0, alpha=0.1)
     with pytest.raises(ValueError):
         AdpNiConfig(n=2, eps=0.0, delta=1.5, alpha=0.1)
     with pytest.raises(ValueError):
-        AdpNiConfig(n=2, eps=0.0, delta=0.0, alpha=0.1, lambda_rate=-1.0)
+        # a claim whose rate is not finite
+        AdpNiConfig(n=2, eps=400.0, delta=0.0, alpha=0.1)
 
 
 def test_poisson_nonzero_never_returns_zero():
@@ -74,7 +78,8 @@ def test_poisson_nonzero_never_returns_zero():
 
 def test_poissonized_histogram_counts_match_r():
     mech = randomized_response(0.25, seed=1)
-    counts, r = poissonized_histogram(mech, 0, 100.0, np.random.default_rng(2))
+    r = int(np.random.default_rng(2).poisson(100.0))
+    counts = mech.draw(0, r)
     assert counts.sum() == r
     assert mech.query_counter[0] == r
 
@@ -97,18 +102,15 @@ def test_rejects_blatant_leak():
     assert out.verdict is Verdict.REJECT
 
 
-def test_one_directional_mode_misses_reverse_leak():
+def test_reverse_leak_is_caught():
     # at eps = ln 2 these counts violate only the reverse ordering:
     # forward positive part is empty, reverse has (50 - 2*10)/100 on outcome 0
     eps = math.log(2.0)
-    tester_one = counts_tester(eps, 0.0, 0.1, both_directions=False)
-    tester_two = counts_tester(eps, 0.0, 0.1, both_directions=True)
     x = np.array([10, 90])
     y = np.array([50, 50])
-    out_missed = tester_one(x, y, 100)
-    assert out_missed.statistic == pytest.approx(0.0)
-    assert out_missed.verdict is Verdict.ACCEPT
-    out_two = tester_two(x, y, 100)
+    out_two = counts_tester(eps, 0.0, 0.1)(x, y, 100)
+    # a one-direction test would see only z_forward, and accept
+    assert out_two.diagnostics["z_forward"] == pytest.approx(0.0)
     assert out_two.verdict is Verdict.REJECT
     assert out_two.statistic == pytest.approx(0.3)
     assert out_two.diagnostics["z_reverse"] == pytest.approx(0.3)
@@ -128,6 +130,10 @@ def test_budgeted_variant_uses_exactly_r():
     assert mech.query_counter == [2000, 2000]
     with pytest.raises(ValueError):
         adp_test_budgeted(mech, 0.0, 0.0, 0.3, 0)
+    # a fractional budget is rejected, not truncated by the draw
+    with pytest.raises(ValueError, match="r must be an integer"):
+        adp_test_budgeted(mech, 0.0, 0.0, 0.3, 2.5)
+    assert mech.query_counter == [2000, 2000]
 
 
 def test_counts_tester_closure():

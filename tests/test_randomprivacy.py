@@ -174,8 +174,9 @@ def test_defaults_come_from_formulas():
     assert out.diagnostics["trials"] == trial_count(2.0, 0.2, 0.1) == 27
     assert out.diagnostics["reps"] == amplification_reps(2.0, 0.2) == 54
     assert out.diagnostics["inner_tests"] == 27 * 54
-    with pytest.raises(ValueError):
-        random_privacy_test(
-            fam, dd, inner, gamma=0.1, alpha=0.2, penalty_weight=2.0,
-            rng=np.random.default_rng(7), trials=0,
-        )
+    for size in ({"trials": 0}, {"trials": 2.5}, {"reps": 2.5}):
+        with pytest.raises(ValueError):
+            random_privacy_test(
+                fam, dd, inner, gamma=0.1, alpha=0.2, penalty_weight=2.0,
+                rng=np.random.default_rng(7), **size,
+            )
