@@ -39,8 +39,6 @@ from .fixtures import (
 )
 from .fullinfo import (
     CalibrationCache,
-    FiPdpConfig,
-    IdentityTesterConfig,
     adp_test_fi,
     calibrate_identity_threshold,
     identity_budget,
@@ -64,7 +62,6 @@ from .mechanisms import (
     truncated_geometric,
 )
 from .noinfo import (
-    AdpNiConfig,
     adp_test_budgeted,
     adp_test_ni,
     counts_tester,
@@ -112,8 +109,6 @@ __all__ = [
     "pdp_unverifiable_fixture",
     "tight_perturbation",
     "CalibrationCache",
-    "FiPdpConfig",
-    "IdentityTesterConfig",
     "adp_test_fi",
     "calibrate_identity_threshold",
     "identity_budget",
@@ -131,7 +126,6 @@ __all__ = [
     "mechanism_from_config",
     "randomized_response",
     "truncated_geometric",
-    "AdpNiConfig",
     "adp_test_budgeted",
     "adp_test_ni",
     "counts_tester",

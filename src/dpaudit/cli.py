@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import DiscreteDistribution, _check, _integer
 from .fixtures import FIXTURE_NAMES, CertificationError, build_fixture
-from .fullinfo import IDENTITY_CONFIDENCE, CalibrationCache, IdentityTesterConfig
+from .fullinfo import IDENTITY_CONFIDENCE, CalibrationCache, identity_budget
 from .harness import TESTER_KINDS, ExperimentConfig, run_experiment, sweep
 from .noinfo import adp_test_budgeted
 from .randomprivacy import (
@@ -252,8 +252,8 @@ def _cmd_sweep(args) -> int:
     base = ExperimentConfig(
         tester=doc["tester"],
         target=doc["target"],
-        trials=_integer("trials", doc.get("trials", 1)),
-        seed=_integer("seed", doc.get("seed", 0)),
+        trials=doc.get("trials", 1),
+        seed=doc.get("seed", 0),
     )
     values = [_coerce(v) for v in args.values.split(",") if v != ""]
     results = sweep(base, args.parameter, values)
@@ -281,14 +281,14 @@ def _cmd_calibrate(args) -> int:
         q = DiscreteDistribution.from_json(_load_json(args.null))
         if q.n != args.n:
             raise ValueError("--n does not match the null distribution file")
-    cfg = IdentityTesterConfig.for_universe(args.n, args.alpha)
+    budget = identity_budget(args.n, args.alpha)
     cache = CalibrationCache(args.cache)
-    threshold = cache.threshold_for(q, cfg, args.trials)
+    threshold = cache.threshold_for(q, args.alpha, args.trials)
     _emit(
         {
             "n": args.n,
             "alpha": args.alpha,
-            "sample_budget": cfg.sample_budget,
+            "sample_budget": budget,
             "confidence": IDENTITY_CONFIDENCE,
             "trials": args.trials if args.trials is not None else cache.DEFAULT_TRIALS,
             "threshold": threshold,

@@ -56,7 +56,7 @@ def _check(
     """
     try:
         v = float(value)
-    except TypeError:
+    except (TypeError, OverflowError):  # None, an int beyond the float range
         v = math.nan
     if (v > low if open_low else v >= low) and v <= high:
         return v
@@ -69,10 +69,11 @@ def _integer(name: str, value) -> int:
 
     The one integer check of the package's documents and parameters: a
     fractional part, NaN, +-inf, ``None``, a string, a boolean and any
-    other non-number raise ValueError naming the parameter.
+    other non-number raise ValueError naming the parameter, and so does a
+    float above 2^53, where floats stop holding every integer (1e308).
     """
     if isinstance(value, float):
-        if value.is_integer():
+        if value.is_integer() and abs(value) <= 2.0**53:
             return int(value)
     elif not isinstance(value, bool):
         try:
@@ -92,7 +93,8 @@ def _majority_reps(odds: float) -> int:
 def _positive_finite(formula):
     """Make a rate or count formula raise ValueError unless its result is
     a finite number > 0, also where the arithmetic overflows or divides by
-    a square that underflowed to zero."""
+    a square that underflowed to zero. The error names the formula without
+    a leading underscore."""
 
     @functools.wraps(formula)
     def checked(*args, **kwargs):
@@ -100,7 +102,7 @@ def _positive_finite(formula):
             value = formula(*args, **kwargs)
         except (OverflowError, ZeroDivisionError):
             value = math.inf
-        _check(formula.__name__, value, 0.0, open_low=True)
+        _check(formula.__name__.lstrip("_"), value, 0.0, open_low=True)
         return value
 
     return checked

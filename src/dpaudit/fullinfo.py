@@ -1,11 +1,14 @@
 """Full-information testers: the claimed output distributions are known.
 
-Two testers live here. The aDP tester checks the claim analytically (the
-claimed distributions are data, so their slack is computable exactly)
-and then verifies, via amplified Poissonized identity tests, that the
-black box actually produces the claimed distributions. The pDP tester
-estimates every outcome probability to within a small multiplicative
-band and reads the privacy ratio off the empirical frequencies.
+Two testers live here, each called as ``(mech, side, claim..., alpha,
+rng)``. The aDP tester checks the claim analytically (the claimed
+distributions are data, so their slack is computable exactly) and then
+verifies, via amplified Poissonized identity tests at the rate
+:func:`identity_budget`, that the black box actually produces the
+claimed distributions. The pDP tester estimates every outcome
+probability to within a small multiplicative band, at a rate set by the
+smallest claimed probability, and reads the privacy ratio off the
+empirical frequencies.
 
 Identity-test thresholds are calibrated by Monte Carlo on fixed-size
 row blocks of null counts and cached, keyed by a digest of the
@@ -28,7 +31,6 @@ import os
 import struct
 import tempfile
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,34 +74,30 @@ EXACT_CHECK_TOL = 1e-12
 
 @_positive_finite
 def identity_budget(n: int, alpha: float) -> int:
-    """Poisson rate for one identity test on an n-outcome universe."""
+    """Poisson rate for one identity test on an n-outcome universe, calibrated
+    to succeed with probability ``IDENTITY_CONFIDENCE``."""
     _check("n", n, 1.0)
     _check("alpha", alpha, 0.0, open_low=True)
-    return max(1, math.ceil(BUDGET_CONSTANT * math.sqrt(n) / (alpha * alpha)))
+    budget = max(1, math.ceil(BUDGET_CONSTANT * math.sqrt(n) / (alpha * alpha)))
+    # a Poisson rate numpy can draw, packed as an int64 into cache keys
+    _check("sample_budget", budget, 1.0, 2.0**62)
+    return budget
+
+
+@_positive_finite
+def _rate(n: int, alpha: float, beta: float) -> float:
+    """Poisson rate ln(n) / (alpha^2 beta^2) of the pDP tester, beta the
+    smallest claimed probability: it makes every empirical frequency land
+    within a multiplicative e^alpha of its claim with good probability."""
+    if n < 2:
+        raise ValueError("pDP testing needs a universe of size >= 2")
+    return math.log(n) / (alpha * alpha * beta * beta)
 
 
 #: Majority repetitions for each of the two per-database identity checks,
 #: chosen so both succeed jointly with probability >= 2/3: each check is
 #: amplified to confidence sqrt(2/3).
 SUBTEST_REPS = _majority_reps(1.0 / (1.0 - math.sqrt(2.0 / 3.0)))
-
-
-@dataclass
-class IdentityTesterConfig:
-    """Parameters of one Poissonized identity test, calibrated to succeed
-    with probability ``IDENTITY_CONFIDENCE``."""
-
-    alpha: float
-    sample_budget: int
-
-    def __post_init__(self) -> None:
-        _check("alpha", self.alpha, 0.0, open_low=True)
-        # a Poisson rate numpy can draw, packed as an int64 into cache keys
-        _check("sample_budget", self.sample_budget, 1.0, 2.0**62)
-
-    @classmethod
-    def for_universe(cls, n: int, alpha: float) -> "IdentityTesterConfig":
-        return cls(alpha=alpha, sample_budget=identity_budget(n, alpha))
 
 
 def identity_statistic(
@@ -137,14 +135,15 @@ _CALIBRATION_BLOCK = 256
 
 def calibrate_identity_threshold(
     q: DiscreteDistribution,
-    cfg: IdentityTesterConfig,
+    alpha: float,
     trials: int,
     rng: np.random.Generator,
 ) -> float:
     """Monte-Carlo null quantile of the identity statistic under q.
 
     Simulates the statistic under the null (counts are independent
-    Poissons with mean rate * q_i) and returns the empirical quantile at
+    Poissons with mean rate * q_i, at the rate identity_budget(q.n,
+    alpha)) and returns the empirical quantile at
     IDENTITY_CONFIDENCE plus 2.5 standard errors (capped at 0.995), nudged
     up one ulp so a simulated tie still accepts. The nudge covers ties in
     q's bin order: the same counts scored against a permutation of q sum
@@ -155,12 +154,13 @@ def calibrate_identity_threshold(
     Null counts are drawn in row blocks; zero-mean bins consume no
     randomness, so the result does not depend on the block size.
     """
+    budget = identity_budget(q.n, alpha)
     _check("trials", trials, 100.0)
-    means = cfg.sample_budget * q.probs
+    means = budget * q.probs
     stats = []
     for start in range(0, trials, _CALIBRATION_BLOCK):
         counts = rng.poisson(means, size=(min(_CALIBRATION_BLOCK, trials - start), q.n))
-        stats.append(identity_statistic(q, counts, cfg.sample_budget))
+        stats.append(identity_statistic(q, counts, budget))
     se = math.sqrt(IDENTITY_CONFIDENCE * (1.0 - IDENTITY_CONFIDENCE) / trials)
     level = min(0.995, IDENTITY_CONFIDENCE + 2.5 * se)
     threshold = float(np.quantile(np.concatenate(stats), level, method="higher"))
@@ -198,36 +198,20 @@ class CalibrationCache:
         except (OSError, ValueError, TypeError) as exc:
             warnings.warn(f"ignoring unreadable calibration cache {self.path}: {exc}")
 
-    @staticmethod
-    def _key(q: DiscreteDistribution, cfg: IdentityTesterConfig, trials: int) -> str:
-        h = hashlib.sha256()
-        h.update(q.probs.tobytes())
-        h.update(
-            struct.pack(
-                "<qddqq",
-                q.n,
-                cfg.alpha,
-                IDENTITY_CONFIDENCE,
-                cfg.sample_budget,
-                trials,
-            )
-        )
-        h.update(struct.pack("<q", STATISTIC_VERSION))
-        return h.hexdigest()
-
     def threshold_for(
-        self,
-        q: DiscreteDistribution,
-        cfg: IdentityTesterConfig,
-        trials: int | None = None,
+        self, q: DiscreteDistribution, alpha: float, trials: int | None = None
     ) -> float:
+        budget = identity_budget(q.n, alpha)
         trials = self.DEFAULT_TRIALS if trials is None else _integer("trials", trials)
         # the null law is symmetric in the bins: calibrate on the sorted masses
         q = DiscreteDistribution(np.sort(q.probs))
-        key = self._key(q, cfg, trials)
+        h = hashlib.sha256(q.probs.tobytes())
+        h.update(struct.pack("<qddqq", q.n, alpha, IDENTITY_CONFIDENCE, budget, trials))
+        h.update(struct.pack("<q", STATISTIC_VERSION))
+        key = h.hexdigest()
         if key not in self._table:
             rng = np.random.default_rng(int(key[:16], 16))
-            self._table[key] = calibrate_identity_threshold(q, cfg, trials, rng)
+            self._table[key] = calibrate_identity_threshold(q, alpha, trials, rng)
             if self.path is not None:
                 fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
                 try:
@@ -282,17 +266,17 @@ def adp_test_fi(
     cache = cache if cache is not None else CalibrationCache()
     k = SUBTEST_REPS if reps is None else _integer("reps", reps)
     _check("reps", k, 1.0)
-    cfg = IdentityTesterConfig.for_universe(mech.n, alpha)
+    budget = identity_budget(mech.n, alpha)
     before = tuple(mech.query_counter)
     fractions = []
     thresholds = []
     for db, q in ((0, side.q0), (1, side.q1)):
-        threshold = cache.threshold_for(q, cfg, calibration_trials)
+        threshold = cache.threshold_for(q, alpha, calibration_trials)
         if not math.isfinite(threshold):
             raise ValueError("identity threshold is not finite")
         # k Poissonized identity tests, drawn and scored as one block
-        sizes = rng.poisson(cfg.sample_budget, size=k)
-        stats = identity_statistic(q, mech.draw_many(db, sizes), cfg.sample_budget)
+        sizes = rng.poisson(budget, size=k)
+        stats = identity_statistic(q, mech.draw_many(db, sizes), budget)
         fractions.append(int(np.count_nonzero(stats >= threshold)) / k)
         thresholds.append(threshold)
     after = tuple(mech.query_counter)
@@ -309,68 +293,39 @@ def adp_test_fi(
             "claimed_slack": claimed_slack,
             "rejection_fractions": tuple(fractions),
             "identity_thresholds": tuple(thresholds),
-            "sample_budget": cfg.sample_budget,
+            "sample_budget": budget,
             "reps": k,
         },
     )
 
 
-@dataclass
-class FiPdpConfig:
-    """Parameters for the full-information pDP tester.
-
-    ``beta`` is the smallest claimed outcome probability; the sample rate
-    :meth:`rate`, ln(n) / (alpha^2 beta^2), makes every empirical
-    frequency land within a multiplicative e^alpha of its claim with good
-    probability. ``alpha`` is at most ln(max float), so that e^alpha is
-    finite.
-    """
-
-    eps: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        self.eps = _check("eps", self.eps, 0.0, _EPS_MAX)
-        self.alpha = _check("alpha", self.alpha, 0.0, _EPS_MAX, open_low=True)
-        self.beta = _check("beta", self.beta, 0.0, 1.0, open_low=True)
-
-    @_positive_finite
-    def rate(self, n: int) -> float:
-        if n < 2:
-            raise ValueError("pDP testing needs a universe of size >= 2")
-        return math.log(n) / (self.alpha * self.alpha * self.beta * self.beta)
-
-    @classmethod
-    def for_side(cls, side: SideInfo, eps: float, alpha: float) -> "FiPdpConfig":
-        """Config whose beta is the smallest (and positive) claimed probability."""
-        return cls(eps=eps, alpha=alpha, beta=min_mass([side.q0, side.q1]))
-
-
 def pdp_test_fi(
     mech: MechanismPair,
     side: SideInfo,
-    cfg: FiPdpConfig,
+    eps: float,
+    alpha: float,
     rng: np.random.Generator,
 ) -> TestOutcome:
     """Full-information pDP test at claim eps.
 
-    Estimates both output distributions from Poissonized samples,
+    Estimates both output distributions from Poissonized samples at the
+    rate ln(n) / (alpha^2 beta^2), beta the smallest claimed probability,
     rejects if the worst empirical log-ratio exceeds eps + 2 alpha or if
     any frequency drifts outside the claimed value's e^{+-alpha} band.
     Acceptance certifies, with probability >= 2/3, that the box satisfies
     (eps + 10 alpha)-pDP; a box whose databases match the claims exactly
-    and satisfy eps-pDP is accepted with probability >= 2/3.
+    and satisfy eps-pDP is accepted with probability >= 2/3. ``alpha`` is
+    at most ln(max float), so that e^alpha is finite.
     """
+    eps = _check("eps", eps, 0.0, _EPS_MAX)
+    alpha = _check("alpha", alpha, 0.0, _EPS_MAX, open_low=True)
     if mech.n != side.n:
         raise ValueError("mechanism universe does not match the side information")
-    claimed_min = min_mass([side.q0, side.q1])
-    if claimed_min <= 0.0:
+    beta = min_mass([side.q0, side.q1])
+    if beta <= 0.0:
         raise ValueError("claimed distributions must give every outcome positive mass")
-    if cfg.beta > claimed_min + 1e-12:
-        raise ValueError("cfg.beta exceeds the smallest claimed outcome probability")
 
-    rate = cfg.rate(mech.n)  # checks n >= 2
+    rate = _rate(mech.n, alpha, beta)
     r0, retries0 = poisson_nonzero(rate, rng)
     r1, retries1 = poisson_nonzero(rate, rng)
     x = mech.draw(0, r0)
@@ -383,7 +338,7 @@ def pdp_test_fi(
             eps_hat = math.inf
         else:
             eps_hat = float(np.abs(np.log(xf) - np.log(yf)).max())
-        band_lo, band_hi = math.exp(-cfg.alpha), math.exp(cfg.alpha)
+        band_lo, band_hi = math.exp(-alpha), math.exp(alpha)
         ratios0 = xf / side.q0.probs
         ratios1 = yf / side.q1.probs
         bands_ok = bool(
@@ -391,7 +346,7 @@ def pdp_test_fi(
             and np.all((ratios1 >= band_lo) & (ratios1 <= band_hi))
         )
 
-    threshold = cfg.eps + 2.0 * cfg.alpha
+    threshold = eps + 2.0 * alpha
     if eps_hat > threshold:
         verdict = Verdict.REJECT
     elif not bands_ok:

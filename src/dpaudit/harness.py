@@ -10,36 +10,30 @@ target's distance from the claimed parameters.
 
 Tester kinds live in one registry, ``_TESTERS``: kind -> (runner
 factory, notion). A factory reads the tester document once per
-experiment, builds and validates its configuration, and returns the
-per-trial ``run(mech, rng)``. It reads the claim and the keys its tester
-takes (``r`` for ``adp-budgeted``; ``cache_path``, ``calibration_trials``
-and ``reps`` for ``adp-fi``) and ignores any other key: the sample rates
-of ``adp-ni`` and ``pdp-fi`` are always their formulas. The notion ("aDP"
-or "pDP") selects how the target's distance from the claim is measured.
-To add a tester, add its factory and entry there; ``TESTER_KINDS`` and
-the CLI's choices follow.
+experiment and returns the per-trial ``run(mech, rng)``, which passes
+the claim and the keys its tester takes (``r`` for ``adp-budgeted``;
+``cache_path``, ``calibration_trials`` and ``reps`` for ``adp-fi``) to
+the tester as plain arguments; the tester validates them. Any other key
+is ignored: the sample rates of ``adp-ni`` and ``pdp-fi`` are always
+their formulas. The notion ("aDP" or "pDP") selects how the target's
+distance from the claim is measured. To add a tester, add its factory
+and entry there; ``TESTER_KINDS`` and the CLI's choices follow.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .distributions import delta_at_epsilon, exact_pdp_epsilon
+from .distributions import _check, _integer, delta_at_epsilon, exact_pdp_epsilon
 from .fixtures import build_fixture
-from .fullinfo import (
-    CalibrationCache,
-    FiPdpConfig,
-    adp_test_fi,
-    pdp_test_fi,
-)
+from .fullinfo import CalibrationCache, adp_test_fi, pdp_test_fi
 from .mechanisms import MechanismPair, SideInfo, mechanism_from_config
-from .noinfo import AdpNiConfig, adp_test_budgeted, adp_test_ni
+from .noinfo import adp_test_budgeted, adp_test_ni
 from .outcomes import TestOutcome
 
 #: Two-sided 95% normal quantile used for all Wilson intervals.
@@ -80,10 +74,10 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
-            raise ValueError(f"trials must be an integer >= 1; got {self.trials!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0; got {self.seed!r}")
+        self.trials = _integer("trials", self.trials)
+        _check("trials", self.trials, 1.0)
+        self.seed = _integer("seed", self.seed)
+        _check("seed", self.seed, 0.0)
         if not isinstance(self.tester, dict) or self.tester.get("kind") not in TESTER_KINDS:
             raise ValueError(f"tester must be an object whose kind is one of {TESTER_KINDS}")
         if not isinstance(self.target, dict):
@@ -146,8 +140,8 @@ def _claim(tester: dict) -> tuple[float, float, float]:
 
 
 def _adp_ni(tester: dict, mech: MechanismPair, side: SideInfo | None):
-    cfg = AdpNiConfig(mech.n, *_claim(tester))
-    return lambda mech, rng: adp_test_ni(mech, cfg, rng)
+    claim = _claim(tester)
+    return lambda mech, rng: adp_test_ni(mech, *claim, rng)
 
 
 def _adp_budgeted(tester: dict, mech: MechanismPair, side: SideInfo | None):
@@ -168,8 +162,8 @@ def _adp_fi(tester: dict, mech: MechanismPair, side: SideInfo | None):
 def _pdp_fi(tester: dict, mech: MechanismPair, side: SideInfo | None):
     if side is None:
         raise ValueError("pdp-fi needs side information")
-    cfg = FiPdpConfig.for_side(side, float(tester["eps"]), float(tester["alpha"]))
-    return lambda mech, rng: pdp_test_fi(mech, side, cfg, rng)
+    eps, alpha = float(tester["eps"]), float(tester["alpha"])
+    return lambda mech, rng: pdp_test_fi(mech, side, eps, alpha, rng)
 
 
 #: kind -> (runner factory, notion of the claim)

@@ -71,7 +71,7 @@ class MechanismPair:
         """Histogram of ``count`` fresh i.i.d. samples from database ``db``."""
         if db not in (0, 1):
             raise ValueError("db must be 0 or 1")
-        count = int(count)
+        count = _integer("count", count)
         if count < 0:
             raise ValueError("count must be >= 0")
         self.query_counter[db] += count

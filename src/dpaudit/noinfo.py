@@ -15,13 +15,14 @@ soundness follow from the statistic's concentration: E[z] is at least
 the true slack and at most the true slack plus sqrt(n / r) *
 (1 + e^{2 eps}), with variance at most (1 + e^{2 eps}) / r.
 
+The testers take the claim (eps, delta) and alpha as plain arguments
+and check them; the sample size is never an argument of ``adp_test_ni``.
 All functions are pure up to the supplied RNG and mechanism streams.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,25 +49,6 @@ def noinfo_rate(n: int, eps: float, alpha: float) -> float:
     alpha = _check("alpha", alpha, 0.0, open_low=True)
     b = 1.0 + math.exp(2.0 * eps)
     return max(4.0 * n * b * b, 12.0 * b) / (alpha * alpha)
-
-
-@dataclass
-class AdpNiConfig:
-    """Configuration for the no-information aDP tester.
-
-    The Poisson sampling rate is :func:`noinfo_rate`, which also checks
-    ``n``, ``eps`` and ``alpha``, so a claim whose rate is not finite is
-    rejected here. Both databases get the same Poisson sample count.
-    """
-
-    n: int
-    eps: float
-    delta: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        self.delta = _check("delta", self.delta, 0.0, 1.0)
-        self._rate = noinfo_rate(self.n, self.eps, self.alpha)
 
 
 def poisson_nonzero(rate: float, rng: np.random.Generator) -> tuple[int, int]:
@@ -109,21 +91,22 @@ def _statistic_outcome(
 
 
 def adp_test_ni(
-    mech: MechanismPair, cfg: AdpNiConfig, rng: np.random.Generator
+    mech: MechanismPair, eps: float, delta: float, alpha: float, rng: np.random.Generator
 ) -> TestOutcome:
     """Poissonized no-information aDP test at claim (eps, delta).
 
-    Draws the sample count r ~ Poisson(noinfo_rate), redrawing on r = 0
-    (retries are recorded in diagnostics), samples both databases, and
-    accepts iff the slack statistic stays below delta + alpha.
+    Draws the sample count r ~ Poisson(noinfo_rate(mech.n, eps, alpha)),
+    redrawing on r = 0 (retries are recorded in diagnostics), samples
+    both databases with the same r, and accepts iff the slack statistic
+    stays below delta + alpha. A claim whose rate is not finite is
+    rejected with ValueError.
     """
-    if mech.n != cfg.n:
-        raise ValueError("mechanism universe does not match config n")
-    r, retries = poisson_nonzero(cfg._rate, rng)
+    delta = _check("delta", delta, 0.0, 1.0)
+    r, retries = poisson_nonzero(noinfo_rate(mech.n, eps, alpha), rng)
     x = mech.draw(0, r)
     y = mech.draw(1, r)
     return _statistic_outcome(
-        x, y, r, cfg.eps, cfg.delta, cfg.alpha, queries=(r, r), extra={"retries": retries}
+        x, y, r, eps, delta, alpha, queries=(r, r), extra={"retries": retries}
     )
 
 

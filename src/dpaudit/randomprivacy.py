@@ -48,6 +48,7 @@ class DataDistribution:
     def __post_init__(self) -> None:
         if len(self.values) != self.entry_dist.n:
             raise ValueError("values and entry distribution must have equal length")
+        object.__setattr__(self, "db_size", _integer("db_size", self.db_size))
         _check("db_size", self.db_size, 1.0)
 
 

@@ -17,8 +17,6 @@ import numpy as np
 from dpaudit import (
     CalibrationCache,
     ExperimentConfig,
-    FiPdpConfig,
-    IdentityTesterConfig,
     SideInfo,
     adp_test_budgeted,
     adp_twopoint_fixture,
@@ -28,6 +26,7 @@ from dpaudit import (
     data_distribution,
     delta_at_epsilon,
     distinguish,
+    identity_budget,
     identity_statistic,
     leaky_mechanism,
     make_distribution,
@@ -173,8 +172,7 @@ def test_criterion_04_full_info_pdp_tester_and_sandwich():
         for _ in range(20):
             mech = base.spawn(seed=int(rng.integers(2**63)))
             side = SideInfo(*mech.truth)
-            cfg = FiPdpConfig.for_side(side, eps0, alpha_t)
-            if pdp_test_fi(mech, side, cfg, rng).accepted:
+            if pdp_test_fi(mech, side, eps0, alpha_t, rng).accepted:
                 accepted_true_eps.append(true_eps)
     accepts = len(accepted_true_eps)
     bad = sum(1 for e in accepted_true_eps if e > eps0 + 10.0 * alpha_t)
@@ -354,16 +352,16 @@ def test_criterion_09_identity_calibration_grid():
             far[1] -= alpha
         return make_distribution(q), make_distribution(far)
 
-    def rate(q, dist, cfg, threshold, rng, want_accept):
+    def rate(q, dist, budget, threshold, rng, want_accept):
         hits = 0
         for _ in range(trials):
-            r = int(rng.poisson(cfg.sample_budget))
+            r = int(rng.poisson(budget))
             counts = (
                 rng.multinomial(r, dist.probs)
                 if r > 0
                 else np.zeros(q.n, dtype=np.int64)
             )
-            accepted = identity_statistic(q, counts, cfg.sample_budget) < threshold
+            accepted = identity_statistic(q, counts, budget) < threshold
             hits += accepted if want_accept else not accepted
         return hits / trials
 
@@ -372,10 +370,10 @@ def test_criterion_09_identity_calibration_grid():
         (kind, n) for kind in ("uniform", "twopoint") for n in (2, 16, 256)
     ):
         q, far = null_and_far(kind, n)
-        cfg = IdentityTesterConfig.for_universe(n, alpha)
-        threshold = cache.threshold_for(q, cfg)
-        accept = rate(q, q, cfg, threshold, np.random.default_rng([0, idx, 0]), True)
-        reject = rate(q, far, cfg, threshold, np.random.default_rng([0, idx, 1]), False)
+        budget = identity_budget(n, alpha)
+        threshold = cache.threshold_for(q, alpha)
+        accept = rate(q, q, budget, threshold, np.random.default_rng([0, idx, 0]), True)
+        reject = rate(q, far, budget, threshold, np.random.default_rng([0, idx, 1]), False)
         worst = min(worst, accept, reject)
     _report(
         9,

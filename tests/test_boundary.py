@@ -13,16 +13,16 @@ from hypothesis import strategies as st
 
 from dpaudit import (
     FIXTURE_NAMES,
-    AdpNiConfig,
+    CalibrationCache,
     CertificationError,
+    DiscreteDistribution,
     ExperimentConfig,
-    FiPdpConfig,
-    IdentityTesterConfig,
     PrivacyParams,
     SideInfo,
     adp_lowfreq_fixture,
     adp_test_budgeted,
     adp_test_fi,
+    adp_test_ni,
     adp_twopoint_fixture,
     amplification_reps,
     brute_force_delta,
@@ -34,12 +34,14 @@ from dpaudit import (
     fi_pdp_fixture,
     identity_budget,
     leaky_mechanism,
+    make_distribution,
     mechanism_from_config,
     noinfo_rate,
     pdp_test_fi,
     pdp_unverifiable_fixture,
     random_privacy_test,
     randomized_response,
+    sample_neighbor_pair,
     sweep,
     tight_perturbation,
     trial_count,
@@ -67,7 +69,7 @@ def test_adp_test_fi_rejects_nan_eps():
 
 def test_pdp_test_fi_rejects_nan_eps():
     with pytest.raises(ValueError, match="eps"):
-        pdp_test_fi(RR, RR_SIDE, FiPdpConfig.for_side(RR_SIDE, NAN, 0.2), rng())
+        pdp_test_fi(RR, RR_SIDE, NAN, 0.2, rng())
 
 
 @pytest.mark.parametrize(
@@ -82,7 +84,8 @@ def test_adp_test_budgeted_rejects_bad_claim(eps, delta, alpha, name):
 
 def test_adp_ni_config_rejects_nan_eps():
     with pytest.raises(ValueError, match="eps"):
-        AdpNiConfig(n=2, eps=NAN, delta=0.0, alpha=0.3)
+        adp_test_ni(RR, NAN, 0.0, 0.3, rng())
+    assert RR.query_counter == [0, 0]
 
 
 def test_noinfo_rate_overflow_is_value_error():
@@ -120,13 +123,22 @@ def test_random_privacy_test_checks_claim_with_explicit_sizes():
 
 def test_fi_pdp_config_rejects_alpha_whose_exponential_overflows():
     with pytest.raises(ValueError, match="alpha"):
-        FiPdpConfig(eps=0.5, alpha=800.0, beta=0.25)
+        pdp_test_fi(RR, RR_SIDE, 0.5, 800.0, rng())
 
 
 def test_fi_pdp_rate_with_underflowing_beta_is_value_error():
-    # beta^2 underflows to zero, so the rate formula would divide by zero
-    with pytest.raises(ValueError, match="rate"):
-        FiPdpConfig(eps=0.5, alpha=0.3, beta=1e-170).rate(2)
+    # beta, the smallest claimed mass, squares to zero, so the rate formula
+    # would divide by zero; the error names the rate, as the CLI prints it
+    tiny = DiscreteDistribution(np.array([1.0, 1e-170]))
+    with pytest.raises(ValueError, match=r"^rate must lie in \(0, "):
+        pdp_test_fi(RR, SideInfo(tiny, RR.truth[1]), 0.5, 0.3, rng())
+    assert RR.query_counter == [0, 0]
+
+
+def test_identity_budget_cap():
+    # a Poisson rate numpy can draw and cache keys can pack as an int64
+    with pytest.raises(ValueError, match="^sample_budget must lie in "):
+        identity_budget(1, 1e-10)
 
 
 # -- CLI-level regressions
@@ -248,7 +260,9 @@ def test_sweep_checks_swept_trials_and_seed(tmp_path):
         target={"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}},
         trials=1,
     )
-    for parameter, value in (("trials", NAN), ("trials", 0.5), ("seed", -1), ("seed", 1e308)):
+    for parameter, value in (
+        ("trials", NAN), ("trials", 0.5), ("seed", -1), ("seed", 1e308), ("seed", 10**400)
+    ):
         with pytest.raises(ValueError, match=parameter):
             sweep(base, parameter, [value])
 
@@ -417,12 +431,19 @@ def test_cli_fuzz_exit_codes(fuzz_files, capsys):
 EXTREMES = (NAN, math.inf, -math.inf, -1.0, 0.0, 0.05, 0.3, 0.9, 800.0, 1e308)
 x = st.sampled_from(EXTREMES)
 small_int = st.sampled_from((-1, 0, 1, 2, 3, 18))
+# counts as documents and callers pass them: only 2.0 and 18 are whole
+count = st.sampled_from((NAN, math.inf, -1.0, 0.0, 2.0, 2.5, 18, True, "3", None))
+# the smallest claimed mass of a pDP side, down to one whose square underflows
+mass = st.sampled_from((-1.0, 0.0, 1e-170, 0.05, 0.3, 0.9, 1.5))
 LEAKY = leaky_mechanism(0.3, seed=1)
 CONSTRUCTORS = {
     "PrivacyParams": (lambda e, d, g, w: PrivacyParams(e, d, g, w, "RaDP"), (x, x, x, x)),
-    "AdpNiConfig": (lambda n, e, d, a: AdpNiConfig(n, e, d, a), (small_int, x, x, x)),
-    "FiPdpConfig": (lambda e, a, b: FiPdpConfig(e, a, b).rate(2), (x, x, x)),
-    "IdentityTesterConfig": (IdentityTesterConfig.for_universe, (small_int, x)),
+    "adp_test_ni": (lambda e, d, a: adp_test_ni(LEAKY.spawn(4), e, d, a, rng()), (x, x, x)),
+    "pdp_test_fi_min_mass": (lambda e, a, b: pdp_test_fi(
+        RR.spawn(5), SideInfo(make_distribution([1.0 - b, b]), RR.truth[1]), e, a, rng()),
+        (x, x, mass)),
+    "threshold_for": (lambda n, a: CalibrationCache().threshold_for(
+        make_distribution([1.0] * n), a, 100), (small_int, x)),
     "identity_budget": (identity_budget, (small_int, x)),
     "trial_count": (trial_count, (x, x, x)),
     "amplification_reps": (amplification_reps, (x, x)),
@@ -433,8 +454,9 @@ CONSTRUCTORS = {
     "counts_tester": (lambda e, d, a: counts_tester(e, d, a)([2, 1], [0, 3], 3), (x, x, x)),
     "adp_test_fi": (lambda e, d, a: adp_test_fi(RR.spawn(2), RR_SIDE, e, d, a, rng(),
                                                 calibration_trials=100, reps=3), (x, x, x)),
-    "pdp_test_fi": (lambda e, a: pdp_test_fi(
-        RR.spawn(3), RR_SIDE, FiPdpConfig.for_side(RR_SIDE, e, a), rng()), (x, x)),
+    "pdp_test_fi": (lambda e, a: pdp_test_fi(RR.spawn(3), RR_SIDE, e, a, rng()), (x, x)),
+    "data_distribution": (lambda s: sample_neighbor_pair(
+        data_distribution([0, 1], db_size=s), rng()), (count,)),
     "truncated_geometric": (lambda e, n: truncated_geometric(e, n), (x, small_int)),
     "randomized_response": (randomized_response, (x,)),
     "leaky_mechanism": (lambda d, n: leaky_mechanism(d, n), (x, small_int)),

@@ -286,6 +286,15 @@ def test_calibrate_null_file_size_mismatch(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_calibrate_budget_cap_exits_1(capsys):
+    # 6 sqrt(1) / 1e-20 samples: above the int64 Poisson rate numpy draws
+    code, cap = run(capsys, ["calibrate", "--n", "1", "--alpha", "1e-10"])
+    assert code == 1
+    assert cap.err == (
+        "error: sample_budget must lie in [1, 4.61169e+18]; got 600000000000000000000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -343,6 +352,18 @@ def test_sweep_verb(capsys, tmp_path):
     assert lines[2].startswith("0.3,")
     # tighter alpha needs more samples
     assert float(lines[2].split(",")[5]) > float(lines[1].split(",")[5])
+
+    # a swept integral float runs as its integer, as it does in the file
+    argv = ["sweep", "--config", config, "--parameter", "trials", "--values", "2.0,2"]
+    code, cap = run(capsys, argv)
+    assert code == 0
+    rows = cap.out.splitlines()
+    assert rows[1].startswith("2.0,") and rows[2].startswith("2,")
+    assert rows[1].split(",")[1:] == rows[2].split(",")[1:]
+    argv[-1] = "2.5"
+    code, cap = run(capsys, argv)
+    assert code == 1
+    assert cap.err == "error: trials must be an integer; got 2.5\n"
 
 
 def test_sweep_unknown_parameter(capsys, tmp_path):

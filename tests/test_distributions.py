@@ -193,7 +193,9 @@ def test_integer_check():
     assert _integer("n", 18.0) == 18 and type(_integer("n", 18.0)) is int
     assert _integer("n", np.int64(4)) == 4
     assert _integer("n", 2**70) == 2**70
-    for bad in (18.5, math.nan, math.inf, None, "3", True, [2]):
+    assert _integer("n", 2.0**53) == 2**53
+    # above 2^53 a float cannot say which integer it means
+    for bad in (18.5, math.nan, math.inf, None, "3", True, [2], 2.0**53 + 2, 1e308):
         with pytest.raises(ValueError, match=r"^n must be an integer; got "):
             _integer("n", bad)
 

@@ -10,8 +10,6 @@ import pytest
 from dpaudit import (
     CalibrationCache,
     ExperimentConfig,
-    FiPdpConfig,
-    IdentityTesterConfig,
     SideInfo,
     Verdict,
     adp_test_fi,
@@ -88,27 +86,27 @@ def test_identity_statistic_validation():
 
 
 def test_calibration_contract():
-    cfg = IdentityTesterConfig.for_universe(2, 0.3)
+    budget = identity_budget(2, 0.3)
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError):
-        calibrate_identity_threshold(UNIFORM2, cfg, 99, rng)
-    threshold = calibrate_identity_threshold(UNIFORM2, cfg, 2000, rng)
+        calibrate_identity_threshold(UNIFORM2, 0.3, 99, rng)
+    threshold = calibrate_identity_threshold(UNIFORM2, 0.3, 2000, rng)
     assert math.isfinite(threshold)
 
     # realized null acceptance should clear the calibrated confidence
     accepts = 0
     check = np.random.default_rng(6)
     for _ in range(600):
-        counts = check.poisson(cfg.sample_budget * UNIFORM2.probs)
-        if identity_statistic(UNIFORM2, counts, cfg.sample_budget) < threshold:
+        counts = check.poisson(budget * UNIFORM2.probs)
+        if identity_statistic(UNIFORM2, counts, budget) < threshold:
             accepts += 1
     assert accepts / 600 >= IDENTITY_CONFIDENCE - 0.05
 
 
-def one_shot_calibration(q, cfg, trials, rng):
+def one_shot_calibration(q, alpha, trials, rng):
     """Reference calibration: every null row in one unblocked draw over q's support."""
     support = q.probs > 0.0
-    means = cfg.sample_budget * q.probs[support]
+    means = identity_budget(q.n, alpha) * q.probs[support]
     counts = rng.poisson(means, size=(trials, means.size))
     stats = (((counts - means) ** 2 - counts) / means).sum(axis=1)
     se = math.sqrt(IDENTITY_CONFIDENCE * (1.0 - IDENTITY_CONFIDENCE) / trials)
@@ -120,10 +118,9 @@ def one_shot_calibration(q, cfg, trials, rng):
 @pytest.mark.parametrize("probs", [[1.0] * 64, [0.5, 0.0, 0.25, 0.0, 0.25]])
 def test_blocked_calibration_equals_one_shot(trials, probs):
     q = make_distribution(probs)
-    cfg = IdentityTesterConfig.for_universe(q.n, 0.3)
     blocked_rng, reference_rng = np.random.default_rng(trials), np.random.default_rng(trials)
-    blocked = calibrate_identity_threshold(q, cfg, trials, blocked_rng)
-    assert blocked == one_shot_calibration(q, cfg, trials, reference_rng)
+    blocked = calibrate_identity_threshold(q, 0.3, trials, blocked_rng)
+    assert blocked == one_shot_calibration(q, 0.3, trials, reference_rng)
     assert blocked_rng.random() == reference_rng.random()
 
 
@@ -131,7 +128,7 @@ def test_identity_test_requires_calibration():
     # the identity stage refuses to sample without a finite threshold
     mech = randomized_response(0.25)
     cache = CalibrationCache()
-    cache.threshold_for = lambda q, cfg, trials=None: math.nan
+    cache.threshold_for = lambda q, alpha, trials=None: math.nan
     with pytest.raises(ValueError, match="not finite"):
         adp_test_fi(mech, SideInfo(*mech.truth), math.log(3.0), 0.0, 0.3,
                     np.random.default_rng(0), cache=cache)
@@ -140,36 +137,33 @@ def test_identity_test_requires_calibration():
 
 def test_cache_is_deterministic_and_persistent(tmp_path):
     path = tmp_path / "thresholds.json"
-    cfg = IdentityTesterConfig.for_universe(2, 0.4)
-    first = CalibrationCache(path).threshold_for(UNIFORM2, cfg)
-    second = CalibrationCache(path).threshold_for(UNIFORM2, cfg)
+    first = CalibrationCache(path).threshold_for(UNIFORM2, 0.4)
+    second = CalibrationCache(path).threshold_for(UNIFORM2, 0.4)
     assert first == second
     assert path.exists()
     # memory-only caches agree too: the RNG is seeded from the cache key
-    third = CalibrationCache().threshold_for(UNIFORM2, cfg)
+    third = CalibrationCache().threshold_for(UNIFORM2, 0.4)
     assert third == first
     # different trial count, different key
-    fourth = CalibrationCache().threshold_for(UNIFORM2, cfg, 4000)
+    fourth = CalibrationCache().threshold_for(UNIFORM2, 0.4, 4000)
     assert fourth != first
 
 
 def test_cache_treats_unreadable_file_as_empty(tmp_path):
     path = tmp_path / "thresholds.json"
-    cfg = IdentityTesterConfig.for_universe(2, 0.4)
-    expected = CalibrationCache().threshold_for(UNIFORM2, cfg)
+    expected = CalibrationCache().threshold_for(UNIFORM2, 0.4)
     for text in ('{"abc": 1.0, ', "[1.0]", '{"abc": "x"}', "\xff"):
         path.write_text(text)
         with pytest.warns(UserWarning, match="calibration cache"):
             cache = CalibrationCache(path)
-        assert cache.threshold_for(UNIFORM2, cfg) == expected
+        assert cache.threshold_for(UNIFORM2, 0.4) == expected
         # the rewritten file is a valid table again
         assert list(json.loads(path.read_text()).values()) == [expected]
 
 
 def test_cache_write_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "thresholds.json"
-    cfg = IdentityTesterConfig.for_universe(2, 0.4)
-    CalibrationCache(path).threshold_for(UNIFORM2, cfg)
+    CalibrationCache(path).threshold_for(UNIFORM2, 0.4)
     before = path.read_bytes()
 
     def interrupted(src, dst):
@@ -177,7 +171,7 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fullinfo.os, "replace", interrupted)
     with pytest.raises(OSError):
-        CalibrationCache(path).threshold_for(UNIFORM2, cfg, 4000)
+        CalibrationCache(path).threshold_for(UNIFORM2, 0.4, 4000)
     # the old table is intact and no temporary file is left behind
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
@@ -188,9 +182,9 @@ def counted_calibrations(monkeypatch):
     calls = []
     calibrate = fullinfo.calibrate_identity_threshold
 
-    def counting(q, cfg, trials, rng):
+    def counting(q, alpha, trials, rng):
         calls.append(q)
-        return calibrate(q, cfg, trials, rng)
+        return calibrate(q, alpha, trials, rng)
 
     monkeypatch.setattr(fullinfo, "calibrate_identity_threshold", counting)
     return calls
@@ -202,16 +196,15 @@ def test_cache_calibrates_a_claim_and_its_permutation_once(tmp_path, monkeypatch
     path = tmp_path / "thresholds.json"
     q = make_distribution([0.05, 0.6, 0.15, 0.2])
     permuted = make_distribution(q.probs[[2, 0, 3, 1]])
-    cfg = IdentityTesterConfig.for_universe(q.n, 0.3)
     cache = CalibrationCache(path)
     first, second = (q, permuted) if claim_first else (permuted, q)
-    threshold = cache.threshold_for(first, cfg, 500)
-    assert cache.threshold_for(second, cfg, 500) == threshold
+    threshold = cache.threshold_for(first, 0.3, 500)
+    assert cache.threshold_for(second, 0.3, 500) == threshold
     assert len(calls) == 1
     assert np.array_equal(calls[0].probs, np.sort(q.probs))
     # one persisted entry serves the pair, also in a fresh process
     assert list(json.loads(path.read_text()).values()) == [threshold]
-    assert CalibrationCache(path).threshold_for(q, cfg, 500) == threshold
+    assert CalibrationCache(path).threshold_for(q, 0.3, 500) == threshold
     assert len(calls) == 1
 
 
@@ -254,24 +247,24 @@ def test_adp_fi_on_a_mirrored_ladder_calibrates_once_at_any_eps(monkeypatch, eps
 def test_sorted_threshold_keeps_null_acceptance_of_an_unsorted_claim(probs):
     # the cache simulates in sorted bin order; score nulls in q's own order
     q = make_distribution(probs)
-    cfg = IdentityTesterConfig.for_universe(q.n, 0.3)
-    threshold = CalibrationCache().threshold_for(q, cfg)
-    counts = np.random.default_rng(7).poisson(cfg.sample_budget * q.probs, size=(4000, q.n))
-    accepted = identity_statistic(q, counts, cfg.sample_budget) < threshold
+    budget = identity_budget(q.n, 0.3)
+    threshold = CalibrationCache().threshold_for(q, 0.3)
+    counts = np.random.default_rng(7).poisson(budget * q.probs, size=(4000, q.n))
+    accepted = identity_statistic(q, counts, budget) < threshold
     assert accepted.mean() >= IDENTITY_CONFIDENCE - 0.05
 
 
 def per_rep_adp_fi(mech, side, alpha, rng, reps):
     """Reference identity stage of adp_test_fi: one histogram and test per rep."""
     cache = CalibrationCache()
-    cfg = IdentityTesterConfig.for_universe(mech.n, alpha)
+    budget = identity_budget(mech.n, alpha)
     fractions, thresholds = [], []
     for db, q in ((0, side.q0), (1, side.q1)):
-        threshold = cache.threshold_for(q, cfg)
+        threshold = cache.threshold_for(q, alpha)
         rejections = 0
         for _ in range(reps):
-            counts = mech.draw(db, int(rng.poisson(cfg.sample_budget)))
-            rejections += bool(identity_statistic(q, counts, cfg.sample_budget) >= threshold)
+            counts = mech.draw(db, int(rng.poisson(budget)))
+            rejections += bool(identity_statistic(q, counts, budget) >= threshold)
         fractions.append(rejections / reps)
         thresholds.append(threshold)
     return tuple(fractions), tuple(thresholds), tuple(mech.query_counter)
@@ -383,29 +376,23 @@ def test_adp_fi_validation():
 
 
 def test_fi_pdp_config():
-    side = SideInfo(make_distribution([1, 3]), make_distribution([3, 1]))
-    cfg = FiPdpConfig.for_side(side, 1.0, 0.5)
-    assert cfg.beta == pytest.approx(0.25)
-    # ln(n) / (alpha^2 beta^2)
-    assert cfg.rate(2) == pytest.approx(math.log(2) / (0.5**2 * 0.25**2))
-    with pytest.raises(ValueError):
-        FiPdpConfig(eps=-1.0, alpha=0.5, beta=0.25)
-    with pytest.raises(ValueError):
-        FiPdpConfig(eps=1.0, alpha=0.5, beta=0.0)
-    with pytest.raises(ValueError):
+    mech = randomized_response(0.25)
+    side = SideInfo(*mech.truth)
+    out = pdp_test_fi(mech, side, 1.0, 0.5, np.random.default_rng(0))
+    # ln(n) / (alpha^2 beta^2), beta the smallest claimed probability 0.25
+    assert out.diagnostics["rate"] == pytest.approx(math.log(2) / (0.5**2 * 0.25**2))
+    with pytest.raises(ValueError, match="eps"):
+        pdp_test_fi(mech, side, -1.0, 0.5, np.random.default_rng(0))
+    zero = SideInfo(make_distribution([1.0, 0.0]), make_distribution([1, 1]))
+    with pytest.raises(ValueError, match="positive mass"):
         # a claimed distribution with a zero entry has no usable beta
-        FiPdpConfig.for_side(
-            SideInfo(make_distribution([1.0, 0.0, 1.0]), make_distribution([1, 1, 1])),
-            1.0,
-            0.5,
-        )
+        pdp_test_fi(mech, zero, 1.0, 0.5, np.random.default_rng(0))
 
 
 def test_fi_pdp_accepts_honest_randomized_response():
     mech = randomized_response(0.25, seed=7)
     side = SideInfo(*mech.truth)
-    cfg = FiPdpConfig.for_side(side, math.log(3.0), 0.1)
-    out = pdp_test_fi(mech, side, cfg, np.random.default_rng(8))
+    out = pdp_test_fi(mech, side, math.log(3.0), 0.1, np.random.default_rng(8))
     assert out.verdict is Verdict.ACCEPT
     assert out.statistic <= math.log(3.0) + 0.2
     assert out.queries_used == out.diagnostics["r"]
@@ -423,8 +410,7 @@ def test_fi_pdp_rejects_off_claim_frequencies():
     )
     claimed = randomized_response(0.25)
     side = SideInfo(*claimed.truth)
-    cfg = FiPdpConfig.for_side(side, math.log(3.0), 0.1)
-    out = pdp_test_fi(mech, side, cfg, np.random.default_rng(10))
+    out = pdp_test_fi(mech, side, math.log(3.0), 0.1, np.random.default_rng(10))
     assert out.verdict is Verdict.REJECT
     assert not out.diagnostics["bands_ok"]
 
@@ -440,15 +426,13 @@ def test_fi_pdp_zero_count_means_infinite_estimate():
         seed=11,
     )
     side = SideInfo(*randomized_response(0.25).truth)
-    cfg = FiPdpConfig(eps=math.log(3.0), alpha=0.1, beta=0.25)
-    out = pdp_test_fi(mech, side, cfg, np.random.default_rng(12))
+    out = pdp_test_fi(mech, side, math.log(3.0), 0.1, np.random.default_rng(12))
     assert out.statistic == math.inf
     assert out.verdict is Verdict.REJECT
 
 
 def test_fi_pdp_validation():
     mech = randomized_response(0.25)
-    side = SideInfo(*mech.truth)
-    cfg = FiPdpConfig(eps=1.0, alpha=0.1, beta=0.5)  # beta above min mass 0.25
-    with pytest.raises(ValueError):
-        pdp_test_fi(mech, side, cfg, np.random.default_rng(0))
+    side = SideInfo(make_distribution([1, 1, 1]), make_distribution([1, 1, 1]))
+    with pytest.raises(ValueError, match="universe"):
+        pdp_test_fi(mech, side, 1.0, 0.1, np.random.default_rng(0))

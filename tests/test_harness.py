@@ -54,6 +54,13 @@ def test_wilson_interval_brackets_noisier_rates():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(tester=NI_TESTER, target=RR_TARGET, trials=0)
+    # trials and seed pass the package's one integer check
+    for field, bad in (("trials", True), ("trials", 2.5), ("trials", "2"), ("seed", False)):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ExperimentConfig(tester=NI_TESTER, target=RR_TARGET, **{"trials": 1, field: bad})
+    cfg = ExperimentConfig(tester=NI_TESTER, target=RR_TARGET, trials=2.0, seed=np.int64(3))
+    assert (cfg.trials, cfg.seed) == (2, 3)
+    assert type(cfg.trials) is int and type(cfg.seed) is int
     with pytest.raises(ValueError):
         ExperimentConfig(tester={"kind": "bogus"}, target=RR_TARGET, trials=1)
 

@@ -62,6 +62,21 @@ def test_draw_validation():
         mech.draw(0, -1)
 
 
+def test_draw_count_is_a_whole_number():
+    # a fractional, string or boolean count is rejected, not truncated
+    mech = randomized_response(0.1)
+    for bad in (2.5, "3", True, math.nan):
+        with pytest.raises(ValueError, match="^count must be an integer"):
+            mech.draw(0, bad)
+    assert mech.query_counter == [0, 0]
+    # an integral float and a numpy integer draw like the int
+    for count in (2.0, np.int64(2)):
+        ref = randomized_response(0.1, seed=3)
+        fresh = randomized_response(0.1, seed=3)
+        assert np.array_equal(fresh.draw(0, count), ref.draw(0, 2))
+        assert fresh.query_counter == [2, 0]
+
+
 @pytest.mark.parametrize(
     "make", [lambda: truncated_geometric(0.5, 6, seed=4), lambda: leaky_mechanism(0.2, 5, seed=4)]
 )

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dpaudit import (
-    AdpNiConfig,
     Verdict,
     adp_test_budgeted,
     adp_test_ni,
@@ -53,17 +52,16 @@ def test_statistic_worked_example():
 
 def test_config_defaults_and_validation():
     # the tester samples at the formula rate: the same stream, the same r
-    cfg = AdpNiConfig(n=2, eps=0.1, delta=0.0, alpha=0.1)
-    out = adp_test_ni(randomized_response(0.25), cfg, np.random.default_rng(0))
+    mech = randomized_response(0.25)
+    out = adp_test_ni(mech, 0.1, 0.0, 0.1, np.random.default_rng(0))
     r, _retries = poisson_nonzero(noinfo_rate(2, 0.1, 0.1), np.random.default_rng(0))
     assert out.diagnostics["r"] == (r, r)
-    with pytest.raises(ValueError):
-        AdpNiConfig(n=0, eps=0.0, delta=0.0, alpha=0.1)
-    with pytest.raises(ValueError):
-        AdpNiConfig(n=2, eps=0.0, delta=1.5, alpha=0.1)
-    with pytest.raises(ValueError):
+    # delta is checked first, so a claim with several bad values names it
+    with pytest.raises(ValueError, match="^delta"):
+        adp_test_ni(mech, math.nan, 1.5, 0.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="noinfo_rate"):
         # a claim whose rate is not finite
-        AdpNiConfig(n=2, eps=400.0, delta=0.0, alpha=0.1)
+        adp_test_ni(mech, 400.0, 0.0, 0.1, np.random.default_rng(0))
 
 
 def test_poisson_nonzero_never_returns_zero():
@@ -87,8 +85,7 @@ def test_poissonized_histogram_counts_match_r():
 def test_accepts_private_mechanism():
     # randomized response meets its own (ln 3, 0) claim exactly
     mech = randomized_response(0.25, seed=11)
-    cfg = AdpNiConfig(n=2, eps=math.log(3.0), delta=0.0, alpha=0.2)
-    out = adp_test_ni(mech, cfg, np.random.default_rng(0))
+    out = adp_test_ni(mech, math.log(3.0), 0.0, 0.2, np.random.default_rng(0))
     assert out.verdict is Verdict.ACCEPT
     assert out.statistic < out.threshold
     assert out.queries_used == (out.diagnostics["r"][0], out.diagnostics["r"][1])
@@ -97,8 +94,7 @@ def test_accepts_private_mechanism():
 def test_rejects_blatant_leak():
     # slack is 0.5 at every eps; threshold here is 0 + 0.2
     mech = leaky_mechanism(0.5, seed=4)
-    cfg = AdpNiConfig(n=3, eps=0.0, delta=0.0, alpha=0.2)
-    out = adp_test_ni(mech, cfg, np.random.default_rng(1))
+    out = adp_test_ni(mech, 0.0, 0.0, 0.2, np.random.default_rng(1))
     assert out.verdict is Verdict.REJECT
 
 
@@ -114,13 +110,6 @@ def test_reverse_leak_is_caught():
     assert out_two.verdict is Verdict.REJECT
     assert out_two.statistic == pytest.approx(0.3)
     assert out_two.diagnostics["z_reverse"] == pytest.approx(0.3)
-
-
-def test_universe_mismatch_rejected():
-    mech = leaky_mechanism(0.2, n=4)
-    cfg = AdpNiConfig(n=3, eps=0.0, delta=0.0, alpha=0.2)
-    with pytest.raises(ValueError):
-        adp_test_ni(mech, cfg, np.random.default_rng(0))
 
 
 def test_budgeted_variant_uses_exactly_r():

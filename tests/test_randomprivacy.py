@@ -50,6 +50,12 @@ def test_data_distribution_validation():
         DataDistribution(("a",), make_distribution([1, 1]))
     with pytest.raises(ValueError):
         data_distribution(["a"], db_size=0)
+    # db_size is a whole number: rejected when built, not when sampled
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="^db_size must be an integer"):
+            data_distribution([0, 1], db_size=bad)
+    dd = data_distribution([0, 1], db_size=2.0)
+    assert dd.db_size == 2 and type(dd.db_size) is int
 
 
 def test_neighbor_pairs_differ_in_first_entry_only():
