@@ -34,10 +34,9 @@ def main() -> None:
     trials = 40
     for source_db in (0, 1):
         for trial in range(trials):
-            rng = np.random.default_rng([source_db, trial])
             mech = fixture.far_instance.spawn(seed=100 * source_db + trial + 1)
             unknown = mech.draw(source_db, r)
-            correct[source_db] += distinguish(tester, mech, unknown, r, rng) == source_db
+            correct[source_db] += distinguish(tester, mech, unknown) == source_db
     print(f"distinguishing the far pair's databases at budget {r}:")
     print(f"  correct {correct[0]}/{trials} when sampling database 0, "
           f"{correct[1]}/{trials} when sampling database 1")

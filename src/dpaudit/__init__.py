@@ -70,7 +70,6 @@ from .noinfo import (
 from .outcomes import TestOutcome, Verdict
 from .randomprivacy import (
     DataDistribution,
-    MechanismFamily,
     amplification_reps,
     constant_family,
     data_distribution,
@@ -133,7 +132,6 @@ __all__ = [
     "TestOutcome",
     "Verdict",
     "DataDistribution",
-    "MechanismFamily",
     "amplification_reps",
     "constant_family",
     "data_distribution",

@@ -470,29 +470,22 @@ def tight_perturbation(
     return q0, q1, info
 
 
-def distinguish(
-    tester,
-    mech: MechanismPair,
-    unknown_db_samples: np.ndarray,
-    r: int,
-    rng: np.random.Generator,
-) -> int:
+def distinguish(tester, mech: MechanismPair, unknown_db_samples: np.ndarray) -> int:
     """Decide which database a batch of samples came from.
 
-    Verification implies distinguishing: draw a fresh reference batch
+    Verification implies distinguishing: draw a same-size reference batch
     from database 0 and hand (unknown, reference) to a two-histogram
     tester as if they were a mechanism's two databases. Samples from
     database 0 form an identical pair (accept, return 0); samples from
     database 1 of a far pair recreate the violation (reject, return 1).
 
-    ``tester`` is a counts-level decision function
-    ``tester(x, y, r, rng) -> TestOutcome`` with per-database budget r.
+    ``tester`` is a counts-level decision function ``tester(x, y, r) ->
+    TestOutcome`` (:func:`noinfo.counts_tester`); its per-database budget
+    r is the size of the unknown batch.
     """
     counts = np.asarray(unknown_db_samples)
-    if int(counts.sum()) != r:
-        raise ValueError("unknown sample count does not match the budget r")
-    reference = mech.draw(0, r)
-    outcome = tester(counts, reference, r, rng)
+    r = int(counts.sum())
+    outcome = tester(counts, mech.draw(0, r), r)
     return 0 if outcome.accepted else 1
 
 

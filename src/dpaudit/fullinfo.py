@@ -233,7 +233,6 @@ def adp_test_fi(
     rng: np.random.Generator,
     cache: CalibrationCache | None = None,
     calibration_trials: int | None = None,
-    reps: int | None = None,
 ) -> TestOutcome:
     """Full-information aDP test at claim (eps, delta).
 
@@ -264,8 +263,6 @@ def adp_test_fi(
         )
 
     cache = cache if cache is not None else CalibrationCache()
-    k = SUBTEST_REPS if reps is None else _integer("reps", reps)
-    _check("reps", k, 1.0)
     budget = identity_budget(mech.n, alpha)
     before = tuple(mech.query_counter)
     fractions = []
@@ -274,10 +271,10 @@ def adp_test_fi(
         threshold = cache.threshold_for(q, alpha, calibration_trials)
         if not math.isfinite(threshold):
             raise ValueError("identity threshold is not finite")
-        # k Poissonized identity tests, drawn and scored as one block
-        sizes = rng.poisson(budget, size=k)
+        # SUBTEST_REPS Poissonized identity tests, drawn and scored as one block
+        sizes = rng.poisson(budget, size=SUBTEST_REPS)
         stats = identity_statistic(q, mech.draw_many(db, sizes), budget)
-        fractions.append(int(np.count_nonzero(stats >= threshold)) / k)
+        fractions.append(int(np.count_nonzero(stats >= threshold)) / SUBTEST_REPS)
         thresholds.append(threshold)
     after = tuple(mech.query_counter)
 
@@ -294,7 +291,7 @@ def adp_test_fi(
             "rejection_fractions": tuple(fractions),
             "identity_thresholds": tuple(thresholds),
             "sample_budget": budget,
-            "reps": k,
+            "reps": SUBTEST_REPS,
         },
     )
 

@@ -9,13 +9,14 @@ the accept rate with a Wilson interval and the mean query count at the
 target's distance from the claimed parameters.
 
 Tester kinds live in one registry, ``_TESTERS``: kind -> (runner
-factory, notion). A factory reads the tester document once per
-experiment and returns the per-trial ``run(mech, rng)``, which passes
-the claim and the keys its tester takes (``r`` for ``adp-budgeted``;
-``cache_path``, ``calibration_trials`` and ``reps`` for ``adp-fi``) to
-the tester as plain arguments; the tester validates them. Any other key
-is ignored: the sample rates of ``adp-ni`` and ``pdp-fi`` are always
-their formulas. The notion ("aDP" or "pDP") selects how the target's
+factory, notion). A factory reads the tester document and the side
+information once per experiment and returns the per-trial ``run(mech,
+rng)``, which passes the claim and the keys its tester takes (``r`` for
+``adp-budgeted``; ``cache_path`` and ``calibration_trials`` for
+``adp-fi``) to the tester as plain arguments; the tester validates them.
+Any other key is ignored: the sample rates of ``adp-ni`` and ``pdp-fi``
+are always their formulas, and ``adp-fi`` always runs ``SUBTEST_REPS``
+identity reps. The notion ("aDP" or "pDP") selects how the target's
 distance from the claim is measured. To add a tester, add its factory
 and entry there; ``TESTER_KINDS`` and the CLI's choices follow.
 """
@@ -39,19 +40,17 @@ from .outcomes import TestOutcome
 #: Two-sided 95% normal quantile used for all Wilson intervals.
 Z95 = 1.959963984540054
 
-def wilson_interval(
-    successes: int, trials: int, z: float = Z95
-) -> tuple[float, float]:
-    """Wilson score interval; its bound is exactly 0 (1) at 0 (all) successes."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval; its bound is exactly 0 (1) at 0 (all) successes."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (0 <= successes <= trials):
         raise ValueError("successes must lie in [0, trials]")
     phat = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = phat + z2 / (2.0 * trials)
-    spread = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
+    spread = Z95 * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
     low = 0.0 if successes == 0 else (center - spread) / denom
     high = 1.0 if successes == trials else (center + spread) / denom
     return low, high
@@ -98,16 +97,15 @@ class OperatingCharacteristic:
     grid: tuple[OCRow, ...] = field(default_factory=tuple)
 
 
-def _resolve_target(target: dict, seed: int):
-    """Target spec -> (base mechanism, side info or None, truth pair)."""
+def _resolve_target(target: dict):
+    """Target spec -> (base mechanism, side info or None); trials draw from spawns."""
     if "mechanism" in target:
-        spec = target["mechanism"]
-        mech = spec if isinstance(spec, MechanismPair) else mechanism_from_config(spec, seed=seed)
+        mech = mechanism_from_config(target["mechanism"])
     elif "fixture" in target:
         fx = target["fixture"]
         if not isinstance(fx, dict):
             raise ValueError(f"target fixture must be an object; got {fx!r}")
-        pair, claimed_side = build_fixture(fx["name"], fx.get("params", {}), seed=seed)
+        pair, claimed_side = build_fixture(fx["name"], fx.get("params", {}))
         instance = fx.get("instance", "private")
         if instance not in ("private", "far"):
             raise ValueError("fixture instance must be 'private' or 'far'")
@@ -124,8 +122,6 @@ def _resolve_target(target: dict, seed: int):
         side = None
     elif side_spec == "truth":
         side = SideInfo(mech.truth[0], mech.truth[1])
-    elif isinstance(side_spec, SideInfo):
-        side = side_spec
     elif isinstance(side_spec, dict):
         side = SideInfo.from_json(side_spec)
     elif side_spec == "claim":
@@ -139,27 +135,27 @@ def _claim(tester: dict) -> tuple[float, float, float]:
     return float(tester["eps"]), float(tester.get("delta", 0.0)), float(tester["alpha"])
 
 
-def _adp_ni(tester: dict, mech: MechanismPair, side: SideInfo | None):
+def _adp_ni(tester: dict, side: SideInfo | None):
     claim = _claim(tester)
     return lambda mech, rng: adp_test_ni(mech, *claim, rng)
 
 
-def _adp_budgeted(tester: dict, mech: MechanismPair, side: SideInfo | None):
+def _adp_budgeted(tester: dict, side: SideInfo | None):
     claim, r = _claim(tester), tester["r"]
     return lambda mech, rng: adp_test_budgeted(mech, *claim, r)
 
 
-def _adp_fi(tester: dict, mech: MechanismPair, side: SideInfo | None):
+def _adp_fi(tester: dict, side: SideInfo | None):
     if side is None:
         raise ValueError("adp-fi needs side information")
     claim, cache = _claim(tester), CalibrationCache(tester.get("cache_path"))
-    trials, reps = tester.get("calibration_trials"), tester.get("reps")
+    trials = tester.get("calibration_trials")
     return lambda mech, rng: adp_test_fi(
-        mech, side, *claim, rng, cache=cache, calibration_trials=trials, reps=reps
+        mech, side, *claim, rng, cache=cache, calibration_trials=trials
     )
 
 
-def _pdp_fi(tester: dict, mech: MechanismPair, side: SideInfo | None):
+def _pdp_fi(tester: dict, side: SideInfo | None):
     if side is None:
         raise ValueError("pdp-fi needs side information")
     eps, alpha = float(tester["eps"]), float(tester["alpha"])
@@ -206,10 +202,10 @@ def _csv_text(records: list[tuple[int, TestOutcome]]) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
     """Run all trials, optionally write the per-trial CSV, aggregate."""
-    base_mech, side = _resolve_target(cfg.target, seed=cfg.seed)
+    base_mech, side = _resolve_target(cfg.target)
     factory = _TESTERS[cfg.tester["kind"]][0]
     try:
-        runner = factory(cfg.tester, base_mech, side)
+        runner = factory(cfg.tester, side)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"bad {cfg.tester['kind']} tester parameter: {exc}") from None
 

@@ -28,6 +28,10 @@ _TINY = np.finfo(np.float64).tiny
 #: normal float is dropped, so above this no outcome is left.
 _GEOMETRIC_EPS_MAX = -float(np.log(_TINY))
 
+#: Largest sample count numpy's multinomial takes, an int64. Counts are
+#: compared as Python ints: as a float, 2^63 rounds onto this bound.
+_MAX_COUNT = 2**63 - 1
+
 
 class MechanismPair:
     """Sampling access to the two databases of a mechanism.
@@ -72,8 +76,8 @@ class MechanismPair:
         if db not in (0, 1):
             raise ValueError("db must be 0 or 1")
         count = _integer("count", count)
-        if count < 0:
-            raise ValueError("count must be >= 0")
+        if not 0 <= count <= _MAX_COUNT:
+            raise ValueError(f"count must lie in [0, 2**63 - 1]; got {count}")
         self.query_counter[db] += count
         if count == 0:
             return np.zeros(self.n, dtype=np.int64)
@@ -82,7 +86,7 @@ class MechanismPair:
     def draw_many(self, db: int, counts: np.ndarray) -> np.ndarray:
         """Histograms of ``counts[j]`` fresh samples from database ``db``.
 
-        One multinomial call for a 1-D array of non-negative integer counts:
+        One multinomial call for a 1-D array of integer counts in [0, 2^63 - 1]:
         row j of the (len(counts), n) result, the stream state after the call
         and the query count equal those of ``draw(db, counts[j])`` in turn.
         """
@@ -90,9 +94,12 @@ class MechanismPair:
             raise ValueError("db must be 0 or 1")
         counts = np.asarray(counts)
         integral = counts.size == 0 or counts.dtype.kind in "iu"
-        if counts.ndim != 1 or not integral or (counts.size and counts.min() < 0):
-            raise ValueError("counts must be a 1-D array of non-negative integers")
-        self.query_counter[db] += int(counts.sum())
+        if counts.ndim != 1 or not integral or (
+            counts.size and not 0 <= int(counts.min()) <= int(counts.max()) <= _MAX_COUNT
+        ):
+            raise ValueError("counts must be a 1-D array of integers in [0, 2**63 - 1]")
+        # summed as Python ints: an int64 sum of valid counts can wrap
+        self.query_counter[db] += sum(counts.tolist())
         return self._rngs[db].multinomial(counts.astype(np.int64), self._pvals[db])
 
     def spawn(self, seed: int) -> "MechanismPair":

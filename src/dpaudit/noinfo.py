@@ -132,14 +132,14 @@ def adp_test_budgeted(
 def counts_tester(eps: float, delta: float, alpha: float):
     """Decision function over pre-drawn histograms of r samples each.
 
-    Returns a callable ``tester(x, y, r, rng=None) -> TestOutcome`` for
-    use as the budgeted tester in reductions.
+    Returns a callable ``tester(x, y, r) -> TestOutcome`` that draws
+    nothing and reports no queries, as :func:`fixtures.distinguish` needs.
     """
     eps = _check("eps", eps, 0.0, _EPS_MAX)
     delta = _check("delta", delta, 0.0, 1.0)
     alpha = _check("alpha", alpha, 0.0, open_low=True)
 
-    def tester(x, y, r, rng=None) -> TestOutcome:
+    def tester(x, y, r) -> TestOutcome:
         _check("r", r, 1.0)
         return _statistic_outcome(x, y, r, eps, delta, alpha, queries=(0, 0))
 

@@ -31,6 +31,8 @@ from .outcomes import TestOutcome, Verdict
 
 Database = tuple
 TwoDbTester = Callable[[MechanismPair, np.random.Generator], TestOutcome]
+#: A mechanism family maps any database to its output distribution.
+Family = Callable[[Database], DiscreteDistribution]
 
 
 @dataclass(frozen=True)
@@ -81,35 +83,16 @@ def sample_neighbor_pair(
     return d0, d1
 
 
-@dataclass
-class MechanismFamily:
-    """Maps any database to an output distribution over a fixed universe."""
-
-    resolver: Callable[[Database], DiscreteDistribution]
-    n: int
-
-    def distribution_for(self, db: Database) -> DiscreteDistribution:
-        dist = self.resolver(db)
-        if dist.n != self.n:
-            raise ValueError("resolver returned a distribution of the wrong size")
-        return dist
-
-    def pair_for(self, d0: Database, d1: Database, seed: int = 0) -> MechanismPair:
-        return MechanismPair(
-            self.distribution_for(d0), self.distribution_for(d1), seed=seed
-        )
-
-
-def constant_family(dist: DiscreteDistribution) -> MechanismFamily:
+def constant_family(dist: DiscreteDistribution) -> Family:
     """Family that ignores its database entirely: perfectly private."""
-    return MechanismFamily(lambda db: dist, dist.n)
+    return lambda db: dist
 
 
 def value_flag_family(
     flagged: set,
     p_flagged: DiscreteDistribution,
     p_plain: DiscreteDistribution,
-) -> MechanismFamily:
+) -> Family:
     """Family whose output depends only on whether entry 0 is flagged.
 
     A neighbor pair whose first entries straddle the flag boundary gets
@@ -120,9 +103,7 @@ def value_flag_family(
     """
     if p_flagged.n != p_plain.n:
         raise ValueError("the two output distributions must share a universe")
-    return MechanismFamily(
-        lambda db: p_flagged if db[0] in flagged else p_plain, p_flagged.n
-    )
+    return lambda db: p_flagged if db[0] in flagged else p_plain
 
 
 @_positive_finite
@@ -155,41 +136,37 @@ def trial_count(penalty_weight: float, alpha: float, gamma: float) -> int:
 
 
 def random_privacy_test(
-    family: MechanismFamily,
+    family: Family,
     dd: DataDistribution,
     two_db_tester: TwoDbTester,
     gamma: float,
     alpha: float,
     penalty_weight: float,
     rng: np.random.Generator,
-    reps: int | None = None,
-    trials: int | None = None,
 ) -> TestOutcome:
     """Random-privacy test via reduction to a two-database tester.
 
-    For each of m sampled neighbor pairs the inner tester runs k times;
-    the pair is marked non-private iff a majority of runs reject (ties
-    count as non-private). Accepts iff the marked fraction y satisfies
-    y <= gamma + alpha / penalty_weight.
+    For each of m = trial_count(penalty_weight, alpha, gamma) neighbor
+    pairs the inner tester runs k = amplification_reps(penalty_weight,
+    alpha) times on ``MechanismPair(family(d0), family(d1))``; the pair is
+    marked non-private iff a majority of runs reject (ties count as
+    non-private). Accepts iff the marked fraction y satisfies
+    y <= gamma + alpha / penalty_weight. A family that maps the two
+    databases to different universes raises ValueError.
 
     The inner tester must reject pairs that violate the claim and accept
     pairs that meet it, each with probability >= 2/3 on fresh samples;
     any of the two-database testers in this package qualifies.
     """
-    # the formulas check gamma, alpha and penalty_weight, also when
-    # trials and reps are given
+    # the formulas check gamma, alpha and penalty_weight
     m = trial_count(penalty_weight, alpha, gamma)
     k = amplification_reps(penalty_weight, alpha)
-    m = m if trials is None else _integer("trials", trials)
-    k = k if reps is None else _integer("reps", reps)
-    _check("trials", m, 1.0)
-    _check("reps", k, 1.0)
 
     marked = 0
     queries = [0, 0]
     for _ in range(m):
         d0, d1 = sample_neighbor_pair(dd, rng)
-        mech = family.pair_for(d0, d1, seed=int(rng.integers(2**63)))
+        mech = MechanismPair(family(d0), family(d1), seed=int(rng.integers(2**63)))
         rejections = 0
         for _ in range(k):
             if two_db_tester(mech, rng).rejected:

@@ -197,10 +197,9 @@ def test_criterion_05_verification_implies_distinguishing():
     for source_db in (0, 1):
         correct = 0
         for trial in range(200):
-            rng = np.random.default_rng([source_db, trial])
             mech = fixture.far_instance.spawn(seed=1000 * source_db + trial + 1)
             unknown = mech.draw(source_db, r)
-            correct += distinguish(tester, mech, unknown, r, rng) == source_db
+            correct += distinguish(tester, mech, unknown) == source_db
         rates.append(correct / 200)
     _report(
         5,

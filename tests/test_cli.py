@@ -77,6 +77,14 @@ def test_budgeted_requires_budget(capsys, rr_mech):
     capsys.readouterr()
 
 
+def test_budget_beyond_int64_exits_1(capsys, rr_mech):
+    argv = ["test", "adp-budgeted", "--mech", rr_mech, "--eps", "0", "--alpha", "0.3",
+            "--budget", "10000000000000000000"]
+    code, cap = run(capsys, argv)
+    assert code == 1
+    assert cap.err == "error: count must lie in [0, 2**63 - 1]; got 10000000000000000000\n"
+
+
 def test_test_verb_fixture_target(capsys):
     code, cap = run(
         capsys,
@@ -164,6 +172,69 @@ def test_random_verb(capsys, tmp_path):
     assert doc["diagnostics"] == {"trials": 7, "reps": 29}
     # every trial runs reps inner tests, each drawing 400 per database
     assert doc["queries"] == [7 * 29 * 400, 7 * 29 * 400]
+
+
+CONSTANT_STDOUT = """\
+{
+  "diagnostics": {
+    "reps": 29,
+    "trials": 7
+  },
+  "queries": [
+    81200,
+    81200
+  ],
+  "statistic": 0.0,
+  "threshold": 0.5,
+  "verdict": "ACCEPT"
+}
+"""
+
+VALUE_FLAG_STDOUT = """\
+{
+  "diagnostics": {
+    "reps": 37,
+    "trials": 10
+  },
+  "queries": [
+    111000,
+    111000
+  ],
+  "statistic": 0.4,
+  "threshold": 0.3666666666666667,
+  "verdict": "REJECT"
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "family, args, stdout",
+    [
+        (
+            {"kind": "constant", "dist": {"n": 2, "probs": [0.5, 0.5]}},
+            ["--inner-budget", "400", "--seed", "1"],
+            CONSTANT_STDOUT,
+        ),
+        (
+            {
+                "kind": "value_flag",
+                "flag_prob": 0.3,
+                "flagged": {"n": 3, "probs": [0.1, 0.2, 0.7]},
+                "plain": {"n": 3, "probs": [0.3, 0.3, 0.4]},
+            },
+            ["--inner-budget", "300", "--db-size", "3", "--penalty", "1.5", "--seed", "5"],
+            VALUE_FLAG_STDOUT,
+        ),
+    ],
+    ids=["constant", "value_flag"],
+)
+def test_random_verb_seeded_stdout(capsys, tmp_path, family, args, stdout):
+    argv = [
+        "test", "random", "--family", write_json(tmp_path / "family.json", family),
+        "--gamma", "0.1", "--alpha", "0.4", "--inner-alpha", "0.2", *args,
+    ]
+    code, cap = run(capsys, argv)
+    assert (code, cap.out, cap.err) == (0, stdout, "")
 
 
 def test_random_verb_bad_family(capsys, tmp_path):

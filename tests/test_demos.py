@@ -1,5 +1,6 @@
 """Each demo script and each python block of the README runs to
-completion in-process, so neither can drift from the API."""
+completion in-process, so neither can drift from the API, and each
+demo prints exactly its seeded output in ``tests/golden/<demo>.txt``."""
 
 import contextlib
 import io
@@ -11,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 README_BLOCKS = re.findall(
     r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), flags=re.M | re.S
 )
@@ -21,7 +23,7 @@ def test_demo_runs(demo):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(demo), run_name="__main__")
-    assert out.getvalue()
+    assert out.getvalue() == (GOLDEN / f"{demo.stem}.txt").read_text()
 
 
 @pytest.mark.parametrize(

@@ -255,20 +255,13 @@ def test_distinguish_separates_far_pair():
     tester = counts_tester(0.1, 0.05, 0.15)
     r = math.ceil(noinfo_rate(2, 0.1, 0.15))
     mech = pair.far_instance.spawn(21)
-    rng = np.random.default_rng(22)
     from_db0 = mech.draw(0, r)
-    assert distinguish(tester, mech.spawn(23), from_db0, r, rng) == 0
+    reference = mech.spawn(23)
+    assert distinguish(tester, reference, from_db0) == 0
+    # the reference batch has the unknown batch's size r
+    assert reference.query_counter == [r, 0]
     from_db1 = mech.draw(1, r)
-    assert distinguish(tester, mech.spawn(24), from_db1, r, rng) == 1
-
-
-def test_distinguish_rejects_budget_mismatch():
-    pair = adp_twopoint_fixture(0.1, 0.05, 0.3)
-    tester = counts_tester(0.1, 0.05, 0.15)
-    with pytest.raises(ValueError):
-        distinguish(
-            tester, pair.far_instance, np.array([5, 6]), 12, np.random.default_rng(0)
-        )
+    assert distinguish(tester, mech.spawn(24), from_db1) == 1
 
 
 def test_build_fixture_dispatch():

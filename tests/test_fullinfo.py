@@ -278,7 +278,7 @@ def per_rep_adp_fi(mech, side, alpha, rng, reps):
         # zero-mass bins in both claimed distributions
         ("leaky", "truth", 0.0, 0.05, 0.2, SUBTEST_REPS),
         # db 1 emits an outcome its claim gives zero mass: infinite statistics
-        ("leaky", "db0-twice", 0.0, 0.05, 0.2, 5),
+        ("leaky", "db0-twice", 0.0, 0.05, 0.2, SUBTEST_REPS),
         # box contradicts the claim on db 1 with a borderline budget
         ("flat", "rr", math.log(3.0), 0.0, 0.15, SUBTEST_REPS),
     ],
@@ -308,7 +308,7 @@ def test_adp_fi_equals_per_rep_loop(box, claim, eps, delta, alpha, reps):
     }[claim]
     for seed in range(3):
         mech = make_box(seed)
-        out = adp_test_fi(mech, side, eps, delta, alpha, np.random.default_rng(seed), reps=reps)
+        out = adp_test_fi(mech, side, eps, delta, alpha, np.random.default_rng(seed))
         fractions, thresholds, queries = per_rep_adp_fi(
             make_box(seed), side, alpha, np.random.default_rng(seed), reps
         )
@@ -354,18 +354,6 @@ def test_adp_fi_rejects_box_that_contradicts_claim():
     out = adp_test_fi(mech, side, math.log(3.0), 0.0, 0.1, np.random.default_rng(4))
     assert out.verdict is Verdict.REJECT
     assert out.diagnostics["rejection_fractions"][1] > 0.5
-
-
-def test_adp_fi_majority_amplification_reps_override():
-    mech = randomized_response(0.25, seed=5)
-    side = SideInfo(*mech.truth)
-    out = adp_test_fi(
-        mech, side, math.log(3.0), 0.0, 0.3, np.random.default_rng(6), reps=5
-    )
-    assert out.diagnostics["reps"] == 5
-    for bad in (0, 2.5):
-        with pytest.raises(ValueError):
-            adp_test_fi(mech, side, math.log(3.0), 0.0, 0.3, np.random.default_rng(6), reps=bad)
 
 
 def test_adp_fi_validation():

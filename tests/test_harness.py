@@ -102,14 +102,16 @@ def test_rerun_is_byte_identical(tmp_path):
     [
         (NI_TESTER, None),
         ({"kind": "pdp-fi", "eps": math.log(3.0), "alpha": 0.3}, "truth"),
+        ({"kind": "adp-fi", "eps": math.log(3.0), "alpha": 0.3}, "truth"),
     ],
 )
 def test_tester_documents_ignore_rate_and_direction_keys(tmp_path, tester, side):
-    # the testers always sample at their formula rates and test both
-    # directions; such keys are ignored like any other unknown key
+    # the testers always sample at their formula rates, test both
+    # directions and run SUBTEST_REPS identity reps at the full-information
+    # level; such keys are ignored like any other unknown key
     target = RR_TARGET if side is None else dict(RR_TARGET, side=side)
     csvs = []
-    for extra in ({}, {"lambda_rate": 5.0, "both_directions": False}):
+    for extra in ({}, {"lambda_rate": 5.0, "both_directions": False, "reps": 3}):
         out = tmp_path / f"{len(csvs)}.csv"
         cfg = ExperimentConfig(dict(tester, **extra), target, trials=4, seed=3, out=str(out))
         run_experiment(cfg)
@@ -119,7 +121,7 @@ def test_tester_documents_ignore_rate_and_direction_keys(tmp_path, tester, side)
 
 @pytest.mark.parametrize(
     "kind, key, value",
-    [("adp-budgeted", "r", 40), ("adp-fi", "reps", 3), ("adp-fi", "calibration_trials", 250)],
+    [("adp-budgeted", "r", 40), ("adp-fi", "calibration_trials", 250)],
 )
 def test_integer_tester_keys_are_not_truncated(kind, key, value):
     tester = {"kind": kind, "eps": 1.1, "alpha": 0.3}

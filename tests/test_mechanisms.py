@@ -77,6 +77,24 @@ def test_draw_count_is_a_whole_number():
         assert fresh.query_counter == [2, 0]
 
 
+def test_draw_rejects_counts_beyond_int64():
+    # numpy's multinomial takes int64 counts; 2^63 rounds onto 2^63 - 1
+    # as a float, so the cap must compare ints
+    mech = randomized_response(0.1)
+    for bad in (2**63, 10**19):
+        with pytest.raises(ValueError, match="^count must lie in"):
+            mech.draw(0, bad)
+    for counts in ([1, 2**63], np.array([5, 2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="^counts must"):
+            mech.draw_many(1, counts)
+    assert mech.query_counter == [0, 0]
+    assert mech.draw(0, 2**63 - 1).sum() == 2**63 - 1
+    assert mech.draw_many(1, np.array([2**63 - 1], dtype=np.uint64)).sum() == 2**63 - 1
+    # a block whose total passes 2^63 - 1 is still counted exactly
+    mech.draw_many(1, np.array([2**62, 2**62]))
+    assert mech.query_counter == [2**63 - 1, 2**63 - 1 + 2**63]
+
+
 @pytest.mark.parametrize(
     "make", [lambda: truncated_geometric(0.5, 6, seed=4), lambda: leaky_mechanism(0.2, 5, seed=4)]
 )

@@ -19,7 +19,7 @@ from dpaudit import (
     trial_count,
     value_flag_family,
 )
-from dpaudit.randomprivacy import DataDistribution, MechanismFamily
+from dpaudit.randomprivacy import DataDistribution
 
 
 def test_trial_count_frozen():
@@ -78,25 +78,31 @@ def test_neighbor_sampling_matches_entry_distribution():
 def test_family_resolvers():
     flat = make_distribution([1, 1])
     fam = constant_family(flat)
-    assert fam.distribution_for(("x",)) is flat
+    assert fam(("x",)) is flat
 
     spiky = make_distribution([9, 1])
     vf = value_flag_family({1}, spiky, flat)
-    assert vf.distribution_for((1, 0)) is spiky
-    assert vf.distribution_for((0, 1)) is flat  # only entry 0 matters
+    assert vf((1, 0)) is spiky
+    assert vf((0, 1)) is flat  # only entry 0 matters
 
-    wrong_size = MechanismFamily(lambda db: make_distribution([1, 1, 1]), n=2)
-    with pytest.raises(ValueError):
-        wrong_size.distribution_for(("x",))
     with pytest.raises(ValueError):
         value_flag_family({1}, spiky, make_distribution([1, 1, 1]))
 
 
-def test_pair_for_seeds_mechanism():
-    fam = constant_family(make_distribution([1, 3]))
-    mech = fam.pair_for((0,), (1,), seed=5)
-    assert mech.seed == 5
-    assert mech.query_counter == [0, 0]
+def test_family_universe_mismatch_raises():
+    # entry value v maps to a universe of v + 2 outcomes, so a neighbor
+    # pair whose first entries differ has no common universe
+    def family(db):
+        return make_distribution([1] * (db[0] + 2))
+
+    def inner(mech, rng):
+        return adp_test_budgeted(mech, 0.0, 0.0, 0.4, 10)
+
+    with pytest.raises(ValueError, match="share an outcome universe"):
+        random_privacy_test(
+            family, data_distribution([0, 1]), inner, gamma=0.0, alpha=0.5,
+            penalty_weight=1.0, rng=np.random.default_rng(8),
+        )
 
 
 def test_constant_family_accepts():
@@ -133,7 +139,10 @@ def test_flagged_family_rejected_when_violation_measure_is_large():
 
 
 def test_tie_counts_as_marked():
-    # inner tester alternates, so with even reps the vote ties
+    # inner tester alternates, so with even reps the vote ties: at w = 1
+    # and alpha = 0.95 the formulas give 14 reps on each of 3 pairs
+    assert amplification_reps(1.0, 0.95) == 14
+    assert trial_count(1.0, 0.95, 0.0) == 3
     state = {"flip": False}
 
     def alternating(mech, rng):
@@ -144,25 +153,27 @@ def test_tie_counts_as_marked():
     fam = constant_family(make_distribution([1, 1]))
     dd = data_distribution([0])
     out = random_privacy_test(
-        fam, dd, alternating, gamma=0.0, alpha=0.5, penalty_weight=1.0,
-        rng=np.random.default_rng(4), reps=2, trials=5,
+        fam, dd, alternating, gamma=0.0, alpha=0.95, penalty_weight=1.0,
+        rng=np.random.default_rng(4),
     )
-    assert out.diagnostics["marked"] == 5
+    assert out.diagnostics["marked"] == 3
     assert out.verdict is Verdict.REJECT
 
 
 def test_query_aggregation_identity():
     fam = constant_family(make_distribution([1, 1]))
     dd = data_distribution([0, 1])
-    m, k, r = 4, 3, 50
+    m, k, r = trial_count(1.0, 0.5, 0.0), amplification_reps(1.0, 0.5), 50
+    assert (m, k) == (5, 25)
 
     def inner(mech, rng):
         return adp_test_budgeted(mech, 0.0, 0.0, 0.9, r)
 
     out = random_privacy_test(
         fam, dd, inner, gamma=0.0, alpha=0.5, penalty_weight=1.0,
-        rng=np.random.default_rng(5), reps=k, trials=m,
+        rng=np.random.default_rng(5),
     )
+    assert out.diagnostics["inner_tests"] == m * k
     assert out.queries_used == (m * k * r, m * k * r)
 
 
@@ -180,9 +191,3 @@ def test_defaults_come_from_formulas():
     assert out.diagnostics["trials"] == trial_count(2.0, 0.2, 0.1) == 27
     assert out.diagnostics["reps"] == amplification_reps(2.0, 0.2) == 54
     assert out.diagnostics["inner_tests"] == 27 * 54
-    for size in ({"trials": 0}, {"trials": 2.5}, {"reps": 2.5}):
-        with pytest.raises(ValueError):
-            random_privacy_test(
-                fam, dd, inner, gamma=0.1, alpha=0.2, penalty_weight=2.0,
-                rng=np.random.default_rng(7), **size,
-            )
