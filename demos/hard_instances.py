@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from dpaudit import (
+    MechanismPair,
     adp_twopoint_fixture,
     counts_tester,
     distinguish,
@@ -34,7 +35,7 @@ def main() -> None:
     trials = 40
     for source_db in (0, 1):
         for trial in range(trials):
-            mech = fixture.far_instance.spawn(seed=100 * source_db + trial + 1)
+            mech = MechanismPair(*fixture.far_instance, seed=100 * source_db + trial + 1)
             unknown = mech.draw(source_db, r)
             correct[source_db] += distinguish(tester, mech, unknown) == source_db
     print(f"distinguishing the far pair's databases at budget {r}:")
@@ -53,8 +54,8 @@ def main() -> None:
     trials = 200
     for trial in range(trials):
         rng = np.random.default_rng([0, trial])
-        a = rng.multinomial(r, fixture.private_instance.truth[1].probs)
-        b = rng.multinomial(r, fixture.far_instance.truth[1].probs)
+        a = rng.multinomial(r, fixture.private_instance[1].probs)
+        b = rng.multinomial(r, fixture.far_instance[1].probs)
         silent += int(a[0] == 0 and b[0] == 0)
     print(f"  at {r} samples per database the telltale outcome never shows in "
           f"{silent}/{trials} runs:")

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _check, _integer
-from .fixtures import FIXTURE_NAMES, CertificationError, build_fixture
+from .distributions import DiscreteDistribution, _check
+from .fixtures import CERT_TOL, FIXTURE_NAMES, CertificationError, build_fixture
 from .fullinfo import IDENTITY_CONFIDENCE, CalibrationCache, identity_budget
 from .harness import TESTER_KINDS, ExperimentConfig, run_experiment, sweep
 from .noinfo import adp_test_budgeted
@@ -206,12 +207,37 @@ def _fixture_doc(args) -> dict:
     params = _parse_params(args.params or [])
     if args.base is not None:
         params["base"] = _load_json(args.base)
-    pair, side = build_fixture(args.name, params, seed=args.seed)
-    doc = {"name": args.name, "seed": args.seed}
-    doc.update(pair.to_json_dict())
-    if side is not None:
-        doc["side_info"] = side.to_json()
-    return doc
+    pair, _side = build_fixture(args.name, params)
+    return {"name": args.name, **pair.to_json_dict()}
+
+
+def _check_same(stored, fresh, path: str = "") -> None:
+    """Check a stored fixture document against the ``fresh`` rebuilt one.
+
+    Objects (stored as such or as JSON text) are compared key by key,
+    distributions by probability vector, floats within CERT_TOL; anything
+    else must be equal, a boolean only to a boolean. A differing value
+    raises CertificationError naming its path, a missing or malformed one
+    ValueError.
+    """
+    if isinstance(fresh, dict):
+        stored = json.loads(stored) if isinstance(stored, str) else stored
+        if not isinstance(stored, dict) or not stored.keys() >= fresh.keys():
+            raise ValueError(f"{path or 'fixture'} must be an object holding {sorted(fresh)}")
+        for key, value in fresh.items():
+            _check_same(stored[key], value, f"{path}.{key}" if path else key)
+        return
+    if isinstance(fresh, DiscreteDistribution):
+        probs = DiscreteDistribution.from_json(stored).probs
+        same = probs.shape == fresh.probs.shape and np.allclose(
+            probs, fresh.probs, rtol=0.0, atol=CERT_TOL
+        )
+    elif type(fresh) is float and type(stored) is float:
+        same = math.isclose(stored, fresh, rel_tol=0.0, abs_tol=CERT_TOL)
+    else:
+        same = stored == fresh and isinstance(stored, bool) == isinstance(fresh, bool)
+    if not same:
+        raise CertificationError(f"{path} no longer matches its construction")
 
 
 def _cmd_fixture(args) -> int:
@@ -221,28 +247,19 @@ def _cmd_fixture(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.fixture_file is not None:
-        doc = _load_json(args.fixture_file)
-        pair, _side = build_fixture(
-            doc["name"], doc["params"], seed=_integer("seed", doc.get("seed", 0))
-        )
-        rebuilt = pair.to_json_dict()
-        for instance in ("private", "far"):
-            if not isinstance(doc[instance], dict):
-                raise ValueError(f"{instance} must be an object; got {doc[instance]!r}")
-            for db in ("p0", "p1"):
-                stored = DiscreteDistribution.from_json(doc[instance][db]).probs
-                fresh = DiscreteDistribution.from_json(rebuilt[instance][db]).probs
-                if stored.shape != fresh.shape or not np.allclose(
-                    stored, fresh, rtol=0.0, atol=1e-12
-                ):
-                    raise CertificationError(
-                        f"{instance}.{db} no longer matches its construction"
-                    )
-        _emit({"name": doc["name"], "certification": rebuilt["certification"]}, args.out)
-        return 0
-    if args.name is None:
+        stored = _load_json(args.fixture_file)
+        pair, side = build_fixture(stored["name"], stored["params"])
+        doc = {"name": stored["name"], **pair.to_json_dict()}
+        # the distributions themselves, not their JSON text, are compared
+        fresh = dict(doc, private=dict(zip(("p0", "p1"), pair.private_instance)),
+                     far=dict(zip(("p0", "p1"), pair.far_instance)))
+        if side is not None:
+            fresh["side_info"] = {"q0": side.q0, "q1": side.q1}
+        _check_same(stored, fresh)
+    elif args.name is None:
         raise ValueError("give a fixture name or --fixture-file")
-    doc = _fixture_doc(args)
+    else:
+        doc = _fixture_doc(args)
     _emit({"name": doc["name"], "certification": doc["certification"]}, args.out)
     return 0
 
@@ -330,7 +347,6 @@ def _build_parser() -> _Parser:
     fixture.add_argument("name", choices=FIXTURE_NAMES)
     fixture.add_argument("--params", nargs="*", metavar="K=V")
     fixture.add_argument("--base", help="base mechanism config JSON (mean-sideinfo)")
-    fixture.add_argument("--seed", type=int, default=0)
     fixture.add_argument("--out")
     fixture.set_defaults(func=_cmd_fixture)
 
@@ -355,7 +371,6 @@ def _build_parser() -> _Parser:
     certify.add_argument("--params", nargs="*", metavar="K=V")
     certify.add_argument("--base", help="base mechanism config JSON (mean-sideinfo)")
     certify.add_argument("--fixture-file", help="re-certify an emitted fixture JSON")
-    certify.add_argument("--seed", type=int, default=0)
     certify.add_argument("--out")
     certify.set_defaults(func=_cmd_certify)
 

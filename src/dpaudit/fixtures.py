@@ -5,7 +5,9 @@ privacy claim) and a far instance (violates it by at least the stated
 margin), together with a certification report computed by the exact
 divergence oracles at construction time. Construction fails with
 CertificationError if any certified quantity misses its target, so a
-fixture that exists is a fixture that has been verified.
+fixture that exists is a fixture that has been verified. An instance is
+a plain (p0, p1) pair of output distributions; a tester samples it
+through a ``MechanismPair`` of its own.
 
 Outcome label convention: the distinguished outcomes are indices 0, 1, 2
 of the probability vectors; block fixtures lay their three index ranges
@@ -23,7 +25,7 @@ choices follow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,6 +47,8 @@ from .distributions import (
 )
 from .mechanisms import MechanismPair, SideInfo, mechanism_from_config
 
+Instance = tuple[DiscreteDistribution, DiscreteDistribution]
+
 #: Absolute tolerance for "exactly" in certification checks.
 CERT_TOL = 1e-12
 
@@ -64,39 +68,36 @@ def _dist(values) -> DiscreteDistribution:
 
 @dataclass(frozen=True)
 class FixturePair:
-    """A certified (private instance, far instance) pair for one claim."""
+    """A certified (private instance, far instance) pair for one claim;
+    ``side`` holds the claimed distributions of fi-pdp, None elsewhere."""
 
-    private_instance: MechanismPair
-    far_instance: MechanismPair
+    private_instance: Instance
+    far_instance: Instance
     params: dict
     claim: PrivacyParams
     certification: dict = field(default_factory=dict)
+    side: SideInfo | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "claim": {
-                "epsilon": self.claim.epsilon,
-                "delta": self.claim.delta,
-                "gamma": self.claim.gamma,
-                "penalty_weight": self.claim.penalty_weight,
-                "notion": self.claim.notion,
-            },
+        doc = {
+            "claim": asdict(self.claim),
             "params": dict(self.params),
             "private": {
-                "p0": self.private_instance.truth[0].to_json(),
-                "p1": self.private_instance.truth[1].to_json(),
+                "p0": self.private_instance[0].to_json(),
+                "p1": self.private_instance[1].to_json(),
             },
             "far": {
-                "p0": self.far_instance.truth[0].to_json(),
-                "p1": self.far_instance.truth[1].to_json(),
+                "p0": self.far_instance[0].to_json(),
+                "p1": self.far_instance[1].to_json(),
             },
             "certification": dict(self.certification),
         }
+        if self.side is not None:
+            doc["side_info"] = self.side.to_json()
+        return doc
 
 
-def pdp_unverifiable_fixture(
-    eps: float, alpha: float, A: float, seed: int = 0
-) -> FixturePair:
+def pdp_unverifiable_fixture(eps: float, alpha: float, A: float) -> FixturePair:
     """Two pDP instances no sample-bounded tester can tell apart.
 
     Both instances share database 0; their database-1 distributions put
@@ -119,9 +120,6 @@ def pdp_unverifiable_fixture(
     p1 = _dist([math.exp(-A), 1.0 - math.exp(-A)])
     q1 = _dist([math.exp(-2.0 * A), 1.0 - math.exp(-2.0 * A)])
 
-    private = MechanismPair(p0, p1, seed=seed)
-    far = MechanismPair(p0, q1, seed=seed + 1)
-
     eps_private = exact_pdp_epsilon(p0, p1)
     eps_far = exact_pdp_epsilon(p0, q1)
     _certify(eps_private <= eps + CERT_TOL, "private instance exceeds eps")
@@ -129,8 +127,8 @@ def pdp_unverifiable_fixture(
     _certify(eps_far >= eps + alpha - CERT_TOL, "far instance is not alpha-far")
 
     return FixturePair(
-        private_instance=private,
-        far_instance=far,
+        private_instance=(p0, p1),
+        far_instance=(p0, q1),
         params={
             "eps": eps,
             "alpha": alpha,
@@ -146,9 +144,7 @@ def pdp_unverifiable_fixture(
     )
 
 
-def adp_twopoint_fixture(
-    eps: float, delta: float, alpha: float, seed: int = 0
-) -> FixturePair:
+def adp_twopoint_fixture(eps: float, delta: float, alpha: float) -> FixturePair:
     """Two-outcome aDP pair whose slack is tight in one direction.
 
     Database 0 is uniform; database 1 bumps outcome 0 to e^eps/2 + delta
@@ -170,9 +166,6 @@ def adp_twopoint_fixture(
     p1 = _dist([bump + delta, 1.0 - bump - delta])
     q1 = _dist([bump + delta + alpha, 1.0 - bump - delta - alpha])
 
-    private = MechanismPair(uniform, p1, seed=seed)
-    far = MechanismPair(uniform, q1, seed=seed + 1)
-
     d_private, rev_private = _slack(p1.probs, uniform.probs, eps)
     d_far, rev_far = _slack(q1.probs, uniform.probs, eps)
     _certify(abs(d_private - delta) <= CERT_TOL, "private directed slack != delta")
@@ -181,8 +174,8 @@ def adp_twopoint_fixture(
     )
 
     return FixturePair(
-        private_instance=private,
-        far_instance=far,
+        private_instance=(uniform, p1),
+        far_instance=(uniform, q1),
         params={"eps": eps, "delta": delta, "alpha": alpha, "kl_p1_q1": kl_divergence(p1, q1)},
         claim=PrivacyParams(epsilon=eps, delta=delta, notion="aDP"),
         certification={
@@ -194,9 +187,7 @@ def adp_twopoint_fixture(
     )
 
 
-def adp_lowfreq_fixture(
-    n: int, delta: float, alpha: float, seed: int = 0
-) -> FixturePair:
+def adp_lowfreq_fixture(n: int, delta: float, alpha: float) -> FixturePair:
     """Low-frequency aDP pair: the violation hides on mass-3a/n outcomes.
 
     The universe splits into three equal blocks. The shared distribution
@@ -231,9 +222,6 @@ def adp_lowfreq_fixture(
     x = _dist(shared)
     y = _dist(moved)
 
-    private = MechanismPair(x, x, seed=seed)
-    far = MechanismPair(x, y, seed=seed + 1)
-
     d_private = delta_at_epsilon(x, x, 0.0)
     d_fwd, d_rev = _slack(x.probs, y.probs, 0.0)
     _certify(d_private <= CERT_TOL, "private pair has nonzero slack")
@@ -251,8 +239,8 @@ def adp_lowfreq_fixture(
         )
 
     return FixturePair(
-        private_instance=private,
-        far_instance=far,
+        private_instance=(x, x),
+        far_instance=(x, y),
         params={
             "n": n,
             "delta": delta,
@@ -274,14 +262,13 @@ def adp_lowfreq_fixture(
     )
 
 
-def fi_pdp_fixture(
-    eps: float, alpha: float, beta: float, seed: int = 0
-) -> tuple[SideInfo, FixturePair]:
+def fi_pdp_fixture(eps: float, alpha: float, beta: float) -> FixturePair:
     """Full-information pDP fixture: claimed distributions plus two truths.
 
-    The claimed pair puts beta on each of two distinguished outcomes in
-    database 0 and tilts them by e^{+-eps} in database 1, so its exact
-    privacy parameter is eps on the nose. The far truth multiplies the
+    The claimed pair (``side``, also the private instance) puts beta on
+    each of two distinguished outcomes in database 0 and tilts them by
+    e^{+-eps} in database 1, so its exact privacy parameter is eps on
+    the nose. The far truth multiplies the
     first outcome's database-0 mass by e^{-alpha}, moving the worst
     ratio to exactly eps + alpha while staying within KL beta * alpha^2
     of the claim, the gap that forces Omega(1/(beta alpha^2)) samples.
@@ -299,10 +286,6 @@ def fi_pdp_fixture(
     q1 = _dist([e_pos * beta, e_neg * beta, 1.0 - (e_pos + e_neg) * beta])
     p0_far = _dist([e_neg_a * beta, (2.0 - e_neg_a) * beta, 1.0 - 2.0 * beta])
 
-    side = SideInfo(q0, q1)
-    private = MechanismPair(q0, q1, seed=seed)
-    far = MechanismPair(p0_far, q1, seed=seed + 1)
-
     eps_side = exact_pdp_epsilon(q0, q1)
     eps_far = exact_pdp_epsilon(p0_far, q1)
     kl_gap = kl_divergence(p0_far, q0)
@@ -313,9 +296,9 @@ def fi_pdp_fixture(
     )
     _certify(kl_gap <= beta * alpha * alpha + CERT_TOL, "KL gap exceeds beta alpha^2")
 
-    pair = FixturePair(
-        private_instance=private,
-        far_instance=far,
+    return FixturePair(
+        private_instance=(q0, q1),
+        far_instance=(p0_far, q1),
         params={"eps": eps, "alpha": alpha, "beta": beta, "kl_p0far_q0": kl_gap},
         claim=PrivacyParams(epsilon=eps, notion="pDP"),
         certification={
@@ -323,25 +306,23 @@ def fi_pdp_fixture(
             "eps_far": eps_far,
             "min_mass_side": min_mass([q0, q1]),
         },
+        side=SideInfo(q0, q1),
     )
-    return side, pair
 
 
-def mean_sideinfo_fixture(
-    eps: float, alpha: float, A: float, base: MechanismPair, seed: int = 0
-) -> FixturePair:
+def mean_sideinfo_fixture(eps: float, alpha: float, A: float, base: Instance) -> FixturePair:
     """Mixture fixture with matching low-order behavior but infinite eps.
 
     The far instance leaks e^{-A} of database 0's mass onto the last
     outcome, which database 1 never emits, so its true privacy parameter
     is infinite while every sampled statistic (means included) matches
-    the private instance to within e^{-A}. The base pair must be eps-pDP
-    and put zero mass on the last outcome in both databases.
+    the private instance to within e^{-A}. The base (p0, p1), the private
+    instance, must be eps-pDP and put zero mass on the last outcome.
     """
     _check("eps", eps, 0.0, _EPS_MAX)
     _check("alpha", alpha, 0.0, open_low=True)
     _check("A", A, 0.0, open_low=True)
-    p0, p1 = base.truth
+    p0, p1 = base
     if p0.probs[-1] != 0.0 or p1.probs[-1] != 0.0:
         raise ValueError("base must put zero mass on the last outcome")
     eps_base = exact_pdp_epsilon(p0, p1)
@@ -353,17 +334,14 @@ def mean_sideinfo_fixture(
     q0[-1] = leak
     q0d = _dist(q0)
 
-    private = MechanismPair(p0, p1, seed=seed)
-    far = MechanismPair(q0d, p1, seed=seed + 1)
-
     eps_far = exact_pdp_epsilon(q0d, p1)
     tv_gap = tv_distance(p0, q0d)
     _certify(math.isinf(eps_far), "far instance should have infinite parameter")
     _certify(abs(tv_gap - leak) <= CERT_TOL, "TV gap is not exactly e^-A")
 
     return FixturePair(
-        private_instance=private,
-        far_instance=far,
+        private_instance=(p0, p1),
+        far_instance=(q0d, p1),
         params={"eps": eps, "alpha": alpha, "A": A, "leak_mass": leak},
         claim=PrivacyParams(epsilon=eps, notion="pDP"),
         certification={
@@ -489,17 +467,15 @@ def distinguish(tester, mech: MechanismPair, unknown_db_samples: np.ndarray) -> 
     return 0 if outcome.accepted else 1
 
 
-def _mean_sideinfo(eps: float, alpha: float, A: float, base: dict, seed: int = 0):
-    pair = mean_sideinfo_fixture(
-        eps, alpha, A, mechanism_from_config(base, seed=seed + 17), seed=seed
-    )
+def _mean_sideinfo(eps: float, alpha: float, A: float, base: dict):
+    pair = mean_sideinfo_fixture(eps, alpha, A, mechanism_from_config(base).truth)
     # Keep the base config in params so an emitted fixture document can be
     # rebuilt and re-certified from the file alone.
     pair.params["base"] = base
     return pair
 
 
-#: name -> (builder returning the pair or (side info, pair), {parameter: type})
+#: name -> (builder, {parameter: type})
 _FIXTURES = {
     "pdp-unverifiable": (pdp_unverifiable_fixture, {"eps": float, "alpha": float, "A": float}),
     "adp-twopoint": (adp_twopoint_fixture, {"eps": float, "delta": float, "alpha": float}),
@@ -516,11 +492,12 @@ def build_fixture(
 ) -> tuple[FixturePair, SideInfo | None]:
     """Build a fixture by registry name from a flat parameter mapping.
 
-    mean-sideinfo expects a ``base`` entry holding a mechanism config
-    document; fi-pdp returns its side information alongside the pair. A
-    missing parameter raises KeyError; an unknown name, a value of the
-    wrong type or an integer parameter with a fractional part raises
-    ValueError.
+    Returns ``(pair, pair.side)``. mean-sideinfo expects a ``base`` entry
+    holding a mechanism config document. A missing parameter raises
+    KeyError; an unknown name, a value of the wrong type or an integer
+    parameter with a fractional part raises ValueError. ``seed`` is
+    ignored, as a fixture holds no streams; it stays only because
+    ``benchmarks/workloads.py`` (``ExactCertify._run``) passes it.
     """
     if not isinstance(name, str) or name not in _FIXTURES:
         raise ValueError(f"unknown fixture name: {name!r}")
@@ -532,5 +509,5 @@ def build_fixture(
         }
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"bad {name} parameter: {exc}") from None
-    built = builder(**args, seed=seed)
-    return built[::-1] if isinstance(built, tuple) else (built, None)
+    pair = builder(**args)
+    return pair, pair.side

@@ -61,9 +61,9 @@ class ExperimentConfig:
     """One tester against one target for a number of seeded trials.
 
     ``tester``: {"kind": one of TESTER_KINDS, ...parameters...}.
-    ``target``: {"mechanism": config} or {"fixture": {"name", "params",
-    "instance"}}, plus optional "side": "truth" | "claim" | side-info
-    JSON document.
+    ``target``: exactly one of {"mechanism": config} and {"fixture":
+    {"name", "params", "instance"}}, plus optional "side": "truth" |
+    "claim" | side-info JSON document.
     """
 
     tester: dict
@@ -99,9 +99,11 @@ class OperatingCharacteristic:
 
 def _resolve_target(target: dict):
     """Target spec -> (base mechanism, side info or None); trials draw from spawns."""
+    if ("mechanism" in target) == ("fixture" in target):
+        raise ValueError("target needs exactly one of a 'mechanism' and a 'fixture' entry")
     if "mechanism" in target:
         mech = mechanism_from_config(target["mechanism"])
-    elif "fixture" in target:
+    else:
         fx = target["fixture"]
         if not isinstance(fx, dict):
             raise ValueError(f"target fixture must be an object; got {fx!r}")
@@ -109,13 +111,11 @@ def _resolve_target(target: dict):
         instance = fx.get("instance", "private")
         if instance not in ("private", "far"):
             raise ValueError("fixture instance must be 'private' or 'far'")
-        mech = pair.private_instance if instance == "private" else pair.far_instance
+        mech = MechanismPair(*getattr(pair, f"{instance}_instance"))
         if target.get("side") == "claim":
             if claimed_side is None:
                 raise ValueError("this fixture carries no claimed side information")
             return mech, claimed_side
-    else:
-        raise ValueError("target needs a 'mechanism' or 'fixture' entry")
 
     side_spec = target.get("side")
     if side_spec is None:

@@ -198,23 +198,19 @@ class SideInfo:
         )
 
 
-#: Mechanism registry: config "mechanism" field -> builder(config, seed).
+#: Mechanism registry: config "mechanism" field -> builder(config).
 _MECHANISMS = {
-    "randomized_response": lambda c, seed: randomized_response(float(c["flip_prob"]), seed),
-    "truncated_geometric": lambda c, seed: truncated_geometric(
-        float(c["eps"]), _integer("n", c["n"]), seed
-    ),
-    "leaky_mechanism": lambda c, seed: leaky_mechanism(
-        float(c["delta"]), _integer("n", c.get("n", 3)), seed
-    ),
-    "explicit": lambda c, seed: MechanismPair(
-        DiscreteDistribution.from_json(c["p0"]), DiscreteDistribution.from_json(c["p1"]), seed
+    "randomized_response": lambda c: randomized_response(float(c["flip_prob"])),
+    "truncated_geometric": lambda c: truncated_geometric(float(c["eps"]), _integer("n", c["n"])),
+    "leaky_mechanism": lambda c: leaky_mechanism(float(c["delta"]), _integer("n", c.get("n", 3))),
+    "explicit": lambda c: MechanismPair(
+        DiscreteDistribution.from_json(c["p0"]), DiscreteDistribution.from_json(c["p1"])
     ),
 }
 
 
-def mechanism_from_config(config: dict, seed: int = 0) -> MechanismPair:
-    """Build a zoo mechanism from a JSON-style config document.
+def mechanism_from_config(config: dict) -> MechanismPair:
+    """Build a zoo mechanism from a JSON-style config document, at seed 0.
 
     Recognized forms:
 
@@ -223,14 +219,15 @@ def mechanism_from_config(config: dict, seed: int = 0) -> MechanismPair:
     * ``{"mechanism": "leaky_mechanism", "delta": 0.2, "n": 3}``
     * ``{"mechanism": "explicit", "p0": {...}, "p1": {...}}``
 
-    A value of the wrong type (``null``, ``Infinity`` or ``4.5`` as ``n``)
-    raises ValueError, as does an unknown kind; a missing field raises
-    KeyError.
+    A config holds no seed: callers that sample spawn the pair at their
+    own. A value of the wrong type (``null``, ``Infinity`` or ``4.5`` as
+    ``n``) raises ValueError, as does an unknown kind; a missing field
+    raises KeyError.
     """
     kind = config.get("mechanism") if isinstance(config, dict) else None
     if not isinstance(kind, str) or kind not in _MECHANISMS:
         raise ValueError(f"mechanism field must be one of {tuple(_MECHANISMS)}; got {kind!r}")
     try:
-        return _MECHANISMS[kind](config, seed)
+        return _MECHANISMS[kind](config)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"bad {kind} config: {exc}") from None

@@ -17,6 +17,7 @@ import numpy as np
 from dpaudit import (
     CalibrationCache,
     ExperimentConfig,
+    MechanismPair,
     SideInfo,
     adp_test_budgeted,
     adp_twopoint_fixture,
@@ -197,7 +198,7 @@ def test_criterion_05_verification_implies_distinguishing():
     for source_db in (0, 1):
         correct = 0
         for trial in range(200):
-            mech = fixture.far_instance.spawn(seed=1000 * source_db + trial + 1)
+            mech = MechanismPair(*fixture.far_instance, seed=1000 * source_db + trial + 1)
             unknown = mech.draw(source_db, r)
             correct += distinguish(tester, mech, unknown) == source_db
         rates.append(correct / 200)
@@ -216,8 +217,8 @@ def test_criterion_06_unverifiable_instances_stay_silent():
     gap = fixture.certification["eps_far"] - fixture.certification["eps_private"]
     assert gap > 0.2
 
-    p1 = fixture.private_instance.truth[1]
-    q1 = fixture.far_instance.truth[1]
+    p1 = fixture.private_instance[1]
+    q1 = fixture.far_instance[1]
     silent = 0
     for trial in range(500):
         rng = np.random.default_rng([0, trial])

@@ -186,7 +186,12 @@ NI_TESTER = {"kind": "adp-ni", "eps": 0.2, "alpha": 0.1}
 SWEEP = ["sweep", "--parameter", "seed", "--values", "1", "--config"]
 RANDOM = ["test", "random", "--alpha", "0.3", "--inner-alpha", "0.2", "--inner-budget", "10",
           "--family"]
-TWOPOINT = {"name": "adp-twopoint", "params": {"eps": 0.2, "delta": 0.05, "alpha": 0.1}}
+TWOPOINT_PARAMS = {"eps": 0.2, "delta": 0.05, "alpha": 0.1}
+#: an emitted fixture document, which certify --fixture-file checks whole
+TWOPOINT = {"name": "adp-twopoint",
+            **build_fixture("adp-twopoint", TWOPOINT_PARAMS)[0].to_json_dict()}
+BOTH_TARGETS = dict(RR_TARGET, fixture={"name": "adp-twopoint", "params": TWOPOINT_PARAMS,
+                                        "instance": "far"})
 FLAG_FAMILY = {"kind": "value_flag", "flagged": {"probs": [0.7, 0.3]},
                "plain": {"probs": [0.5, 0.5]}}
 CALIBRATE = ["calibrate", "--n", "2", "--alpha", "0.3", "--trials", "100", "--null"]
@@ -208,15 +213,16 @@ BAD_DISTS = ({"n": None, "probs": HALVES}, {"n": [2], "probs": HALVES}, {"n": 2,
         (RANDOM, dict(FLAG_FAMILY, flag_prob=None)),
         (RANDOM, [FLAG_FAMILY]),
         (["certify", "--fixture-file"], [{"name": "adp-twopoint"}]),
-        (["certify", "--fixture-file"], dict(TWOPOINT, seed=None)),
+        (SWEEP, {"tester": NI_TESTER, "target": BOTH_TARGETS, "trials": 2}),
         (["certify", "--fixture-file"], dict(TWOPOINT, private=[1])),
         (SWEEP, {"tester": NI_TESTER, "target": {"fixture": {"name": ["x"]}}, "trials": 2}),
         (SWEEP, {"tester": NI_TESTER, "target": RR_TARGET, "trials": 2.5}),
-        (["certify", "--fixture-file"], dict(TWOPOINT, seed=1.5)),
+        (["certify", "--fixture-file"], dict(TWOPOINT, claim=[0.2, 0.05])),
         (SWEEP, {"tester": NI_TESTER, "target": RR_TARGET, "trials": "2"}),
         (SWEEP, {"tester": NI_TESTER, "target": RR_TARGET, "trials": True}),
-        (["certify", "--fixture-file"], dict(TWOPOINT, seed="1")),
-        (["certify", "--fixture-file"], dict(TWOPOINT, seed=True)),
+        (["certify", "--fixture-file"],
+         {key: value for key, value in TWOPOINT.items() if key != "certification"}),
+        (["certify", "--fixture-file"], dict(TWOPOINT, far={"p0": TWOPOINT["far"]["p0"]})),
         *((CALIBRATE, dist) for dist in BAD_DISTS),
         *((SIDE, {"q0": dist, "q1": {"probs": HALVES}}) for dist in BAD_DISTS),
         *(
@@ -359,7 +365,7 @@ def argvs(draw, files):
             return ["certify", "--fixture-file", draw(st.sampled_from(files["fixture"]))] + out
         name = draw(st.sampled_from(FIXTURE_NAMES))
         base = ["--base", files["base"]] if draw(st.integers(0, 9)) else []
-        return [verb, name, "--params", *fixture_params(name)] + base + flags([], ["--seed"]) + out
+        return [verb, name, "--params", *fixture_params(name)] + base + out
     if verb == "sweep":
         parameter = draw(st.sampled_from(
             ("tester.alpha", "tester.eps", "tester.delta", "trials", "seed",

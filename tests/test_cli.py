@@ -2,10 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from dpaudit import FIXTURE_NAMES
 from dpaudit.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, argv):
@@ -247,33 +251,74 @@ def test_random_verb_bad_family(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_fixture_then_certify_roundtrip(capsys, tmp_path):
-    fixture_path = tmp_path / "fixture.json"
-    code, _ = run(
-        capsys,
-        [
-            "fixture",
-            "adp-twopoint",
-            "--params",
-            "eps=0.1",
-            "delta=0.05",
-            "alpha=0.1",
-            "--seed",
-            "3",
-            "--out",
-            str(fixture_path),
-        ],
-    )
-    assert code == 0
-    doc = json.loads(fixture_path.read_text())
-    assert doc["name"] == "adp-twopoint"
-    assert doc["seed"] == 3
-    assert set(doc) >= {"claim", "params", "private", "far", "certification"}
+#: parameters of each registered fixture's golden document
+FIXTURE_PARAMS = {
+    "pdp-unverifiable": ["eps=0.5", "alpha=0.2", "A=3"],
+    "adp-twopoint": ["eps=0.1", "delta=0.05", "alpha=0.1"],
+    "adp-lowfreq": ["n=6", "delta=0.3", "alpha=0.15"],
+    "fi-pdp": ["eps=0.5", "alpha=0.2", "beta=0.1"],
+    "mean-sideinfo": ["eps=0.3", "alpha=0.1", "A=4"],
+}
+BASE = {"mechanism": "explicit", "p0": {"probs": [0.5, 0.5, 0.0]},
+        "p1": {"probs": [0.6, 0.4, 0.0]}}
 
-    code, cap = run(capsys, ["certify", "--fixture-file", str(fixture_path)])
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_then_certify_roundtrip(capsys, tmp_path, name):
+    argv = ["fixture", name, "--params", *FIXTURE_PARAMS[name]]
+    if name == "mean-sideinfo":
+        argv += ["--base", write_json(tmp_path / "base.json", BASE)]
+    code, cap = run(capsys, argv)
     assert code == 0
-    cert = json.loads(cap.out)["certification"]
-    assert cert["delta_two_sided_far"] == pytest.approx(0.1713060987157845, abs=1e-12)
+    golden = GOLDEN / f"fixture-{name}.json"
+    assert cap.out == golden.read_text()
+
+    code, cap = run(capsys, ["certify", "--fixture-file", str(golden)])
+    assert code == 0
+    certification = json.loads(golden.read_text())["certification"]
+    assert json.loads(cap.out) == {"name": name, "certification": certification}
+
+
+def certify_changed(capsys, tmp_path, argv, change):
+    """Emit a fixture, apply ``change`` to its document, certify the file."""
+    path = tmp_path / "fixture.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    return run(capsys, ["certify", "--fixture-file", str(path)])
+
+
+TWOPOINT = ["fixture", "adp-twopoint", "--params", *FIXTURE_PARAMS["adp-twopoint"]]
+FI_PDP = ["fixture", "fi-pdp", "--params", *FIXTURE_PARAMS["fi-pdp"]]
+ONE_OUTCOME = json.dumps({"q0": {"probs": [1.0]}, "q1": {"probs": [1.0]}})
+
+
+@pytest.mark.parametrize(
+    "argv, field, change",
+    [
+        (TWOPOINT, "claim.delta", lambda doc: doc["claim"].update(delta=0.5)),
+        (TWOPOINT, "claim.penalty_weight", lambda doc: doc["claim"].update(penalty_weight=True)),
+        (TWOPOINT, "certification.delta_directed_far",
+         lambda doc: doc["certification"].update(delta_directed_far=99)),
+        (TWOPOINT, "params.kl_p1_q1",
+         lambda doc: doc["params"].update(kl_p1_q1=doc["params"]["kl_p1_q1"] + 1e-9)),
+        (FI_PDP, "side_info.q0", lambda doc: doc.update(side_info=ONE_OUTCOME)),
+    ],
+)
+def test_certify_rejects_a_tampered_field(capsys, tmp_path, argv, field, change):
+    code, cap = certify_changed(capsys, tmp_path, argv, change)
+    assert code == 2
+    assert cap.err == f"certification failure: {field} no longer matches its construction\n"
+
+
+def test_certify_forgives_rounding_below_the_tolerance(capsys, tmp_path):
+    def nudge(doc):
+        doc["certification"]["eps_far"] += 1e-13
+        doc["side_info"] = json.loads(doc["side_info"])  # an object, not its text
+
+    code, _ = certify_changed(capsys, tmp_path, FI_PDP, nudge)
+    assert code == 0
 
 
 def test_certify_rejects_tampered_fixture(capsys, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dpaudit import (
     CertificationError,
     FIXTURE_NAMES,
+    MechanismPair,
     adp_lowfreq_fixture,
     adp_twopoint_fixture,
     brute_force_delta,
@@ -38,7 +39,7 @@ def test_pdp_unverifiable_certified_values():
     assert cert["rare_outcome_mass"] == pytest.approx(math.exp(-2.0), abs=1e-15)
     # both instances share database 0
     assert np.array_equal(
-        pair.private_instance.truth[0].probs, pair.far_instance.truth[0].probs
+        pair.private_instance[0].probs, pair.far_instance[0].probs
     )
     assert pair.claim.notion == "pDP"
     assert pair.claim.epsilon == 0.5
@@ -63,7 +64,7 @@ def test_adp_twopoint_certified_values():
     assert cert["delta_two_sided_private"] == pytest.approx(
         0.0607890069082197, abs=1e-15
     )
-    assert pair.private_instance.truth[0].probs[0] == 0.5
+    assert pair.private_instance[0].probs[0] == 0.5
     assert pair.claim.delta == 0.05
 
 
@@ -84,10 +85,10 @@ def test_adp_lowfreq_certified_values():
     assert cert["delta_far_direction_sum"] >= 0.3 + 0.15 - 1e-12
     assert cert["brute_force_checked"] is True
     # private pair is literally the same distribution twice
-    assert pair.private_instance.truth[0] is pair.private_instance.truth[1]
+    assert pair.private_instance[0] is pair.private_instance[1]
     # the two pairs agree on every outcome above the low-mass level
-    x = pair.far_instance.truth[0].probs
-    y = pair.far_instance.truth[1].probs
+    x = pair.far_instance[0].probs
+    y = pair.far_instance[1].probs
     level = pair.params["low_mass"]
     agree = x == y
     assert np.all(agree | (x <= level + 1e-15) | (y <= level + 1e-15))
@@ -96,7 +97,7 @@ def test_adp_lowfreq_certified_values():
 def test_adp_lowfreq_large_universe_skips_brute_force():
     pair = adp_lowfreq_fixture(30, 0.3, 0.15)
     assert pair.certification["brute_force_checked"] is False
-    assert pair.far_instance.n == 30
+    assert pair.far_instance[0].n == 30
 
 
 def test_adp_lowfreq_preconditions():
@@ -109,14 +110,15 @@ def test_adp_lowfreq_preconditions():
 
 
 def test_fi_pdp_certified_values():
-    side, pair = fi_pdp_fixture(0.5, 0.2, 0.1)
+    pair = fi_pdp_fixture(0.5, 0.2, 0.1)
+    side = pair.side
     cert = pair.certification
     assert cert["eps_side"] == pytest.approx(0.5, abs=1e-12)
     assert cert["eps_far"] == pytest.approx(0.7, abs=1e-12)  # eps + alpha
     assert cert["min_mass_side"] == pytest.approx(0.1 * math.exp(-0.5), abs=1e-15)
     # the claimed pair IS the private truth
-    assert side.q0 is pair.private_instance.truth[0]
-    assert side.q1 is pair.private_instance.truth[1]
+    assert side.q0 is pair.private_instance[0]
+    assert side.q1 is pair.private_instance[1]
     # indistinguishability gap: KL within beta * alpha^2
     assert pair.params["kl_p0far_q0"] <= 0.1 * 0.2**2 + 1e-12
 
@@ -140,15 +142,15 @@ def test_mean_sideinfo_certified_values():
             "p1": {"n": 3, "probs": [0.4, 0.6, 0.0]},
         }
     )
-    pair = mean_sideinfo_fixture(0.5, 0.1, 3.0, base)
+    pair = mean_sideinfo_fixture(0.5, 0.1, 3.0, base.truth)
     cert = pair.certification
     assert math.isinf(cert["eps_far"])
     assert cert["tv_p0_q0"] == pytest.approx(math.exp(-3.0), abs=1e-12)
     assert cert["eps_private"] <= 0.5
     # the leak sits on the last outcome, which database 1 never emits
-    q0 = pair.far_instance.truth[0].probs
+    q0 = pair.far_instance[0].probs
     assert q0[-1] == pytest.approx(math.exp(-3.0), abs=1e-15)
-    assert pair.far_instance.truth[1].probs[-1] == 0.0
+    assert pair.far_instance[1].probs[-1] == 0.0
 
 
 def test_mean_sideinfo_preconditions():
@@ -160,7 +162,7 @@ def test_mean_sideinfo_preconditions():
         }
     )
     with pytest.raises(ValueError):
-        mean_sideinfo_fixture(0.5, 0.1, 3.0, leaky_base)  # last outcome not zero
+        mean_sideinfo_fixture(0.5, 0.1, 3.0, leaky_base.truth)  # last outcome not zero
     loud_base = mechanism_from_config(
         {
             "mechanism": "explicit",
@@ -169,7 +171,7 @@ def test_mean_sideinfo_preconditions():
         }
     )
     with pytest.raises(ValueError):
-        mean_sideinfo_fixture(0.5, 0.1, 3.0, loud_base)  # base is not eps-pDP
+        mean_sideinfo_fixture(0.5, 0.1, 3.0, loud_base.truth)  # base is not eps-pDP
 
 
 def test_tight_perturbation_drain_branch():
@@ -254,7 +256,7 @@ def test_distinguish_separates_far_pair():
     pair = adp_twopoint_fixture(0.1, 0.05, 0.3)
     tester = counts_tester(0.1, 0.05, 0.15)
     r = math.ceil(noinfo_rate(2, 0.1, 0.15))
-    mech = pair.far_instance.spawn(21)
+    mech = MechanismPair(*pair.far_instance, seed=21)
     from_db0 = mech.draw(0, r)
     reference = mech.spawn(23)
     assert distinguish(tester, reference, from_db0) == 0
@@ -277,7 +279,7 @@ def test_build_fixture_dispatch():
     assert pair.claim.notion == "aDP"
 
     pair, side = build_fixture("fi-pdp", {"eps": 0.5, "alpha": 0.2, "beta": 0.1})
-    assert side is not None
+    assert side is pair.side is not None
     assert side.n == 3
 
     base_config = {

@@ -287,8 +287,8 @@ def test_adp_fi_equals_per_rep_loop(box, claim, eps, delta, alpha, reps):
     def make_box(seed):
         if box == "geometric":
             return mechanism_from_config(
-                {"mechanism": "truncated_geometric", "eps": 0.5, "n": 256}, seed=seed
-            )
+                {"mechanism": "truncated_geometric", "eps": 0.5, "n": 256}
+            ).spawn(seed)
         if box == "leaky":
             return leaky_mechanism(0.05, n=5, seed=seed)
         return mechanism_from_config(
@@ -296,9 +296,8 @@ def test_adp_fi_equals_per_rep_loop(box, claim, eps, delta, alpha, reps):
                 "mechanism": "explicit",
                 "p0": {"n": 2, "probs": [0.7, 0.3]},
                 "p1": {"n": 2, "probs": [0.6, 0.4]},
-            },
-            seed=seed,
-        )
+            }
+        ).spawn(seed)
 
     truth = make_box(0).truth
     side = {
@@ -346,9 +345,8 @@ def test_adp_fi_rejects_box_that_contradicts_claim():
             "mechanism": "explicit",
             "p0": {"n": 2, "probs": [0.75, 0.25]},
             "p1": {"n": 2, "probs": [0.75, 0.25]},
-        },
-        seed=3,
-    )
+        }
+    ).spawn(3)
     claimed = randomized_response(0.25)
     side = SideInfo(*claimed.truth)
     out = adp_test_fi(mech, side, math.log(3.0), 0.0, 0.1, np.random.default_rng(4))
@@ -393,9 +391,8 @@ def test_fi_pdp_rejects_off_claim_frequencies():
             "mechanism": "explicit",
             "p0": {"n": 2, "probs": [0.5, 0.5]},
             "p1": {"n": 2, "probs": [0.5, 0.5]},
-        },
-        seed=9,
-    )
+        }
+    ).spawn(9)
     claimed = randomized_response(0.25)
     side = SideInfo(*claimed.truth)
     out = pdp_test_fi(mech, side, math.log(3.0), 0.1, np.random.default_rng(10))
@@ -410,9 +407,8 @@ def test_fi_pdp_zero_count_means_infinite_estimate():
             "mechanism": "explicit",
             "p0": {"n": 2, "probs": [1.0, 0.0]},
             "p1": {"n": 2, "probs": [1.0, 0.0]},
-        },
-        seed=11,
-    )
+        }
+    ).spawn(11)
     side = SideInfo(*randomized_response(0.25).truth)
     out = pdp_test_fi(mech, side, math.log(3.0), 0.1, np.random.default_rng(12))
     assert out.statistic == math.inf

@@ -187,6 +187,18 @@ def test_side_claim_requires_fixture_with_side_info():
         run_experiment(cfg)
 
 
+def test_target_names_exactly_one_of_mechanism_and_fixture():
+    fixture = {"name": "adp-twopoint", "params": {"eps": 0.0, "delta": 0.1, "alpha": 0.3},
+               "instance": "far"}
+    cfg = ExperimentConfig(
+        tester={"kind": "adp-ni", "eps": 0.0, "delta": 0.1, "alpha": 0.3},
+        target={**RR_TARGET, "fixture": fixture},
+        trials=1,
+    )
+    with pytest.raises(ValueError, match="exactly one of a 'mechanism' and a 'fixture'"):
+        run_experiment(cfg)
+
+
 def test_full_info_testers_require_side():
     cfg = ExperimentConfig(
         tester={"kind": "adp-fi", "eps": 0.0, "delta": 0.0, "alpha": 0.3},
