@@ -253,10 +253,47 @@ def exact_pdp_epsilon(p: DiscreteDistribution, q: DiscreteDistribution) -> float
     return max(max_divergence(p, q), max_divergence(q, p))
 
 
+#: Rows shorter than this many outcomes take ``_slack``'s scalar loop.
+#: numpy's ``add.reduce`` sums a row of fewer than 8 elements in index
+#: order (its pairwise summation starts at 8 elements), so the loop's
+#: sequential sum reproduces the numpy path's bits there.
+_SHORT_ROW = 8
+
+
 def _slack(a, b, eps: float, r=1) -> list[float]:
     """[sum_i max(0, u_i - e^eps v_i), the same with u, v swapped] for
     u = a / r, v = b / r: probability vectors, or counts over their
-    sample size. The caller checks eps."""
+    sample size. The caller checks eps; rows of unequal length raise
+    ValueError.
+
+    Rows shorter than ``_SHORT_ROW`` outcomes are summed by a Python loop,
+    since there numpy's six dispatches cost more than the dozen float
+    operations. The loop is bit-exact with the numpy path: each term is
+    u_i + v_i * (-e^eps) after the same float64 rounding of the counts
+    and of r, terms that the clamp would zero are skipped (adding +0.0
+    changes no sum), and the positive ones are added in index order, as
+    ``add.reduce`` does on short rows. NaN must not reach the loop, which
+    drops it where numpy propagates it; the callers pass finite values.
+    """
+    n = len(a)
+    if n < _SHORT_ROW and len(b) == n:
+        if isinstance(a, np.ndarray):
+            a = a.tolist()  # Python numbers: numpy scalars are slow here
+        if isinstance(b, np.ndarray):
+            b = b.tolist()
+        m = -math.exp(eps)
+        s = float(r)  # the float64 that numpy divides by
+        forward = reverse = 0.0
+        for x, y in zip(a, b):
+            u = x / s
+            v = y / s
+            t = u + v * m
+            if t > 0.0:
+                forward += t
+            t = v + u * m
+            if t > 0.0:
+                reverse += t
+        return [forward, reverse]
     rows = np.array((a, b), dtype=np.float64)
     if r != 1:  # x / 1 is exact, so the division only costs time
         rows /= r

@@ -33,6 +33,14 @@ _GEOMETRIC_EPS_MAX = -float(np.log(_TINY))
 _MAX_COUNT = 2**63 - 1
 
 
+def _database(db) -> None:
+    """Raise ValueError unless ``db`` is the integer 0 or 1; numpy integers
+    pass. A boolean (its type is bool, not int) or a float is refused, as
+    True would index database 1 and 1.0 fail with TypeError."""
+    if not (type(db) is int or isinstance(db, np.integer)) or db not in (0, 1):
+        raise ValueError(f"db must be the integer 0 or 1; got {db!r}")
+
+
 class MechanismPair:
     """Sampling access to the two databases of a mechanism.
 
@@ -73,8 +81,7 @@ class MechanismPair:
 
     def draw(self, db: int, count: int) -> np.ndarray:
         """Histogram of ``count`` fresh i.i.d. samples from database ``db``."""
-        if db not in (0, 1):
-            raise ValueError("db must be 0 or 1")
+        _database(db)
         count = _integer("count", count)
         if not 0 <= count <= _MAX_COUNT:
             raise ValueError(f"count must lie in [0, 2**63 - 1]; got {count}")
@@ -90,8 +97,7 @@ class MechanismPair:
         row j of the (len(counts), n) result, the stream state after the call
         and the query count equal those of ``draw(db, counts[j])`` in turn.
         """
-        if db not in (0, 1):
-            raise ValueError("db must be 0 or 1")
+        _database(db)
         counts = np.asarray(counts)
         integral = counts.size == 0 or counts.dtype.kind in "iu"
         if counts.ndim != 1 or not integral or (

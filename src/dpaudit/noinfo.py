@@ -129,17 +129,34 @@ def adp_test_budgeted(
     return _statistic_outcome(x, y, r, eps, delta, alpha, queries=(r, r))
 
 
+def _histogram(name: str, counts) -> np.ndarray:
+    """``counts`` as an array if it is a non-empty 1-D histogram of
+    non-negative integers (an integer dtype: no floats, NaN or booleans)."""
+    arr = np.asarray(counts)
+    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu" or arr.min() < 0:
+        raise ValueError(
+            f"{name} must be a 1-D histogram of non-negative integers; got {counts!r}"
+        )
+    return arr
+
+
 def counts_tester(eps: float, delta: float, alpha: float):
     """Decision function over pre-drawn histograms of r samples each.
 
     Returns a callable ``tester(x, y, r) -> TestOutcome`` that draws
     nothing and reports no queries, as :func:`fixtures.distinguish` needs.
+    ``x`` and ``y`` must be equal-length 1-D histograms of non-negative
+    integers and ``r`` an integer >= 1; anything else raises ValueError.
     """
     eps = _check("eps", eps, 0.0, _EPS_MAX)
     delta = _check("delta", delta, 0.0, 1.0)
     alpha = _check("alpha", alpha, 0.0, open_low=True)
 
     def tester(x, y, r) -> TestOutcome:
+        x, y = _histogram("x", x), _histogram("y", y)
+        if x.size != y.size:
+            raise ValueError(f"x and y must have the same length; got {x.size} and {y.size}")
+        r = _integer("r", r)
         _check("r", r, 1.0)
         return _statistic_outcome(x, y, r, eps, delta, alpha, queries=(0, 0))
 

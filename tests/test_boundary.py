@@ -104,6 +104,25 @@ def test_counts_tester_checks_claim_when_built():
         counts_tester(0.0, NAN, 0.3)
 
 
+def test_counts_tester_checks_histograms_and_r():
+    tester = counts_tester(0.0, 0.0, 0.1)
+    for bad in (NAN, -5, 3.7, math.inf):
+        with pytest.raises(ValueError, match="^x must be a 1-D histogram"):
+            tester([bad, 1], [1, 1], 2)
+        with pytest.raises(ValueError, match="^y must be a 1-D histogram"):
+            tester([1, 1], [1, bad], 2)
+    for x, y in (([[1, 1]], [[1, 1]]), ([], []), (np.array([True, False]), [1, 0])):
+        with pytest.raises(ValueError, match="must be a 1-D histogram"):
+            tester(x, y, 1)
+    with pytest.raises(ValueError, match="same length"):
+        tester([1, 1], [1, 1, 0], 2)
+    for bad in (10.5, True, NAN, math.inf, None, "2"):
+        with pytest.raises(ValueError, match="^r must be an integer"):
+            tester([1, 1], [1, 1], bad)
+    # an integral float r reads as the integer
+    assert tester([2, 1], [0, 3], 3.0).statistic == tester([2, 1], [0, 3], 3).statistic
+
+
 def test_random_privacy_test_checks_claim_with_explicit_sizes():
     family = constant_family(RR.truth[0])
     dd = data_distribution([0])
@@ -455,7 +474,8 @@ CONSTRUCTORS = {
     "brute_force_delta": (lambda e: brute_force_delta(*LEAKY.truth, e), (x,)),
     "adp_test_budgeted": (lambda e, d, a, r: adp_test_budgeted(LEAKY.spawn(1), e, d, a, r),
                           (x, x, x, small_int)),
-    "counts_tester": (lambda e, d, a: counts_tester(e, d, a)([2, 1], [0, 3], 3), (x, x, x)),
+    "counts_tester": (lambda e, d, a, c, r: counts_tester(e, d, a)([2, c], [0, 3], r),
+                      (x, x, x, count, count)),
     "adp_test_fi": (lambda e, d, a: adp_test_fi(RR.spawn(2), RR_SIDE, e, d, a, rng(),
                                                 calibration_trials=100), (x, x, x)),
     "pdp_test_fi": (lambda e, a: pdp_test_fi(RR.spawn(3), RR_SIDE, e, a, rng()), (x, x)),

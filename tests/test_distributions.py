@@ -24,7 +24,7 @@ from dpaudit import (
     min_mass,
     tv_distance,
 )
-from dpaudit.distributions import _event_masses, _integer, _slack
+from dpaudit.distributions import _SHORT_ROW, _event_masses, _integer, _slack
 
 P = make_distribution([0.9, 0.1])
 Q = make_distribution([0.5, 0.5])
@@ -295,6 +295,59 @@ def test_slack_matches_reference_on_counts():
             x, y = rng.multinomial(r, p.probs), rng.multinomial(r, q.probs)
             for eps in SLACK_EPS:
                 assert bits(_slack(x, y, eps, r)) == bits(slack_reference(x, y, eps, r))
+
+
+# -- rows shorter than _SHORT_ROW take a scalar loop; numpy sums 8 and more
+
+
+@pytest.mark.parametrize("n", [_SHORT_ROW - 1, _SHORT_ROW])
+def test_slack_matches_reference_on_both_sides_of_the_loop_cutoff(n):
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        # masses spread over many binades, some exactly zero
+        w = rng.random((2, n)) * 10.0 ** rng.integers(-12, 1, (2, n))
+        w *= rng.random((2, n)) > 0.2
+        w[:, 0] += 1e-3
+        p, q = make_distribution(w[0]), make_distribution(w[1])
+        x, y = rng.multinomial(1000, p.probs), rng.multinomial(1000, q.probs)
+        for eps in SLACK_EPS:
+            assert bits(_slack(p.probs, q.probs, eps)) == bits(
+                slack_reference(p.probs, q.probs, eps)
+            )
+            assert bits(_slack(x, y, eps, 1000)) == bits(slack_reference(x, y, eps, 1000))
+
+
+@pytest.mark.parametrize("r", [2**53 + 1, 2**62])
+def test_slack_rounds_large_counts_as_numpy_does(r):
+    # counts and r above 2^53 round on their way to float64
+    rng = np.random.default_rng(15)
+    for n in (2, 3, _SHORT_ROW - 1, _SHORT_ROW):
+        for _ in range(20):
+            p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+            x, y = rng.multinomial(r, p), rng.multinomial(r, q)
+            for eps in SLACK_EPS:
+                assert bits(_slack(x, y, eps, r)) == bits(slack_reference(x, y, eps, r))
+
+
+def test_slack_takes_list_rows():
+    rng = np.random.default_rng(16)
+    for n in (1, 3, _SHORT_ROW - 1, _SHORT_ROW, 12):
+        x, y = rng.multinomial(97, np.ones(n) / n), rng.multinomial(97, np.ones(n) / n)
+        p, q = make_distribution(rng.random(n)), make_distribution(rng.random(n))
+        for eps in SLACK_EPS:
+            got = _slack(x.tolist(), y.tolist(), eps, 97)
+            assert bits(got) == bits(slack_reference(x, y, eps, 97))
+            assert all(type(v) is float for v in got)
+            got = _slack(p.probs.tolist(), q.probs.tolist(), eps)
+            assert bits(got) == bits(slack_reference(p.probs, q.probs, eps))
+
+
+@pytest.mark.parametrize("n", [1, 3, _SHORT_ROW - 1, _SHORT_ROW, 12])
+def test_slack_rejects_ragged_rows(n):
+    for a, b in (([1] * n, [1] * (n + 1)), ([1] * (n + 1), [1] * n)):
+        for row_a, row_b in ((a, b), (np.array(a), np.array(b))):
+            with pytest.raises(ValueError):
+                _slack(row_a, row_b, 0.0, n + 1)
 
 
 def test_event_masses_match_reference():

@@ -119,6 +119,22 @@ def test_draw_many_validation():
     assert mech.query_counter == [0, 0]
 
 
+def test_database_index_is_an_integer():
+    # True would index database 1 and 1.0 fail with TypeError; both are refused
+    mech = randomized_response(0.1)
+    for bad in (1.0, 0.0, True, False, np.True_, "1", None, np.int64(2)):
+        with pytest.raises(ValueError, match="^db must be the integer 0 or 1"):
+            mech.draw(bad, 5)
+        with pytest.raises(ValueError, match="^db must be the integer 0 or 1"):
+            mech.draw_many(bad, [5])
+    assert mech.query_counter == [0, 0]
+    # a numpy integer draws like the int
+    ref, fresh = randomized_response(0.1, seed=3), randomized_response(0.1, seed=3)
+    assert np.array_equal(fresh.draw(np.int64(1), 4), ref.draw(1, 4))
+    assert np.array_equal(fresh.draw_many(np.uint8(0), [4]), ref.draw_many(0, [4]))
+    assert fresh.query_counter == [4, 4]
+
+
 def test_spawn_resets_state_and_keeps_truth():
     mech = randomized_response(0.25, seed=3)
     mech.draw(0, 100)
