@@ -88,13 +88,10 @@ def _target_from_args(args) -> dict:
     if args.mech is not None:
         target: dict = {"mechanism": _load_json(args.mech)}
     elif args.fixture is not None:
-        target = {
-            "fixture": {
-                "name": args.fixture,
-                "params": _parse_params(args.fixture_params or []),
-                "instance": args.instance,
-            }
-        }
+        params = _parse_params(args.fixture_params or [])
+        if args.base is not None:
+            params["base"] = _load_json(args.base)
+        target = {"fixture": {"name": args.fixture, "params": params, "instance": args.instance}}
     else:
         raise ValueError("give either --mech or --fixture")
     if args.side is not None:
@@ -324,6 +321,7 @@ def _build_parser() -> _Parser:
     test.add_argument("--mech", help="mechanism config JSON file")
     test.add_argument("--fixture", choices=FIXTURE_NAMES)
     test.add_argument("--fixture-params", nargs="*", metavar="K=V")
+    test.add_argument("--base", help="base mechanism config JSON (mean-sideinfo)")
     test.add_argument("--instance", choices=("private", "far"), default="private")
     test.add_argument("--side", help="'truth', 'claim', or a side-info JSON file")
     test.add_argument("--eps", type=float)

@@ -146,7 +146,8 @@ def counts_tester(eps: float, delta: float, alpha: float):
     Returns a callable ``tester(x, y, r) -> TestOutcome`` that draws
     nothing and reports no queries, as :func:`fixtures.distinguish` needs.
     ``x`` and ``y`` must be equal-length 1-D histograms of non-negative
-    integers and ``r`` an integer >= 1; anything else raises ValueError.
+    integers, ``r`` an integer >= 1 and each histogram must hold exactly
+    r samples; anything else raises ValueError.
     """
     eps = _check("eps", eps, 0.0, _EPS_MAX)
     delta = _check("delta", delta, 0.0, 1.0)
@@ -158,6 +159,10 @@ def counts_tester(eps: float, delta: float, alpha: float):
             raise ValueError(f"x and y must have the same length; got {x.size} and {y.size}")
         r = _integer("r", r)
         _check("r", r, 1.0)
+        if not x.sum() == r == y.sum():
+            raise ValueError(
+                f"x and y must each hold r = {r} samples; got {x.sum()} and {y.sum()}"
+            )
         return _statistic_outcome(x, y, r, eps, delta, alpha, queries=(0, 0))
 
     return tester

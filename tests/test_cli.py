@@ -123,6 +123,24 @@ def test_test_verb_fixture_target(capsys):
     )
 
 
+MEAN_SIDEINFO_TEST = ["test", "adp-ni", "--fixture", "mean-sideinfo", "--fixture-params",
+                      "eps=0.3", "alpha=0.1", "A=4", "--eps", "0.3", "--alpha", "0.1"]
+
+
+def test_test_verb_reads_the_fixture_base(capsys, tmp_path):
+    # randomized response at flip probability 0.45 (eps = 0.20), with a
+    # third outcome neither database emits, as mean-sideinfo needs
+    rr = {"mechanism": "explicit", "p0": {"probs": [0.55, 0.45, 0.0]},
+          "p1": {"probs": [0.45, 0.55, 0.0]}}
+    code, cap = run(capsys, MEAN_SIDEINFO_TEST + ["--base", write_json(tmp_path / "rr.json", rr)])
+    assert code == 0
+    assert json.loads(cap.out)["distance_from_claim"] == 0.0
+
+    code, cap = run(capsys, MEAN_SIDEINFO_TEST)
+    assert code == 1
+    assert cap.err.startswith("error: ") and "Traceback" not in cap.err
+
+
 def test_pdp_fi_with_truth_side(capsys, rr_mech):
     code, cap = run(
         capsys,

@@ -382,3 +382,52 @@ def test_brute_force_oracles_peak_at_three_event_vectors(oracle, arg):
         tracemalloc.stop()
     # three 2^16 float64 vectors, plus 4 KiB for scalars and masks' headers
     assert peak <= 3 * 2**16 * 8 + 4096
+
+
+# -- the oracles walk 2^n events in blocks of 2^14; sizes around and
+# -- above one block must give the whole-vector references' bits
+
+
+def block_pairs(n, seed):
+    """Pairs with zero masses, and one whose mass sits only on the
+    outcomes from 14 up, so that every block above the first counts."""
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        weights = rng.random((2, n)) * (rng.random((2, n)) > 0.25)
+        weights[:, 0] += 1e-3
+        yield make_distribution(weights[0]), make_distribution(weights[1])
+    if n > 14:
+        weights = np.zeros((2, n))
+        weights[:, 14:] = rng.random((2, n - 14)) * (rng.random((2, n - 14)) > 0.3)
+        weights[:, -1] += 1e-3
+        yield make_distribution(weights[0]), make_distribution(weights[1])
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16, 18, 20])
+def test_brute_force_oracles_match_reference_across_blocks(n):
+    for p, q in block_pairs(n, seed=n):
+        for eps in SLACK_EPS:
+            assert bits(brute_force_delta(p, q, eps)) == bits(
+                brute_force_delta_reference(p, q, eps)
+            )
+        for delta in (0.0, 0.1, 0.5, 0.9):
+            assert bits(approx_max_divergence_bruteforce(p, q, delta)) == bits(
+                approx_max_divergence_reference(p, q, delta)
+            )
+
+
+@pytest.mark.parametrize(
+    "oracle, arg", [(brute_force_delta, 0.3), (approx_max_divergence_bruteforce, 0.1)]
+)
+def test_brute_force_oracles_hold_no_event_vector(oracle, arg):
+    rng = np.random.default_rng(17)
+    n = BRUTE_FORCE_MAX_N
+    p, q = make_distribution(rng.random(n)), make_distribution(rng.random(n))
+    tracemalloc.start()
+    try:
+        oracle(p, q, arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 2^20 float64 vector alone is 8 MiB
+    assert peak < 4 * 2**20

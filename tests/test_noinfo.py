@@ -135,3 +135,13 @@ def test_counts_tester_closure():
     assert rejecting.verdict is Verdict.REJECT
     with pytest.raises(ValueError):
         tester([1], [1], 0)
+
+
+def test_counts_tester_needs_r_samples_in_each_histogram():
+    # a plug-in slack over histograms of 100 samples divided by r = 2
+    # would read 50, far outside [0, 1]
+    tester = counts_tester(0.0, 0.0, 0.1)
+    for x, y, r in (([100, 0], [0, 100], 2), ([1, 1], [1, 0], 2), ([1, 0], [1, 1], 2)):
+        with pytest.raises(ValueError, match="must each hold r"):
+            tester(x, y, r)
+    assert tester([1, 1], [2, 0], 2).statistic == 0.5
