@@ -426,19 +426,18 @@ def approx_max_divergence_bruteforce(
     Computes sup over events E with P(E) >= delta of
     ln((P(E) - delta) / Q(E)). An event with positive numerator and zero
     Q-mass drives the supremum to inf; events whose numerator is zero
-    contribute ln 0 and are dominated unless every qualifying event has
-    zero numerator, in which case the supremum is -inf. Raises if no
-    event qualifies (delta > 1) or n exceeds BRUTE_FORCE_MAX_N. The
-    events are walked in blocks of 2^14, so a call holds no 2^n vector:
-    it peaks under 2 MiB at n = 20.
+    contribute ln 0 and are dominated unless no event has a positive
+    numerator, in which case the supremum is -inf. That includes delta = 1
+    when the masses sum to just under 1 in float64. Raises if delta lies
+    outside [0, 1] or n exceeds BRUTE_FORCE_MAX_N. The events are walked
+    in blocks of 2^14, so a call holds no 2^n vector: it peaks under
+    2 MiB at n = 20.
     """
     delta = _check("delta", delta, 0.0, 1.0)
     pa, qa = _enumerable(p, q)
-    qualified = False
     best = -math.inf
     numer = None
     for mp, mq in _event_blocks(pa, qa):
-        qualified = qualified or bool(np.any(mp >= delta))
         # numerators in a scratch buffer; a positive one marks a
         # qualifying event, since x - delta > 0 exactly when x > delta
         numer = np.subtract(mp, delta, out=numer)
@@ -449,8 +448,6 @@ def approx_max_divergence_bruteforce(
         np.divide(numer, mq, out=numer, where=usable)
         np.log(numer, out=numer, where=usable)
         best = max(best, float(np.max(numer, where=usable, initial=-math.inf)))
-    if not qualified:
-        raise ValueError("no event has mass at least delta")
     return best
 
 

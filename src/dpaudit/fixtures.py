@@ -493,9 +493,9 @@ def build_fixture(
     """Build a fixture by registry name from a flat parameter mapping.
 
     Returns ``(pair, pair.side)``. mean-sideinfo expects a ``base`` entry
-    holding a mechanism config document. A missing parameter raises
-    KeyError; an unknown name, a value of the wrong type or an integer
-    parameter with a fractional part raises ValueError. ``seed`` is
+    holding a mechanism config document. An unknown name, a missing
+    parameter, a value of the wrong type or an integer parameter with a
+    fractional part raises ValueError naming the fixture. ``seed`` is
     ignored, as a fixture holds no streams; it stays only because
     ``benchmarks/workloads.py`` (``ExactCertify._run``) passes it.
     """
@@ -507,6 +507,8 @@ def build_fixture(
             key: _integer(key, params[key]) if cast is int else cast(params[key])
             for key, cast in types.items()
         }
+    except KeyError as exc:
+        raise ValueError(f"{name} fixture needs parameter {exc}") from None
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"bad {name} parameter: {exc}") from None
     pair = builder(**args)

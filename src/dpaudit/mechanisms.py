@@ -14,6 +14,7 @@ through a rare outcome, and explicit distribution pairs.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -31,6 +32,88 @@ _GEOMETRIC_EPS_MAX = -float(np.log(_TINY))
 #: Largest sample count numpy's multinomial takes, an int64. Counts are
 #: compared as Python ints: as a float, 2^63 rounds onto this bound.
 _MAX_COUNT = 2**63 - 1
+
+#: numpy's SeedSequence hash: pool size and constants.
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+
+
+def _hashmix(x: np.ndarray, first: int, calls: int, init=_INIT_A, mult=_MULT_A) -> np.ndarray:
+    """numpy's hashmix calls first, first + 1, ... along the last axis: call
+    k xors init * mult^k into x and multiplies by init * mult^(k + 1)."""
+    k = range(first, first + calls + 1)
+    c = np.array([init * pow(mult, j, 2**32) % 2**32 for j in k], dtype=np.uint32)
+    x = (x ^ c[:-1]) * c[1:]
+    return x ^ x >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    m = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return m ^ m >> 16
+
+
+def _words(values) -> list[int]:
+    """Little-endian 32-bit words of each non-negative int in turn; 0 is [0]."""
+    words = []
+    for v in values:
+        words.append(v & 0xFFFFFFFF)
+        while v > 0xFFFFFFFF:
+            v >>= 32
+            words.append(v & 0xFFFFFFFF)
+    return words
+
+
+def _seed_row(entropy, spawn_key=()) -> list[int]:
+    """The words ``SeedSequence(entropy, spawn_key=spawn_key)`` hashes: with a
+    key, the run entropy is zero-padded to the pool size before the key."""
+    row = _words(entropy)
+    return row + [0] * (_POOL - len(row)) + _words(spawn_key) if spawn_key else row
+
+
+def _seed_states(rows) -> np.ndarray:
+    """``SeedSequence(...).generate_state(4, np.uint64)`` for every row at once.
+
+    Each row is a word list from :func:`_seed_row`. numpy's mix_entropy and
+    generate_state run column-wise over a (rows, width) block. A row's words
+    past the pool are mixed in under a length mask; the hash constant they
+    advance is not used after the mix, so rows of any lengths share a call.
+    """
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    width = max(_POOL, int(lengths.max()))
+    block = np.zeros((len(rows), width), dtype=np.uint32)
+    block[np.arange(width) < lengths[:, None]] = np.fromiter(itertools.chain(*rows), np.uint32)
+    pool = _hashmix(block[:, :_POOL], 0, _POOL)
+    for src in range(_POOL):  # each pool word into the other three
+        dst = [i for i in range(_POOL) if i != src]
+        h = _hashmix(pool[:, src, None], _POOL + (_POOL - 1) * src, _POOL - 1)
+        pool[:, dst] = _mix(pool[:, dst], h)
+    for src in range(_POOL, width):
+        mixed = _mix(pool, _hashmix(block[:, src, None], _POOL * src, _POOL))
+        pool = np.where((lengths > src)[:, None], mixed, pool)
+    words = _hashmix(np.tile(pool, 2), 0, 2 * _POOL, _INIT_B, _MULT_B)
+    return words[:, 0::2].astype(np.uint64) | words[:, 1::2].astype(np.uint64) << np.uint64(32)
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A state from :func:`_seed_states`, handed to PCG64 as its seed sequence.
+
+    ``Generator(PCG64(_SeedState(state)))`` is the generator that the row's
+    ``SeedSequence`` seeds. It serves only PCG64's request, 4 uint64 words,
+    and cannot spawn: ``bit_generator.seed_seq`` of a harness trial's
+    generator is this shim, and no package code spawns from it.
+    """
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = np.ascontiguousarray(state)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != _POOL or dtype is not np.uint64:
+            raise ValueError("a derived seed state holds exactly 4 uint64 words")
+        return self._state
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_SeedState(state)))
 
 
 def _database(db) -> None:
@@ -53,7 +136,8 @@ class MechanismPair:
 
     Instances own mutable stream and counter state, so a pair must not be
     shared by concurrent callers; parallel trials should each
-    :meth:`spawn` their own pair.
+    :meth:`spawn` their own pair. The harness derives a block of trials'
+    pairs at once (``_spawn_many``), with the bits of ``spawn``.
     """
 
     def __init__(
@@ -70,10 +154,10 @@ class MechanismPair:
         self._pvals = (p0.probs / p0.probs.sum(), p1.probs / p1.probs.sum())
         self._reseed(seed)
 
-    def _reseed(self, seed: int) -> None:
-        """Fresh streams for ``seed`` and zeroed query counters."""
+    def _reseed(self, seed: int, rngs=None) -> None:
+        """Fresh streams for ``seed`` (or ``rngs``) and zeroed query counters."""
         self.seed = seed
-        self._rngs = tuple(
+        self._rngs = rngs or tuple(
             np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
             for b in (0, 1)
         )
@@ -113,6 +197,25 @@ class MechanismPair:
         pair = copy.copy(self)
         pair._reseed(seed)
         return pair
+
+    def _spawn_many(self, seeds, rng_seeds):
+        """Yield ``(spawn(s), np.random.default_rng(e))``, draw for draw, for
+        each ``s, e`` of two equally long lists; each ``e`` is a sequence of ints.
+
+        All of their states come from one :func:`_seed_states` pass, but
+        each item's generators are built only when it is yielded.
+        """
+        rows = []
+        for s, e in zip(seeds, rng_seeds, strict=True):
+            key0 = _seed_row((s,), (0,))  # the two streams' rows differ in the key word
+            rows += (_seed_row(e), key0, key0[:-1] + [1])
+        states = _seed_states(rows)
+        for i, seed in enumerate(seeds):
+            # copy.copy(self) without its reduce protocol, which costs more than a generator
+            pair = object.__new__(type(self))
+            pair.__dict__ = self.__dict__.copy()
+            pair._reseed(seed, (_generator(states[3 * i + 1]), _generator(states[3 * i + 2])))
+            yield pair, _generator(states[3 * i])
 
     def __repr__(self) -> str:
         return f"MechanismPair(n={self.n}, seed={self.seed})"

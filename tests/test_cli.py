@@ -141,6 +141,21 @@ def test_test_verb_reads_the_fixture_base(capsys, tmp_path):
     assert cap.err.startswith("error: ") and "Traceback" not in cap.err
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["test", "adp-ni", "--fixture", "mean-sideinfo", "--eps", "0.1", "--delta", "0",
+          "--alpha", "0.1"], "eps"),
+        (MEAN_SIDEINFO_TEST, "base"),
+    ],
+)
+def test_missing_fixture_parameter_is_named(capsys, argv, key):
+    code, cap = run(capsys, argv)
+    assert code == 1
+    assert cap.err.startswith("error: ") and "Traceback" not in cap.err
+    assert "mean-sideinfo" in cap.err and repr(key) in cap.err
+
+
 def test_pdp_fi_with_truth_side(capsys, rr_mech):
     code, cap = run(
         capsys,

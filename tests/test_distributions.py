@@ -367,6 +367,18 @@ def test_brute_force_oracles_match_reference():
             )
 
 
+def test_approx_divergence_at_delta_one_where_masses_sum_under_one():
+    rng = np.random.default_rng(0)
+    pairs = [(make_distribution(rng.random(8)), make_distribution(rng.random(8))) for _ in range(200)]
+    # no event of these reaches mass 1 in float64, so none has a positive numerator
+    short = [(p, q) for p, q in pairs if _event_masses(p.probs).max() < 1.0]
+    assert len(short) == 52
+    for p, q in short:
+        assert bits(approx_max_divergence_bruteforce(p, q, 1.0)) == bits(
+            approx_max_divergence_reference(p, q, 1.0)
+        )
+
+
 @pytest.mark.parametrize(
     "oracle, arg", [(brute_force_delta, 0.3), (approx_max_divergence_bruteforce, 0.1)]
 )

@@ -19,6 +19,9 @@ from dpaudit import (
     randomized_response,
     truncated_geometric,
 )
+from dpaudit import harness
+from dpaudit.harness import ExperimentConfig, run_experiment
+from dpaudit.mechanisms import _seed_row, _seed_states, _SeedState
 
 
 def test_same_seed_reproduces_streams():
@@ -162,6 +165,78 @@ def test_streams_are_the_children_of_a_spawned_seed_sequence(seed):
 
     same_streams(mech)
     same_streams(mech.spawn(seed))  # spawned after mech's streams moved on
+
+
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32 + 1, 2**63 - 1, 2**64, 2**96, 2**128, 2**200]
+
+
+def test_seed_states_equal_seed_sequence_states():
+    rng = np.random.default_rng(5)
+    entropies = [(s, t) for s in SEED_EDGES for t in (0, 2**32)]
+    # random seeds of 0 to 300 bits, so that rows of many widths share the batch
+    entropies += [
+        (int(rng.integers(2**62)) << int(rng.integers(240)), int(rng.integers(2**33)))
+        for _ in range(500)
+    ]
+    rows, expected = [], []
+    for seed, trial in entropies:
+        rows.append(_seed_row((seed, trial)))
+        expected.append(np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64))
+        for key in (0, 1):
+            rows.append(_seed_row((seed,), (key,)))
+            expected.append(
+                np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(4, np.uint64)
+            )
+    states = _seed_states(rows)
+    assert states.dtype == np.uint64
+    assert np.array_equal(states, np.array(expected))
+
+
+def test_spawn_many_equals_spawn():
+    mech = truncated_geometric(0.5, 6, seed=1)
+    seeds, rng_seeds = SEED_EDGES, [(s, t) for t, s in enumerate(SEED_EDGES)]
+    for seed, rng_seed, (pair, rng) in zip(seeds, rng_seeds, mech._spawn_many(seeds, rng_seeds)):
+        ref = mech.spawn(seed)
+        assert pair.seed == seed and pair.query_counter == [0, 0] and pair.truth == mech.truth
+        for db in (0, 1):
+            assert np.array_equal(pair.draw(db, 1000), ref.draw(db, 1000))
+            assert np.array_equal(pair.draw_many(db, [3, 0, 40]), ref.draw_many(db, [3, 0, 40]))
+        assert np.array_equal(rng.random(20), np.random.default_rng(list(rng_seed)).random(20))
+
+
+def test_harness_trial_streams_cross_blocks_unchanged(monkeypatch):
+    monkeypatch.setattr(harness, "_SEED_BLOCK", 3)
+    seen = []
+    real = harness.adp_test_ni
+
+    def recording(mech, *args):
+        seen.append((mech, [g.bit_generator.state for g in (*mech._rngs, args[-1])]))
+        return real(mech, *args)
+
+    monkeypatch.setattr(harness, "adp_test_ni", recording)
+    seed, trials = 2**40 + 3, 8
+    target = {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}}
+    tester = {"kind": "adp-ni", "eps": 1.0, "alpha": 0.3}
+    run_experiment(ExperimentConfig(tester, target, trials, seed))
+    base = randomized_response(0.25)
+    assert len(seen) == trials
+    for trial, (mech, states) in enumerate(seen):
+        ref = base.spawn(seed * 1_000_003 + trial + 1)
+        rng = np.random.default_rng([seed, trial])
+        assert mech.seed == ref.seed
+        assert states == [g.bit_generator.state for g in (*ref._rngs, rng)]
+
+
+def test_seed_state_serves_only_four_uint64_words():
+    state = _seed_states([_seed_row((7,))])[0]
+    shim = _SeedState(state)
+    assert np.array_equal(shim.generate_state(4, np.uint64), state)
+    for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(ValueError):
+            shim.generate_state(n_words, dtype)
+    assert np.array_equal(
+        np.random.Generator(np.random.PCG64(shim)).random(5), np.random.default_rng(7).random(5)
+    )
 
 
 def test_mismatched_universes_rejected():
