@@ -12,14 +12,19 @@ empirical frequencies.
 
 Identity-test thresholds are calibrated by Monte Carlo on fixed-size
 row blocks of null counts and cached, keyed by a digest of the
-distribution and the test parameters, so repeated experiments do not
-re-simulate. The statistic is a sum of independent per-bin terms, so its
-null law depends only on the multiset of claimed masses: the cache keys
-and simulates each threshold on the ascending-sorted mass vector, and a
-claim and any permutation of it (the two databases of a mirror-image
-mechanism) share one Monte-Carlo run. The aDP tester draws and scores
-each database's majority reps as one block, through the same
-row-vectorised statistic.
+distribution and the test parameters. The calibration RNG is seeded from
+that key, so a threshold is a pure function of it: one process-wide
+table holds every threshold calibrated in the process, and experiments
+that repeat a claim (a sweep over seeds, trials or the claimed eps and
+delta; a truthful and a lying box against one claimed side) simulate it
+once. A cache file adds persistence across processes; values read from
+a file stay with the cache that read them. The statistic is a sum of
+independent per-bin terms, so its null law depends only on the multiset
+of claimed masses: the cache keys and simulates each threshold on the
+ascending-sorted mass vector, and a claim and any permutation of it (the
+two databases of a mirror-image mechanism) share one Monte-Carlo run.
+The aDP tester draws and scores each database's majority reps as one
+block, through the same row-vectorised statistic.
 """
 
 from __future__ import annotations
@@ -167,6 +172,16 @@ def calibrate_identity_threshold(
     return float(np.nextafter(threshold, math.inf))
 
 
+#: Thresholds calibrated in this process, by cache key. A key fixes its
+#: threshold (the calibration RNG is seeded from it), so every
+#: CalibrationCache shares this table and a claim is simulated once per
+#: process. Only calibrated values enter it, never values read from a
+#: cache file. An entry is one 64-character key and one float, so the
+#: table is not bounded. Threads that miss on one key together each
+#: calibrate it and store the same value.
+_CALIBRATED: dict[str, float] = {}
+
+
 class CalibrationCache:
     """Threshold cache keyed by (distribution, budget, alpha, confidence).
 
@@ -175,12 +190,21 @@ class CalibrationCache:
     is symmetric in the bins, so a claim and every permutation of it share
     one key, one seeded Monte-Carlo run and one threshold.
 
+    Calibration RNG is seeded from the cache key itself, so a given
+    configuration always produces the same threshold no matter which
+    process computes it first. A key missing from this cache's own table
+    is looked up in the process-wide table of calibrated thresholds, and
+    only calibrated on a miss there too; so fresh caches in one process
+    share each Monte-Carlo run.
+
     Optionally persists to a JSON file so repeated CLI runs skip the
-    Monte Carlo. Calibration RNG is seeded from the cache key itself, so
-    a given configuration always produces the same threshold no matter
-    which process computes it first. The file is replaced atomically on
-    every write, and a file that cannot be read back as a JSON object of
-    numbers is treated as empty, with a warning.
+    Monte Carlo. The file receives every key this cache serves, also
+    keys answered from the process table. Values read from the file stay
+    in this cache's own table: they never reach the process table, so a
+    stale or edited file cannot change another cache's thresholds. The
+    file is replaced atomically on every write, and a file that cannot be
+    read back as a JSON object of numbers is treated as empty, with a
+    warning.
     """
 
     DEFAULT_TRIALS = 2000
@@ -204,14 +228,19 @@ class CalibrationCache:
         budget = identity_budget(q.n, alpha)
         trials = self.DEFAULT_TRIALS if trials is None else _integer("trials", trials)
         # the null law is symmetric in the bins: calibrate on the sorted masses
-        q = DiscreteDistribution(np.sort(q.probs))
-        h = hashlib.sha256(q.probs.tobytes())
+        probs = np.sort(q.probs)
+        h = hashlib.sha256(probs.tobytes())
         h.update(struct.pack("<qddqq", q.n, alpha, IDENTITY_CONFIDENCE, budget, trials))
         h.update(struct.pack("<q", STATISTIC_VERSION))
         key = h.hexdigest()
         if key not in self._table:
-            rng = np.random.default_rng(int(key[:16], 16))
-            self._table[key] = calibrate_identity_threshold(q, alpha, trials, rng)
+            threshold = _CALIBRATED.get(key)
+            if threshold is None:
+                rng = np.random.default_rng(int(key[:16], 16))
+                sorted_q = DiscreteDistribution(probs)
+                threshold = calibrate_identity_threshold(sorted_q, alpha, trials, rng)
+                _CALIBRATED[key] = threshold
+            self._table[key] = threshold
             if self.path is not None:
                 fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
                 try:

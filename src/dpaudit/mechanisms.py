@@ -330,13 +330,14 @@ def mechanism_from_config(config: dict) -> MechanismPair:
 
     A config holds no seed: callers that sample spawn the pair at their
     own. A value of the wrong type (``null``, ``Infinity`` or ``4.5`` as
-    ``n``) raises ValueError, as does an unknown kind; a missing field
-    raises KeyError.
+    ``n``) raises ValueError, as do an unknown kind and a missing field.
     """
     kind = config.get("mechanism") if isinstance(config, dict) else None
     if not isinstance(kind, str) or kind not in _MECHANISMS:
         raise ValueError(f"mechanism field must be one of {tuple(_MECHANISMS)}; got {kind!r}")
     try:
         return _MECHANISMS[kind](config)
+    except KeyError as exc:
+        raise ValueError(f"{kind} mechanism needs field {exc}") from None
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"bad {kind} config: {exc}") from None

@@ -156,6 +156,23 @@ def test_missing_fixture_parameter_is_named(capsys, argv, key):
     assert "mean-sideinfo" in cap.err and repr(key) in cap.err
 
 
+@pytest.mark.parametrize("verb", ["fixture", "sweep"])
+def test_missing_mechanism_field_is_named(capsys, tmp_path, verb):
+    mech = {"mechanism": "randomized_response"}
+    if verb == "fixture":
+        argv = ["fixture", "mean-sideinfo", "--params", "eps=0.3", "alpha=0.1", "A=4",
+                "--base", write_json(tmp_path / "rr.json", mech)]
+    else:
+        doc = {"tester": {"kind": "adp-ni", "eps": 0.5, "alpha": 0.3},
+               "target": {"mechanism": mech}}
+        argv = ["sweep", "--config", write_json(tmp_path / "config.json", doc),
+                "--parameter", "trials", "--values", "2"]
+    code, cap = run(capsys, argv)
+    assert code == 1
+    assert cap.err.startswith("error: ") and "Traceback" not in cap.err
+    assert "randomized_response" in cap.err and "flip_prob" in cap.err
+
+
 def test_pdp_fi_with_truth_side(capsys, rr_mech):
     code, cap = run(
         capsys,

@@ -23,6 +23,7 @@ from dpaudit import (
     pdp_test_fi,
     randomized_response,
     run_experiment,
+    sweep,
 )
 from dpaudit import fullinfo
 from dpaudit.distributions import _majority_reps
@@ -178,7 +179,8 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
 
 
 def counted_calibrations(monkeypatch):
-    """Count calibrate_identity_threshold calls made through the cache."""
+    """Count calibrate_identity_threshold calls made through the cache,
+    starting from an empty process-wide threshold table."""
     calls = []
     calibrate = fullinfo.calibrate_identity_threshold
 
@@ -187,6 +189,7 @@ def counted_calibrations(monkeypatch):
         return calibrate(q, alpha, trials, rng)
 
     monkeypatch.setattr(fullinfo, "calibrate_identity_threshold", counting)
+    monkeypatch.setattr(fullinfo, "_CALIBRATED", {})
     return calls
 
 
@@ -241,6 +244,81 @@ def test_adp_fi_on_a_mirrored_ladder_calibrates_once_at_any_eps(monkeypatch, eps
         )
     )
     assert len(calls) == 1
+
+
+LADDER_FI = {
+    "tester": {"kind": "adp-fi", "eps": 0.5, "delta": 0.0, "alpha": 0.3},
+    "target": {
+        "mechanism": {"mechanism": "truncated_geometric", "eps": 0.5, "n": 64},
+        "side": "truth",
+    },
+    "trials": 3,
+    "seed": 4,
+}
+
+
+def test_sweep_over_the_claimed_delta_calibrates_once(tmp_path, monkeypatch):
+    # delta is not in the cache key: every experiment of the sweep shares it
+    calls = counted_calibrations(monkeypatch)
+    deltas = [0.0, 0.05, 0.1]
+    rows = [oc.grid[0] for oc in sweep(ExperimentConfig(**LADDER_FI), "tester.delta", deltas)]
+    assert len(calls) == 1
+
+    def run(delta, name, cold):
+        if cold:
+            fullinfo._CALIBRATED.clear()
+        tester = dict(LADDER_FI["tester"], delta=delta)
+        out = tmp_path / name
+        row = run_experiment(ExperimentConfig(**dict(LADDER_FI, tester=tester), out=out)).grid[0]
+        return row, out.read_bytes()
+
+    for delta, row in zip(deltas, rows):
+        cold_row, cold_csv = run(delta, f"cold-{delta}.csv", cold=True)
+        warm_row, warm_csv = run(delta, f"warm-{delta}.csv", cold=False)
+        assert row == cold_row == warm_row
+        assert warm_csv == cold_csv
+    # one calibration per emptied table, none for the warm runs
+    assert len(calls) == 1 + len(deltas)
+
+
+def test_adp_fi_without_a_cache_calibrates_a_claim_once(monkeypatch):
+    calls = counted_calibrations(monkeypatch)
+    mech = randomized_response(0.25)
+    side = SideInfo(*mech.truth)
+    outcomes = [
+        adp_test_fi(mech, side, math.log(3.0), 0.0, 0.3, np.random.default_rng(seed))
+        for seed in (1, 2)
+    ]
+    assert len(calls) == 1
+    thresholds = {outcome.diagnostics["identity_thresholds"] for outcome in outcomes}
+    assert len(thresholds) == 1
+
+
+def test_file_cache_persists_a_key_served_from_the_process_table(tmp_path, monkeypatch):
+    calls = counted_calibrations(monkeypatch)
+    q = make_distribution([0.05, 0.6, 0.15, 0.2])
+    threshold = CalibrationCache().threshold_for(q, 0.3, 500)
+    warm = tmp_path / "warm.json"
+    assert CalibrationCache(warm).threshold_for(q, 0.3, 500) == threshold
+    assert len(calls) == 1
+    # the same bytes as a file whose cache had to calibrate the key itself
+    fullinfo._CALIBRATED.clear()
+    cold = tmp_path / "cold.json"
+    assert CalibrationCache(cold).threshold_for(q, 0.3, 500) == threshold
+    assert len(calls) == 2
+    assert warm.read_bytes() == cold.read_bytes()
+
+
+def test_cache_file_values_stay_with_the_cache_that_read_them(tmp_path, monkeypatch):
+    calls = counted_calibrations(monkeypatch)
+    path = tmp_path / "thresholds.json"
+    threshold = CalibrationCache(path).threshold_for(UNIFORM2, 0.4, 500)
+    (key,) = json.loads(path.read_text())
+    path.write_text(json.dumps({key: 123.0}))
+    fullinfo._CALIBRATED.clear()
+    assert CalibrationCache(path).threshold_for(UNIFORM2, 0.4, 500) == 123.0
+    assert CalibrationCache().threshold_for(UNIFORM2, 0.4, 500) == threshold
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("probs", [[0.05, 0.6, 0.15, 0.2], [0.2, 0.15, 0.6, 0.05]])
