@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _check
+from .distributions import DiscreteDistribution, _check, _fields, _object
 from .fixtures import CERT_TOL, FIXTURE_NAMES, CertificationError, build_fixture
 from .fullinfo import IDENTITY_CONFIDENCE, CalibrationCache, identity_budget
 from .harness import TESTER_KINDS, ExperimentConfig, run_experiment, sweep
@@ -56,13 +56,16 @@ def _coerce(text: str):
     return text
 
 
-def _parse_params(pairs: list[str]) -> dict:
+def _parse_params(pairs: list[str] | None, base: str | None) -> dict:
+    """Fixture params from K=V flags, plus the --base file's config as "base"."""
     params = {}
-    for item in pairs:
+    for item in pairs or []:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise ValueError(f"--params entries look like key=value, got {item!r}")
         params[key] = _coerce(value)
+    if base is not None:
+        params["base"] = _load_json(base)
     return params
 
 
@@ -77,20 +80,15 @@ def _emit(doc: dict, out: str | None) -> None:
     _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
-def _load_json(path: str) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path} must hold a JSON object")
-    return doc
+def _load_json(path: str):
+    return json.loads(Path(path).read_text())
 
 
 def _target_from_args(args) -> dict:
     if args.mech is not None:
         target: dict = {"mechanism": _load_json(args.mech)}
     elif args.fixture is not None:
-        params = _parse_params(args.fixture_params or [])
-        if args.base is not None:
-            params["base"] = _load_json(args.base)
+        params = _parse_params(args.fixture_params, args.base)
         target = {"fixture": {"name": args.fixture, "params": params, "instance": args.instance}}
     else:
         raise ValueError("give either --mech or --fixture")
@@ -140,23 +138,20 @@ def _cmd_test_random(args) -> int:
     if args.family is None:
         raise ValueError("random needs --family")
     doc = _load_json(args.family)
-    kind = doc.get("kind")
+    dist = DiscreteDistribution.from_json
+    kind = _fields("family", doc, {"kind": str})["kind"]
     if kind == "constant":
-        family = constant_family(DiscreteDistribution.from_json(doc["dist"]))
+        family = constant_family(_fields("constant family", doc, {"dist": dist})["dist"])
         dd = data_distribution([0], db_size=args.db_size)
     elif kind == "value_flag":
-        flag_prob = _check("flag_prob", doc["flag_prob"], 0.0, 1.0)
-        family = value_flag_family(
-            {1},
-            DiscreteDistribution.from_json(doc["flagged"]),
-            DiscreteDistribution.from_json(doc["plain"]),
-        )
+        spec = {"flag_prob": float, "flagged": dist, "plain": dist}
+        fam = _fields("value_flag family", doc, spec)
+        flag_prob = _check("flag_prob", fam["flag_prob"], 0.0, 1.0)
+        family = value_flag_family({1}, fam["flagged"], fam["plain"])
         dd = data_distribution([0, 1], [1.0 - flag_prob, flag_prob], db_size=args.db_size)
     else:
         raise ValueError("family kind must be 'constant' or 'value_flag'")
 
-    inner_eps = args.inner_eps if args.inner_eps is not None else 0.0
-    inner_delta = args.inner_delta if args.inner_delta is not None else 0.0
     if args.inner_alpha is None or args.inner_budget is None:
         raise ValueError("random needs --inner-alpha and --inner-budget")
     # the formulas check --penalty, --alpha and --gamma
@@ -172,7 +167,7 @@ def _cmd_test_random(args) -> int:
 
     def inner(mech, rng):
         return adp_test_budgeted(
-            mech, inner_eps, inner_delta, args.inner_alpha, args.inner_budget
+            mech, args.inner_eps, args.inner_delta, args.inner_alpha, args.inner_budget
         )
 
     outcome = random_privacy_test(
@@ -201,9 +196,7 @@ def _cmd_test_random(args) -> int:
 
 
 def _fixture_doc(args) -> dict:
-    params = _parse_params(args.params or [])
-    if args.base is not None:
-        params["base"] = _load_json(args.base)
+    params = _parse_params(args.params, args.base)
     pair, _side = build_fixture(args.name, params)
     return {"name": args.name, **pair.to_json_dict()}
 
@@ -245,8 +238,9 @@ def _cmd_fixture(args) -> int:
 def _cmd_certify(args) -> int:
     if args.fixture_file is not None:
         stored = _load_json(args.fixture_file)
-        pair, side = build_fixture(stored["name"], stored["params"])
-        doc = {"name": stored["name"], **pair.to_json_dict()}
+        fx = _fields("fixture file", stored, {"name": str, "params": _object})
+        pair, side = build_fixture(fx["name"], fx["params"])
+        doc = {"name": fx["name"], **pair.to_json_dict()}
         # the distributions themselves, not their JSON text, are compared
         fresh = dict(doc, private=dict(zip(("p0", "p1"), pair.private_instance)),
                      far=dict(zip(("p0", "p1"), pair.far_instance)))
@@ -262,13 +256,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = _load_json(args.config)
-    base = ExperimentConfig(
-        tester=doc["tester"],
-        target=doc["target"],
-        trials=doc.get("trials", 1),
-        seed=doc.get("seed", 0),
-    )
+    spec = {"tester": _object, "target": _object, "trials": (int, 1), "seed": (int, 0)}
+    base = ExperimentConfig(**_fields("sweep config", _load_json(args.config), spec))
     values = [_coerce(v) for v in args.values.split(",") if v != ""]
     results = sweep(base, args.parameter, values)
     lines = ["value,distance,accept_rate,wilson_low,wilson_high,mean_queries"]
@@ -332,8 +321,8 @@ def _build_parser() -> _Parser:
     test.add_argument("--penalty", type=float, default=1.0)
     test.add_argument("--family", help="family JSON file (random)")
     test.add_argument("--db-size", type=int, default=1)
-    test.add_argument("--inner-eps", type=float)
-    test.add_argument("--inner-delta", type=float)
+    test.add_argument("--inner-eps", type=float, default=0.0)
+    test.add_argument("--inner-delta", type=float, default=0.0)
     test.add_argument("--inner-alpha", type=float)
     test.add_argument("--inner-budget", type=int)
     test.add_argument("--trials", type=int, default=1)
@@ -388,7 +377,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -85,6 +85,45 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer; got {value!r}")
 
 
+def _object(value) -> dict:
+    """A nested JSON object as is, for its own reader; anything else is refused."""
+    if not isinstance(value, dict):
+        raise TypeError(f"must be an object; got {value!r}")
+    return value
+
+
+def _fields(kind: str, doc, spec: dict) -> dict:
+    """The one reader of the package's documents: the keys ``spec`` names in
+    the JSON object ``doc``, each converted by ``spec[key]`` or, if optional,
+    ``(conversion, default)``; ``int`` converts through :func:`_integer`, and
+    other keys are ignored. A non-object, a missing key or a value its
+    conversion refuses raises ValueError naming ``kind`` and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} must be an object; got {doc!r}")
+    fields = {}
+    for key, rule in spec.items():
+        convert, *default = rule if isinstance(rule, tuple) else (rule,)
+        if key not in doc:
+            if not default:
+                raise ValueError(f"{kind} needs {key!r}")
+            fields[key] = default[0]
+        elif convert is int:
+            fields[key] = _integer(key, doc[key])
+        else:
+            try:
+                fields[key] = convert(doc[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{kind} {key!r}: {exc}") from None
+    return fields
+
+
+def _entry(registry: dict, what: str, name):
+    """``registry[name]``; any other name raises ValueError listing the names."""
+    if not isinstance(name, str) or name not in registry:
+        raise ValueError(f"{what} must be one of {tuple(registry)}; got {name!r}")
+    return registry[name]
+
+
 def _majority_reps(odds: float) -> int:
     """max(1, ceil(18 ln(odds))): majority-vote repetitions of a test that
     is right with probability >= 2/3, so that the vote errs with
@@ -154,15 +193,11 @@ class DiscreteDistribution:
     @classmethod
     def from_json(cls, doc: str | dict) -> "DiscreteDistribution":
         data = json.loads(doc) if isinstance(doc, str) else doc
-        if not isinstance(data, dict) or "probs" not in data:
-            raise ValueError("distribution document must contain a probs array")
-        try:
-            probs = np.asarray(data["probs"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"probs must be an array of numbers; got {data['probs']!r}") from None
-        if "n" in data and _integer("n", data["n"]) != probs.size:
+        spec = {"probs": functools.partial(np.asarray, dtype=np.float64), "n": (int, None)}
+        fields = _fields("distribution", data, spec)
+        if fields["n"] not in (None, fields["probs"].size):
             raise ValueError("n field disagrees with probs length")
-        return cls(probs)
+        return cls(fields["probs"])
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,11 @@ of the probability vectors; block fixtures lay their three index ranges
 out contiguously.
 
 The CLI and the harness build fixtures by name through one registry,
-``_FIXTURES``: name -> (builder, {parameter: type}). ``build_fixture``
-converts each listed parameter by its type (an ``int`` one only if it has
-no fractional part) and ignores other keys, so an emitted document, whose
-params also hold derived values, rebuilds as is.
+``_FIXTURES``: name -> (builder, fields). ``build_fixture`` reads the
+listed parameters through the package's one document reader
+(``distributions._fields``: an ``int`` one only if it has no fractional
+part) and ignores other keys, so an emitted document, whose params also
+hold derived values, rebuilds as is.
 To add a fixture, add its entry there; ``FIXTURE_NAMES`` and the CLI's
 choices follow.
 """
@@ -35,7 +36,9 @@ from .distributions import (
     DiscreteDistribution,
     PrivacyParams,
     _check,
-    _integer,
+    _entry,
+    _fields,
+    _object,
     _paired,
     _slack,
     brute_force_delta,
@@ -475,13 +478,13 @@ def _mean_sideinfo(eps: float, alpha: float, A: float, base: dict):
     return pair
 
 
-#: name -> (builder, {parameter: type})
+#: name -> (builder, fields)
 _FIXTURES = {
     "pdp-unverifiable": (pdp_unverifiable_fixture, {"eps": float, "alpha": float, "A": float}),
     "adp-twopoint": (adp_twopoint_fixture, {"eps": float, "delta": float, "alpha": float}),
     "adp-lowfreq": (adp_lowfreq_fixture, {"n": int, "delta": float, "alpha": float}),
     "fi-pdp": (fi_pdp_fixture, {"eps": float, "alpha": float, "beta": float}),
-    "mean-sideinfo": (_mean_sideinfo, {"eps": float, "alpha": float, "A": float, "base": dict}),
+    "mean-sideinfo": (_mean_sideinfo, {"eps": float, "alpha": float, "A": float, "base": _object}),
 }
 
 FIXTURE_NAMES = tuple(_FIXTURES)
@@ -493,23 +496,13 @@ def build_fixture(
     """Build a fixture by registry name from a flat parameter mapping.
 
     Returns ``(pair, pair.side)``. mean-sideinfo expects a ``base`` entry
-    holding a mechanism config document. An unknown name, a missing
-    parameter, a value of the wrong type or an integer parameter with a
-    fractional part raises ValueError naming the fixture. ``seed`` is
-    ignored, as a fixture holds no streams; it stays only because
-    ``benchmarks/workloads.py`` (``ExactCertify._run``) passes it.
+    holding a mechanism config document. The package's document reader
+    reads ``params``: an unknown name, a missing parameter, a value of the
+    wrong type or an integer parameter with a fractional part raises
+    ValueError naming the fixture. ``seed`` is ignored, as a fixture holds
+    no streams; it stays only because ``benchmarks/workloads.py``
+    (``ExactCertify._run``) passes it.
     """
-    if not isinstance(name, str) or name not in _FIXTURES:
-        raise ValueError(f"unknown fixture name: {name!r}")
-    builder, types = _FIXTURES[name]
-    try:
-        args = {
-            key: _integer(key, params[key]) if cast is int else cast(params[key])
-            for key, cast in types.items()
-        }
-    except KeyError as exc:
-        raise ValueError(f"{name} fixture needs parameter {exc}") from None
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"bad {name} parameter: {exc}") from None
-    pair = builder(**args)
+    builder, spec = _entry(_FIXTURES, "fixture name", name)
+    pair = builder(**_fields(f"{name} fixture", params, spec))
     return pair, pair.side

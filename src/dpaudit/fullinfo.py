@@ -51,7 +51,7 @@ from .distributions import (
     min_mass,
 )
 from .mechanisms import MechanismPair, SideInfo
-from .noinfo import poisson_nonzero
+from .noinfo import _MAX_RATE, poisson_nonzero
 from .outcomes import TestOutcome, Verdict
 
 #: Bump when the identity statistic changes; invalidates cached thresholds.
@@ -85,7 +85,7 @@ def identity_budget(n: int, alpha: float) -> int:
     _check("alpha", alpha, 0.0, open_low=True)
     budget = max(1, math.ceil(BUDGET_CONSTANT * math.sqrt(n) / (alpha * alpha)))
     # a Poisson rate numpy can draw, packed as an int64 into cache keys
-    _check("sample_budget", budget, 1.0, 2.0**62)
+    _check("sample_budget", budget, 1.0, _MAX_RATE)
     return budget
 
 

@@ -11,16 +11,16 @@ interval and the mean query count at the target's distance from the
 claimed parameters.
 
 Tester kinds live in one registry, ``_TESTERS``: kind -> (runner
-factory, notion). A factory reads the tester document and the side
-information once per experiment and returns the per-trial ``run(mech,
-rng)``, which passes the claim and the keys its tester takes (``r`` for
-``adp-budgeted``; ``cache_path`` and ``calibration_trials`` for
-``adp-fi``) to the tester as plain arguments; the tester validates them.
-Any other key is ignored: the sample rates of ``adp-ni`` and ``pdp-fi``
-are always their formulas, and ``adp-fi`` always runs ``SUBTEST_REPS``
-identity reps. The notion ("aDP" or "pDP") selects how the target's
-distance from the claim is measured. To add a tester, add its factory
-and entry there; ``TESTER_KINDS`` and the CLI's choices follow.
+factory, fields, notion). Once per experiment the package's document
+reader reads the fields (the claim and, for ``adp-budgeted``, ``r``; for
+``adp-fi``, ``cache_path`` and ``calibration_trials``) and the factory
+turns ``(side, **fields)`` into the per-trial ``run(mech, rng)``, which
+hands them to the tester as plain arguments. Any other key is ignored:
+the sample rates of ``adp-ni`` and ``pdp-fi`` are always their formulas,
+and ``adp-fi`` always runs ``SUBTEST_REPS`` identity reps. The notion
+("aDP" or "pDP") selects how the target's distance from the claim is
+measured. To add a tester, add its factory and entry there;
+``TESTER_KINDS`` and the CLI's choices follow.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import _check, _integer, delta_at_epsilon, exact_pdp_epsilon
+from .distributions import (
+    _check, _entry, _fields, _integer, _object, delta_at_epsilon, exact_pdp_epsilon
+)
 from .fixtures import build_fixture
 from .fullinfo import CalibrationCache, adp_test_fi, pdp_test_fi
 from .mechanisms import MechanismPair, SideInfo, mechanism_from_config
@@ -82,10 +84,8 @@ class ExperimentConfig:
         _check("trials", self.trials, 1.0)
         self.seed = _integer("seed", self.seed)
         _check("seed", self.seed, 0.0)
-        if not isinstance(self.tester, dict) or self.tester.get("kind") not in TESTER_KINDS:
-            raise ValueError(f"tester must be an object whose kind is one of {TESTER_KINDS}")
-        if not isinstance(self.target, dict):
-            raise ValueError(f"target must be an object; got {self.target!r}")
+        _entry(_TESTERS, "tester kind", _fields("tester", self.tester, {"kind": str})["kind"])
+        _fields("target", self.target, {})  # refuses a non-object
 
 
 @dataclass(frozen=True)
@@ -106,85 +106,77 @@ def _resolve_target(target: dict):
     """Target spec -> (base mechanism, side info or None); trials draw from spawns."""
     if ("mechanism" in target) == ("fixture" in target):
         raise ValueError("target needs exactly one of a 'mechanism' and a 'fixture' entry")
+    claimed_side = None
     if "mechanism" in target:
         mech = mechanism_from_config(target["mechanism"])
     else:
-        fx = target["fixture"]
-        if not isinstance(fx, dict):
-            raise ValueError(f"target fixture must be an object; got {fx!r}")
-        pair, claimed_side = build_fixture(fx["name"], fx.get("params", {}))
-        instance = fx.get("instance", "private")
-        if instance not in ("private", "far"):
+        spec = {"name": str, "params": (_object, {}), "instance": (str, "private")}
+        fx = _fields("target fixture", target["fixture"], spec)
+        pair, claimed_side = build_fixture(fx["name"], fx["params"])
+        if fx["instance"] not in ("private", "far"):
             raise ValueError("fixture instance must be 'private' or 'far'")
-        mech = MechanismPair(*getattr(pair, f"{instance}_instance"))
-        if target.get("side") == "claim":
-            if claimed_side is None:
-                raise ValueError("this fixture carries no claimed side information")
-            return mech, claimed_side
+        mech = MechanismPair(*getattr(pair, f"{fx['instance']}_instance"))
 
     side_spec = target.get("side")
     if side_spec is None:
         side = None
     elif side_spec == "truth":
         side = SideInfo(mech.truth[0], mech.truth[1])
+    elif side_spec == "claim":
+        if claimed_side is None:
+            raise ValueError("side 'claim' needs a fixture that carries claimed side information")
+        side = claimed_side
     elif isinstance(side_spec, dict):
         side = SideInfo.from_json(side_spec)
-    elif side_spec == "claim":
-        raise ValueError("side 'claim' is only available for fixture targets")
     else:
         raise ValueError("side must be omitted, 'truth', 'claim', or a document")
     return mech, side
 
 
-def _claim(tester: dict) -> tuple[float, float, float]:
-    return float(tester["eps"]), float(tester.get("delta", 0.0)), float(tester["alpha"])
+def _adp_ni(side, eps, delta, alpha):
+    return lambda mech, rng: adp_test_ni(mech, eps, delta, alpha, rng)
 
 
-def _adp_ni(tester: dict, side: SideInfo | None):
-    claim = _claim(tester)
-    return lambda mech, rng: adp_test_ni(mech, *claim, rng)
+def _adp_budgeted(side, eps, delta, alpha, r):
+    return lambda mech, rng: adp_test_budgeted(mech, eps, delta, alpha, r)
 
 
-def _adp_budgeted(tester: dict, side: SideInfo | None):
-    claim, r = _claim(tester), tester["r"]
-    return lambda mech, rng: adp_test_budgeted(mech, *claim, r)
-
-
-def _adp_fi(tester: dict, side: SideInfo | None):
+def _adp_fi(side, eps, delta, alpha, cache_path, calibration_trials):
     if side is None:
         raise ValueError("adp-fi needs side information")
-    claim, cache = _claim(tester), CalibrationCache(tester.get("cache_path"))
-    trials = tester.get("calibration_trials")
+    cache = CalibrationCache(cache_path)
     return lambda mech, rng: adp_test_fi(
-        mech, side, *claim, rng, cache=cache, calibration_trials=trials
+        mech, side, eps, delta, alpha, rng, cache=cache, calibration_trials=calibration_trials
     )
 
 
-def _pdp_fi(tester: dict, side: SideInfo | None):
+def _pdp_fi(side, eps, alpha):
     if side is None:
         raise ValueError("pdp-fi needs side information")
-    eps, alpha = float(tester["eps"]), float(tester["alpha"])
     return lambda mech, rng: pdp_test_fi(mech, side, eps, alpha, rng)
 
 
-#: kind -> (runner factory, notion of the claim)
+_ADP_CLAIM = {"eps": float, "delta": (float, 0.0), "alpha": float}
+
+#: kind -> (runner factory, fields, notion of the claim)
 _TESTERS = {
-    "adp-ni": (_adp_ni, "aDP"),
-    "adp-budgeted": (_adp_budgeted, "aDP"),
-    "adp-fi": (_adp_fi, "aDP"),
-    "pdp-fi": (_pdp_fi, "pDP"),
+    "adp-ni": (_adp_ni, _ADP_CLAIM, "aDP"),
+    "adp-budgeted": (_adp_budgeted, dict(_ADP_CLAIM, r=int), "aDP"),
+    "adp-fi": (
+        _adp_fi, dict(_ADP_CLAIM, cache_path=(Path, None), calibration_trials=(int, None)), "aDP"
+    ),
+    "pdp-fi": (_pdp_fi, {"eps": float, "alpha": float}, "pDP"),
 }
 
 TESTER_KINDS = tuple(_TESTERS)
 
 
-def _distance_from_claim(tester: dict, mech: MechanismPair) -> float:
+def _distance_from_claim(notion: str, claim: dict, mech: MechanismPair) -> float:
     """How far the target truth sits from the tester's claimed parameters."""
     p0, p1 = mech.truth
-    if _TESTERS[tester["kind"]][1] == "aDP":
-        slack = delta_at_epsilon(p0, p1, float(tester["eps"]))
-        return max(0.0, slack - float(tester.get("delta", 0.0)))
-    return max(0.0, exact_pdp_epsilon(p0, p1) - float(tester["eps"]))
+    if notion == "aDP":
+        return max(0.0, delta_at_epsilon(p0, p1, claim["eps"]) - claim["delta"])
+    return max(0.0, exact_pdp_epsilon(p0, p1) - claim["eps"])
 
 
 def _csv_text(records: list[tuple[int, TestOutcome]]) -> str:
@@ -208,11 +200,10 @@ def _csv_text(records: list[tuple[int, TestOutcome]]) -> str:
 def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
     """Run all trials, optionally write the per-trial CSV, aggregate."""
     base_mech, side = _resolve_target(cfg.target)
-    factory = _TESTERS[cfg.tester["kind"]][0]
-    try:
-        runner = factory(cfg.tester, side)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"bad {cfg.tester['kind']} tester parameter: {exc}") from None
+    kind = cfg.tester["kind"]
+    factory, spec, notion = _TESTERS[kind]
+    claim = _fields(f"{kind} tester", cfg.tester, spec)
+    runner = factory(side, **claim)
 
     records = []
     for start in range(0, cfg.trials, _SEED_BLOCK):
@@ -233,7 +224,7 @@ def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
         np.mean([sum(outcome.queries_used) for _, outcome in records])
     )
     row = OCRow(
-        distance=_distance_from_claim(cfg.tester, base_mech),
+        distance=_distance_from_claim(notion, claim, base_mech),
         accept_rate=accepts / cfg.trials,
         wilson_low=low,
         wilson_high=high,
@@ -254,12 +245,7 @@ def sweep(
     parts = parameter.split(".")
     results = []
     for value in values:
-        fields = {
-            "tester": copy.deepcopy(base.tester),
-            "target": copy.deepcopy(base.target),
-            "trials": base.trials,
-            "seed": base.seed,
-        }
+        fields = dict(copy.deepcopy(vars(base)), out=None)  # a sweep writes no CSV
         node = fields
         for part in parts[:-1]:
             node = node.get(part) if isinstance(node, dict) else None

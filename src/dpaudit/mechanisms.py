@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _check, _integer, make_distribution
+from .distributions import (
+    DiscreteDistribution, _check, _entry, _fields, _integer, make_distribution
+)
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -299,22 +301,17 @@ class SideInfo:
     @classmethod
     def from_json(cls, doc: str | dict) -> "SideInfo":
         data = json.loads(doc) if isinstance(doc, str) else doc
-        if not isinstance(data, dict) or "q0" not in data or "q1" not in data:
-            raise ValueError("side info document must contain q0 and q1")
-        return cls(
-            DiscreteDistribution.from_json(data["q0"]),
-            DiscreteDistribution.from_json(data["q1"]),
-        )
+        dist = DiscreteDistribution.from_json
+        return cls(**_fields("side info", data, {"q0": dist, "q1": dist}))
 
 
-#: Mechanism registry: config "mechanism" field -> builder(config).
+#: Mechanism registry: config "mechanism" field -> (builder, fields).
 _MECHANISMS = {
-    "randomized_response": lambda c: randomized_response(float(c["flip_prob"])),
-    "truncated_geometric": lambda c: truncated_geometric(float(c["eps"]), _integer("n", c["n"])),
-    "leaky_mechanism": lambda c: leaky_mechanism(float(c["delta"]), _integer("n", c.get("n", 3))),
-    "explicit": lambda c: MechanismPair(
-        DiscreteDistribution.from_json(c["p0"]), DiscreteDistribution.from_json(c["p1"])
-    ),
+    "randomized_response": (randomized_response, {"flip_prob": float}),
+    "truncated_geometric": (truncated_geometric, {"eps": float, "n": int}),
+    "leaky_mechanism": (leaky_mechanism, {"delta": float, "n": (int, 3)}),
+    "explicit": (MechanismPair, {"p0": DiscreteDistribution.from_json,
+                                 "p1": DiscreteDistribution.from_json}),
 }
 
 
@@ -329,15 +326,10 @@ def mechanism_from_config(config: dict) -> MechanismPair:
     * ``{"mechanism": "explicit", "p0": {...}, "p1": {...}}``
 
     A config holds no seed: callers that sample spawn the pair at their
-    own. A value of the wrong type (``null``, ``Infinity`` or ``4.5`` as
-    ``n``) raises ValueError, as do an unknown kind and a missing field.
+    own. The package's document reader reads it: an unknown kind, a missing
+    field and a value of the wrong type (``null``, ``Infinity`` or ``4.5``
+    as ``n``) raise ValueError naming the kind and the field.
     """
-    kind = config.get("mechanism") if isinstance(config, dict) else None
-    if not isinstance(kind, str) or kind not in _MECHANISMS:
-        raise ValueError(f"mechanism field must be one of {tuple(_MECHANISMS)}; got {kind!r}")
-    try:
-        return _MECHANISMS[kind](config)
-    except KeyError as exc:
-        raise ValueError(f"{kind} mechanism needs field {exc}") from None
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"bad {kind} config: {exc}") from None
+    kind = _fields("mechanism config", config, {"mechanism": str})["mechanism"]
+    builder, spec = _entry(_MECHANISMS, "mechanism field", kind)
+    return builder(**_fields(f"{kind} mechanism", config, spec))

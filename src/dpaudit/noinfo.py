@@ -34,6 +34,9 @@ from .outcomes import TestOutcome, Verdict
 #: be absurdly small for this to trigger).
 _MAX_POISSON_RETRIES = 1000
 
+#: Largest Poisson rate drawn: below numpy's limit near 2^63, and an int64 in cache keys.
+_MAX_RATE = 2.0**62
+
 
 @_positive_finite
 def noinfo_rate(n: int, eps: float, alpha: float) -> float:
@@ -53,7 +56,7 @@ def noinfo_rate(n: int, eps: float, alpha: float) -> float:
 
 def poisson_nonzero(rate: float, rng: np.random.Generator) -> tuple[int, int]:
     """Poisson draw conditioned on being positive; returns (value, retries)."""
-    _check("rate", rate, 0.0, open_low=True)
+    _check("rate", rate, 0.0, _MAX_RATE, open_low=True)
     retries = 0
     while True:
         r = int(rng.poisson(rate))

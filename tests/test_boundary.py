@@ -49,6 +49,7 @@ from dpaudit import (
 )
 from dpaudit.cli import main
 from dpaudit.harness import TESTER_KINDS
+from dpaudit.noinfo import _MAX_RATE, poisson_nonzero
 
 NAN = math.nan
 RR = randomized_response(0.25)
@@ -265,6 +266,76 @@ def test_cli_wrong_shape_json_exits_1_without_traceback(capsys, tmp_path, argv, 
         assert all(key in err for key in named)
 
 
+RR_TRUTH = dict(RR_TARGET, side="truth")
+MEAN_PARAMS = {"eps": 0.3, "alpha": 0.1, "A": 4}
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, kind, key",
+    [
+        # a missing key
+        (SWEEP, {"target": RR_TARGET, "trials": 2}, "sweep config", "tester"),
+        (SWEEP, {"tester": NI_TESTER, "target": {"fixture": {"params": TWOPOINT_PARAMS}}},
+         "target fixture", "name"),
+        (SWEEP, {"tester": without(NI_TESTER, "eps"), "target": RR_TARGET}, "adp-ni tester",
+         "eps"),
+        (SWEEP, {"tester": {"kind": "pdp-fi", "alpha": 0.2}, "target": RR_TRUTH},
+         "pdp-fi tester", "eps"),
+        (SWEEP, {"tester": dict(NI_TESTER, kind="adp-budgeted"), "target": RR_TARGET},
+         "adp-budgeted tester", "r"),
+        (RANDOM, {"kind": "constant"}, "constant family", "dist"),
+        (RANDOM, without(dict(FLAG_FAMILY, flag_prob=0.2), "plain"), "value_flag family",
+         "plain"),
+        (["certify", "--fixture-file"], without(TWOPOINT, "name"), "fixture file", "name"),
+        (["certify", "--fixture-file"], without(TWOPOINT, "params"), "fixture file", "params"),
+        # a value of the wrong type
+        (SWEEP, {"tester": NI_TESTER, "target": {"mechanism": {
+            "mechanism": "truncated_geometric", "eps": None, "n": 4}}},
+         "truncated_geometric mechanism", "eps"),
+        (SWEEP, {"tester": NI_TESTER, "target": {"fixture": {"name": "adp-twopoint",
+                                                             "params": [1, 2]}}},
+         "target fixture", "params"),
+        (SWEEP, {"tester": NI_TESTER, "target": {"fixture": {
+            "name": "mean-sideinfo", "params": dict(MEAN_PARAMS, base="abc")}}},
+         "mean-sideinfo fixture", "base"),
+        (SWEEP, {"tester": dict(NI_TESTER, eps="abc"), "target": RR_TARGET}, "adp-ni tester",
+         "eps"),
+        (SWEEP, {"tester": {"kind": "adp-fi", "eps": 1.2, "alpha": 0.3, "cache_path": 5},
+                 "target": RR_TRUTH}, "adp-fi tester", "cache_path"),
+    ],
+)
+def test_cli_names_the_document_and_key_it_cannot_read(capsys, tmp_path, argv, doc, kind, key):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert kind in err and repr(key) in err, err
+
+
+@pytest.mark.parametrize("tester, side", [("adp-ni", False), ("pdp-fi", True)])
+def test_cli_poisson_rate_above_the_cap_is_named(capsys, tmp_path, rr_mech, tester, side):
+    # at alpha 1e-10 either tester's rate is ~1e21, beyond any rate numpy draws
+    argv = ["test", tester, "--mech", rr_mech, "--eps", "1.1", "--alpha", "1e-10"]
+    if side:
+        path = tmp_path / "side.json"
+        path.write_text(RR_SIDE.to_json())
+        argv += ["--side", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rate must lie in (0, 4.61169e+18]"), err
+
+
+def test_poisson_cap_is_a_rate_numpy_draws():
+    assert poisson_nonzero(_MAX_RATE, rng())[0] > 0
+    with pytest.raises(ValueError, match="^rate must lie in"):
+        poisson_nonzero(2.0 * _MAX_RATE, rng())
+
+
 def test_cli_rejects_a_reduction_above_the_size_cap(capsys, tmp_path):
     # 1,413,842 pairs x 155 reps: ~2.2e8 inner tests even at one sample each
     family = tmp_path / "family.json"
@@ -391,8 +462,8 @@ def argvs(draw, files):
              "target.mechanism.flip_prob", "tester.bogus", "bogus")
         ))
         values = ",".join(draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=2)))
-        return ["sweep", "--config", files["sweep"], "--parameter", parameter,
-                "--values", values] + out
+        config = draw(st.sampled_from(files["sweep"]))
+        return ["sweep", "--config", config, "--parameter", parameter, "--values", values] + out
     null = draw(st.sampled_from(("uniform", "twopoint", files["null"])))
     trials = draw(st.sampled_from(((), ("--trials", "nan"), ("--trials", "99"),
                                    ("--trials", "257"))))
@@ -408,6 +479,18 @@ def write_fuzz_files(root):
         return str(path)
 
     rr = {"mechanism": "randomized_response", "flip_prob": 0.25}
+    ni = {"kind": "adp-ni", "eps": 0.0, "delta": 0.0, "alpha": 0.3}
+    config = {"tester": ni, "target": {"mechanism": rr}, "trials": 2}
+    flag = {"kind": "value_flag", "flag_prob": 0.2, "flagged": {"probs": [0.9, 0.1]},
+            "plain": {"probs": [0.5, 0.5]}}
+    # documents that each lack one required key: a leak of the missing key
+    # would escape main as an exception
+    lacking = {
+        "tester": without(config, "tester"),
+        "eps": dict(config, tester=without(ni, "eps")),
+        "flip_prob": dict(config, target={"mechanism": without(rr, "flip_prob")}),
+        "name": dict(config, target={"fixture": {"params": {"eps": 0.1}}}),
+    }
     assert main(["fixture", "adp-twopoint", "--params", "eps=0.1", "delta=0.05",
                  "alpha=0.1", "--out", str(root / "two.json")]) == 0
     return {
@@ -417,15 +500,12 @@ def write_fuzz_files(root):
                                   "p1": {"probs": [0.6, 0.4, 0.0]}}),
         "family": [
             put("constant.json", {"kind": "constant", "dist": {"probs": [0.5, 0.5]}}),
-            put("flag.json", {"kind": "value_flag", "flag_prob": 0.2,
-                              "flagged": {"probs": [0.9, 0.1]}, "plain": {"probs": [0.5, 0.5]}}),
+            put("flag.json", flag),
+            put("flag-no-plain.json", without(flag, "plain")),
         ],
         "fixture": [str(root / "two.json"), put("broken.json", "{")],
-        "sweep": put("sweep.json", {
-            "tester": {"kind": "adp-ni", "eps": 0.0, "delta": 0.0, "alpha": 0.3},
-            "target": {"mechanism": rr},
-            "trials": 2,
-        }),
+        "sweep": [put("sweep.json", config)]
+        + [put(f"sweep-no-{key}.json", doc) for key, doc in lacking.items()],
         "null": put("null.json", {"probs": [0.25, 0.75]}),
         "cache": str(root / "cache.json"),
         "out": str(root / "out"),
