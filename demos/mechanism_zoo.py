@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from dpaudit import (
+    MechanismPair,
     delta_at_epsilon,
     exact_pdp_epsilon,
     leaky_mechanism,
@@ -46,7 +47,7 @@ def main() -> None:
     counts = rr.draw(0, 10_000)
     print("10000 draws from database 0 of randomized response:", counts)
     print("query counter now:", tuple(rr.query_counter))
-    fresh = rr.spawn(seed=123)
+    fresh = MechanismPair(*rr.truth, seed=123)
     print("spawned copy starts at:", tuple(fresh.query_counter), "(same truth)")
 
 

@@ -1,10 +1,10 @@
 """Batch experiment runner: operating characteristics for every tester.
 
-An experiment is (tester spec, target spec, trials, seed). Each trial
-gets its own RNG derived from (seed, trial index) and a fresh mechanism
-clone with a derived seed, so a trial's outcome depends only on the seed
-and its index, and a re-run is byte-identical. The streams of a block of
-trials are derived at once, with the bits of seeding each trial alone.
+An experiment is (tester spec, target spec, trials, seed). Trial t draws
+from ``default_rng([seed, t])`` and ``MechanismPair(*truth, seed=seed *
+1_000_003 + t + 1)`` over the target's truth, so its outcome depends only
+on the seed and t, and a re-run is byte-identical. The streams of a block
+of trials are derived at once, with the bits of seeding each trial alone.
 Per-trial records can be written to CSV; the aggregate is an
 OperatingCharacteristic row holding the accept rate with a Wilson
 interval and the mean query count at the target's distance from the
@@ -35,9 +35,9 @@ import numpy as np
 from .distributions import (
     _check, _entry, _fields, _integer, _object, delta_at_epsilon, exact_pdp_epsilon
 )
-from .fixtures import build_fixture
+from .fixtures import _FIXTURES, build_fixture
 from .fullinfo import CalibrationCache, adp_test_fi, pdp_test_fi
-from .mechanisms import MechanismPair, SideInfo, mechanism_from_config
+from .mechanisms import _MECHANISMS, MechanismPair, SideInfo, mechanism_from_config
 from .noinfo import adp_test_budgeted, adp_test_ni
 from .outcomes import TestOutcome
 
@@ -102,16 +102,18 @@ class OperatingCharacteristic:
     grid: tuple[OCRow, ...] = field(default_factory=tuple)
 
 
+_TARGET_FIXTURE = {"name": str, "params": (_object, {}), "instance": (str, "private")}
+
+
 def _resolve_target(target: dict):
-    """Target spec -> (base mechanism, side info or None); trials draw from spawns."""
+    """Target spec -> (base mechanism, side info or None); trials get pairs over its truth."""
     if ("mechanism" in target) == ("fixture" in target):
         raise ValueError("target needs exactly one of a 'mechanism' and a 'fixture' entry")
     claimed_side = None
     if "mechanism" in target:
         mech = mechanism_from_config(target["mechanism"])
     else:
-        spec = {"name": str, "params": (_object, {}), "instance": (str, "private")}
-        fx = _fields("target fixture", target["fixture"], spec)
+        fx = _fields("target fixture", target["fixture"], _TARGET_FIXTURE)
         pair, claimed_side = build_fixture(fx["name"], fx["params"])
         if fx["instance"] not in ("private", "far"):
             raise ValueError("fixture instance must be 'private' or 'far'")
@@ -208,7 +210,7 @@ def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
     records = []
     for start in range(0, cfg.trials, _SEED_BLOCK):
         block = range(start, min(start + _SEED_BLOCK, cfg.trials))
-        # trial t: default_rng([seed, t]) and spawn(seed * 1_000_003 + t + 1)
+        # trial t: default_rng([seed, t]) and a pair at seed * 1_000_003 + t + 1
         streams = base_mech._spawn_many(
             [cfg.seed * 1_000_003 + t + 1 for t in block], [(cfg.seed, t) for t in block]
         )
@@ -233,6 +235,19 @@ def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
     return OperatingCharacteristic((row,))
 
 
+def _reader_spec(path: tuple, doc: dict, parent: dict) -> dict:
+    """The fields the package reads from ``doc``, the config's document at
+    ``path`` (inside ``parent``), whether present or not; {} elsewhere."""
+    if path == ("target", "fixture"):
+        return _TARGET_FIXTURE
+    registry, name = {
+        ("tester",): (_TESTERS, doc.get("kind")),
+        ("target", "mechanism"): (_MECHANISMS, doc.get("mechanism")),
+        ("target", "fixture", "params"): (_FIXTURES, parent.get("name")),
+    }.get(path, ({}, None))
+    return registry[name][1] if isinstance(name, str) and name in registry else {}
+
+
 def sweep(
     base: ExperimentConfig, parameter: str, values
 ) -> list[OperatingCharacteristic]:
@@ -240,19 +255,23 @@ def sweep(
 
     ``parameter`` addresses either a dataclass field ("trials", "seed")
     or a path into the tester/target documents ("tester.alpha",
-    "target.mechanism.n"). Unknown names raise ValueError.
+    "target.mechanism.n"). A path is known when its key is present or its
+    document's reader takes it (an ``adp-ni`` tester's omitted ``delta``);
+    unknown names raise ValueError.
     """
     parts = parameter.split(".")
     results = []
     for value in values:
         fields = dict(copy.deepcopy(vars(base)), out=None)  # a sweep writes no CSV
-        node = fields
+        node = parent = fields
         for part in parts[:-1]:
-            node = node.get(part) if isinstance(node, dict) else None
+            parent, node = node, (node.get(part) if isinstance(node, dict) else None)
         if len(parts) == 1:
             known = parts[0] in ("trials", "seed")
         else:
-            known = isinstance(node, dict) and parts[-1] in node
+            known = isinstance(node, dict) and (
+                parts[-1] in node or parts[-1] in _reader_spec(tuple(parts[:-1]), node, parent)
+            )
         if not known:
             raise ValueError(f"unknown parameter name: {parameter!r}")
         node[parts[-1]] = value

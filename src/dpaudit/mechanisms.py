@@ -13,7 +13,6 @@ through a rare outcome, and explicit distribution pairs.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 from dataclasses import dataclass
@@ -129,37 +128,32 @@ def _database(db) -> None:
 class MechanismPair:
     """Sampling access to the two databases of a mechanism.
 
-    Same seed reproduces identical sample streams; the two databases use
-    independent PRNG substreams, so their draws are independent. Database
-    b's stream is ``Generator(PCG64(SeedSequence(seed, spawn_key=(b,))))``,
-    exactly the b-th child of ``SeedSequence(seed).spawn(2)``. Query
-    accounting is exact: ``query_counter[b]`` is the total number of
-    samples drawn from database ``b``.
+    ``seed`` is an integer >= 0 (5.0 passes; ``None``, which would draw
+    from OS entropy, raises ValueError), and the same seed reproduces
+    identical sample streams. Database b's stream is
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(b,))))``, exactly the
+    b-th child of ``SeedSequence(seed).spawn(2)``, so the two databases'
+    draws are independent. Query accounting is exact: ``query_counter[b]``
+    is the total number of samples drawn from database ``b``.
 
-    Instances own mutable stream and counter state, so a pair must not be
-    shared by concurrent callers; parallel trials should each
-    :meth:`spawn` their own pair. The harness derives a block of trials'
-    pairs at once (``_spawn_many``), with the bits of ``spawn``.
+    A pair owns mutable stream and counter state and must not be shared
+    by concurrent callers: each trial builds its own,
+    ``MechanismPair(*mech.truth, seed=s)``, or the harness derives a block
+    of them at once, with the same bits (``_spawn_many``).
     """
 
-    def __init__(
-        self,
-        p0: DiscreteDistribution,
-        p1: DiscreteDistribution,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, p0: DiscreteDistribution, p1: DiscreteDistribution, seed: int = 0) -> None:
+        seed = _integer("seed", seed)
+        if seed < 0:
+            raise ValueError(f"seed must be an integer >= 0; got {seed}")
         if p0.n != p1.n:
             raise ValueError("databases must share an outcome universe")
         self.n = p0.n
         self.truth: tuple[DiscreteDistribution, DiscreteDistribution] = (p0, p1)
         # multinomial requires exactly normalized pvals
         self._pvals = (p0.probs / p0.probs.sum(), p1.probs / p1.probs.sum())
-        self._reseed(seed)
-
-    def _reseed(self, seed: int, rngs=None) -> None:
-        """Fresh streams for ``seed`` (or ``rngs``) and zeroed query counters."""
         self.seed = seed
-        self._rngs = rngs or tuple(
+        self._rngs = tuple(
             np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
             for b in (0, 1)
         )
@@ -194,15 +188,10 @@ class MechanismPair:
         self.query_counter[db] += sum(counts.tolist())
         return self._rngs[db].multinomial(counts.astype(np.int64), self._pvals[db])
 
-    def spawn(self, seed: int) -> "MechanismPair":
-        """Fresh pair over the same truth with its own streams and counters."""
-        pair = copy.copy(self)
-        pair._reseed(seed)
-        return pair
-
     def _spawn_many(self, seeds, rng_seeds):
-        """Yield ``(spawn(s), np.random.default_rng(e))``, draw for draw, for
-        each ``s, e`` of two equally long lists; each ``e`` is a sequence of ints.
+        """Yield ``(MechanismPair(*truth, seed=s), np.random.default_rng(e))``,
+        draw for draw, for each ``s, e`` of two equally long lists; each ``s``
+        is an int >= 0 and each ``e`` a sequence of them.
 
         All of their states come from one :func:`_seed_states` pass, but
         each item's generators are built only when it is yielded.
@@ -213,10 +202,12 @@ class MechanismPair:
             rows += (_seed_row(e), key0, key0[:-1] + [1])
         states = _seed_states(rows)
         for i, seed in enumerate(seeds):
-            # copy.copy(self) without its reduce protocol, which costs more than a generator
+            # a clone without __init__, whose SeedSequence costs more than the kernel's share
             pair = object.__new__(type(self))
             pair.__dict__ = self.__dict__.copy()
-            pair._reseed(seed, (_generator(states[3 * i + 1]), _generator(states[3 * i + 2])))
+            pair.seed = seed
+            pair._rngs = (_generator(states[3 * i + 1]), _generator(states[3 * i + 2]))
+            pair.query_counter = [0, 0]
             yield pair, _generator(states[3 * i])
 
     def __repr__(self) -> str:
@@ -325,10 +316,11 @@ def mechanism_from_config(config: dict) -> MechanismPair:
     * ``{"mechanism": "leaky_mechanism", "delta": 0.2, "n": 3}``
     * ``{"mechanism": "explicit", "p0": {...}, "p1": {...}}``
 
-    A config holds no seed: callers that sample spawn the pair at their
-    own. The package's document reader reads it: an unknown kind, a missing
-    field and a value of the wrong type (``null``, ``Infinity`` or ``4.5``
-    as ``n``) raise ValueError naming the kind and the field.
+    A config holds no seed: callers that sample build their own pair,
+    ``MechanismPair(*mech.truth, seed=s)``. The package's document reader
+    reads it: an unknown kind, a missing field and a value of the wrong
+    type (``null``, ``Infinity`` or ``4.5`` as ``n``) raise ValueError
+    naming the kind and the field.
     """
     kind = _fields("mechanism config", config, {"mechanism": str})["mechanism"]
     builder, spec = _entry(_MECHANISMS, "mechanism field", kind)

@@ -17,6 +17,7 @@ from dpaudit import (
     CertificationError,
     DiscreteDistribution,
     ExperimentConfig,
+    MechanismPair,
     PrivacyParams,
     SideInfo,
     adp_lowfreq_fixture,
@@ -361,6 +362,31 @@ def test_sweep_checks_swept_trials_and_seed(tmp_path):
             sweep(base, parameter, [value])
 
 
+SEED_BUILDERS = {
+    "MechanismPair": lambda seed: MechanismPair(*RR.truth, seed=seed),
+    "randomized_response": lambda seed: randomized_response(0.25, seed=seed),
+    "leaky_mechanism": lambda seed: leaky_mechanism(0.3, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_BUILDERS))
+def test_pair_constructors_check_their_seed(name):
+    build = SEED_BUILDERS[name]
+    for bad in (None, True, 1.5, NAN, "3", -1):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            build(bad)
+    for seed in (0, 2**200, np.int64(5), 5.0):
+        pair = build(seed)
+        assert pair.seed == seed and type(pair.seed) is int
+        # the streams are the children of SeedSequence(seed), as before the check
+        children = np.random.SeedSequence(int(seed)).spawn(2)
+        ones = np.ones(1000, dtype=np.int64)
+        for db, child in enumerate(children):
+            p = pair.truth[db].probs / pair.truth[db].probs.sum()
+            expected = np.random.default_rng(child).multinomial(ones, p)
+            assert np.array_equal(pair.draw_many(db, ones), expected)
+
+
 # -- fuzzed argv: the exit-code contract holds for any combination
 
 VALUES = ("nan", "inf", "-inf", "-1", "0", "0.3", "800", "1e308", "abc")
@@ -541,10 +567,11 @@ mass = st.sampled_from((-1.0, 0.0, 1e-170, 0.05, 0.3, 0.9, 1.5))
 LEAKY = leaky_mechanism(0.3, seed=1)
 CONSTRUCTORS = {
     "PrivacyParams": (lambda e, d, g, w: PrivacyParams(e, d, g, w, "RaDP"), (x, x, x, x)),
-    "adp_test_ni": (lambda e, d, a: adp_test_ni(LEAKY.spawn(4), e, d, a, rng()), (x, x, x)),
+    "adp_test_ni": (lambda e, d, a: adp_test_ni(
+        MechanismPair(*LEAKY.truth, seed=4), e, d, a, rng()), (x, x, x)),
     "pdp_test_fi_min_mass": (lambda e, a, b: pdp_test_fi(
-        RR.spawn(5), SideInfo(make_distribution([1.0 - b, b]), RR.truth[1]), e, a, rng()),
-        (x, x, mass)),
+        MechanismPair(*RR.truth, seed=5), SideInfo(make_distribution([1.0 - b, b]), RR.truth[1]),
+        e, a, rng()), (x, x, mass)),
     "threshold_for": (lambda n, a: CalibrationCache().threshold_for(
         make_distribution([1.0] * n), a, 100), (small_int, x)),
     "identity_budget": (identity_budget, (small_int, x)),
@@ -552,13 +579,15 @@ CONSTRUCTORS = {
     "amplification_reps": (amplification_reps, (x, x)),
     "delta_at_epsilon": (lambda e: delta_at_epsilon(*LEAKY.truth, e), (x,)),
     "brute_force_delta": (lambda e: brute_force_delta(*LEAKY.truth, e), (x,)),
-    "adp_test_budgeted": (lambda e, d, a, r: adp_test_budgeted(LEAKY.spawn(1), e, d, a, r),
-                          (x, x, x, small_int)),
+    "adp_test_budgeted": (lambda e, d, a, r: adp_test_budgeted(
+        MechanismPair(*LEAKY.truth, seed=1), e, d, a, r), (x, x, x, small_int)),
     "counts_tester": (lambda e, d, a, c, r: counts_tester(e, d, a)([2, c], [0, 3], r),
                       (x, x, x, count, count)),
-    "adp_test_fi": (lambda e, d, a: adp_test_fi(RR.spawn(2), RR_SIDE, e, d, a, rng(),
-                                                calibration_trials=100), (x, x, x)),
-    "pdp_test_fi": (lambda e, a: pdp_test_fi(RR.spawn(3), RR_SIDE, e, a, rng()), (x, x)),
+    "adp_test_fi": (lambda e, d, a: adp_test_fi(
+        MechanismPair(*RR.truth, seed=2), RR_SIDE, e, d, a, rng(), calibration_trials=100),
+        (x, x, x)),
+    "pdp_test_fi": (lambda e, a: pdp_test_fi(
+        MechanismPair(*RR.truth, seed=3), RR_SIDE, e, a, rng()), (x, x)),
     "data_distribution": (lambda s: sample_neighbor_pair(
         data_distribution([0, 1], db_size=s), rng()), (count,)),
     "truncated_geometric": (lambda e, n: truncated_geometric(e, n), (x, small_int)),

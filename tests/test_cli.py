@@ -543,3 +543,43 @@ def test_sweep_unknown_parameter(capsys, tmp_path):
     argv = ["sweep", "--config", config, "--parameter", "tester.bogus", "--values", "1"]
     assert main(argv) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "tester, target, parameter, values, typo",
+    [
+        # an adp-ni tester without delta, whose reader gives delta 0.0
+        ({"eps": 1.1, "alpha": 0.3},
+         {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}},
+         "tester.delta", "0.0,0.1", "tester.dleta"),
+        # a leaky mechanism without n, whose reader gives n 3
+        ({"eps": 0.0, "alpha": 0.3},
+         {"mechanism": {"mechanism": "leaky_mechanism", "delta": 0.3}},
+         "target.mechanism.n", "3,4", "target.mechanism.m"),
+        # fixture params that only the sweep supplies
+        ({"eps": 0.1, "delta": 0.05, "alpha": 0.3},
+         {"fixture": {"name": "adp-twopoint", "params": {"eps": 0.1, "delta": 0.05}}},
+         "target.fixture.params.alpha", "0.3", "target.fixture.params.alhpa"),
+        # a fixture target without instance, whose reader gives "private"
+        ({"eps": 0.1, "delta": 0.05, "alpha": 0.3},
+         {"fixture": {"name": "adp-twopoint",
+                      "params": {"eps": 0.1, "delta": 0.05, "alpha": 0.3}}},
+         "target.fixture.instance", "private,far", "target.fixture.instances"),
+    ],
+)
+def test_sweep_sets_an_optional_key_its_document_omits(
+    capsys, tmp_path, tester, target, parameter, values, typo
+):
+    doc = {"tester": dict(tester, kind="adp-ni"), "target": target, "trials": 2}
+    config = write_json(tmp_path / "config.json", doc)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", config, "--parameter", parameter, "--values", values]
+    code, _ = run(capsys, argv + ["--out", str(out)])
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == values.split(",")
+    # a key that no reader of the document takes is still refused
+    argv[4] = typo
+    code, cap = run(capsys, argv)
+    assert code == 1
+    assert cap.err == f"error: unknown parameter name: {typo!r}\n"

@@ -258,12 +258,12 @@ def test_distinguish_separates_far_pair():
     r = math.ceil(noinfo_rate(2, 0.1, 0.15))
     mech = MechanismPair(*pair.far_instance, seed=21)
     from_db0 = mech.draw(0, r)
-    reference = mech.spawn(23)
+    reference = MechanismPair(*mech.truth, seed=23)
     assert distinguish(tester, reference, from_db0) == 0
     # the reference batch has the unknown batch's size r
     assert reference.query_counter == [r, 0]
     from_db1 = mech.draw(1, r)
-    assert distinguish(tester, mech.spawn(24), from_db1) == 1
+    assert distinguish(tester, MechanismPair(*mech.truth, seed=24), from_db1) == 1
 
 
 def test_build_fixture_dispatch():

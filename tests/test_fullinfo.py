@@ -10,6 +10,7 @@ import pytest
 from dpaudit import (
     CalibrationCache,
     ExperimentConfig,
+    MechanismPair,
     SideInfo,
     Verdict,
     adp_test_fi,
@@ -24,6 +25,7 @@ from dpaudit import (
     randomized_response,
     run_experiment,
     sweep,
+    truncated_geometric,
 )
 from dpaudit import fullinfo
 from dpaudit.distributions import _majority_reps
@@ -364,18 +366,19 @@ def per_rep_adp_fi(mech, side, alpha, rng, reps):
 def test_adp_fi_equals_per_rep_loop(box, claim, eps, delta, alpha, reps):
     def make_box(seed):
         if box == "geometric":
-            return mechanism_from_config(
-                {"mechanism": "truncated_geometric", "eps": 0.5, "n": 256}
-            ).spawn(seed)
+            return truncated_geometric(0.5, 256, seed=seed)
         if box == "leaky":
             return leaky_mechanism(0.05, n=5, seed=seed)
-        return mechanism_from_config(
-            {
-                "mechanism": "explicit",
-                "p0": {"n": 2, "probs": [0.7, 0.3]},
-                "p1": {"n": 2, "probs": [0.6, 0.4]},
-            }
-        ).spawn(seed)
+        return MechanismPair(
+            *mechanism_from_config(
+                {
+                    "mechanism": "explicit",
+                    "p0": {"n": 2, "probs": [0.7, 0.3]},
+                    "p1": {"n": 2, "probs": [0.6, 0.4]},
+                }
+            ).truth,
+            seed=seed,
+        )
 
     truth = make_box(0).truth
     side = {
@@ -418,13 +421,16 @@ def test_adp_fi_accepts_truthful_claim():
 
 def test_adp_fi_rejects_box_that_contradicts_claim():
     # claim says randomized response, box is far from it on db 1
-    mech = mechanism_from_config(
-        {
-            "mechanism": "explicit",
-            "p0": {"n": 2, "probs": [0.75, 0.25]},
-            "p1": {"n": 2, "probs": [0.75, 0.25]},
-        }
-    ).spawn(3)
+    mech = MechanismPair(
+        *mechanism_from_config(
+            {
+                "mechanism": "explicit",
+                "p0": {"n": 2, "probs": [0.75, 0.25]},
+                "p1": {"n": 2, "probs": [0.75, 0.25]},
+            }
+        ).truth,
+        seed=3,
+    )
     claimed = randomized_response(0.25)
     side = SideInfo(*claimed.truth)
     out = adp_test_fi(mech, side, math.log(3.0), 0.0, 0.1, np.random.default_rng(4))
@@ -464,13 +470,16 @@ def test_fi_pdp_accepts_honest_randomized_response():
 
 def test_fi_pdp_rejects_off_claim_frequencies():
     # the box emits a much flatter distribution than claimed
-    mech = mechanism_from_config(
-        {
-            "mechanism": "explicit",
-            "p0": {"n": 2, "probs": [0.5, 0.5]},
-            "p1": {"n": 2, "probs": [0.5, 0.5]},
-        }
-    ).spawn(9)
+    mech = MechanismPair(
+        *mechanism_from_config(
+            {
+                "mechanism": "explicit",
+                "p0": {"n": 2, "probs": [0.5, 0.5]},
+                "p1": {"n": 2, "probs": [0.5, 0.5]},
+            }
+        ).truth,
+        seed=9,
+    )
     claimed = randomized_response(0.25)
     side = SideInfo(*claimed.truth)
     out = pdp_test_fi(mech, side, math.log(3.0), 0.1, np.random.default_rng(10))
@@ -480,13 +489,16 @@ def test_fi_pdp_rejects_off_claim_frequencies():
 
 def test_fi_pdp_zero_count_means_infinite_estimate():
     # db outputs never hit outcome 1, so the plug-in ratio is infinite
-    mech = mechanism_from_config(
-        {
-            "mechanism": "explicit",
-            "p0": {"n": 2, "probs": [1.0, 0.0]},
-            "p1": {"n": 2, "probs": [1.0, 0.0]},
-        }
-    ).spawn(11)
+    mech = MechanismPair(
+        *mechanism_from_config(
+            {
+                "mechanism": "explicit",
+                "p0": {"n": 2, "probs": [1.0, 0.0]},
+                "p1": {"n": 2, "probs": [1.0, 0.0]},
+            }
+        ).truth,
+        seed=11,
+    )
     side = SideInfo(*randomized_response(0.25).truth)
     out = pdp_test_fi(mech, side, math.log(3.0), 0.1, np.random.default_rng(12))
     assert out.statistic == math.inf

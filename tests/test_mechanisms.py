@@ -141,11 +141,12 @@ def test_database_index_is_an_integer():
 def test_spawn_resets_state_and_keeps_truth():
     mech = randomized_response(0.25, seed=3)
     mech.draw(0, 100)
-    child = mech.spawn(seed=99)
+    child = MechanismPair(*mech.truth, seed=99)
     assert child.query_counter == [0, 0]
     assert child.truth == mech.truth
-    # a spawn with a different seed is a different stream
-    assert not np.array_equal(child.draw(0, 1000), mech.spawn(5).draw(0, 1000))
+    # a fresh pair with a different seed is a different stream
+    other = MechanismPair(*mech.truth, seed=5)
+    assert not np.array_equal(child.draw(0, 1000), other.draw(0, 1000))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1])
@@ -164,7 +165,7 @@ def test_streams_are_the_children_of_a_spawned_seed_sequence(seed):
             assert np.array_equal(pair.draw_many(db, counts), rng.multinomial(counts, p))
 
     same_streams(mech)
-    same_streams(mech.spawn(seed))  # spawned after mech's streams moved on
+    same_streams(MechanismPair(*mech.truth, seed=seed))  # built after mech's streams moved on
 
 
 SEED_EDGES = [0, 1, 2**32 - 1, 2**32 + 1, 2**63 - 1, 2**64, 2**96, 2**128, 2**200]
@@ -196,7 +197,7 @@ def test_spawn_many_equals_spawn():
     mech = truncated_geometric(0.5, 6, seed=1)
     seeds, rng_seeds = SEED_EDGES, [(s, t) for t, s in enumerate(SEED_EDGES)]
     for seed, rng_seed, (pair, rng) in zip(seeds, rng_seeds, mech._spawn_many(seeds, rng_seeds)):
-        ref = mech.spawn(seed)
+        ref = MechanismPair(*mech.truth, seed=seed)
         assert pair.seed == seed and pair.query_counter == [0, 0] and pair.truth == mech.truth
         for db in (0, 1):
             assert np.array_equal(pair.draw(db, 1000), ref.draw(db, 1000))
@@ -221,7 +222,7 @@ def test_harness_trial_streams_cross_blocks_unchanged(monkeypatch):
     base = randomized_response(0.25)
     assert len(seen) == trials
     for trial, (mech, states) in enumerate(seen):
-        ref = base.spawn(seed * 1_000_003 + trial + 1)
+        ref = MechanismPair(*base.truth, seed=seed * 1_000_003 + trial + 1)
         rng = np.random.default_rng([seed, trial])
         assert mech.seed == ref.seed
         assert states == [g.bit_generator.state for g in (*ref._rngs, rng)]
