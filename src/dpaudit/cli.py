@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _check, _fields, _object
+from .distributions import DiscreteDistribution, _check, _fields, _integer, _object
 from .fixtures import CERT_TOL, FIXTURE_NAMES, CertificationError, build_fixture
 from .fullinfo import IDENTITY_CONFIDENCE, CalibrationCache, identity_budget
 from .harness import TESTER_KINDS, ExperimentConfig, run_experiment, sweep
@@ -135,6 +135,10 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_test_random(args) -> int:
+    # the check of MechanismPair, so that numpy's own error never leaks
+    seed = _integer("seed", args.seed)
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0; got {seed}")
     if args.family is None:
         raise ValueError("random needs --family")
     doc = _load_json(args.family)
@@ -177,7 +181,7 @@ def _cmd_test_random(args) -> int:
         gamma=args.gamma,
         alpha=args.alpha,
         penalty_weight=args.penalty,
-        rng=np.random.default_rng(args.seed),
+        rng=np.random.default_rng(seed),
     )
     _emit(
         {

@@ -6,7 +6,7 @@ defines pure differential privacy, the additive slack ``delta_at_epsilon``
 that defines approximate differential privacy, and 2^n event-enumeration
 oracles that cross-check the closed forms on small outcome spaces. Those
 walk the events in blocks of 2^14 and hold no 2^n vector, so one call
-peaks under 2 MiB at ``BRUTE_FORCE_MAX_N``.
+peaks under 768 KiB at any n up to ``BRUTE_FORCE_MAX_N``.
 
 Conventions used throughout the package:
 
@@ -382,51 +382,43 @@ def _event_masses(probs: np.ndarray) -> np.ndarray:
 #: The brute-force oracles walk the events in blocks of 2^14: 128 KiB per
 #: vector, small enough to stay in cache and to be reused, not faulted
 #: in afresh, from one block to the next. At n = 18 on 2 vCPUs, one
-#: thread, 2^14 measured best (~1.7 ms per ``brute_force_delta`` call,
-#: against ~2.1 ms at 2^12 and ~2.5 ms at 2^15).
+#: thread, 2^14 measured best (~1.1 ms per ``brute_force_delta`` call,
+#: against ~1.9 ms at 2^12 and ~1.3 ms at 2^15).
 _EVENT_BLOCK_BITS = 14
 
 
-def _event_blocks(pa: np.ndarray, qa: np.ndarray):
+def _event_blocks(p: DiscreteDistribution, q: DiscreteDistribution):
     """Yield (P(E), Q(E)) for all 2^n events, 2^min(n, 14) at a time.
 
     The first block is the events over the outcomes below
-    k = min(n, _EVENT_BLOCK_BITS); each later block adds one nonempty set
-    h of the outcomes k and above. The block for h is the block for h
-    without its top outcome i, plus p_i, so every event mass is the same
-    left-to-right sum that ``_event_masses`` forms over all n outcomes.
-    The sets h are walked depth-first, one buffer pair per depth, so a
-    call holds 2 (n - k + 1) block vectors: 1.75 MiB at n = 20. A yielded
-    pair is overwritten by a later block: read it before the next one.
+    k = min(n, _EVENT_BLOCK_BITS). Each later block adds one nonempty set
+    h of the outcomes k and above, in ascending order of h: the first
+    block plus h's masses, added in ascending order of outcome. So every
+    event mass is the same left-to-right sum that ``_event_masses`` forms
+    over all n outcomes. The later blocks share one buffer pair, so a call
+    holds at most four block vectors (512 KiB). A yielded pair is
+    overwritten by the next block: read it before asking for that one.
+    Raises ValueError unless the pair shares a universe of at most
+    ``BRUTE_FORCE_MAX_N`` outcomes.
     """
-    n = len(pa)
-    k = min(n, _EVENT_BLOCK_BITS)
-    low = (_event_masses(pa[:k]), _event_masses(qa[:k]))
-    yield low
-    depths = [(np.empty_like(low[0]), np.empty_like(low[1])) for _ in range(n - k)]
-    # each entry: a block and the outcomes that may still extend its set
-    stack = [(low, iter(range(k, n)))]
-    while stack:
-        (mp, mq), outcomes = stack[-1]
-        i = next(outcomes, None)
-        if i is None:
-            stack.pop()
-            continue
-        bp, bq = depths[len(stack) - 1]
-        np.add(mp, pa[i], out=bp)
-        np.add(mq, qa[i], out=bq)
-        yield bp, bq
-        stack.append(((bp, bq), iter(range(i + 1, n))))
-
-
-def _enumerable(
-    p: DiscreteDistribution, q: DiscreteDistribution
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_paired`` for the brute-force oracles, which cap n."""
     pa, qa = _paired(p, q)
-    if p.n > BRUTE_FORCE_MAX_N:
+    n = len(pa)
+    if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute-force enumeration is capped at n <= {BRUTE_FORCE_MAX_N}")
-    return pa, qa
+    k = min(n, _EVENT_BLOCK_BITS)
+    lp, lq = _event_masses(pa[:k]), _event_masses(qa[:k])
+    yield lp, lq
+    if k == n:
+        return
+    bp, bq = np.empty_like(lp), np.empty_like(lq)
+    for h in range(1, 1 << (n - k)):
+        first, *rest = (i for i in range(k, n) if h >> (i - k) & 1)
+        np.add(lp, pa[first], out=bp)
+        np.add(lq, qa[first], out=bq)
+        for i in rest:
+            bp += pa[i]
+            bq += qa[i]
+        yield bp, bq
 
 
 def brute_force_delta(
@@ -437,14 +429,13 @@ def brute_force_delta(
     Maximizes P(E) - e^eps Q(E) over all 2^n events and both ordered
     directions, floored at zero. Only valid for n <= BRUTE_FORCE_MAX_N.
     The events are walked in blocks of 2^14, so a call holds no 2^n
-    vector: it peaks under 2 MiB at n = 20.
+    vector: five block vectors at most, 640 KiB.
     """
     eps = _check("eps", eps, 0.0, _EPS_MAX)
-    pa, qa = _enumerable(p, q)
     scale = math.exp(eps)
     fwd = rev = 0.0
     d = None
-    for mp, mq in _event_blocks(pa, qa):
+    for mp, mq in _event_blocks(p, q):
         # both directed differences in one scratch buffer
         d = np.multiply(mq, scale, out=d)
         fwd = max(fwd, float(np.subtract(mp, d, out=d).max()))
@@ -465,14 +456,13 @@ def approx_max_divergence_bruteforce(
     numerator, in which case the supremum is -inf. That includes delta = 1
     when the masses sum to just under 1 in float64. Raises if delta lies
     outside [0, 1] or n exceeds BRUTE_FORCE_MAX_N. The events are walked
-    in blocks of 2^14, so a call holds no 2^n vector: it peaks under
-    2 MiB at n = 20.
+    in blocks of 2^14, so a call holds no 2^n vector: five block vectors
+    and four boolean masks at most, about 704 KiB.
     """
     delta = _check("delta", delta, 0.0, 1.0)
-    pa, qa = _enumerable(p, q)
     best = -math.inf
     numer = None
-    for mp, mq in _event_blocks(pa, qa):
+    for mp, mq in _event_blocks(p, q):
         # numerators in a scratch buffer; a positive one marks a
         # qualifying event, since x - delta > 0 exactly when x > delta
         numer = np.subtract(mp, delta, out=numer)

@@ -81,6 +81,7 @@ EXACT_CHECK_TOL = 1e-12
 def identity_budget(n: int, alpha: float) -> int:
     """Poisson rate for one identity test on an n-outcome universe, calibrated
     to succeed with probability ``IDENTITY_CONFIDENCE``."""
+    n = _integer("n", n)
     _check("n", n, 1.0)
     _check("alpha", alpha, 0.0, open_low=True)
     budget = max(1, math.ceil(BUDGET_CONSTANT * math.sqrt(n) / (alpha * alpha)))
@@ -160,6 +161,7 @@ def calibrate_identity_threshold(
     randomness, so the result does not depend on the block size.
     """
     budget = identity_budget(q.n, alpha)
+    trials = _integer("trials", trials)
     _check("trials", trials, 100.0)
     means = budget * q.probs
     stats = []

@@ -49,6 +49,8 @@ _SEED_BLOCK = 1024
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; its bound is exactly 0 (1) at 0 (all) successes."""
+    successes = _integer("successes", successes)
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (0 <= successes <= trials):

@@ -47,7 +47,7 @@ def noinfo_rate(n: int, eps: float, alpha: float) -> float:
     form undershoots it. A rate that is not a finite float (large eps,
     tiny alpha) raises ValueError.
     """
-    n = _check("n", n, 1.0)
+    n = _check("n", _integer("n", n), 1.0)
     eps = _check("eps", eps, 0.0, _EPS_MAX)
     alpha = _check("alpha", alpha, 0.0, open_low=True)
     b = 1.0 + math.exp(2.0 * eps)

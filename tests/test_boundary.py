@@ -160,6 +160,20 @@ def test_identity_budget_cap():
         identity_budget(1, 1e-10)
 
 
+def test_identity_budget_takes_a_whole_universe_size():
+    for n in (2.5, True, NAN, math.inf, "2"):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            identity_budget(n, 0.1)
+    assert identity_budget(2.0, 0.1) == identity_budget(2, 0.1)
+
+
+def test_noinfo_rate_takes_a_whole_universe_size():
+    for n in (2.5, True, NAN, math.inf, "2"):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            noinfo_rate(n, 0.1, 0.1)
+    assert noinfo_rate(2.0, 0.1, 0.1) == noinfo_rate(2, 0.1, 0.1)
+
+
 # -- CLI-level regressions
 
 @pytest.fixture
@@ -347,6 +361,13 @@ def test_cli_rejects_a_reduction_above_the_size_cap(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert all(flag in err for flag in ("--penalty", "--alpha", "--gamma", "--inner-budget"))
+
+
+def test_cli_random_names_a_negative_seed(capsys, tmp_path):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"kind": "constant", "dist": {"probs": [0.5, 0.5]}}))
+    assert main(RANDOM + [str(family), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0; got -1\n"
 
 
 def test_sweep_checks_swept_trials_and_seed(tmp_path):

@@ -396,6 +396,25 @@ def test_brute_force_oracles_peak_at_three_event_vectors(oracle, arg):
     assert peak <= 3 * 2**16 * 8 + 4096
 
 
+@pytest.mark.parametrize("n", [16, 18, 20])
+@pytest.mark.parametrize(
+    "oracle, arg", [(brute_force_delta, 0.3), (approx_max_divergence_bruteforce, 0.1)]
+)
+def test_brute_force_oracles_peak_at_five_block_vectors(oracle, arg, n):
+    rng = np.random.default_rng(n)
+    p, q = make_distribution(rng.random(n)), make_distribution(rng.random(n))
+    oracle(p, q, arg)  # first-call allocations do not count
+    tracemalloc.start()
+    try:
+        oracle(p, q, arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the first block's pair, the later blocks' shared pair and one scratch
+    # vector of 2^14 float64s each, plus 128 KiB for masks and scalars
+    assert peak <= 5 * 2**14 * 8 + 128 * 1024
+
+
 # -- the oracles walk 2^n events in blocks of 2^14; sizes around and
 # -- above one block must give the whole-vector references' bits
 

@@ -88,6 +88,13 @@ def test_identity_statistic_validation():
         identity_statistic(q, np.array([1, 2]), 0.0)
 
 
+def test_calibration_takes_whole_trials():
+    rng = np.random.default_rng(5)
+    for trials in (100.5, True, math.inf):
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            calibrate_identity_threshold(UNIFORM2, 0.3, trials, rng)
+
+
 def test_calibration_contract():
     budget = identity_budget(2, 0.3)
     rng = np.random.default_rng(5)

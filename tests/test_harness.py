@@ -30,6 +30,13 @@ def test_wilson_interval_values():
         wilson_interval(5, 4)
 
 
+def test_wilson_interval_takes_whole_counts():
+    for successes, trials in ((0.5, 2), (True, 2), (1, math.inf), (1, 2.5), (1, math.nan)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            wilson_interval(successes, trials)
+    assert wilson_interval(1.0, 2.0) == wilson_interval(1, 2)
+
+
 def test_wilson_interval_endpoints_stay_in_unit_interval():
     # by the formula alone, 1068 of these bounds fell outside [0, 1] by
     # rounding (wilson_interval(11, 11)[1] == 1.0000000000000002) and others
