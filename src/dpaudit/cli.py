@@ -1,11 +1,11 @@
 """dp-audit command line.
 
-Verbs: test (run a tester against a mechanism or fixture), fixture
-(build and emit a certified fixture), sweep (one experiment per
-parameter value), calibrate (identity-test threshold for a null), and
-certify (re-run a fixture's certification gate). Exit codes: 0 on
-completion, 1 on usage or configuration errors, 2 when a certification
-gate fails.
+Verbs: test KIND (run a tester against a mechanism or fixture, taking
+only the flags KIND reads), fixture (build and emit a certified
+fixture), sweep (one experiment per parameter value), calibrate
+(identity-test threshold for a null), and certify (re-run a fixture's
+certification gate). Exit codes: 0 on completion, 1 on usage or
+configuration errors, 2 when a certification gate fails.
 """
 
 from __future__ import annotations
@@ -86,30 +86,21 @@ def _load_json(path: str):
 
 def _target_from_args(args) -> dict:
     if args.mech is not None:
+        if (args.fixture_params, args.base, args.instance) != (None, None, None):
+            raise ValueError("--fixture-params, --base and --instance go with --fixture")
         target: dict = {"mechanism": _load_json(args.mech)}
-    elif args.fixture is not None:
-        params = _parse_params(args.fixture_params, args.base)
-        target = {"fixture": {"name": args.fixture, "params": params, "instance": args.instance}}
     else:
-        raise ValueError("give either --mech or --fixture")
-    if args.side is not None:
-        if args.side in ("truth", "claim"):
-            target["side"] = args.side
-        else:
-            target["side"] = _load_json(args.side)
+        params = _parse_params(args.fixture_params, args.base)
+        instance = args.instance or "private"
+        target = {"fixture": {"name": args.fixture, "params": params, "instance": instance}}
+    if "side" in args:
+        target["side"] = args.side if args.side in ("truth", "claim") else _load_json(args.side)
     return target
 
 
 def _cmd_test(args) -> int:
-    if args.tester == "random":
-        return _cmd_test_random(args)
-    if args.eps is None or args.alpha is None:
-        raise ValueError("--eps and --alpha are required")
-    tester = {"kind": args.tester, "eps": args.eps, "delta": args.delta, "alpha": args.alpha}
-    if args.tester == "adp-budgeted":
-        if args.budget is None:
-            raise ValueError("adp-budgeted needs --budget")
-        tester["r"] = args.budget
+    tester = {"kind": args.tester, "eps": args.eps, "alpha": args.alpha}
+    tester.update((key, getattr(args, key)) for key in ("delta", "r") if key in args)
     cfg = ExperimentConfig(
         tester=tester,
         target=_target_from_args(args),
@@ -139,8 +130,6 @@ def _cmd_test_random(args) -> int:
     seed = _integer("seed", args.seed)
     if seed < 0:
         raise ValueError(f"seed must be an integer >= 0; got {seed}")
-    if args.family is None:
-        raise ValueError("random needs --family")
     doc = _load_json(args.family)
     dist = DiscreteDistribution.from_json
     kind = _fields("family", doc, {"kind": str})["kind"]
@@ -156,8 +145,6 @@ def _cmd_test_random(args) -> int:
     else:
         raise ValueError("family kind must be 'constant' or 'value_flag'")
 
-    if args.inner_alpha is None or args.inner_budget is None:
-        raise ValueError("random needs --inner-alpha and --inner-budget")
     # the formulas check --penalty, --alpha and --gamma
     m = trial_count(args.penalty, args.alpha, args.gamma)
     k = amplification_reps(args.penalty, args.alpha)
@@ -241,6 +228,8 @@ def _cmd_fixture(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.fixture_file is not None:
+        if args.params is not None or args.base is not None:
+            raise ValueError("--params and --base go with a fixture name, not --fixture-file")
         stored = _load_json(args.fixture_file)
         fx = _fields("fixture file", stored, {"name": str, "params": _object})
         pair, side = build_fixture(fx["name"], fx["params"])
@@ -251,8 +240,6 @@ def _cmd_certify(args) -> int:
         if side is not None:
             fresh["side_info"] = {"q0": side.q0, "q1": side.q1}
         _check_same(stored, fresh)
-    elif args.name is None:
-        raise ValueError("give a fixture name or --fixture-file")
     else:
         doc = _fixture_doc(args)
     _emit({"name": doc["name"], "certification": doc["certification"]}, args.out)
@@ -309,30 +296,44 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dp-audit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    test = sub.add_parser("test", help="run a tester")
-    test.add_argument("tester", choices=TESTER_KINDS + ("random",))
-    test.add_argument("--mech", help="mechanism config JSON file")
-    test.add_argument("--fixture", choices=FIXTURE_NAMES)
-    test.add_argument("--fixture-params", nargs="*", metavar="K=V")
-    test.add_argument("--base", help="base mechanism config JSON (mean-sideinfo)")
-    test.add_argument("--instance", choices=("private", "far"), default="private")
-    test.add_argument("--side", help="'truth', 'claim', or a side-info JSON file")
-    test.add_argument("--eps", type=float)
-    test.add_argument("--delta", type=float, default=0.0)
-    test.add_argument("--alpha", type=float)
-    test.add_argument("--budget", type=int, help="per-database samples (adp-budgeted)")
-    test.add_argument("--gamma", type=float, default=0.0)
-    test.add_argument("--penalty", type=float, default=1.0)
-    test.add_argument("--family", help="family JSON file (random)")
-    test.add_argument("--db-size", type=int, default=1)
-    test.add_argument("--inner-eps", type=float, default=0.0)
-    test.add_argument("--inner-delta", type=float, default=0.0)
-    test.add_argument("--inner-alpha", type=float)
-    test.add_argument("--inner-budget", type=int)
-    test.add_argument("--trials", type=int, default=1)
-    test.add_argument("--seed", type=int, default=0)
-    test.add_argument("--out", help="per-trial CSV path")
-    test.set_defaults(func=_cmd_test)
+    kinds = sub.add_parser("test", help="run a tester").add_subparsers(dest="tester", required=True)
+    common = _Parser(add_help=False)
+    target = common.add_mutually_exclusive_group(required=True)
+    target.add_argument("--mech", help="mechanism config JSON file")
+    target.add_argument("--fixture", choices=FIXTURE_NAMES)
+    common.add_argument("--fixture-params", nargs="*", metavar="K=V")
+    common.add_argument("--base", help="base mechanism config JSON (mean-sideinfo)")
+    common.add_argument("--instance", choices=("private", "far"), help="default: private")
+    common.add_argument("--eps", type=float, required=True)
+    common.add_argument("--alpha", type=float, required=True)
+    common.add_argument("--trials", type=int, default=1)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", help="per-trial CSV path")
+    # a flag that only some kinds read is in the namespace only when given
+    for kind in TESTER_KINDS:
+        test = kinds.add_parser(kind, parents=[common], argument_default=argparse.SUPPRESS)
+        if kind.startswith("adp-"):
+            test.add_argument("--delta", type=float, help="default: 0")
+        if kind == "adp-budgeted":
+            test.add_argument("--budget", dest="r", type=int, required=True,
+                              help="r: samples per database")
+        if kind.endswith("-fi"):
+            test.add_argument("--side", help="'truth', 'claim', or a side-info JSON file")
+        test.set_defaults(func=_cmd_test)
+
+    random = kinds.add_parser("random")
+    random.add_argument("--family", required=True, help="family JSON file")
+    random.add_argument("--alpha", type=float, required=True)
+    random.add_argument("--gamma", type=float, default=0.0)
+    random.add_argument("--penalty", type=float, default=1.0)
+    random.add_argument("--db-size", type=int, default=1)
+    random.add_argument("--inner-eps", type=float, default=0.0)
+    random.add_argument("--inner-delta", type=float, default=0.0)
+    random.add_argument("--inner-alpha", type=float, required=True)
+    random.add_argument("--inner-budget", type=int, required=True)
+    random.add_argument("--seed", type=int, default=0)
+    random.add_argument("--out", help="JSON summary path (default: stdout)")
+    random.set_defaults(func=_cmd_test_random)
 
     fixture = sub.add_parser("fixture", help="build a certified fixture")
     fixture.add_argument("name", choices=FIXTURE_NAMES)
@@ -358,10 +359,11 @@ def _build_parser() -> _Parser:
     calibrate.set_defaults(func=_cmd_calibrate)
 
     certify = sub.add_parser("certify", help="re-run a fixture's certification gate")
-    certify.add_argument("name", nargs="?", choices=FIXTURE_NAMES)
+    which = certify.add_mutually_exclusive_group(required=True)
+    which.add_argument("name", nargs="?", choices=FIXTURE_NAMES)
+    which.add_argument("--fixture-file", help="re-certify an emitted fixture JSON")
     certify.add_argument("--params", nargs="*", metavar="K=V")
     certify.add_argument("--base", help="base mechanism config JSON (mean-sideinfo)")
-    certify.add_argument("--fixture-file", help="re-certify an emitted fixture JSON")
     certify.add_argument("--out")
     certify.set_defaults(func=_cmd_certify)
 

@@ -166,8 +166,6 @@ class MechanismPair:
         if not 0 <= count <= _MAX_COUNT:
             raise ValueError(f"count must lie in [0, 2**63 - 1]; got {count}")
         self.query_counter[db] += count
-        if count == 0:
-            return np.zeros(self.n, dtype=np.int64)
         return self._rngs[db].multinomial(count, self._pvals[db])
 
     def draw_many(self, db: int, counts: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Exact operating characteristics of ``adp_test_budgeted`` on
-two-outcome pairs.
+two-outcome pairs, and of ``random_privacy_test`` given its inner
+rejection probabilities.
 
 With two outcomes, r samples from database b form the histogram
 (k, r - k) with k ~ Bin(r, p_b[0]), and the databases draw
@@ -45,3 +46,17 @@ def acceptance(p0, p1, r: int, eps: float, delta: float, alpha: float) -> float:
     alpha, r)`` accepts, for two-outcome distributions ``p0`` and ``p1``."""
     (x, wx), (y, wy) = _counts(r, p0.probs[0]), _counts(r, p1.probs[0])
     return float(wx @ accepts(x[:, None], y[None, :], r, eps, delta, alpha) @ wy)
+
+
+def marks(reject: float, reps: int) -> float:
+    """Probability that ``random_privacy_test`` marks a pair whose inner test
+    rejects with probability ``reject``: at least half of ``reps`` runs reject."""
+    return float(stats.binom.sf(math.ceil(reps / 2) - 1, reps, reject))
+
+
+def reduction_rejection(mark: float, pairs: int, threshold: float) -> float:
+    """Probability that ``random_privacy_test`` rejects when each of its
+    ``pairs`` sampled pairs is marked independently with probability ``mark``:
+    the marked fraction, in the reduction's float division, exceeds ``threshold``."""
+    least = next((c for c in range(pairs + 1) if c / pairs > threshold), pairs + 1)
+    return float(stats.binom.sf(least - 1, pairs, mark))

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dpaudit import (
     CalibrationCache,
@@ -22,6 +23,7 @@ from dpaudit import (
     SideInfo,
     adp_test_budgeted,
     adp_twopoint_fixture,
+    amplification_reps,
     brute_force_delta,
     constant_family,
     counts_tester,
@@ -38,6 +40,7 @@ from dpaudit import (
     random_privacy_test,
     run_experiment,
     tight_perturbation,
+    trial_count,
     truncated_geometric,
     value_flag_family,
 )
@@ -368,6 +371,27 @@ def test_criterion_08_random_privacy_reduction():
         f"constant accepts {accepts}/100, flagged rejects {rejects}/100, "
         f"query count exact: {queries_exact}",
     )
+
+
+def test_criterion_08_exact_operating_characteristic():
+    # criterion 08's families, inner claim and sizes, without sampling error
+    claim, r = (0.0, 0.05, 0.1), 4800
+    s = (1.0 - math.sqrt(0.4)) / 2.0
+    pairs, reps = trial_count(2.0, 0.2, 0.1), amplification_reps(2.0, 0.2)
+    assert (pairs, reps) == (27, 54)
+    threshold = 0.1 + 0.2 / 2.0
+    # both outputs of leaky_mechanism(0.5) put 0.5 on outcome 0 and 0.5 on one
+    # other outcome, so a pair of equal outputs is the two-outcome (0.5, 0.5)
+    half = make_distribution([0.5, 0.5])
+    identical = exact_oc.marks(1.0 - exact_oc.acceptance(half, half, r, *claim), reps)
+    # a straddling pair accepts only if the share (r - a) / r of database 0's
+    # samples off outcome 0 stays within delta + alpha: a >= 4080 of Bin(4800, 0.5)
+    straddling = exact_oc.marks(1.0 - stats.binom.sf(4079, r, 0.5), reps)
+    flagged = (1.0 - 2.0 * s * (1.0 - s)) * identical + 2.0 * s * (1.0 - s) * straddling
+    reject_flagged = exact_oc.reduction_rejection(flagged, pairs, threshold)
+    accept_constant = 1.0 - exact_oc.reduction_rejection(identical, pairs, threshold)
+    print(f"flagged rejects {reject_flagged:.4f}, constant accepts {accept_constant:.4f}")
+    assert reject_flagged >= 2 / 3 and accept_constant >= 2 / 3
 
 
 def test_criterion_09_identity_calibration_grid():

@@ -457,11 +457,20 @@ FIXTURE_PARAMS = {
 }
 
 
+#: token of a test argv -> a flag that its kind or target does not read
+FOREIGN = {"adp-ni": ["--budget", "100"], "random": ["--trials", "2"],
+           "--mech": ["--instance", "far"]}
+
+
+def gives_a_foreign_flag(argv):
+    return any(key in argv and flag in argv for key, (flag, _) in FOREIGN.items())
+
+
 @st.composite
 def argvs(draw, files):
     """argv for one of the five verbs: the flags a run needs are usually
     present; each value comes from VALUES (SMALL for sizes) or, half the
-    time, from PLAUSIBLE."""
+    time, from PLAUSIBLE. Now and then a test argv also gets a FOREIGN flag."""
 
     def value(flag):
         pool = PLAUSIBLE.get(flag, ()) if draw(st.booleans()) else ()
@@ -483,20 +492,25 @@ def argvs(draw, files):
         tester = draw(st.sampled_from(TESTER_KINDS + ("random",)))
         if tester == "random":
             family = draw(st.sampled_from(files["family"]))
-            return ["test", "random", "--family", family] + flags(
+            argv = ["test", "random", "--family", family] + flags(
                 ["--alpha", "--inner-alpha", "--inner-budget"],
                 ["--gamma", "--penalty", "--db-size", "--inner-eps", "--inner-delta", "--seed"],
             ) + out
-        if draw(st.booleans()):
-            target = ["--mech", files["mech"]]
         else:
-            name = draw(st.sampled_from(FIXTURE_NAMES))
-            target = ["--fixture", name, "--fixture-params", *fixture_params(name),
-                      "--instance", draw(st.sampled_from(("private", "far")))]
-        if tester in ("adp-fi", "pdp-fi") or draw(st.booleans()):
-            target += ["--side", draw(st.sampled_from(("truth", "claim", files["side"])))]
-        needed = ["--eps", "--alpha"] + (["--budget"] if tester == "adp-budgeted" else [])
-        return ["test", tester] + target + flags(needed, ["--delta", "--trials", "--seed"]) + out
+            if draw(st.booleans()):
+                target = ["--mech", files["mech"]]
+            else:
+                name = draw(st.sampled_from(FIXTURE_NAMES))
+                target = ["--fixture", name, "--fixture-params", *fixture_params(name),
+                          "--instance", draw(st.sampled_from(("private", "far")))]
+            if tester.endswith("-fi"):
+                target += ["--side", draw(st.sampled_from(("truth", "claim", files["side"])))]
+            needed = ["--eps", "--alpha"] + (["--budget"] if tester == "adp-budgeted" else [])
+            optional = ["--trials", "--seed"] + (["--delta"] if tester.startswith("adp-") else [])
+            argv = ["test", tester] + target + flags(needed, optional) + out
+        foreign = [FOREIGN[key] for key in argv[1:3] if key in FOREIGN]
+        argv += draw(st.sampled_from([[]] * 4 + foreign))
+        return argv
     if verb in ("fixture", "certify"):
         if verb == "certify" and draw(st.booleans()):
             return ["certify", "--fixture-file", draw(st.sampled_from(files["fixture"]))] + out
@@ -570,7 +584,7 @@ def test_cli_fuzz_exit_codes(fuzz_files, capsys):
     def check(argv):
         code = main(argv)
         err = capsys.readouterr().err
-        assert code in (0, 1, 2), argv
+        assert code in ((1,) if gives_a_foreign_flag(argv) else (0, 1, 2)), argv
         assert "Traceback" not in err, argv
 
     check()

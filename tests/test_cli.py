@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,58 @@ def test_test_verb_adp_ni(capsys, rr_mech, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "trial,verdict,statistic,threshold,queries_0,queries_1"
     assert len(lines) == 5
+
+
+#: argvs that each give a flag the verb or kind does not read; completed
+#: with the files of test_a_flag_the_kind_does_not_read_exits_1
+FOREIGN_FLAGS = [
+    ["test", "adp-ni", "--mech", "MECH", "--fixture", "adp-twopoint", "--eps", "0.1",
+     "--alpha", "0.3"],
+    ["test", "adp-ni", "--mech", "MECH", "--eps", "0.1", "--alpha", "0.3", "--budget", "5"],
+    ["test", "adp-ni", "--mech", "MECH", "--eps", "0.1", "--alpha", "0.3", "--gamma", "0.5"],
+    ["test", "adp-ni", "--mech", "MECH", "--side", "truth", "--eps", "0.1", "--alpha", "0.3"],
+    ["test", "pdp-fi", "--mech", "MECH", "--side", "truth", "--eps", "1.1", "--alpha", "0.3",
+     "--delta", "0.3"],
+    ["test", "adp-ni", "--mech", "MECH", "--instance", "far", "--eps", "0.1", "--alpha", "0.3"],
+    ["test", "random", "--family", "FAMILY", "--alpha", "0.4", "--inner-alpha", "0.2",
+     "--inner-budget", "50", "--trials", "3"],
+    ["test", "random", "--family", "FAMILY", "--alpha", "0.4", "--inner-alpha", "0.2",
+     "--inner-budget", "50", "--mech", "MECH"],
+    ["certify", "fi-pdp", "--params", "eps=0.5", "alpha=0.2", "beta=0.1", "--fixture-file",
+     "FIXTURE"],
+    ["certify", "--fixture-file", "FIXTURE", "--params", "eps=9"],
+]
+
+
+@pytest.mark.parametrize("argv", FOREIGN_FLAGS, ids=[
+    "mech-and-fixture", "ni-budget", "ni-gamma", "ni-side", "pdp-delta", "mech-instance",
+    "random-trials", "random-mech", "certify-name-and-file", "certify-file-params"])
+def test_a_flag_the_kind_does_not_read_exits_1(capsys, tmp_path, rr_mech, argv):
+    files = {
+        "MECH": rr_mech,
+        "FAMILY": write_json(tmp_path / "family.json",
+                             {"kind": "constant", "dist": {"probs": [0.5, 0.5]}}),
+        "FIXTURE": str(GOLDEN / "fixture-adp-twopoint.json"),
+    }
+    code, cap = run(capsys, [files.get(item, item) for item in argv])
+    assert (code, cap.out) == (1, "")
+    assert "error: " in cap.err and "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize(
+    "kind, own, foreign",
+    [
+        ("adp-budgeted", ["--mech", "--fixture", "--eps", "--delta", "--budget", "--trials"],
+         ["--side", "--gamma", "--family", "--inner-budget"]),
+        ("random", ["--family", "--alpha", "--gamma", "--inner-budget", "--seed", "--out"],
+         ["--mech", "--eps", "--delta", "--budget", "--side", "--trials"]),
+    ],
+)
+def test_kind_help_lists_only_its_flags(capsys, kind, own, foreign):
+    code, cap = run(capsys, ["test", kind, "--help"])
+    assert code == 0
+    flags = set(re.findall(r"--[a-z-]+", cap.out))
+    assert set(own) <= flags and not set(foreign) & flags, sorted(flags)
 
 
 def test_test_verb_missing_eps(capsys, rr_mech):

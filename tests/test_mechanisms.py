@@ -49,6 +49,18 @@ def test_query_accounting_is_exact():
     assert np.array_equal(mech.draw(0, 0), np.zeros(3, dtype=np.int64))
 
 
+@pytest.mark.parametrize("make", [lambda: randomized_response(0.3, seed=4),
+                                  lambda: leaky_mechanism(0.2, seed=4)])
+def test_draw_of_zero_samples_draws_nothing(make):
+    mech, fresh = make(), make()
+    for db in (0, 1):
+        zeros = mech.draw(db, 0)
+        assert zeros.dtype == np.int64 and np.array_equal(zeros, np.zeros(mech.n, np.int64))
+        assert mech.query_counter == fresh.query_counter
+        # the stream is where a fresh pair's is
+        assert np.array_equal(mech.draw(db, 50), fresh.draw(db, 50))
+
+
 def test_draw_returns_histogram_of_count_samples():
     mech = truncated_geometric(0.5, 6, seed=1)
     counts = mech.draw(0, 1234)
