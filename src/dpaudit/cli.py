@@ -127,9 +127,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_test_random(args) -> int:
     # the check of MechanismPair, so that numpy's own error never leaks
-    seed = _integer("seed", args.seed)
-    if seed < 0:
-        raise ValueError(f"seed must be an integer >= 0; got {seed}")
+    seed = _integer("seed", args.seed, 0)
     doc = _load_json(args.family)
     dist = DiscreteDistribution.from_json
     kind = _fields("family", doc, {"kind": str})["kind"]
@@ -263,8 +261,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.n < (2 if args.null == "twopoint" else 1):
-        raise ValueError("--n must be >= 2 for the twopoint null and >= 1 otherwise")
+    _integer("--n", args.n, 2 if args.null == "twopoint" else 1)
     if args.null == "uniform":
         q = DiscreteDistribution(np.full(args.n, 1.0 / args.n))
     elif args.null == "twopoint":

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -47,42 +47,60 @@ _FLOAT_MAX = sys.float_info.max
 _EPS_MAX = math.log(_FLOAT_MAX)
 
 
-def _check(
-    name: str, value, low: float, high: float = _FLOAT_MAX, open_low: bool = False
-) -> float:
-    """``float(value)`` if it lies in [low, high] ((low, high] if ``open_low``).
+def _check(name: str, value, low: float, high: float = _FLOAT_MAX,
+           open_low: bool = False, open_high: bool = False) -> float:
+    """``float(value)`` if ``value`` is a real number in [low, high];
+    ``open_low`` and ``open_high`` leave out the bound.
 
-    The one range check of the package's entry points: NaN, +-inf,
-    values out of range and non-numbers (``None``) raise ValueError
-    naming the parameter.
+    The one range check of the package's parameters: NaN, +-inf, values
+    out of range and anything but a real number (``None``; strings, bytes
+    and booleans, which ``float`` reads) raise ValueError naming ``name``.
     """
-    try:
-        v = float(value)
-    except (TypeError, OverflowError):  # None, an int beyond the float range
-        v = math.nan
-    if (v > low if open_low else v >= low) and v <= high:
+    v = value
+    if type(v) is not float:  # the hot path passes floats, which need no type test
+        real = type(v) is int or isinstance(v, numbers.Real) and not isinstance(v, bool)
+        try:
+            v = float(v) if real else math.nan
+        except OverflowError:  # an int beyond the float range
+            v = math.nan
+    if (v > low if open_low else v >= low) and (v < high if open_high else v <= high):
         return v
-    bracket = "(" if open_low else "["
-    raise ValueError(f"{name} must lie in {bracket}{low:g}, {high:g}]; got {value!r}")
+    bounds = f"{'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
+    raise ValueError(f"{name} must lie in {bounds}; got {value!r}")
 
 
-def _integer(name: str, value) -> int:
+def _integer(name: str, value, low: int | None = None) -> int:
     """``int(value)`` for an integer or an integral float such as 18.0.
 
     The one integer check of the package's documents and parameters: a
     fractional part, NaN, +-inf, ``None``, a string, a boolean and any
-    other non-number raise ValueError naming the parameter, and so does a
-    float above 2^53, where floats stop holding every integer (1e308).
+    other non-number raise ValueError naming the parameter, and so do a
+    value below ``low`` and a float above 2^53, where floats stop holding
+    every integer (1e308).
     """
-    if isinstance(value, float):
-        if value.is_integer() and abs(value) <= 2.0**53:
-            return int(value)
-    elif not isinstance(value, bool):
-        try:
-            return operator.index(value)  # int and numpy integers
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer; got {value!r}")
+    whole = type(value) is int or isinstance(value, np.integer) or (
+        isinstance(value, float) and value.is_integer() and abs(value) <= 2.0**53
+    )
+    if not whole:
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be an integer >= {low}; got {value!r}")
+    return int(value)
+
+
+def _holds_bool(values) -> bool:
+    """Whether a list or tuple holds a boolean, which numpy reads as a number."""
+    return isinstance(values, (list, tuple)) and any(type(v) in (bool, np.bool_) for v in values)
+
+
+def _numbers(name: str, values) -> np.ndarray:
+    """``values`` as a new float64 array, if its entries are real numbers.
+    numpy alone reads "0.5" as 0.5, None as NaN and [True, 0.5] as
+    [1.0, 0.5], so strings, ``None`` and booleans raise ValueError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or _holds_bool(values):
+        raise ValueError(f"{name} must hold numbers only; got {values!r}")
+    return arr.astype(np.float64)
 
 
 def _object(value) -> dict:
@@ -95,9 +113,10 @@ def _object(value) -> dict:
 def _fields(kind: str, doc, spec: dict) -> dict:
     """The one reader of the package's documents: the keys ``spec`` names in
     the JSON object ``doc``, each converted by ``spec[key]`` or, if optional,
-    ``(conversion, default)``; ``int`` converts through :func:`_integer`, and
-    other keys are ignored. A non-object, a missing key or a value its
-    conversion refuses raises ValueError naming ``kind`` and the key."""
+    ``(conversion, default)``; other keys are ignored. ``int`` converts through
+    :func:`_integer`, ``float`` through :func:`_check` (no NaN, ``true`` or
+    ``"0.25"``). A non-object, a missing key or a value its conversion
+    refuses raises ValueError naming the key and, but for ``int``, ``kind``."""
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} must be an object; got {doc!r}")
     fields = {}
@@ -111,7 +130,8 @@ def _fields(kind: str, doc, spec: dict) -> dict:
             fields[key] = _integer(key, doc[key])
         else:
             try:
-                fields[key] = convert(doc[key])
+                fields[key] = (_check(key, doc[key], -math.inf, math.inf) if convert is float
+                               else convert(doc[key]))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{kind} {key!r}: {exc}") from None
     return fields
@@ -153,15 +173,16 @@ def _positive_finite(formula):
 class DiscreteDistribution:
     """Probability vector over the finite outcome set {0, ..., n-1}.
 
-    The vector must be non-negative and sum to 1 within
-    ``NORMALIZATION_TOL``. The underlying array is made read-only, so
-    instances can be shared freely between threads.
+    The vector must hold numbers only (no string, ``None`` or boolean),
+    be non-negative and sum to 1 within ``NORMALIZATION_TOL``. The
+    underlying array is made read-only, so instances can be shared freely
+    between threads.
     """
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.probs, dtype=np.float64, copy=True)
+        arr = _numbers("probs", self.probs)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("probs must be a non-empty one-dimensional vector")
         if not np.all(np.isfinite(arr)):
@@ -193,7 +214,7 @@ class DiscreteDistribution:
     @classmethod
     def from_json(cls, doc: str | dict) -> "DiscreteDistribution":
         data = json.loads(doc) if isinstance(doc, str) else doc
-        spec = {"probs": functools.partial(np.asarray, dtype=np.float64), "n": (int, None)}
+        spec = {"probs": functools.partial(_numbers, "probs"), "n": (int, None)}
         fields = _fields("distribution", data, spec)
         if fields["n"] not in (None, fields["probs"].size):
             raise ValueError("n field disagrees with probs length")
@@ -232,10 +253,10 @@ class PrivacyParams:
 def make_distribution(weights: Sequence[float] | np.ndarray) -> DiscreteDistribution:
     """Normalize non-negative weights into a DiscreteDistribution.
 
-    Raises ValueError on an empty vector, a negative entry, or an all-zero
-    vector.
+    Raises ValueError on an empty vector, an entry that is not a number
+    (a string, ``None``, a boolean), a negative entry, or an all-zero vector.
     """
-    arr = np.asarray(weights, dtype=np.float64)
+    arr = _numbers("weights", weights)
     total = float(arr.sum())
     if not total > 0:
         raise ValueError("weights must have positive total mass")

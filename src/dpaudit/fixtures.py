@@ -38,6 +38,7 @@ from .distributions import (
     _check,
     _entry,
     _fields,
+    _integer,
     _object,
     _paired,
     _slack,
@@ -116,8 +117,7 @@ def pdp_unverifiable_fixture(eps: float, alpha: float, A: float) -> FixturePair:
     _check("eps", eps, 0.0, _EPS_MAX)
     _check("alpha", alpha, 0.0, open_low=True)
     _check("A", A, 2.0 * eps + alpha, open_low=True)
-    if A < math.log(1.0 + math.exp(-eps)):
-        raise ValueError("A must be at least ln(1 + e^-eps)")
+    _check("A", A, math.log(1.0 + math.exp(-eps)))
 
     p0 = _dist([math.exp(-A - eps), 1.0 - math.exp(-A - eps)])
     p1 = _dist([math.exp(-A), 1.0 - math.exp(-A)])
@@ -205,10 +205,11 @@ def adp_lowfreq_fixture(n: int, delta: float, alpha: float) -> FixturePair:
     sum to 2a >= delta + alpha; the private pair's slack is 0. The
     certification records both the per-direction value and the sum.
     """
-    if n < 3 or n % 3 != 0:
-        raise ValueError("n must be a positive multiple of 3")
-    if not (0.0 < alpha < delta <= 1.0):
-        raise ValueError("need 0 < alpha < delta <= 1")
+    n = _integer("n", n, 3)
+    if n % 3:
+        raise ValueError(f"n must be a multiple of 3; got {n}")
+    _check("delta", delta, 0.0, 1.0, open_low=True)
+    _check("alpha", alpha, 0.0, delta, open_low=True, open_high=True)
 
     a = (2.0 * delta + alpha) / 3.0
     eta = (delta - alpha) / 3.0
@@ -276,12 +277,9 @@ def fi_pdp_fixture(eps: float, alpha: float, beta: float) -> FixturePair:
     ratio to exactly eps + alpha while staying within KL beta * alpha^2
     of the claim, the gap that forces Omega(1/(beta alpha^2)) samples.
     """
-    if not (0.0 < eps < math.log(2.0)):
-        raise ValueError("eps must lie strictly inside (0, ln 2)")
-    if not (0.0 < beta < 0.5):
-        raise ValueError("beta must lie strictly inside (0, 1/2)")
-    if beta > 1.0 / (1.0 + math.exp(eps)):
-        raise ValueError("beta must be at most 1 / (1 + e^eps)")
+    _check("eps", eps, 0.0, math.log(2.0), open_low=True, open_high=True)
+    # beta <= 1 / (1 + e^eps) < 1/2, as eps > 0
+    _check("beta", beta, 0.0, 1.0 / (1.0 + math.exp(eps)), open_low=True)
     _check("alpha", alpha, 0.0, open_low=True)
 
     e_pos, e_neg, e_neg_a = math.exp(eps), math.exp(-eps), math.exp(-alpha)
@@ -377,13 +375,11 @@ def tight_perturbation(
     bisection because the removal side can wake up the reverse direction.
     """
     _check("eps", eps, 0.0, _EPS_MAX)
-    _check("alpha", alpha, 0.0, open_low=True)
     fwd0, rev0 = _slack(*_paired(p0, p1), eps)
     base = max(fwd0, rev0)
     if base <= 0.0:
         raise ValueError("pair must have positive slack")
-    if alpha > (1.0 - base) / (1.0 + math.exp(eps)):
-        raise ValueError("alpha exceeds (1 - slack) / (1 + e^eps)")
+    _check("alpha", alpha, 0.0, (1.0 - base) / (1.0 + math.exp(eps)), open_low=True)
 
     swapped = rev0 > fwd0
     hi, lo = (p1.probs, p0.probs) if swapped else (p0.probs, p1.probs)

@@ -81,8 +81,7 @@ EXACT_CHECK_TOL = 1e-12
 def identity_budget(n: int, alpha: float) -> int:
     """Poisson rate for one identity test on an n-outcome universe, calibrated
     to succeed with probability ``IDENTITY_CONFIDENCE``."""
-    n = _integer("n", n)
-    _check("n", n, 1.0)
+    n = _integer("n", n, 1)
     _check("alpha", alpha, 0.0, open_low=True)
     budget = max(1, math.ceil(BUDGET_CONSTANT * math.sqrt(n) / (alpha * alpha)))
     # a Poisson rate numpy can draw, packed as an int64 into cache keys
@@ -161,8 +160,7 @@ def calibrate_identity_threshold(
     randomness, so the result does not depend on the block size.
     """
     budget = identity_budget(q.n, alpha)
-    trials = _integer("trials", trials)
-    _check("trials", trials, 100.0)
+    trials = _integer("trials", trials, 100)
     means = budget * q.probs
     stats = []
     for start in range(0, trials, _CALIBRATION_BLOCK):
@@ -361,26 +359,21 @@ def pdp_test_fi(
     xf = x / r0
     yf = y / r1
 
-    with np.errstate(divide="ignore"):
-        if np.any(x == 0) or np.any(y == 0):
-            eps_hat = math.inf
-        else:
-            eps_hat = float(np.abs(np.log(xf) - np.log(yf)).max())
-        band_lo, band_hi = math.exp(-alpha), math.exp(alpha)
-        ratios0 = xf / side.q0.probs
-        ratios1 = yf / side.q1.probs
-        bands_ok = bool(
-            np.all((ratios0 >= band_lo) & (ratios0 <= band_hi))
-            and np.all((ratios1 >= band_lo) & (ratios1 <= band_hi))
-        )
+    if np.any(x == 0) or np.any(y == 0):
+        eps_hat = math.inf
+    else:
+        eps_hat = float(np.abs(np.log(xf) - np.log(yf)).max())
+    band_lo, band_hi = math.exp(-alpha), math.exp(alpha)
+    # every claimed mass is > 0 (beta above), so these divide by no zero
+    ratios0 = xf / side.q0.probs
+    ratios1 = yf / side.q1.probs
+    bands_ok = bool(
+        np.all((ratios0 >= band_lo) & (ratios0 <= band_hi))
+        and np.all((ratios1 >= band_lo) & (ratios1 <= band_hi))
+    )
 
     threshold = eps + 2.0 * alpha
-    if eps_hat > threshold:
-        verdict = Verdict.REJECT
-    elif not bands_ok:
-        verdict = Verdict.REJECT
-    else:
-        verdict = Verdict.ACCEPT
+    verdict = Verdict.ACCEPT if eps_hat <= threshold and bands_ok else Verdict.REJECT
     return TestOutcome(
         verdict,
         statistic=eps_hat,

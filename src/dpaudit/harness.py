@@ -49,11 +49,9 @@ _SEED_BLOCK = 1024
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; its bound is exactly 0 (1) at 0 (all) successes."""
-    successes = _integer("successes", successes)
-    trials = _integer("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not (0 <= successes <= trials):
+    trials = _integer("trials", trials, 1)
+    successes = _integer("successes", successes, 0)
+    if successes > trials:
         raise ValueError("successes must lie in [0, trials]")
     phat = successes / trials
     z2 = Z95 * Z95
@@ -82,10 +80,9 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        self.trials = _integer("trials", self.trials)
-        _check("trials", self.trials, 1.0)
-        self.seed = _integer("seed", self.seed)
-        _check("seed", self.seed, 0.0)
+        self.trials = _integer("trials", self.trials, 1)
+        self.seed = _integer("seed", self.seed, 0)
+        _check("seed", self.seed, 0.0)  # and within the float range: 10**400 is refused
         _entry(_TESTERS, "tester kind", _fields("tester", self.tester, {"kind": str})["kind"])
         _fields("target", self.target, {})  # refuses a non-object
 

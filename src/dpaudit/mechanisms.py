@@ -143,9 +143,7 @@ class MechanismPair:
     """
 
     def __init__(self, p0: DiscreteDistribution, p1: DiscreteDistribution, seed: int = 0) -> None:
-        seed = _integer("seed", seed)
-        if seed < 0:
-            raise ValueError(f"seed must be an integer >= 0; got {seed}")
+        seed = _integer("seed", seed, 0)
         if p0.n != p1.n:
             raise ValueError("databases must share an outcome universe")
         self.n = p0.n
@@ -218,8 +216,7 @@ def randomized_response(flip_prob: float, seed: int = 0) -> MechanismPair:
     flip_prob must lie strictly inside (0, 0.5); the pair is exactly
     eps-pDP with eps = ln((1-flip_prob)/flip_prob).
     """
-    if not (0.0 < flip_prob < 0.5):
-        raise ValueError("flip_prob must lie strictly inside (0, 0.5)")
+    _check("flip_prob", flip_prob, 0.0, 0.5, open_low=True, open_high=True)
     p0 = DiscreteDistribution(np.array([1.0 - flip_prob, flip_prob]))
     p1 = DiscreteDistribution(np.array([flip_prob, 1.0 - flip_prob]))
     return MechanismPair(p0, p1, seed=seed)
@@ -240,8 +237,9 @@ def truncated_geometric(eps: float, n: int, seed: int = 0) -> MechanismPair:
     is left, raises ValueError.
     """
     _check("eps", eps, 0.0, _GEOMETRIC_EPS_MAX, open_low=True)
-    if n < 2 or n % 2 != 0:
-        raise ValueError("n must be an even integer >= 2")
+    n = _integer("n", n, 2)
+    if n % 2:
+        raise ValueError(f"n must be even; got {n}")
     w = np.exp(-eps * np.abs(np.arange(n, dtype=np.float64) - (n // 2 - 1)))
     w[np.minimum(w, w[::-1]) < _TINY] = 0.0
     p0 = make_distribution(w)
@@ -256,10 +254,8 @@ def leaky_mechanism(delta: float, n: int = 3, seed: int = 0) -> MechanismPair:
     both put 1-delta on outcome 0. The pair has additive slack exactly
     delta at every eps, making it a clean soundness target.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie strictly inside (0, 1)")
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    _check("delta", delta, 0.0, 1.0, open_low=True, open_high=True)
+    n = _integer("n", n, 3)
     v0 = np.zeros(n)
     v1 = np.zeros(n)
     v0[0] = v1[0] = 1.0 - delta

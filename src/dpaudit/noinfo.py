@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .distributions import _EPS_MAX, _check, _integer, _positive_finite, _slack
+from .distributions import _EPS_MAX, _check, _holds_bool, _integer, _positive_finite, _slack
 from .mechanisms import MechanismPair
 from .outcomes import TestOutcome, Verdict
 
@@ -47,7 +47,7 @@ def noinfo_rate(n: int, eps: float, alpha: float) -> float:
     form undershoots it. A rate that is not a finite float (large eps,
     tiny alpha) raises ValueError.
     """
-    n = _check("n", _integer("n", n), 1.0)
+    n = _integer("n", n, 1)
     eps = _check("eps", eps, 0.0, _EPS_MAX)
     alpha = _check("alpha", alpha, 0.0, open_low=True)
     b = 1.0 + math.exp(2.0 * eps)
@@ -125,8 +125,7 @@ def adp_test_budgeted(
     eps = _check("eps", eps, 0.0, _EPS_MAX)
     delta = _check("delta", delta, 0.0, 1.0)
     alpha = _check("alpha", alpha, 0.0, open_low=True)
-    r = _integer("r", r)
-    _check("r", r, 1.0)
+    r = _integer("r", r, 1)
     x = mech.draw(0, r)
     y = mech.draw(1, r)
     return _statistic_outcome(x, y, r, eps, delta, alpha, queries=(r, r))
@@ -134,9 +133,11 @@ def adp_test_budgeted(
 
 def _histogram(name: str, counts) -> np.ndarray:
     """``counts`` as an array if it is a non-empty 1-D histogram of
-    non-negative integers (an integer dtype: no floats, NaN or booleans)."""
+    non-negative integers (an integer dtype: no floats, NaN or booleans,
+    not even one boolean among the integers of a list)."""
     arr = np.asarray(counts)
-    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu" or arr.min() < 0:
+    integers = arr.dtype.kind in "iu" and not _holds_bool(counts)
+    if arr.ndim != 1 or arr.size == 0 or not integers or arr.min() < 0:
         raise ValueError(
             f"{name} must be a 1-D histogram of non-negative integers; got {counts!r}"
         )
@@ -160,8 +161,7 @@ def counts_tester(eps: float, delta: float, alpha: float):
         x, y = _histogram("x", x), _histogram("y", y)
         if x.size != y.size:
             raise ValueError(f"x and y must have the same length; got {x.size} and {y.size}")
-        r = _integer("r", r)
-        _check("r", r, 1.0)
+        r = _integer("r", r, 1)
         if not x.sum() == r == y.sum():
             raise ValueError(
                 f"x and y must each hold r = {r} samples; got {x.sum()} and {y.sum()}"

@@ -233,9 +233,11 @@ CALIBRATE = ["calibrate", "--n", "2", "--alpha", "0.3", "--trials", "100", "--nu
 SIDE = ["test", "adp-fi", "--fixture", "adp-twopoint", "--fixture-params", "eps=0.2",
         "delta=0.05", "alpha=0.1", "--eps", "0.2", "--alpha", "0.1", "--side"]
 HALVES = [0.5, 0.5]
-#: distribution documents whose n or probs has the wrong shape
+#: distribution documents whose n or probs has the wrong shape, or whose
+#: probs are not numbers: numpy alone reads them as a point mass and uniform
 BAD_DISTS = ({"n": None, "probs": HALVES}, {"n": [2], "probs": HALVES}, {"n": 2, "probs": 5},
-             {"probs": {"0": 0.5, "1": 0.5}}, {"n": 2.5, "probs": HALVES})
+             {"probs": {"0": 0.5, "1": 0.5}}, {"n": 2.5, "probs": HALVES},
+             {"probs": [True, False]}, {"probs": ["0.5", "0.5"]})
 
 
 @pytest.mark.parametrize(
@@ -321,6 +323,14 @@ def without(doc, key):
          "eps"),
         (SWEEP, {"tester": {"kind": "adp-fi", "eps": 1.2, "alpha": 0.3, "cache_path": 5},
                  "target": RR_TRUTH}, "adp-fi tester", "cache_path"),
+        # a number key takes no boolean or string, which float() reads as 1.0 and 0.25
+        (SWEEP, {"tester": dict(NI_TESTER, eps=True), "target": RR_TARGET}, "adp-ni tester",
+         "eps"),
+        (SWEEP, {"tester": NI_TESTER, "target": {"mechanism": dict(
+            RR_TARGET["mechanism"], flip_prob="0.25")}}, "randomized_response mechanism",
+         "flip_prob"),
+        (["certify", "--fixture-file"], dict(TWOPOINT, params=dict(TWOPOINT_PARAMS, eps="0.2")),
+         "adp-twopoint fixture", "eps"),
     ],
 )
 def test_cli_names_the_document_and_key_it_cannot_read(capsys, tmp_path, argv, doc, kind, key):
@@ -466,11 +476,17 @@ def gives_a_foreign_flag(argv):
     return any(key in argv and flag in argv for key, (flag, _) in FOREIGN.items())
 
 
+#: a verb, or "test" and a tester kind: the fuzz draws each one by itself
+FORMS = tuple(f"test {kind}" for kind in TESTER_KINDS + ("random",)) + (
+    "fixture", "sweep", "calibrate", "certify"
+)
+
+
 @st.composite
-def argvs(draw, files):
-    """argv for one of the five verbs: the flags a run needs are usually
-    present; each value comes from VALUES (SMALL for sizes) or, half the
-    time, from PLAUSIBLE. Now and then a test argv also gets a FOREIGN flag."""
+def argvs(draw, files, form):
+    """argv of one of FORMS: the flags a run needs are usually present;
+    each value comes from VALUES (SMALL for sizes) or, half the time, from
+    PLAUSIBLE. Now and then a test argv also gets a FOREIGN flag."""
 
     def value(flag):
         pool = PLAUSIBLE.get(flag, ()) if draw(st.booleans()) else ()
@@ -486,10 +502,9 @@ def argvs(draw, files):
         keys += draw(st.lists(st.just("bogus"), max_size=1))
         return [f"{key}={value(key)}" for key in keys]
 
-    verb = draw(st.sampled_from(("test", "fixture", "sweep", "calibrate", "certify")))
+    verb, _, tester = form.partition(" ")
     out = ["--out", files["out"]]
     if verb == "test":
-        tester = draw(st.sampled_from(TESTER_KINDS + ("random",)))
         if tester == "random":
             family = draw(st.sampled_from(files["family"]))
             argv = ["test", "random", "--family", family] + flags(
@@ -579,36 +594,41 @@ def fuzz_files(tmp_path_factory):
 
 
 def test_cli_fuzz_exit_codes(fuzz_files, capsys):
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(argvs(fuzz_files))
-    def check(argv):
-        code = main(argv)
-        err = capsys.readouterr().err
-        assert code in ((1,) if gives_a_foreign_flag(argv) else (0, 1, 2)), argv
-        assert "Traceback" not in err, argv
+    for form in FORMS:
+        @settings(max_examples=40, derandomize=True, deadline=None)
+        @given(argvs(fuzz_files, form))
+        def check(argv):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in ((1,) if gives_a_foreign_flag(argv) else (0, 1, 2)), argv
+            assert "Traceback" not in err, argv
 
-    check()
+        check()
 
 
 # -- public constructors and testers: validate, or raise ValueError
 
 EXTREMES = (NAN, math.inf, -math.inf, -1.0, 0.0, 0.05, 0.3, 0.9, 800.0, 1e308)
-x = st.sampled_from(EXTREMES)
-small_int = st.sampled_from((-1, 0, 1, 2, 3, 18))
-# counts as documents and callers pass them: only 2.0 and 18 are whole
-count = st.sampled_from((NAN, math.inf, -1.0, 0.0, 2.0, 2.5, 18, True, "3", None))
+#: drawn for every number: 3.0 passes as the integer 3, the others as no number
+ODD = (None, "x", "0.3", "3", True, 3.0)
+x = st.sampled_from(EXTREMES + ODD)
+small_int = st.sampled_from((-1, 0, 1, 2, 3, 18) + ODD)
+# counts as documents and callers pass them: only 2.0, 3.0 and 18 are whole
+count = st.sampled_from((NAN, math.inf, -1.0, 0.0, 2.0, 2.5, 18) + ODD)
 # the smallest claimed mass of a pDP side, down to one whose square underflows
-mass = st.sampled_from((-1.0, 0.0, 1e-170, 0.05, 0.3, 0.9, 1.5))
+mass = st.sampled_from((-1.0, 0.0, 1e-170, 0.05, 0.3, 0.9, 1.5) + ODD)
 LEAKY = leaky_mechanism(0.3, seed=1)
 CONSTRUCTORS = {
     "PrivacyParams": (lambda e, d, g, w: PrivacyParams(e, d, g, w, "RaDP"), (x, x, x, x)),
     "adp_test_ni": (lambda e, d, a: adp_test_ni(
         MechanismPair(*LEAKY.truth, seed=4), e, d, a, rng()), (x, x, x)),
+    # the drawn values reach the package as they are: it reads the weights
+    # and leaky_mechanism reads n
     "pdp_test_fi_min_mass": (lambda e, a, b: pdp_test_fi(
-        MechanismPair(*RR.truth, seed=5), SideInfo(make_distribution([1.0 - b, b]), RR.truth[1]),
+        MechanismPair(*RR.truth, seed=5), SideInfo(make_distribution([1.0, b]), RR.truth[1]),
         e, a, rng()), (x, x, mass)),
     "threshold_for": (lambda n, a: CalibrationCache().threshold_for(
-        make_distribution([1.0] * n), a, 100), (small_int, x)),
+        leaky_mechanism(0.3, n).truth[0], a, 100), (small_int, x)),
     "identity_budget": (identity_budget, (small_int, x)),
     "trial_count": (trial_count, (x, x, x)),
     "amplification_reps": (amplification_reps, (x, x)),
@@ -648,13 +668,14 @@ def test_entry_points_validate_or_raise_value_error(name):
     fn, args = CONSTRUCTORS.get(name) or FIXTURES[name]
     allowed = (ValueError, CertificationError) if name in FIXTURES else ValueError
 
-    @settings(max_examples=25, derandomize=True, deadline=None)
+    @settings(max_examples=50, derandomize=True, deadline=None)
     @given(st.tuples(*args))
     def check(values):
         try:
             fn(*values)
         except allowed:
             return
-        assert all(math.isfinite(v) for v in values), f"accepted {values}"
+        real = all(type(v) in (int, float) and math.isfinite(v) for v in values)
+        assert real, f"accepted {values}"
 
     check()

@@ -24,7 +24,7 @@ from dpaudit import (
     min_mass,
     tv_distance,
 )
-from dpaudit.distributions import _SHORT_ROW, _event_masses, _integer, _slack
+from dpaudit.distributions import _SHORT_ROW, _check, _event_masses, _integer, _slack
 
 P = make_distribution([0.9, 0.1])
 Q = make_distribution([0.5, 0.5])
@@ -186,6 +186,12 @@ def test_from_json_rejects_bad_documents():
     with pytest.raises(ValueError, match="n must be an integer"):
         DiscreteDistribution.from_json({"n": 2.5, "probs": [0.5, 0.5]})
     assert DiscreteDistribution.from_json({"n": 2.0, "probs": [0.5, 0.5]}).n == 2
+    # numpy alone reads these as the point mass on 0 and the uniform pair
+    for probs in ([True, False], ["0.5", "0.5"], [1, False], [0.5, None]):
+        with pytest.raises(ValueError, match="probs must hold numbers only"):
+            DiscreteDistribution.from_json({"probs": probs})
+        with pytest.raises(ValueError, match="weights must hold numbers only"):
+            make_distribution(probs)
 
 
 def test_integer_check():
@@ -198,6 +204,26 @@ def test_integer_check():
     for bad in (18.5, math.nan, math.inf, None, "3", True, [2], 2.0**53 + 2, 1e308):
         with pytest.raises(ValueError, match=r"^n must be an integer; got "):
             _integer("n", bad)
+    assert _integer("seed", 0, 0) == 0 and _integer("seed", 5.0, 0) == 5
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0; got -1$"):
+        _integer("seed", -1, 0)
+
+
+def test_number_check():
+    # a float comes back as itself, any other real number as its float
+    x = 0.1 + 0.2
+    assert _check("x", x, 0.0, 1.0) is x
+    for value in (3, np.int64(3), np.float32(3.0), 3.0):
+        assert _check("x", value, 0.0, 3.0) == 3.0 and type(_check("x", value, 0.0, 3.0)) is float
+    # float() reads the strings, bytes and booleans as numbers; NaN and an
+    # int beyond the float range lie in no range
+    for bad in (None, "0.3", "3", b"3", True, False, np.True_, [0.3], math.nan, 10**400):
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, 5\]; got "):
+            _check("x", bad, 0.0, 5.0)
+    # each bound is closed unless opened
+    assert _check("x", 0.5, 0.0, 0.5) == 0.5
+    with pytest.raises(ValueError, match=r"^x must lie in \(0, 0\.5\); got 0\.5$"):
+        _check("x", 0.5, 0.0, 0.5, open_low=True, open_high=True)
 
 
 def test_privacy_params_validation():
