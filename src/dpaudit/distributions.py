@@ -69,14 +69,14 @@ def _check(name: str, value, low: float, high: float = _FLOAT_MAX,
     raise ValueError(f"{name} must lie in {bounds}; got {value!r}")
 
 
-def _integer(name: str, value, low: int | None = None) -> int:
+def _integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
     """``int(value)`` for an integer or an integral float such as 18.0.
 
     The one integer check of the package's documents and parameters: a
     fractional part, NaN, +-inf, ``None``, a string, a boolean and any
     other non-number raise ValueError naming the parameter, and so do a
-    value below ``low`` and a float above 2^53, where floats stop holding
-    every integer (1e308).
+    value below ``low`` or above ``high`` and a float above 2^53, where
+    floats stop holding every integer (1e308).
     """
     whole = type(value) is int or isinstance(value, np.integer) or (
         isinstance(value, float) and value.is_integer() and abs(value) <= 2.0**53
@@ -85,6 +85,8 @@ def _integer(name: str, value, low: int | None = None) -> int:
         raise ValueError(f"{name} must be an integer; got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be an integer >= {low}; got {value!r}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be an integer <= {high}; got {value!r}")
     return int(value)
 
 
@@ -311,30 +313,35 @@ def exact_pdp_epsilon(p: DiscreteDistribution, q: DiscreteDistribution) -> float
     return max(max_divergence(p, q), max_divergence(q, p))
 
 
-#: Rows shorter than this many outcomes take ``_slack``'s scalar loop.
-#: numpy's ``add.reduce`` sums a row of fewer than 8 elements in index
-#: order (its pairwise summation starts at 8 elements), so the loop's
+#: A single row shorter than this many outcomes takes ``_slack``'s scalar
+#: loop. numpy's ``add.reduce`` sums a row of fewer than 8 elements in
+#: index order (its pairwise summation starts at 8 elements), so the loop's
 #: sequential sum reproduces the numpy path's bits there.
 _SHORT_ROW = 8
 
 
-def _slack(a, b, eps: float, r=1) -> list[float]:
+def _slack(a, b, eps: float, r=1) -> list:
     """[sum_i max(0, u_i - e^eps v_i), the same with u, v swapped] for
     u = a / r, v = b / r: probability vectors, or counts over their
-    sample size. The caller checks eps; rows of unequal length raise
-    ValueError.
+    sample size. ``a`` and ``b`` are one 1-D row each, with one number
+    ``r``, or (k, n) blocks of count rows, with a length-k array of
+    per-row ``r``; a block gives [forward sums, reverse sums], k of each.
+    The caller checks eps; rows of unequal length raise ValueError.
 
-    Rows shorter than ``_SHORT_ROW`` outcomes are summed by a Python loop,
-    since there numpy's six dispatches cost more than the dozen float
-    operations. The loop is bit-exact with the numpy path: each term is
-    u_i + v_i * (-e^eps) after the same float64 rounding of the counts
-    and of r, terms that the clamp would zero are skipped (adding +0.0
-    changes no sum), and the positive ones are added in index order, as
-    ``add.reduce`` does on short rows. NaN must not reach the loop, which
-    drops it where numpy propagates it; the callers pass finite values.
+    A single row shorter than ``_SHORT_ROW`` outcomes is summed by a
+    Python loop, since there numpy's six dispatches cost more than the
+    dozen float operations. The loop is bit-exact with the numpy path:
+    each term is u_i + v_i * (-e^eps) after the same float64 rounding of
+    the counts and of r, terms that the clamp would zero are skipped
+    (adding +0.0 changes no sum), and the positive ones are added in
+    index order, as ``add.reduce`` does on short rows. NaN must not reach
+    the loop, which drops it where numpy propagates it; the callers pass
+    finite values. Any block takes the numpy path, which reduces each
+    row along the last axis just as it reduces a single row, so a block
+    row has the bits of the same row passed alone.
     """
     n = len(a)
-    if n < _SHORT_ROW and len(b) == n:
+    if n < _SHORT_ROW and len(b) == n and not isinstance(r, np.ndarray):
         if isinstance(a, np.ndarray):
             a = a.tolist()  # Python numbers: numpy scalars are slow here
         if isinstance(b, np.ndarray):
@@ -353,13 +360,15 @@ def _slack(a, b, eps: float, r=1) -> list[float]:
                 reverse += t
         return [forward, reverse]
     rows = np.array((a, b), dtype=np.float64)
-    if r != 1:  # x / 1 is exact, so the division only costs time
+    if isinstance(r, np.ndarray):  # one sample size per row of a block
+        rows /= r[:, None]
+    elif r != 1:  # x / 1 is exact, so the division only costs time
         rows /= r
     # u + (-(e^eps v)) rounds as u - e^eps v does, signed zeros included
     d = rows[::-1] * -math.exp(eps)
     d += rows
     np.maximum(0.0, d, out=d)
-    return np.add.reduce(d, axis=1).tolist()
+    return np.add.reduce(d, axis=-1).tolist()
 
 
 def delta_at_epsilon_directed(

@@ -137,6 +137,10 @@ def identity_statistic(
 #: Rows of null counts simulated at a time in calibration, bounding its memory.
 _CALIBRATION_BLOCK = 256
 
+#: Most Monte-Carlo trials of one calibration: its statistics take 8 B per
+#: trial, so they stay within 128 MiB.
+_MAX_CALIBRATION_TRIALS = 2**24
+
 
 def calibrate_identity_threshold(
     q: DiscreteDistribution,
@@ -158,9 +162,11 @@ def calibrate_identity_threshold(
     flips.
     Null counts are drawn in row blocks; zero-mean bins consume no
     randomness, so the result does not depend on the block size.
+    ``trials`` is an integer in [100, ``_MAX_CALIBRATION_TRIALS`` = 2^24]:
+    the kept statistics grow by 8 B per trial.
     """
     budget = identity_budget(q.n, alpha)
-    trials = _integer("trials", trials, 100)
+    trials = _integer("trials", trials, 100, _MAX_CALIBRATION_TRIALS)
     means = budget * q.probs
     stats = []
     for start in range(0, trials, _CALIBRATION_BLOCK):
@@ -225,8 +231,14 @@ class CalibrationCache:
     def threshold_for(
         self, q: DiscreteDistribution, alpha: float, trials: int | None = None
     ) -> float:
+        """The identity threshold of ``q`` at ``alpha``, calibrated over
+        ``trials`` null draws (``DEFAULT_TRIALS`` if None; else an integer in
+        [100, ``_MAX_CALIBRATION_TRIALS`` = 2^24], checked before any key is
+        packed or any draw simulated)."""
         budget = identity_budget(q.n, alpha)
-        trials = self.DEFAULT_TRIALS if trials is None else _integer("trials", trials)
+        if trials is None:
+            trials = self.DEFAULT_TRIALS
+        trials = _integer("trials", trials, 100, _MAX_CALIBRATION_TRIALS)
         # the null law is symmetric in the bins: calibrate on the sorted masses
         probs = np.sort(q.probs)
         h = hashlib.sha256(probs.tobytes())

@@ -3,9 +3,9 @@
 An experiment is (tester spec, target spec, trials, seed). Trial t draws
 from ``default_rng([seed, t])`` and ``MechanismPair(*truth, seed=seed *
 1_000_003 + t + 1)`` over the target's truth, so its outcome depends only
-on the seed and t, and a re-run is byte-identical. The streams of a block
-of trials are derived at once, with the bits of seeding each trial alone.
-Per-trial records can be written to CSV; the aggregate is an
+on the seed and t, and a re-run is byte-identical. The streams of a seed
+block of trials are derived at once, with the bits of seeding each trial
+alone. Per-trial records can be written to CSV; the aggregate is an
 OperatingCharacteristic row holding the accept rate with a Wilson
 interval and the mean query count at the target's distance from the
 claimed parameters.
@@ -14,18 +14,24 @@ Tester kinds live in one registry, ``_TESTERS``: kind -> (runner
 factory, fields, notion). Once per experiment the package's document
 reader reads the fields (the claim and, for ``adp-budgeted``, ``r``; for
 ``adp-fi``, ``cache_path`` and ``calibration_trials``) and the factory
-turns ``(side, **fields)`` into the per-trial ``run(mech, rng)``, which
-hands them to the tester as plain arguments. Any other key is ignored:
-the sample rates of ``adp-ni`` and ``pdp-fi`` are always their formulas,
-and ``adp-fi`` always runs ``SUBTEST_REPS`` identity reps. The notion
-("aDP" or "pDP") selects how the target's distance from the claim is
-measured. To add a tester, add its factory and entry there;
-``TESTER_KINDS`` and the CLI's choices follow.
+turns ``(mech, side, **fields)`` into a runner that takes a seed block's
+``(pair, rng)`` streams and returns their outcomes. ``adp-ni`` and
+``adp-budgeted`` check the claim and derive the rate once, draw each
+trial through ``pair.draw`` and decide the block's count rows at once
+(``noinfo._decide``); ``adp-fi`` and ``pdp-fi`` call their tester on
+each trial. Either way a trial's outcome is bit for bit that of its
+tester called on the trial alone. Any other key is ignored: the sample
+rates of ``adp-ni`` and ``pdp-fi`` are always their formulas, and
+``adp-fi`` always runs ``SUBTEST_REPS`` identity reps. The notion ("aDP"
+or "pDP") selects how the target's distance from the claim is measured.
+To add a tester, add its factory and entry there; ``TESTER_KINDS`` and
+the CLI's choices follow.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +44,7 @@ from .distributions import (
 from .fixtures import _FIXTURES, build_fixture
 from .fullinfo import CalibrationCache, adp_test_fi, pdp_test_fi
 from .mechanisms import _MECHANISMS, MechanismPair, SideInfo, mechanism_from_config
-from .noinfo import adp_test_budgeted, adp_test_ni
+from .noinfo import _claim, _decide, noinfo_rate, poisson_nonzero
 from .outcomes import TestOutcome
 
 #: Two-sided 95% normal quantile used for all Wilson intervals.
@@ -134,27 +140,63 @@ def _resolve_target(target: dict):
     return mech, side
 
 
-def _adp_ni(side, eps, delta, alpha):
-    return lambda mech, rng: adp_test_ni(mech, eps, delta, alpha, rng)
+#: Counts per database that a no-information runner decides at once, so
+#: the rows of a wide universe stay a bounded block (512 KiB of int64).
+_DECIDE_COUNTS = 2**16
 
 
-def _adp_budgeted(side, eps, delta, alpha, r):
-    return lambda mech, rng: adp_test_budgeted(mech, eps, delta, alpha, r)
+def _noinfo(n, eps, delta, alpha, draw):
+    """The runner of a no-information kind: ``draw(pair, rng)`` samples a
+    trial through ``pair.draw`` and returns (x, y, r), plus the Poisson
+    retries for ``adp-ni``; the rows are decided together, in sub-blocks of
+    at most ``_DECIDE_COUNTS`` counts per database. Only the count rows
+    are kept, never the pairs."""
+    rows = max(1, _DECIDE_COUNTS // n)
+
+    def run(streams):
+        streams, outcomes = iter(streams), []
+        while drawn := [draw(*stream) for stream in itertools.islice(streams, rows)]:
+            x, y, r, *retries = zip(*drawn)
+            outcomes += _decide(np.array(x), np.array(y), np.array(r), eps, delta, alpha, *retries)
+        return outcomes
+
+    return run
 
 
-def _adp_fi(side, eps, delta, alpha, cache_path, calibration_trials):
-    if side is None:
-        raise ValueError("adp-fi needs side information")
-    cache = CalibrationCache(cache_path)
-    return lambda mech, rng: adp_test_fi(
-        mech, side, eps, delta, alpha, rng, cache=cache, calibration_trials=calibration_trials
+def _adp_ni(mech, side, eps, delta, alpha):
+    delta = _check("delta", delta, 0.0, 1.0)
+    rate = noinfo_rate(mech.n, eps, alpha)  # once per experiment, not per trial
+
+    def draw(pair, rng):
+        r, retries = poisson_nonzero(rate, rng)
+        return pair.draw(0, r), pair.draw(1, r), r, retries
+
+    return _noinfo(mech.n, eps, delta, alpha, draw)
+
+
+def _adp_budgeted(mech, side, eps, delta, alpha, r):
+    eps, delta, alpha = _claim(eps, delta, alpha)
+    r = _integer("r", r, 1)
+    return _noinfo(
+        mech.n, eps, delta, alpha, lambda pair, rng: (pair.draw(0, r), pair.draw(1, r), r)
     )
 
 
-def _pdp_fi(side, eps, alpha):
+def _adp_fi(mech, side, eps, delta, alpha, cache_path, calibration_trials):
+    if side is None:
+        raise ValueError("adp-fi needs side information")
+    cache = CalibrationCache(cache_path)
+    return lambda streams: [
+        adp_test_fi(pair, side, eps, delta, alpha, rng, cache=cache,
+                    calibration_trials=calibration_trials)
+        for pair, rng in streams
+    ]
+
+
+def _pdp_fi(mech, side, eps, alpha):
     if side is None:
         raise ValueError("pdp-fi needs side information")
-    return lambda mech, rng: pdp_test_fi(mech, side, eps, alpha, rng)
+    return lambda streams: [pdp_test_fi(pair, side, eps, alpha, rng) for pair, rng in streams]
 
 
 _ADP_CLAIM = {"eps": float, "delta": (float, 0.0), "alpha": float}
@@ -204,7 +246,7 @@ def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
     kind = cfg.tester["kind"]
     factory, spec, notion = _TESTERS[kind]
     claim = _fields(f"{kind} tester", cfg.tester, spec)
-    runner = factory(side, **claim)
+    runner = factory(base_mech, side, **claim)
 
     records = []
     for start in range(0, cfg.trials, _SEED_BLOCK):
@@ -213,8 +255,7 @@ def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
         streams = base_mech._spawn_many(
             [cfg.seed * 1_000_003 + t + 1 for t in block], [(cfg.seed, t) for t in block]
         )
-        for trial, (mech, rng) in zip(block, streams):
-            records.append((trial, runner(mech, rng)))
+        records += zip(block, runner(streams), strict=True)
 
     if cfg.out is not None:
         Path(cfg.out).write_text(_csv_text(records))

@@ -64,17 +64,24 @@ def _words(values) -> list[int]:
     return words
 
 
-def _seed_row(entropy, spawn_key=()) -> list[int]:
-    """The words ``SeedSequence(entropy, spawn_key=spawn_key)`` hashes: with a
-    key, the run entropy is zero-padded to the pool size before the key."""
-    row = _words(entropy)
-    return row + [0] * (_POOL - len(row)) + _words(spawn_key) if spawn_key else row
+def _seed_rows(seeds, rng_seeds) -> list[list[int]]:
+    """The words that ``SeedSequence(e)``, ``SeedSequence(s, spawn_key=(0,))``
+    and ``SeedSequence(s, spawn_key=(1,))`` hash, three rows for each ``s, e``
+    of two equally long lists. With a key, the run entropy is zero-padded to
+    the pool size before the key, so the two key rows differ in their last
+    word only."""
+    rows = []
+    for s, e in zip(seeds, rng_seeds, strict=True):
+        key = _words((s,))
+        key += [0] * (_POOL - len(key))
+        rows += (_words(e), key + [0], key + [1])
+    return rows
 
 
 def _seed_states(rows) -> np.ndarray:
     """``SeedSequence(...).generate_state(4, np.uint64)`` for every row at once.
 
-    Each row is a word list from :func:`_seed_row`. numpy's mix_entropy and
+    Each row is a word list from :func:`_seed_rows`. numpy's mix_entropy and
     generate_state run column-wise over a (rows, width) block. A row's words
     past the pool are mixed in under a length mask; the hash constant they
     advance is not used after the mix, so rows of any lengths share a call.
@@ -96,25 +103,27 @@ def _seed_states(rows) -> np.ndarray:
 
 
 class _SeedState(np.random.bit_generator.ISeedSequence):
-    """A state from :func:`_seed_states`, handed to PCG64 as its seed sequence.
+    """A feed of states from :func:`_seed_states`, handed in row order to
+    each PCG64 built on it.
 
-    ``Generator(PCG64(_SeedState(state)))`` is the generator that the row's
-    ``SeedSequence`` seeds. It serves only PCG64's request, 4 uint64 words,
-    and cannot spawn: ``bit_generator.seed_seq`` of a harness trial's
-    generator is this shim, and no package code spawns from it.
+    The k-th ``Generator(PCG64(feed))`` is the generator that row k's
+    ``SeedSequence`` seeds. The feed serves only PCG64's request, 4 uint64
+    words, and cannot spawn: ``bit_generator.seed_seq`` of a harness trial's
+    generator is the feed of its seed block, and no package code asks it
+    for more.
     """
 
-    def __init__(self, state: np.ndarray) -> None:
-        self._state = np.ascontiguousarray(state)
+    def __init__(self, states: np.ndarray) -> None:
+        self._rows = iter(states)  # the rows of a C-ordered block are contiguous
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         if n_words != _POOL or dtype is not np.uint64:
             raise ValueError("a derived seed state holds exactly 4 uint64 words")
-        return self._state
+        return next(self._rows)
 
 
-def _generator(state: np.ndarray) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_SeedState(state)))
+def _generator(feed: _SeedState) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(feed))
 
 
 def _database(db) -> None:
@@ -189,22 +198,20 @@ class MechanismPair:
         draw for draw, for each ``s, e`` of two equally long lists; each ``s``
         is an int >= 0 and each ``e`` a sequence of them.
 
-        All of their states come from one :func:`_seed_states` pass, but
-        each item's generators are built only when it is yielded.
+        All of their states come from one :func:`_seed_states` pass, and one
+        feed hands them out, but each item's generators are built only when
+        it is yielded.
         """
-        rows = []
-        for s, e in zip(seeds, rng_seeds, strict=True):
-            key0 = _seed_row((s,), (0,))  # the two streams' rows differ in the key word
-            rows += (_seed_row(e), key0, key0[:-1] + [1])
-        states = _seed_states(rows)
-        for i, seed in enumerate(seeds):
+        feed = _SeedState(_seed_states(_seed_rows(seeds, rng_seeds)))
+        for seed in seeds:
+            rng = _generator(feed)  # the feed's rows per item: rng, database 0, database 1
             # a clone without __init__, whose SeedSequence costs more than the kernel's share
             pair = object.__new__(type(self))
             pair.__dict__ = self.__dict__.copy()
             pair.seed = seed
-            pair._rngs = (_generator(states[3 * i + 1]), _generator(states[3 * i + 2]))
+            pair._rngs = (_generator(feed), _generator(feed))
             pair.query_counter = [0, 0]
-            yield pair, _generator(states[3 * i])
+            yield pair, rng
 
     def __repr__(self) -> str:
         return f"MechanismPair(n={self.n}, seed={self.seed})"

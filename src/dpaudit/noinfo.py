@@ -67,30 +67,44 @@ def poisson_nonzero(rate: float, rng: np.random.Generator) -> tuple[int, int]:
             raise ValueError(f"rate {rate!r} is too small: the Poisson draw stays zero")
 
 
-def _statistic_outcome(
-    x: np.ndarray,
-    y: np.ndarray,
-    r: int,
-    eps: float,
-    delta: float,
-    alpha: float,
-    queries: tuple[int, int],
-    extra: dict | None = None,
-) -> TestOutcome:
-    """Decision shared by the Poissonized and fixed-budget testers."""
-    z_forward, z_reverse = _slack(x, y, eps, r)
-    statistic = max(z_forward, z_reverse)
+def _claim(eps: float, delta: float, alpha: float) -> tuple[float, float, float]:
+    """The claim (eps, delta) and the distance alpha, checked."""
+    eps = _check("eps", eps, 0.0, _EPS_MAX)
+    delta = _check("delta", delta, 0.0, 1.0)
+    return eps, delta, _check("alpha", alpha, 0.0, open_low=True)
+
+
+def _decide(x, y, r, eps, delta, alpha, retries=None, drawn=True) -> list[TestOutcome]:
+    """The slack rule on rows of counts, one outcome per row: accept a
+    row iff the larger of its two slack directions stays below delta +
+    alpha.
+
+    ``x`` and ``y`` hold r samples per row from databases 0 and 1: one
+    1-D row each with an int ``r``, or (k, n) blocks with a length-k
+    integer array of per-row ``r`` (see ``distributions._slack``). A row
+    reports (r, r) queries if it was ``drawn`` from the mechanism, (0, 0)
+    if not; ``retries``, one per row, joins its diagnostics. The callers
+    check the claim.
+    """
+    z = _slack(x, y, eps, r)
+    rows = zip(*z, r.tolist()) if isinstance(r, np.ndarray) else (z + [r],)
     threshold = delta + alpha
-    verdict = Verdict.ACCEPT if statistic < threshold else Verdict.REJECT
-    diagnostics = {
-        "rule": "accept iff statistic < delta + alpha",
-        "z_forward": z_forward,
-        "z_reverse": z_reverse,
-        "r": (r, r),
-    }
-    if extra:
-        diagnostics.update(extra)
-    return TestOutcome(verdict, statistic, threshold, queries, diagnostics)
+    outcomes = []
+    for z_forward, z_reverse, r in rows:
+        statistic = z_reverse if z_reverse > z_forward else z_forward  # max(), without its call
+        verdict = Verdict.ACCEPT if statistic < threshold else Verdict.REJECT
+        diagnostics = {
+            "rule": "accept iff statistic < delta + alpha",
+            "z_forward": z_forward,
+            "z_reverse": z_reverse,
+            "r": (r, r),
+        }
+        queries = (r, r) if drawn else (0, 0)
+        outcomes.append(TestOutcome(verdict, statistic, threshold, queries, diagnostics))
+    if retries is not None:
+        for outcome, tries in zip(outcomes, retries, strict=True):
+            outcome.diagnostics["retries"] = tries
+    return outcomes
 
 
 def adp_test_ni(
@@ -108,9 +122,7 @@ def adp_test_ni(
     r, retries = poisson_nonzero(noinfo_rate(mech.n, eps, alpha), rng)
     x = mech.draw(0, r)
     y = mech.draw(1, r)
-    return _statistic_outcome(
-        x, y, r, eps, delta, alpha, queries=(r, r), extra={"retries": retries}
-    )
+    return _decide(x, y, r, eps, delta, alpha, retries=[retries])[0]
 
 
 def adp_test_budgeted(
@@ -122,13 +134,11 @@ def adp_test_budgeted(
     random-privacy conversion); the Poissonized form draws a random
     sample count by design.
     """
-    eps = _check("eps", eps, 0.0, _EPS_MAX)
-    delta = _check("delta", delta, 0.0, 1.0)
-    alpha = _check("alpha", alpha, 0.0, open_low=True)
+    eps, delta, alpha = _claim(eps, delta, alpha)
     r = _integer("r", r, 1)
     x = mech.draw(0, r)
     y = mech.draw(1, r)
-    return _statistic_outcome(x, y, r, eps, delta, alpha, queries=(r, r))
+    return _decide(x, y, r, eps, delta, alpha)[0]
 
 
 def _histogram(name: str, counts) -> np.ndarray:
@@ -153,9 +163,7 @@ def counts_tester(eps: float, delta: float, alpha: float):
     integers, ``r`` an integer >= 1 and each histogram must hold exactly
     r samples; anything else raises ValueError.
     """
-    eps = _check("eps", eps, 0.0, _EPS_MAX)
-    delta = _check("delta", delta, 0.0, 1.0)
-    alpha = _check("alpha", alpha, 0.0, open_low=True)
+    eps, delta, alpha = _claim(eps, delta, alpha)
 
     def tester(x, y, r) -> TestOutcome:
         x, y = _histogram("x", x), _histogram("y", y)
@@ -166,6 +174,6 @@ def counts_tester(eps: float, delta: float, alpha: float):
             raise ValueError(
                 f"x and y must each hold r = {r} samples; got {x.sum()} and {y.sum()}"
             )
-        return _statistic_outcome(x, y, r, eps, delta, alpha, queries=(0, 0))
+        return _decide(x, y, r, eps, delta, alpha, drawn=False)[0]
 
     return tester

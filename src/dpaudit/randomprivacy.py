@@ -124,7 +124,10 @@ def trial_count(penalty_weight: float, alpha: float, gamma: float) -> int:
 
     ceil(ln 3 * (2 (alpha/(2w) + gamma)^2 + 2 (alpha/w)) / (alpha/w)^2);
     a Bernstein-style count that concentrates the empirical non-private
-    fraction to within alpha/(2w) with probability >= 2/3.
+    fraction to within alpha/(2w) with probability >= 2/3. With the
+    threshold gamma + alpha/w of :func:`random_privacy_test`, that margin
+    supports rejection once the failing measure is >= gamma + 2 alpha/w,
+    not at gamma + alpha.
     """
     _check("penalty_weight", penalty_weight, 0.0, open_low=True)
     _check("alpha", alpha, 0.0, open_low=True)
@@ -156,6 +159,14 @@ def random_privacy_test(
     The inner tester must reject pairs that violate the claim and accept
     pairs that meet it, each with probability >= 2/3 on fresh samples;
     any of the two-database testers in this package qualifies.
+
+    The promise, with such an inner tester: a family whose failing
+    measure is at most gamma is accepted, and one whose failing measure
+    is at least gamma + 2 alpha/penalty_weight is rejected, each with
+    probability >= 2/3. The gap is 2 alpha/w because ``trial_count``
+    concentrates the fraction to within alpha/(2w) of the measure and the
+    threshold sits alpha/w above gamma; at measure gamma + alpha with
+    w = 1, rejection may be close to 1/2.
     """
     # the formulas check gamma, alpha and penalty_weight
     m = trial_count(penalty_weight, alpha, gamma)

@@ -514,6 +514,14 @@ def test_calibrate_budget_cap_exits_1(capsys):
     )
 
 
+# only counts above the bound: they are refused before any simulation
+@pytest.mark.parametrize("trials", [2**24 + 1, 10**10, 99999999999999999999])
+def test_calibrate_trials_above_the_bound_exit_1(capsys, trials):
+    code, cap = run(capsys, ["calibrate", "--n", "2", "--alpha", "0.3", "--trials", str(trials)])
+    assert code == 1 and cap.out == ""
+    assert cap.err == f"error: trials must be an integer <= 16777216; got {trials}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

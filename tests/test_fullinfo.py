@@ -95,6 +95,18 @@ def test_calibration_takes_whole_trials():
             calibrate_identity_threshold(UNIFORM2, 0.3, trials, rng)
 
 
+def test_calibration_trials_are_bounded_before_any_draw(monkeypatch):
+    def never(*args):
+        raise AssertionError("simulated a calibration above the bound")
+
+    monkeypatch.setattr(np.random, "default_rng", never)
+    for trials in (2**24 + 1, 10**10, 2**70):
+        with pytest.raises(ValueError, match=r"^trials must be an integer <= 16777216"):
+            calibrate_identity_threshold(UNIFORM2, 0.3, trials, None)
+        with pytest.raises(ValueError, match=r"^trials must be an integer <= 16777216"):
+            CalibrationCache().threshold_for(UNIFORM2, 0.3, trials)
+
+
 def test_calibration_contract():
     budget = identity_budget(2, 0.3)
     rng = np.random.default_rng(5)

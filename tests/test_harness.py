@@ -1,5 +1,6 @@
 """Experiment harness: determinism, CSV export, Wilson intervals, sweeps."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,10 @@ import pytest
 from dpaudit import (
     ExperimentConfig,
     OperatingCharacteristic,
+    Verdict,
+    adp_test_budgeted,
+    adp_test_ni,
+    harness,
     run_experiment,
     sweep,
     wilson_interval,
@@ -267,3 +272,65 @@ def test_sweep_unknown_parameter():
 def test_sweep_empty_values():
     base = ExperimentConfig(tester=NI_TESTER, target=RR_TARGET, trials=2)
     assert sweep(base, "tester.alpha", []) == []
+
+
+# -- the block runners decide seed blocks at once, with the per-trial bits
+
+TWOPOINT_FAR = {
+    "fixture": {
+        "name": "adp-twopoint",
+        "params": {"eps": 0.0, "delta": 0.1, "alpha": 0.3},
+        "instance": "far",
+    }
+}
+
+
+@pytest.mark.parametrize(
+    "tester, single",
+    [
+        ({"kind": "adp-ni", "eps": 0.0, "delta": 0.1, "alpha": 0.3},
+         lambda mech, rng: adp_test_ni(mech, 0.0, 0.1, 0.3, rng)),
+        ({"kind": "adp-budgeted", "eps": 0.0, "delta": 0.1, "alpha": 0.3, "r": 40},
+         lambda mech, rng: adp_test_budgeted(mech, 0.0, 0.1, 0.3, 40)),
+    ],
+)
+def test_block_runner_equals_per_trial_testers(monkeypatch, tmp_path, tester, single):
+    # seed blocks of 3 trials, decided two rows of two outcomes at a time
+    monkeypatch.setattr(harness, "_SEED_BLOCK", 3)
+    monkeypatch.setattr(harness, "_DECIDE_COUNTS", 4)
+    records = []
+    csv_text = harness._csv_text
+    monkeypatch.setattr(harness, "_csv_text", lambda rs: records.extend(rs) or csv_text(rs))
+    seed, trials = 2**64 + 1, 8
+    out = tmp_path / "trials.csv"
+    run_experiment(ExperimentConfig(tester, TWOPOINT_FAR, trials, seed, str(out)))
+    base, _side = harness._resolve_target(TWOPOINT_FAR)
+    expected = []
+    for t in range(trials):
+        [(mech, rng)] = base._spawn_many([seed * 1_000_003 + t + 1], [(seed, t)])
+        expected.append((t, single(mech, rng)))
+    assert repr(records) == repr(expected)
+    assert {outcome.verdict for _, outcome in records} == {Verdict.ACCEPT, Verdict.REJECT}
+
+
+#: sha256 of per-trial CSVs written when every trial was decided alone:
+#: 2,100 trials, three seed blocks, at seeds of 2^64 and above.
+CSV_PINS = [
+    ({"kind": "adp-ni", "eps": 0.0, "delta": 0.1, "alpha": 0.3}, TWOPOINT_FAR, 2**70,
+     "5e2bd6e8ad04fe92c1d2414b5961b2bdd04396fc099f681ce9d6fddbaa68968b"),
+    ({"kind": "adp-ni", "eps": 0.0, "delta": 0.05, "alpha": 0.2},
+     {"fixture": {"name": "adp-lowfreq", "params": {"n": 12, "delta": 0.3, "alpha": 0.1},
+                  "instance": "far"}}, 2**64 + 5,
+     "5611b6159ddb15459faf209b250268532ca44307e1c3c9d1a93b884afc772646"),
+    ({"kind": "adp-budgeted", "eps": 0.1, "delta": 0.05, "alpha": 0.05, "r": 500},
+     {"fixture": {"name": "adp-twopoint", "params": {"eps": 0.1, "delta": 0.05, "alpha": 0.1},
+                  "instance": "far"}}, 2**64,
+     "f52d575072052fb6fd04a8903dbbeea6bb80a46b3572782e5679226729546f67"),
+]
+
+
+@pytest.mark.parametrize("tester, target, seed, digest", CSV_PINS)
+def test_per_trial_csv_bytes_are_pinned(tmp_path, tester, target, seed, digest):
+    out = tmp_path / "trials.csv"
+    run_experiment(ExperimentConfig(tester, target, 2100, seed, str(out)))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -21,7 +21,7 @@ from dpaudit import (
 )
 from dpaudit import harness
 from dpaudit.harness import ExperimentConfig, run_experiment
-from dpaudit.mechanisms import _seed_row, _seed_states, _SeedState
+from dpaudit.mechanisms import _seed_rows, _seed_states, _SeedState
 
 
 def test_same_seed_reproduces_streams():
@@ -191,12 +191,11 @@ def test_seed_states_equal_seed_sequence_states():
         (int(rng.integers(2**62)) << int(rng.integers(240)), int(rng.integers(2**33)))
         for _ in range(500)
     ]
-    rows, expected = [], []
+    # three rows per entry: the entropy (seed, trial), then seed under keys 0 and 1
+    rows, expected = _seed_rows([seed for seed, _ in entropies], entropies), []
     for seed, trial in entropies:
-        rows.append(_seed_row((seed, trial)))
         expected.append(np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64))
         for key in (0, 1):
-            rows.append(_seed_row((seed,), (key,)))
             expected.append(
                 np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(4, np.uint64)
             )
@@ -220,13 +219,14 @@ def test_spawn_many_equals_spawn():
 def test_harness_trial_streams_cross_blocks_unchanged(monkeypatch):
     monkeypatch.setattr(harness, "_SEED_BLOCK", 3)
     seen = []
-    real = harness.adp_test_ni
+    real = MechanismPair._spawn_many
 
-    def recording(mech, *args):
-        seen.append((mech, [g.bit_generator.state for g in (*mech._rngs, args[-1])]))
-        return real(mech, *args)
+    def recording(self, *args):
+        for mech, rng in real(self, *args):
+            seen.append((mech, [g.bit_generator.state for g in (*mech._rngs, rng)]))
+            yield mech, rng
 
-    monkeypatch.setattr(harness, "adp_test_ni", recording)
+    monkeypatch.setattr(MechanismPair, "_spawn_many", recording)
     seed, trials = 2**40 + 3, 8
     target = {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}}
     tester = {"kind": "adp-ni", "eps": 1.0, "alpha": 0.3}
@@ -241,14 +241,19 @@ def test_harness_trial_streams_cross_blocks_unchanged(monkeypatch):
 
 
 def test_seed_state_serves_only_four_uint64_words():
-    state = _seed_states([_seed_row((7,))])[0]
-    shim = _SeedState(state)
-    assert np.array_equal(shim.generate_state(4, np.uint64), state)
+    # a feed of three states: default_rng(7), then seed 7's two database streams
+    states = _seed_states(_seed_rows([7], [(7,)]))
+    feed = _SeedState(states)
     for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
         with pytest.raises(ValueError):
-            shim.generate_state(n_words, dtype)
+            feed.generate_state(n_words, dtype)
     assert np.array_equal(
-        np.random.Generator(np.random.PCG64(shim)).random(5), np.random.default_rng(7).random(5)
+        np.random.Generator(np.random.PCG64(feed)).random(5), np.random.default_rng(7).random(5)
+    )
+    assert np.array_equal(feed.generate_state(4, np.uint64), states[1])
+    ref = MechanismPair(*randomized_response(0.25).truth, seed=7)
+    assert np.array_equal(
+        np.random.Generator(np.random.PCG64(feed)).random(5), ref._rngs[1].random(5)
     )
 
 

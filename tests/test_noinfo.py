@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpaudit import (
+    MechanismPair,
     Verdict,
     adp_test_budgeted,
     adp_test_ni,
@@ -14,7 +15,7 @@ from dpaudit import (
     noinfo_rate,
     randomized_response,
 )
-from dpaudit.noinfo import poisson_nonzero
+from dpaudit.noinfo import _decide, poisson_nonzero
 
 
 def test_rate_formula_frozen():
@@ -145,3 +146,53 @@ def test_counts_tester_needs_r_samples_in_each_histogram():
         with pytest.raises(ValueError, match="must each hold r"):
             tester(x, y, r)
     assert tester([1, 1], [2, 0], 2).statistic == 0.5
+
+
+# -- one decision over a block of count rows equals one call per row
+
+
+def _block_and_rows(x, y, r, claim, retries=None, drawn=True):
+    block = _decide(x, y, r, *claim, retries, drawn)
+    rows = [
+        _decide(x[i], y[i], int(r[i]), *claim, retries and [retries[i]], drawn)[0]
+        for i in range(len(r))
+    ]
+    return block, rows
+
+
+def test_block_decision_equals_single_calls_on_criterion_08_inputs():
+    # criterion 08's inner tester, adp_test_budgeted(mech, 0.0, 0.05, 0.1, 4800),
+    # on the output pairs of its constant and flagged families
+    leaky, r, claim = leaky_mechanism(0.5), 4800, (0.0, 0.05, 0.1)
+    p0, p1 = leaky.truth
+    verdicts = set()
+    for pair in ((p0, p0), (p0, p1), (p1, p0)):
+        x, y, single = [], [], []
+        for seed in range(40):
+            single.append(adp_test_budgeted(MechanismPair(*pair, seed=seed), *claim, r))
+            mech = MechanismPair(*pair, seed=seed)
+            x.append(mech.draw(0, r))
+            y.append(mech.draw(1, r))
+        block, rows = _block_and_rows(np.array(x), np.array(y), np.full(40, r), claim)
+        assert repr(block) == repr(rows) == repr(single)
+        verdicts |= {outcome.verdict for outcome in block}
+    assert verdicts == {Verdict.ACCEPT, Verdict.REJECT}
+
+
+@pytest.mark.parametrize("n", [7, 8, 1024])
+def test_block_decision_equals_single_calls_with_per_row_r(n):
+    rng = np.random.default_rng(n)
+    r = rng.integers(1, 5000, 48)
+    p, q = rng.dirichlet(np.ones(n), size=2)
+    x = np.array([rng.multinomial(s, p) for s in r])
+    y = np.array([rng.multinomial(s, q) for s in r])
+    for eps in (0.0, 0.3, 1.0):
+        # the threshold delta + alpha at the block's median statistic
+        median = float(np.median([o.statistic for o in _decide(x, y, r, eps, 0.0, 1.0)]))
+        claim = (eps, median - 0.05, 0.05)
+        block, rows = _block_and_rows(x, y, r, claim, retries=list(range(1, 49)))
+        assert repr(block) == repr(rows)
+        counts = counts_tester(*claim)
+        block, rows = _block_and_rows(x, y, r, claim, drawn=False)
+        assert repr(block) == repr(rows) == repr([counts(a, b, s) for a, b, s in zip(x, y, r)])
+        assert {outcome.verdict for outcome in block} == {Verdict.ACCEPT, Verdict.REJECT}
