@@ -495,7 +495,7 @@ def test_calibrate_frozen_threshold(capsys, tmp_path):
         assert doc["sample_budget"] == budget
         assert doc["trials"] == trials
         assert doc["confidence"] == 2.0 / 3.0
-        assert doc["threshold"] == pytest.approx(threshold, abs=1e-12)
+        assert doc["threshold"] == threshold
 
 
 def test_calibrate_null_file_size_mismatch(capsys, tmp_path):

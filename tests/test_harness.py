@@ -20,6 +20,7 @@ from dpaudit import (
 
 RR_TARGET = {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}}
 NI_TESTER = {"kind": "adp-ni", "eps": math.log(3.0), "delta": 0.0, "alpha": 0.3}
+FI_TESTER = {"kind": "adp-fi", "eps": 0.5, "delta": 0.0, "alpha": 0.3}
 
 
 def test_wilson_interval_values():
@@ -326,6 +327,17 @@ CSV_PINS = [
      {"fixture": {"name": "adp-twopoint", "params": {"eps": 0.1, "delta": 0.05, "alpha": 0.1},
                   "instance": "far"}}, 2**64,
      "f52d575072052fb6fd04a8903dbbeea6bb80a46b3572782e5679226729546f67"),
+    # adp-fi: the mirrored geometric ladder at n = 64 and 1,024, and
+    # randomized response calibrated over 300 null draws
+    (FI_TESTER, {"mechanism": {"mechanism": "truncated_geometric", "eps": 0.5, "n": 64},
+                 "side": "truth"}, 2**64 + 3,
+     "7b6f63f3e39587fc7be0efa2bdd286975ebcdb0cd6abea6b59b9ca91bcec9c6d"),
+    (FI_TESTER, {"mechanism": {"mechanism": "truncated_geometric", "eps": 0.5, "n": 1024},
+                 "side": "truth"}, 2**70,
+     "025faa6cebea5d19541f776059ea6ec97ebafaaf19fcb81332dc1d2b0be56f88"),
+    ({"kind": "adp-fi", "eps": math.log(3.0), "delta": 0.0, "alpha": 0.3,
+      "calibration_trials": 300}, dict(RR_TARGET, side="truth"), 2**64 + 1,
+     "d888098b272cb30d33dfb0db60b7b0727ddd54212afe1a1f4a85b6e83ca8b5f5"),
 ]
 
 
