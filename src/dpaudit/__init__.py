@@ -38,11 +38,11 @@ from .fixtures import (
     tight_perturbation,
 )
 from .fullinfo import (
-    CalibrationCache,
     adp_test_fi,
     calibrate_identity_threshold,
     identity_budget,
     identity_statistic,
+    identity_threshold,
     pdp_test_fi,
 )
 from .harness import (
@@ -107,11 +107,11 @@ __all__ = [
     "mean_sideinfo_fixture",
     "pdp_unverifiable_fixture",
     "tight_perturbation",
-    "CalibrationCache",
     "adp_test_fi",
     "calibrate_identity_threshold",
     "identity_budget",
     "identity_statistic",
+    "identity_threshold",
     "pdp_test_fi",
     "ExperimentConfig",
     "OCRow",

@@ -20,7 +20,9 @@ import numpy as np
 
 from .distributions import DiscreteDistribution, _check, _fields, _integer, _object
 from .fixtures import CERT_TOL, FIXTURE_NAMES, CertificationError, build_fixture
-from .fullinfo import IDENTITY_CONFIDENCE, CalibrationCache, identity_budget
+from .fullinfo import (
+    CALIBRATION_TRIALS, IDENTITY_CONFIDENCE, identity_budget, identity_threshold
+)
 from .harness import TESTER_KINDS, ExperimentConfig, run_experiment, sweep
 from .noinfo import adp_test_budgeted
 from .randomprivacy import (
@@ -273,15 +275,14 @@ def _cmd_calibrate(args) -> int:
         if q.n != args.n:
             raise ValueError("--n does not match the null distribution file")
     budget = identity_budget(args.n, args.alpha)
-    cache = CalibrationCache(args.cache)
-    threshold = cache.threshold_for(q, args.alpha, args.trials)
+    threshold = identity_threshold(q, args.alpha, args.trials)
     _emit(
         {
             "n": args.n,
             "alpha": args.alpha,
             "sample_budget": budget,
             "confidence": IDENTITY_CONFIDENCE,
-            "trials": args.trials if args.trials is not None else cache.DEFAULT_TRIALS,
+            "trials": args.trials,
             "threshold": threshold,
         },
         args.out,
@@ -350,8 +351,7 @@ def _build_parser() -> _Parser:
     calibrate.add_argument("--n", type=int, required=True)
     calibrate.add_argument("--alpha", type=float, required=True)
     calibrate.add_argument("--null", default="uniform", help="uniform, twopoint, or a JSON file")
-    calibrate.add_argument("--trials", type=int)
-    calibrate.add_argument("--cache", help="threshold cache JSON path")
+    calibrate.add_argument("--trials", type=int, default=CALIBRATION_TRIALS)
     calibrate.add_argument("--out")
     calibrate.set_defaults(func=_cmd_calibrate)
 

@@ -11,18 +11,17 @@ smallest claimed probability, and reads the privacy ratio off the
 empirical frequencies.
 
 Identity-test thresholds are calibrated by Monte Carlo on fixed-size
-row blocks of null counts and cached, keyed by a digest of the
-distribution and the test parameters. The calibration RNG is seeded from
-that key, so a threshold is a pure function of it: one process-wide
-table holds every threshold calibrated in the process, and experiments
-that repeat a claim (a sweep over seeds, trials or the claimed eps and
-delta; a truthful and a lying box against one claimed side) simulate it
-once. A cache file adds persistence across processes; values read from
-a file stay with the cache that read them. The statistic is a sum of
-independent per-bin terms, so its null law depends only on the multiset
-of claimed masses: the cache keys and simulates each threshold on the
-ascending-sorted mass vector, and a claim and any permutation of it (the
-two databases of a mirror-image mechanism) share one Monte-Carlo run.
+row blocks of null counts, keyed by a digest of the distribution and the
+test parameters. The calibration RNG is seeded from that key, so a
+threshold is a pure function of it: :func:`identity_threshold` answers
+from one process-wide table of the thresholds calibrated in the process,
+and experiments that repeat a claim (a sweep over seeds, trials or the
+claimed eps and delta; a truthful and a lying box against one claimed
+side) simulate it once. The statistic is a sum of independent per-bin
+terms, so its null law depends only on the multiset of claimed masses:
+each threshold is keyed and simulated on the ascending-sorted mass
+vector, and a claim and any permutation of it (the two databases of a
+mirror-image mechanism) share one Monte-Carlo run.
 The aDP tester draws and scores each database's majority reps as one
 block, through the same row-vectorised statistic.
 """
@@ -30,13 +29,8 @@ block, through the same row-vectorised statistic.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-import os
 import struct
-import tempfile
-import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -54,11 +48,11 @@ from .mechanisms import MechanismPair, SideInfo
 from .noinfo import _MAX_RATE, poisson_nonzero
 from .outcomes import TestOutcome, Verdict
 
-#: Bump when the identity statistic changes; invalidates cached thresholds.
-#: Keying the cache on sorted masses is a cache-side choice, not a change
-#: to the statistic, so it does not bump this: an already-sorted claim keeps
-#: its key and threshold, and an entry under an unsorted vector is simply
-#: never looked up.
+#: Bump when the identity statistic changes; it is packed into every
+#: threshold key, so a new statistic gets new keys and new thresholds.
+#: Keying on sorted masses is a choice of key, not a change to the
+#: statistic, so it does not bump this: an already-sorted claim keeps its
+#: key and threshold.
 STATISTIC_VERSION = 1
 
 #: Sample-budget constant for the identity tester, fixed by Monte Carlo:
@@ -68,7 +62,7 @@ STATISTIC_VERSION = 1
 BUDGET_CONSTANT = 6.0
 
 #: Per-call success probability the identity tester is calibrated for; it
-#: is packed into every cache key.
+#: is packed into every threshold key.
 IDENTITY_CONFIDENCE = 2.0 / 3.0
 
 #: Exact slack on the claimed distributions is compared against
@@ -84,7 +78,7 @@ def identity_budget(n: int, alpha: float) -> int:
     n = _integer("n", n, 1)
     _check("alpha", alpha, 0.0, open_low=True)
     budget = max(1, math.ceil(BUDGET_CONSTANT * math.sqrt(n) / (alpha * alpha)))
-    # a Poisson rate numpy can draw, packed as an int64 into cache keys
+    # a Poisson rate numpy can draw, packed as an int64 into threshold keys
     _check("sample_budget", budget, 1.0, _MAX_RATE)
     return budget
 
@@ -178,91 +172,46 @@ def calibrate_identity_threshold(
     return float(np.nextafter(threshold, math.inf))
 
 
-#: Thresholds calibrated in this process, by cache key. A key fixes its
-#: threshold (the calibration RNG is seeded from it), so every
-#: CalibrationCache shares this table and a claim is simulated once per
-#: process. Only calibrated values enter it, never values read from a
-#: cache file. An entry is one 64-character key and one float, so the
-#: table is not bounded. Threads that miss on one key together each
-#: calibrate it and store the same value.
+#: Monte-Carlo null draws behind each identity threshold unless a caller
+#: asks for another count.
+CALIBRATION_TRIALS = 2000
+
+#: Thresholds calibrated in this process, by key. A key fixes its
+#: threshold (the calibration RNG is seeded from it), so a claim is
+#: simulated once per process. An entry is one 64-character key and one
+#: float, so the table is not bounded. Threads that miss on one key
+#: together each calibrate it and store the same value.
 _CALIBRATED: dict[str, float] = {}
 
 
-class CalibrationCache:
-    """Threshold cache keyed by (distribution, budget, alpha, confidence).
+def identity_threshold(
+    q: DiscreteDistribution, alpha: float, trials: int = CALIBRATION_TRIALS
+) -> float:
+    """The identity threshold of ``q`` at ``alpha``, calibrated over
+    ``trials`` null draws (an integer in [100, ``_MAX_CALIBRATION_TRIALS``
+    = 2^24], checked before any key is packed or any draw simulated).
 
-    The distribution enters the key, and the calibration, as its masses
-    sorted ascending. This is exact: the null law of the identity statistic
-    is symmetric in the bins, so a claim and every permutation of it share
-    one key, one seeded Monte-Carlo run and one threshold.
-
-    Calibration RNG is seeded from the cache key itself, so a given
-    configuration always produces the same threshold no matter which
-    process computes it first. A key missing from this cache's own table
-    is looked up in the process-wide table of calibrated thresholds, and
-    only calibrated on a miss there too; so fresh caches in one process
-    share each Monte-Carlo run.
-
-    Optionally persists to a JSON file so repeated CLI runs skip the
-    Monte Carlo. The file receives every key this cache serves, also
-    keys answered from the process table. Values read from the file stay
-    in this cache's own table: they never reach the process table, so a
-    stale or edited file cannot change another cache's thresholds. The
-    file is replaced atomically on every write, and a file that cannot be
-    read back as a JSON object of numbers is treated as empty, with a
-    warning.
+    The key is a sha256 digest of q's masses sorted ascending, the test
+    parameters (n, alpha, confidence, budget, trials) and
+    ``STATISTIC_VERSION``. Sorting is exact: the null law of the identity
+    statistic is symmetric in the bins, so a claim and every permutation
+    of it share one key, one seeded Monte-Carlo run and one threshold.
+    The calibration RNG is seeded from the key, so a threshold is the same
+    in every process, whichever computes it first.
     """
-
-    DEFAULT_TRIALS = 2000
-
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
-        self._table: dict[str, float] = {}
-        if self.path is None or not self.path.exists():
-            return
-        try:
-            doc = json.loads(self.path.read_text())
-            if not isinstance(doc, dict):
-                raise ValueError("not a JSON object")
-            self._table = {str(k): float(v) for k, v in doc.items()}
-        except (OSError, ValueError, TypeError) as exc:
-            warnings.warn(f"ignoring unreadable calibration cache {self.path}: {exc}")
-
-    def threshold_for(
-        self, q: DiscreteDistribution, alpha: float, trials: int | None = None
-    ) -> float:
-        """The identity threshold of ``q`` at ``alpha``, calibrated over
-        ``trials`` null draws (``DEFAULT_TRIALS`` if None; else an integer in
-        [100, ``_MAX_CALIBRATION_TRIALS`` = 2^24], checked before any key is
-        packed or any draw simulated)."""
-        budget = identity_budget(q.n, alpha)
-        if trials is None:
-            trials = self.DEFAULT_TRIALS
-        trials = _integer("trials", trials, 100, _MAX_CALIBRATION_TRIALS)
-        # the null law is symmetric in the bins: calibrate on the sorted masses
-        probs = np.sort(q.probs)
-        h = hashlib.sha256(probs.tobytes())
-        h.update(struct.pack("<qddqq", q.n, alpha, IDENTITY_CONFIDENCE, budget, trials))
-        h.update(struct.pack("<q", STATISTIC_VERSION))
-        key = h.hexdigest()
-        if key not in self._table:
-            threshold = _CALIBRATED.get(key)
-            if threshold is None:
-                rng = np.random.default_rng(int(key[:16], 16))
-                sorted_q = DiscreteDistribution(probs)
-                threshold = calibrate_identity_threshold(sorted_q, alpha, trials, rng)
-                _CALIBRATED[key] = threshold
-            self._table[key] = threshold
-            if self.path is not None:
-                fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "w") as out:
-                        out.write(json.dumps(self._table, indent=0, sort_keys=True))
-                    os.replace(tmp, self.path)
-                finally:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-        return self._table[key]
+    budget = identity_budget(q.n, alpha)
+    trials = _integer("trials", trials, 100, _MAX_CALIBRATION_TRIALS)
+    probs = np.sort(q.probs)
+    h = hashlib.sha256(probs.tobytes())
+    h.update(struct.pack("<qddqq", q.n, alpha, IDENTITY_CONFIDENCE, budget, trials))
+    h.update(struct.pack("<q", STATISTIC_VERSION))
+    key = h.hexdigest()
+    threshold = _CALIBRATED.get(key)
+    if threshold is None:
+        rng = np.random.default_rng(int(key[:16], 16))
+        threshold = calibrate_identity_threshold(DiscreteDistribution(probs), alpha, trials, rng)
+        _CALIBRATED[key] = threshold
+    return threshold
 
 
 def adp_test_fi(
@@ -272,8 +221,7 @@ def adp_test_fi(
     delta: float,
     alpha: float,
     rng: np.random.Generator,
-    cache: CalibrationCache | None = None,
-    calibration_trials: int | None = None,
+    calibration_trials: int = CALIBRATION_TRIALS,
 ) -> TestOutcome:
     """Full-information aDP test at claim (eps, delta).
 
@@ -283,7 +231,8 @@ def adp_test_fi(
     each database against its claimed distribution with SUBTEST_REPS
     majority-amplified identity tests, so a box that accepts is, with
     probability >= 2/3, close enough to the claim that its true slack is
-    at most delta + (1 + e^eps) * alpha.
+    at most delta + (1 + e^eps) * alpha. Each identity threshold is
+    :func:`identity_threshold` over ``calibration_trials`` null draws.
     """
     delta = _check("delta", delta, 0.0, 1.0)
     _check("alpha", alpha, 0.0, open_low=True)
@@ -303,13 +252,12 @@ def adp_test_fi(
             },
         )
 
-    cache = cache if cache is not None else CalibrationCache()
     budget = identity_budget(mech.n, alpha)
     before = tuple(mech.query_counter)
     fractions = []
     thresholds = []
     for db, q in ((0, side.q0), (1, side.q1)):
-        threshold = cache.threshold_for(q, alpha, calibration_trials)
+        threshold = identity_threshold(q, alpha, calibration_trials)
         if not math.isfinite(threshold):
             raise ValueError("identity threshold is not finite")
         # SUBTEST_REPS Poissonized identity tests, drawn and scored as one block

@@ -13,13 +13,15 @@ claimed parameters.
 Tester kinds live in one registry, ``_TESTERS``: kind -> (runner
 factory, fields, notion). Once per experiment the package's document
 reader reads the fields (the claim and, for ``adp-budgeted``, ``r``; for
-``adp-fi``, ``cache_path`` and ``calibration_trials``) and the factory
+``adp-fi``, ``calibration_trials``) and the factory
 turns ``(mech, side, **fields)`` into a runner that takes a seed block's
 ``(pair, rng)`` streams and returns their outcomes. ``adp-ni`` and
 ``adp-budgeted`` check the claim and derive the rate once, draw each
 trial through ``pair.draw`` and decide the block's count rows at once
 (``noinfo._decide``); ``adp-fi`` and ``pdp-fi`` call their tester on
-each trial. Either way a trial's outcome is bit for bit that of its
+each trial, and ``adp-fi`` takes its identity thresholds from
+``fullinfo.identity_threshold``, so a claim is calibrated once per
+process. Either way a trial's outcome is bit for bit that of its
 tester called on the trial alone. Any other key is ignored: the sample
 rates of ``adp-ni`` and ``pdp-fi`` are always their formulas, and
 ``adp-fi`` always runs ``SUBTEST_REPS`` identity reps. The notion ("aDP"
@@ -42,7 +44,7 @@ from .distributions import (
     _check, _entry, _fields, _integer, _object, delta_at_epsilon, exact_pdp_epsilon
 )
 from .fixtures import _FIXTURES, build_fixture
-from .fullinfo import CalibrationCache, adp_test_fi, pdp_test_fi
+from .fullinfo import CALIBRATION_TRIALS, adp_test_fi, pdp_test_fi
 from .mechanisms import _MECHANISMS, MechanismPair, SideInfo, mechanism_from_config
 from .noinfo import _claim, _decide, noinfo_rate, poisson_nonzero
 from .outcomes import TestOutcome
@@ -182,13 +184,11 @@ def _adp_budgeted(mech, side, eps, delta, alpha, r):
     )
 
 
-def _adp_fi(mech, side, eps, delta, alpha, cache_path, calibration_trials):
+def _adp_fi(mech, side, eps, delta, alpha, calibration_trials):
     if side is None:
         raise ValueError("adp-fi needs side information")
-    cache = CalibrationCache(cache_path)
     return lambda streams: [
-        adp_test_fi(pair, side, eps, delta, alpha, rng, cache=cache,
-                    calibration_trials=calibration_trials)
+        adp_test_fi(pair, side, eps, delta, alpha, rng, calibration_trials)
         for pair, rng in streams
     ]
 
@@ -205,9 +205,7 @@ _ADP_CLAIM = {"eps": float, "delta": (float, 0.0), "alpha": float}
 _TESTERS = {
     "adp-ni": (_adp_ni, _ADP_CLAIM, "aDP"),
     "adp-budgeted": (_adp_budgeted, dict(_ADP_CLAIM, r=int), "aDP"),
-    "adp-fi": (
-        _adp_fi, dict(_ADP_CLAIM, cache_path=(Path, None), calibration_trials=(int, None)), "aDP"
-    ),
+    "adp-fi": (_adp_fi, dict(_ADP_CLAIM, calibration_trials=(int, CALIBRATION_TRIALS)), "aDP"),
     "pdp-fi": (_pdp_fi, {"eps": float, "alpha": float}, "pDP"),
 }
 

@@ -17,7 +17,6 @@ import pytest
 from scipy import stats
 
 from dpaudit import (
-    CalibrationCache,
     ExperimentConfig,
     MechanismPair,
     SideInfo,
@@ -32,6 +31,7 @@ from dpaudit import (
     distinguish,
     identity_budget,
     identity_statistic,
+    identity_threshold,
     leaky_mechanism,
     make_distribution,
     noinfo_rate,
@@ -398,7 +398,6 @@ def test_criterion_09_identity_calibration_grid():
     alpha = 0.15
     trials = 500
     bound = 2.0 / 3.0 - 0.02
-    cache = CalibrationCache()
 
     def null_and_far(kind, n):
         if kind == "uniform":
@@ -433,7 +432,7 @@ def test_criterion_09_identity_calibration_grid():
     ):
         q, far = null_and_far(kind, n)
         budget = identity_budget(n, alpha)
-        threshold = cache.threshold_for(q, alpha)
+        threshold = identity_threshold(q, alpha)
         accept = rate(q, q, budget, threshold, np.random.default_rng([0, idx, 0]), True)
         reject = rate(q, far, budget, threshold, np.random.default_rng([0, idx, 1]), False)
         worst = min(worst, accept, reject)

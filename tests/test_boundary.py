@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from dpaudit import (
     FIXTURE_NAMES,
-    CalibrationCache,
     CertificationError,
     DiscreteDistribution,
     ExperimentConfig,
@@ -34,6 +33,7 @@ from dpaudit import (
     delta_at_epsilon,
     fi_pdp_fixture,
     identity_budget,
+    identity_threshold,
     leaky_mechanism,
     make_distribution,
     mechanism_from_config,
@@ -321,8 +321,8 @@ def without(doc, key):
          "mean-sideinfo fixture", "base"),
         (SWEEP, {"tester": dict(NI_TESTER, eps="abc"), "target": RR_TARGET}, "adp-ni tester",
          "eps"),
-        (SWEEP, {"tester": {"kind": "adp-fi", "eps": 1.2, "alpha": 0.3, "cache_path": 5},
-                 "target": RR_TRUTH}, "adp-fi tester", "cache_path"),
+        (SWEEP, {"tester": {"kind": "adp-fi", "eps": 1.2, "alpha": "0.3"}, "target": RR_TRUTH},
+         "adp-fi tester", "alpha"),
         # a number key takes no boolean or string, which float() reads as 1.0 and 0.25
         (SWEEP, {"tester": dict(NI_TESTER, eps=True), "target": RR_TARGET}, "adp-ni tester",
          "eps"),
@@ -543,7 +543,7 @@ def argvs(draw, files, form):
     null = draw(st.sampled_from(("uniform", "twopoint", files["null"])))
     trials = draw(st.sampled_from(((), ("--trials", "nan"), ("--trials", "99"),
                                    ("--trials", "257"))))
-    return ["calibrate", "--null", null, "--cache", files["cache"], *trials] + flags(
+    return ["calibrate", "--null", null, *trials] + flags(
         ["--n", "--alpha"]
     ) + out
 
@@ -583,7 +583,6 @@ def write_fuzz_files(root):
         "sweep": [put("sweep.json", config)]
         + [put(f"sweep-no-{key}.json", doc) for key, doc in lacking.items()],
         "null": put("null.json", {"probs": [0.25, 0.75]}),
-        "cache": str(root / "cache.json"),
         "out": str(root / "out"),
     }
 
@@ -627,7 +626,7 @@ CONSTRUCTORS = {
     "pdp_test_fi_min_mass": (lambda e, a, b: pdp_test_fi(
         MechanismPair(*RR.truth, seed=5), SideInfo(make_distribution([1.0, b]), RR.truth[1]),
         e, a, rng()), (x, x, mass)),
-    "threshold_for": (lambda n, a: CalibrationCache().threshold_for(
+    "threshold_for": (lambda n, a: identity_threshold(
         leaky_mechanism(0.3, n).truth[0], a, 100), (small_int, x)),
     "identity_budget": (identity_budget, (small_int, x)),
     "trial_count": (trial_count, (x, x, x)),

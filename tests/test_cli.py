@@ -535,15 +535,14 @@ def test_calibrate_bad_universe_exits_1(capsys, argv):
     assert "error:" in cap.err
 
 
-def test_calibrate_truncated_cache_is_rebuilt(capsys, tmp_path):
+def test_calibrate_takes_no_cache_file(capsys, tmp_path):
     cache = tmp_path / "f.json"
-    cache.write_text('{"abc": 1.0, ')
-    argv = ["calibrate", "--n", "2", "--alpha", "0.3", "--trials", "200", "--cache", str(cache)]
-    with pytest.warns(UserWarning, match="calibration cache"):
-        code, cap = run(capsys, argv)
-    assert code == 0
-    threshold = json.loads(cap.out)["threshold"]
-    assert list(json.loads(cache.read_text()).values()) == [threshold]
+    argv = ["calibrate", "--n", "2", "--alpha", "0.3", "--cache", str(cache)]
+    code, cap = run(capsys, argv)
+    assert code == 1 and cap.out == ""
+    assert cap.err.startswith("usage: dp-audit")
+    assert "unrecognized arguments: --cache" in cap.err
+    assert not cache.exists()
 
 
 def test_sweep_verb(capsys, tmp_path):
@@ -591,6 +590,28 @@ def test_sweep_verb(capsys, tmp_path):
     code, cap = run(capsys, argv)
     assert code == 1
     assert cap.err == "error: trials must be an integer; got 2.5\n"
+
+
+def test_sweep_ignores_an_adp_fi_cache_path(capsys, tmp_path):
+    # cache_path is no key of adp-fi: like any unknown key, it is ignored
+    doc = {
+        "tester": {"kind": "adp-fi", "eps": math.log(3.0), "alpha": 0.3},
+        "target": {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25},
+                   "side": "truth"},
+        "trials": 3,
+        "seed": 5,
+    }
+    cache = tmp_path / "thresholds.json"
+    outputs = []
+    for tester in (doc["tester"], dict(doc["tester"], cache_path=str(cache))):
+        config = write_json(tmp_path / "config.json", dict(doc, tester=tester))
+        argv = ["sweep", "--config", config, "--parameter", "tester.delta", "--values", "0,0.05"]
+        code, cap = run(capsys, argv)
+        assert code == 0
+        outputs.append(cap.out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 3
+    assert not cache.exists()
 
 
 def test_sweep_unknown_parameter(capsys, tmp_path):

@@ -1,14 +1,12 @@
 """Full-information testers: identity-test calibration, the free exact
 check on claimed distributions, and the frequency-band pDP test."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from dpaudit import (
-    CalibrationCache,
     ExperimentConfig,
     MechanismPair,
     SideInfo,
@@ -18,6 +16,7 @@ from dpaudit import (
     calibrate_identity_threshold,
     identity_budget,
     identity_statistic,
+    identity_threshold,
     leaky_mechanism,
     make_distribution,
     mechanism_from_config,
@@ -104,7 +103,7 @@ def test_calibration_trials_are_bounded_before_any_draw(monkeypatch):
         with pytest.raises(ValueError, match=r"^trials must be an integer <= 16777216"):
             calibrate_identity_threshold(UNIFORM2, 0.3, trials, None)
         with pytest.raises(ValueError, match=r"^trials must be an integer <= 16777216"):
-            CalibrationCache().threshold_for(UNIFORM2, 0.3, trials)
+            identity_threshold(UNIFORM2, 0.3, trials)
 
 
 def test_calibration_contract():
@@ -146,61 +145,33 @@ def test_blocked_calibration_equals_one_shot(trials, probs):
     assert blocked_rng.random() == reference_rng.random()
 
 
-def test_identity_test_requires_calibration():
+def test_identity_test_requires_calibration(monkeypatch):
     # the identity stage refuses to sample without a finite threshold
     mech = randomized_response(0.25)
-    cache = CalibrationCache()
-    cache.threshold_for = lambda q, alpha, trials=None: math.nan
+    monkeypatch.setattr(fullinfo, "identity_threshold", lambda q, alpha, trials: math.nan)
     with pytest.raises(ValueError, match="not finite"):
         adp_test_fi(mech, SideInfo(*mech.truth), math.log(3.0), 0.0, 0.3,
-                    np.random.default_rng(0), cache=cache)
+                    np.random.default_rng(0))
     assert mech.query_counter == [0, 0]
 
 
-def test_cache_is_deterministic_and_persistent(tmp_path):
-    path = tmp_path / "thresholds.json"
-    first = CalibrationCache(path).threshold_for(UNIFORM2, 0.4)
-    second = CalibrationCache(path).threshold_for(UNIFORM2, 0.4)
+def test_cache_is_deterministic_and_persistent(monkeypatch):
+    calls = counted_calibrations(monkeypatch)
+    first = identity_threshold(UNIFORM2, 0.4)
+    second = identity_threshold(UNIFORM2, 0.4)
     assert first == second
-    assert path.exists()
-    # memory-only caches agree too: the RNG is seeded from the cache key
-    third = CalibrationCache().threshold_for(UNIFORM2, 0.4)
+    # an emptied table recomputes the same value: the RNG is seeded from the key
+    fullinfo._CALIBRATED.clear()
+    third = identity_threshold(UNIFORM2, 0.4)
     assert third == first
+    assert len(calls) == 2
     # different trial count, different key
-    fourth = CalibrationCache().threshold_for(UNIFORM2, 0.4, 4000)
+    fourth = identity_threshold(UNIFORM2, 0.4, 4000)
     assert fourth != first
 
 
-def test_cache_treats_unreadable_file_as_empty(tmp_path):
-    path = tmp_path / "thresholds.json"
-    expected = CalibrationCache().threshold_for(UNIFORM2, 0.4)
-    for text in ('{"abc": 1.0, ', "[1.0]", '{"abc": "x"}', "\xff"):
-        path.write_text(text)
-        with pytest.warns(UserWarning, match="calibration cache"):
-            cache = CalibrationCache(path)
-        assert cache.threshold_for(UNIFORM2, 0.4) == expected
-        # the rewritten file is a valid table again
-        assert list(json.loads(path.read_text()).values()) == [expected]
-
-
-def test_cache_write_is_atomic(tmp_path, monkeypatch):
-    path = tmp_path / "thresholds.json"
-    CalibrationCache(path).threshold_for(UNIFORM2, 0.4)
-    before = path.read_bytes()
-
-    def interrupted(src, dst):
-        raise OSError("interrupted before the rename")
-
-    monkeypatch.setattr(fullinfo.os, "replace", interrupted)
-    with pytest.raises(OSError):
-        CalibrationCache(path).threshold_for(UNIFORM2, 0.4, 4000)
-    # the old table is intact and no temporary file is left behind
-    assert path.read_bytes() == before
-    assert list(tmp_path.iterdir()) == [path]
-
-
 def counted_calibrations(monkeypatch):
-    """Count calibrate_identity_threshold calls made through the cache,
+    """Count calibrate_identity_threshold calls made by identity_threshold,
     starting from an empty process-wide threshold table."""
     calls = []
     calibrate = fullinfo.calibrate_identity_threshold
@@ -215,21 +186,17 @@ def counted_calibrations(monkeypatch):
 
 
 @pytest.mark.parametrize("claim_first", [True, False])
-def test_cache_calibrates_a_claim_and_its_permutation_once(tmp_path, monkeypatch, claim_first):
+def test_cache_calibrates_a_claim_and_its_permutation_once(monkeypatch, claim_first):
     calls = counted_calibrations(monkeypatch)
-    path = tmp_path / "thresholds.json"
     q = make_distribution([0.05, 0.6, 0.15, 0.2])
     permuted = make_distribution(q.probs[[2, 0, 3, 1]])
-    cache = CalibrationCache(path)
     first, second = (q, permuted) if claim_first else (permuted, q)
-    threshold = cache.threshold_for(first, 0.3, 500)
-    assert cache.threshold_for(second, 0.3, 500) == threshold
+    threshold = identity_threshold(first, 0.3, 500)
+    assert identity_threshold(second, 0.3, 500) == threshold
     assert len(calls) == 1
     assert np.array_equal(calls[0].probs, np.sort(q.probs))
-    # one persisted entry serves the pair, also in a fresh process
-    assert list(json.loads(path.read_text()).values()) == [threshold]
-    assert CalibrationCache(path).threshold_for(q, 0.3, 500) == threshold
-    assert len(calls) == 1
+    # one table entry serves the pair
+    assert list(fullinfo._CALIBRATED.values()) == [threshold]
 
 
 def test_adp_fi_on_a_mirrored_ladder_calibrates_once(monkeypatch):
@@ -279,7 +246,7 @@ LADDER_FI = {
 
 
 def test_sweep_over_the_claimed_delta_calibrates_once(tmp_path, monkeypatch):
-    # delta is not in the cache key: every experiment of the sweep shares it
+    # delta is not in the threshold key: every experiment of the sweep shares it
     calls = counted_calibrations(monkeypatch)
     deltas = [0.0, 0.05, 0.1]
     rows = [oc.grid[0] for oc in sweep(ExperimentConfig(**LADDER_FI), "tester.delta", deltas)]
@@ -315,39 +282,12 @@ def test_adp_fi_without_a_cache_calibrates_a_claim_once(monkeypatch):
     assert len(thresholds) == 1
 
 
-def test_file_cache_persists_a_key_served_from_the_process_table(tmp_path, monkeypatch):
-    calls = counted_calibrations(monkeypatch)
-    q = make_distribution([0.05, 0.6, 0.15, 0.2])
-    threshold = CalibrationCache().threshold_for(q, 0.3, 500)
-    warm = tmp_path / "warm.json"
-    assert CalibrationCache(warm).threshold_for(q, 0.3, 500) == threshold
-    assert len(calls) == 1
-    # the same bytes as a file whose cache had to calibrate the key itself
-    fullinfo._CALIBRATED.clear()
-    cold = tmp_path / "cold.json"
-    assert CalibrationCache(cold).threshold_for(q, 0.3, 500) == threshold
-    assert len(calls) == 2
-    assert warm.read_bytes() == cold.read_bytes()
-
-
-def test_cache_file_values_stay_with_the_cache_that_read_them(tmp_path, monkeypatch):
-    calls = counted_calibrations(monkeypatch)
-    path = tmp_path / "thresholds.json"
-    threshold = CalibrationCache(path).threshold_for(UNIFORM2, 0.4, 500)
-    (key,) = json.loads(path.read_text())
-    path.write_text(json.dumps({key: 123.0}))
-    fullinfo._CALIBRATED.clear()
-    assert CalibrationCache(path).threshold_for(UNIFORM2, 0.4, 500) == 123.0
-    assert CalibrationCache().threshold_for(UNIFORM2, 0.4, 500) == threshold
-    assert len(calls) == 2
-
-
 @pytest.mark.parametrize("probs", [[0.05, 0.6, 0.15, 0.2], [0.2, 0.15, 0.6, 0.05]])
 def test_sorted_threshold_keeps_null_acceptance_of_an_unsorted_claim(probs):
-    # the cache simulates in sorted bin order; score nulls in q's own order
+    # thresholds are simulated in sorted bin order; score nulls in q's own order
     q = make_distribution(probs)
     budget = identity_budget(q.n, 0.3)
-    threshold = CalibrationCache().threshold_for(q, 0.3)
+    threshold = identity_threshold(q, 0.3)
     counts = np.random.default_rng(7).poisson(budget * q.probs, size=(4000, q.n))
     accepted = identity_statistic(q, counts, budget) < threshold
     assert accepted.mean() >= IDENTITY_CONFIDENCE - 0.05
@@ -355,11 +295,10 @@ def test_sorted_threshold_keeps_null_acceptance_of_an_unsorted_claim(probs):
 
 def per_rep_adp_fi(mech, side, alpha, rng, reps):
     """Reference identity stage of adp_test_fi: one histogram and test per rep."""
-    cache = CalibrationCache()
     budget = identity_budget(mech.n, alpha)
     fractions, thresholds = [], []
     for db, q in ((0, side.q0), (1, side.q1)):
-        threshold = cache.threshold_for(q, alpha)
+        threshold = identity_threshold(q, alpha)
         rejections = 0
         for _ in range(reps):
             counts = mech.draw(db, int(rng.poisson(budget)))
