@@ -39,7 +39,6 @@ from .fixtures import (
 )
 from .fullinfo import (
     adp_test_fi,
-    calibrate_identity_threshold,
     identity_budget,
     identity_statistic,
     identity_threshold,
@@ -108,7 +107,6 @@ __all__ = [
     "pdp_unverifiable_fixture",
     "tight_perturbation",
     "adp_test_fi",
-    "calibrate_identity_threshold",
     "identity_budget",
     "identity_statistic",
     "identity_threshold",

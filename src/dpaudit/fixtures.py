@@ -373,6 +373,8 @@ def tight_perturbation(
     When the witness event carries too little of that mass, fall back to
     shifting the first distribution's mass into the event, sized by
     bisection because the removal side can wake up the reverse direction.
+    Either move raises ValueError when the outcomes outside the witness
+    event have no room for the moved mass.
     """
     _check("eps", eps, 0.0, _EPS_MAX)
     fwd0, rev0 = _slack(*_paired(p0, p1), eps)
@@ -398,9 +400,11 @@ def tight_perturbation(
         outside_mass = float(lo[outside].sum())
         if outside_mass > 0.0:
             lo_new[outside] *= 1.0 + t / outside_mass
-        else:
+        elif outside.any():
             receiver = int(np.argmax(np.where(event, -np.inf, hi)))
             lo_new[receiver] += t
+        else:
+            raise ValueError("no room outside the witness event")
         hi_new = hi
         info = {"branch": "drain_low", "moved": t}
     else:

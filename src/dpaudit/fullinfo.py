@@ -10,14 +10,15 @@ probability to within a small multiplicative band, at a rate set by the
 smallest claimed probability, and reads the privacy ratio off the
 empirical frequencies.
 
-Identity-test thresholds are calibrated by Monte Carlo on fixed-size
-row blocks of null counts, keyed by a digest of the distribution and the
-test parameters. The calibration RNG is seeded from that key, so a
-threshold is a pure function of it: :func:`identity_threshold` answers
-from one process-wide table of the thresholds calibrated in the process,
-and experiments that repeat a claim (a sweep over seeds, trials or the
-claimed eps and delta; a truthful and a lying box against one claimed
-side) simulate it once. The statistic is a sum of independent per-bin
+One function, :func:`identity_threshold`, calibrates identity-test
+thresholds: it checks its inputs, keys the claim by a digest of the
+distribution and the test parameters, and on a miss simulates the null
+by Monte Carlo on fixed-size row blocks of counts, with an RNG seeded
+from that key. A threshold is thus a pure function of its key; it is
+answered from one process-wide table of the thresholds calibrated in
+the process, and experiments that repeat a claim (a sweep over seeds,
+trials or the claimed eps and delta; a truthful and a lying box against
+one claimed side) simulate it once. The statistic is a sum of independent per-bin
 terms, so its null law depends only on the multiset of claimed masses:
 each threshold is keyed and simulated on the ascending-sorted mass
 vector, and a claim and any permutation of it (the two databases of a
@@ -135,43 +136,6 @@ _CALIBRATION_BLOCK = 256
 #: trial, so they stay within 128 MiB.
 _MAX_CALIBRATION_TRIALS = 2**24
 
-
-def calibrate_identity_threshold(
-    q: DiscreteDistribution,
-    alpha: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte-Carlo null quantile of the identity statistic under q.
-
-    Simulates the statistic under the null (counts are independent
-    Poissons with mean rate * q_i, at the rate identity_budget(q.n,
-    alpha)) and returns the empirical quantile at
-    IDENTITY_CONFIDENCE plus 2.5 standard errors (capped at 0.995), nudged
-    up one ulp so a simulated tie still accepts. The nudge covers ties in
-    q's bin order: the same counts scored against a permutation of q sum
-    their terms in another order and can differ in the last bits. The
-    cushion keeps the realized null acceptance rate above
-    IDENTITY_CONFIDENCE despite quantile estimation noise and such rare
-    flips.
-    Null counts are drawn in row blocks; zero-mean bins consume no
-    randomness, so the result does not depend on the block size.
-    ``trials`` is an integer in [100, ``_MAX_CALIBRATION_TRIALS`` = 2^24]:
-    the kept statistics grow by 8 B per trial.
-    """
-    budget = identity_budget(q.n, alpha)
-    trials = _integer("trials", trials, 100, _MAX_CALIBRATION_TRIALS)
-    means = budget * q.probs
-    stats = []
-    for start in range(0, trials, _CALIBRATION_BLOCK):
-        counts = rng.poisson(means, size=(min(_CALIBRATION_BLOCK, trials - start), q.n))
-        stats.append(identity_statistic(q, counts, budget))
-    se = math.sqrt(IDENTITY_CONFIDENCE * (1.0 - IDENTITY_CONFIDENCE) / trials)
-    level = min(0.995, IDENTITY_CONFIDENCE + 2.5 * se)
-    threshold = float(np.quantile(np.concatenate(stats), level, method="higher"))
-    return float(np.nextafter(threshold, math.inf))
-
-
 #: Monte-Carlo null draws behind each identity threshold unless a caller
 #: asks for another count.
 CALIBRATION_TRIALS = 2000
@@ -187,17 +151,31 @@ _CALIBRATED: dict[str, float] = {}
 def identity_threshold(
     q: DiscreteDistribution, alpha: float, trials: int = CALIBRATION_TRIALS
 ) -> float:
-    """The identity threshold of ``q`` at ``alpha``, calibrated over
-    ``trials`` null draws (an integer in [100, ``_MAX_CALIBRATION_TRIALS``
-    = 2^24], checked before any key is packed or any draw simulated).
+    """The identity threshold of ``q`` at ``alpha``: the Monte-Carlo null
+    quantile of :func:`identity_statistic` over ``trials`` null draws (an
+    integer in [100, ``_MAX_CALIBRATION_TRIALS`` = 2^24], checked before
+    any key is packed or any draw simulated; the kept statistics grow by
+    8 B per trial).
 
     The key is a sha256 digest of q's masses sorted ascending, the test
     parameters (n, alpha, confidence, budget, trials) and
     ``STATISTIC_VERSION``. Sorting is exact: the null law of the identity
     statistic is symmetric in the bins, so a claim and every permutation
     of it share one key, one seeded Monte-Carlo run and one threshold.
-    The calibration RNG is seeded from the key, so a threshold is the same
-    in every process, whichever computes it first.
+    On a miss the null counts (independent Poissons with mean budget *
+    q_i, at the rate identity_budget(q.n, alpha)) are drawn from an RNG
+    seeded from the key, in row blocks of ``_CALIBRATION_BLOCK``;
+    zero-mean bins consume no randomness, so a threshold does not depend
+    on the block size and is the same in every process, whichever
+    computes it first.
+
+    The threshold is the empirical quantile at IDENTITY_CONFIDENCE plus
+    2.5 standard errors (capped at 0.995), nudged up one ulp so a
+    simulated tie still accepts. The cushion keeps the realized null
+    acceptance rate above IDENTITY_CONFIDENCE despite quantile estimation
+    noise and rare last-bit flips: the same counts scored against q in its
+    own bin order sum their terms in another order. A threshold that is
+    not finite is refused before it is stored.
     """
     budget = identity_budget(q.n, alpha)
     trials = _integer("trials", trials, 100, _MAX_CALIBRATION_TRIALS)
@@ -207,10 +185,21 @@ def identity_threshold(
     h.update(struct.pack("<q", STATISTIC_VERSION))
     key = h.hexdigest()
     threshold = _CALIBRATED.get(key)
-    if threshold is None:
-        rng = np.random.default_rng(int(key[:16], 16))
-        threshold = calibrate_identity_threshold(DiscreteDistribution(probs), alpha, trials, rng)
-        _CALIBRATED[key] = threshold
+    if threshold is not None:
+        return threshold
+    rng = np.random.default_rng(int(key[:16], 16))
+    null, means = DiscreteDistribution(probs), budget * probs
+    stats = []
+    for start in range(0, trials, _CALIBRATION_BLOCK):
+        counts = rng.poisson(means, size=(min(_CALIBRATION_BLOCK, trials - start), q.n))
+        stats.append(identity_statistic(null, counts, budget))
+    se = math.sqrt(IDENTITY_CONFIDENCE * (1.0 - IDENTITY_CONFIDENCE) / trials)
+    level = min(0.995, IDENTITY_CONFIDENCE + 2.5 * se)
+    quantile = np.quantile(np.concatenate(stats), level, method="higher")
+    threshold = float(np.nextafter(quantile, math.inf))
+    if not math.isfinite(threshold):
+        raise ValueError("identity threshold is not finite")
+    _CALIBRATED[key] = threshold
     return threshold
 
 
@@ -258,8 +247,6 @@ def adp_test_fi(
     thresholds = []
     for db, q in ((0, side.q0), (1, side.q1)):
         threshold = identity_threshold(q, alpha, calibration_trials)
-        if not math.isfinite(threshold):
-            raise ValueError("identity threshold is not finite")
         # SUBTEST_REPS Poissonized identity tests, drawn and scored as one block
         sizes = rng.poisson(budget, size=SUBTEST_REPS)
         stats = identity_statistic(q, mech.draw_many(db, sizes), budget)

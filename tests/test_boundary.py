@@ -191,6 +191,8 @@ def rr_mech(tmp_path):
         ["test", "adp-fi", "--side", "truth", "--eps", "800", "--alpha", "0.3"],
         ["test", "adp-fi", "--side", "truth", "--eps", "nan", "--alpha", "0.3"],
         ["test", "pdp-fi", "--side", "truth", "--eps", "nan", "--alpha", "0.2"],
+        # a full-information tester without side information
+        ["test", "pdp-fi", "--eps", "1.1", "--alpha", "0.2"],
     ],
 )
 def test_cli_bad_claim_exits_1_without_traceback(capsys, rr_mech, argv):
@@ -205,6 +207,8 @@ def test_cli_bad_claim_exits_1_without_traceback(capsys, rr_mech, argv):
         ["fixture", "adp-lowfreq", "--params", "n=inf", "delta=0.3", "alpha=0.1"],
         ["test", "random", "--alpha", "0.3", "--penalty", "1e308",
          "--inner-alpha", "0.2", "--inner-budget", "10"],
+        # a --params entry that is not key=value
+        ["fixture", "adp-twopoint", "--params", "eps"],
     ],
 )
 def test_cli_overflowing_parameters_exit_1(capsys, tmp_path, argv):
@@ -267,6 +271,14 @@ BAD_DISTS = ({"n": None, "probs": HALVES}, {"n": [2], "probs": HALVES}, {"n": 2,
             for dist in BAD_DISTS
         ),
         *((RANDOM, {"kind": "constant", "dist": dist}) for dist in BAD_DISTS),
+        (SWEEP, {"tester": NI_TESTER, "target": {"fixture": {
+            "name": "adp-twopoint", "params": TWOPOINT_PARAMS, "instance": "middle"}},
+            "trials": 2}),
+        (SIDE, 5),
+        (CALIBRATE, {"probs": [NAN, 1.0]}),
+        # pDP testing needs two outcomes
+        (["test", "pdp-fi", "--side", "truth", "--eps", "0.5", "--alpha", "0.2", "--mech"],
+         {"mechanism": "explicit", "p0": {"probs": [1.0]}, "p1": {"probs": [1.0]}}),
     ],
 )
 def test_cli_wrong_shape_json_exits_1_without_traceback(capsys, tmp_path, argv, doc):

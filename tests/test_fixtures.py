@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dpaudit import (
     CertificationError,
+    DiscreteDistribution,
     FIXTURE_NAMES,
     MechanismPair,
     adp_lowfreq_fixture,
@@ -183,6 +184,25 @@ def test_tight_perturbation_drain_branch():
     assert delta_at_epsilon(q0, q1, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert tv_distance(p0, q0) <= 0.1 + 1e-12
     assert tv_distance(p1, q1) <= 0.1 + 1e-12
+
+
+def test_tight_perturbation_drain_branch_without_low_mass_outside_the_event():
+    # both inputs sum to 1 within NORMALIZATION_TOL; the low distribution
+    # has no mass outside the witness event
+    p1 = DiscreteDistribution(np.array([0.3, 0.7, 0.0]))
+    p0 = DiscreteDistribution(np.array([0.3 + 1e-10, 0.7 + 1e-10, 0.0]))
+    base = delta_at_epsilon(p0, p1, 0.0)
+    q0, q1, info = tight_perturbation(p0, p1, 0.0, 0.1)
+    assert info["branch"] == "drain_low"
+    # the drained mass goes to the one outcome outside the event
+    assert q1.probs[2] == pytest.approx(0.1, abs=1e-12)
+    assert delta_at_epsilon(q0, q1, 0.0) == pytest.approx(base + 0.1, abs=1e-12)
+    assert tv_distance(p1, q1) <= 0.1 + 1e-12
+    # every outcome lies in the event: nowhere to put the drained mass
+    p0 = DiscreteDistribution(np.array([0.5 + 1e-10, 0.5 + 1e-10]))
+    p1 = DiscreteDistribution(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="^no room outside the witness event$"):
+        tight_perturbation(p0, p1, 0.0, 0.1)
 
 
 def test_tight_perturbation_grow_branch():

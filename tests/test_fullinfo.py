@@ -1,7 +1,9 @@
 """Full-information testers: identity-test calibration, the free exact
 check on claimed distributions, and the frequency-band pDP test."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from dpaudit import (
     Verdict,
     adp_test_fi,
     amplification_reps,
-    calibrate_identity_threshold,
     identity_budget,
     identity_statistic,
     identity_threshold,
@@ -28,7 +29,7 @@ from dpaudit import (
 )
 from dpaudit import fullinfo
 from dpaudit.distributions import _majority_reps
-from dpaudit.fullinfo import IDENTITY_CONFIDENCE, SUBTEST_REPS
+from dpaudit.fullinfo import IDENTITY_CONFIDENCE, STATISTIC_VERSION, SUBTEST_REPS
 
 UNIFORM2 = make_distribution([1.0, 1.0])
 
@@ -88,10 +89,9 @@ def test_identity_statistic_validation():
 
 
 def test_calibration_takes_whole_trials():
-    rng = np.random.default_rng(5)
     for trials in (100.5, True, math.inf):
         with pytest.raises(ValueError, match="^trials must be an integer"):
-            calibrate_identity_threshold(UNIFORM2, 0.3, trials, rng)
+            identity_threshold(UNIFORM2, 0.3, trials)
 
 
 def test_calibration_trials_are_bounded_before_any_draw(monkeypatch):
@@ -99,19 +99,16 @@ def test_calibration_trials_are_bounded_before_any_draw(monkeypatch):
         raise AssertionError("simulated a calibration above the bound")
 
     monkeypatch.setattr(np.random, "default_rng", never)
+    with pytest.raises(ValueError, match=r"^trials must be an integer >= 100; got 99$"):
+        identity_threshold(UNIFORM2, 0.3, 99)
     for trials in (2**24 + 1, 10**10, 2**70):
-        with pytest.raises(ValueError, match=r"^trials must be an integer <= 16777216"):
-            calibrate_identity_threshold(UNIFORM2, 0.3, trials, None)
         with pytest.raises(ValueError, match=r"^trials must be an integer <= 16777216"):
             identity_threshold(UNIFORM2, 0.3, trials)
 
 
 def test_calibration_contract():
     budget = identity_budget(2, 0.3)
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError):
-        calibrate_identity_threshold(UNIFORM2, 0.3, 99, rng)
-    threshold = calibrate_identity_threshold(UNIFORM2, 0.3, 2000, rng)
+    threshold = identity_threshold(UNIFORM2, 0.3, 2000)
     assert math.isfinite(threshold)
 
     # realized null acceptance should clear the calibrated confidence
@@ -124,10 +121,22 @@ def test_calibration_contract():
     assert accepts / 600 >= IDENTITY_CONFIDENCE - 0.05
 
 
+def documented_key(q, alpha, trials):
+    """The threshold key as documented: sha256 of the ascending-sorted masses,
+    then "<qddqq" of (n, alpha, confidence, budget, trials), then "<q" of
+    STATISTIC_VERSION."""
+    h = hashlib.sha256(np.sort(q.probs).tobytes())
+    budget = identity_budget(q.n, alpha)
+    h.update(struct.pack("<qddqq", q.n, alpha, IDENTITY_CONFIDENCE, budget, trials))
+    h.update(struct.pack("<q", STATISTIC_VERSION))
+    return h.hexdigest()
+
+
 def one_shot_calibration(q, alpha, trials, rng):
-    """Reference calibration: every null row in one unblocked draw over q's support."""
-    support = q.probs > 0.0
-    means = identity_budget(q.n, alpha) * q.probs[support]
+    """Reference calibration: every null row in one unblocked draw over the
+    support of q's ascending-sorted masses."""
+    probs = np.sort(q.probs)
+    means = identity_budget(q.n, alpha) * probs[probs > 0.0]
     counts = rng.poisson(means, size=(trials, means.size))
     stats = (((counts - means) ** 2 - counts) / means).sum(axis=1)
     se = math.sqrt(IDENTITY_CONFIDENCE * (1.0 - IDENTITY_CONFIDENCE) / trials)
@@ -137,22 +146,35 @@ def one_shot_calibration(q, alpha, trials, rng):
 
 @pytest.mark.parametrize("trials", [100, 257, 2000])
 @pytest.mark.parametrize("probs", [[1.0] * 64, [0.5, 0.0, 0.25, 0.0, 0.25]])
-def test_blocked_calibration_equals_one_shot(trials, probs):
+def test_blocked_calibration_equals_one_shot(monkeypatch, trials, probs):
+    # the threshold is a one-shot null quantile seeded from the documented
+    # key, at any block size
     q = make_distribution(probs)
-    blocked_rng, reference_rng = np.random.default_rng(trials), np.random.default_rng(trials)
-    blocked = calibrate_identity_threshold(q, 0.3, trials, blocked_rng)
-    assert blocked == one_shot_calibration(q, 0.3, trials, reference_rng)
-    assert blocked_rng.random() == reference_rng.random()
+    key = documented_key(q, 0.3, trials)
+    reference = one_shot_calibration(q, 0.3, trials, np.random.default_rng(int(key[:16], 16)))
+    for block in (1, 7, 4096):
+        monkeypatch.setattr(fullinfo, "_CALIBRATION_BLOCK", block)
+        monkeypatch.setattr(fullinfo, "_CALIBRATED", {})
+        assert identity_threshold(q, 0.3, trials) == reference
+        assert fullinfo._CALIBRATED == {key: reference}
 
 
 def test_identity_test_requires_calibration(monkeypatch):
-    # the identity stage refuses to sample without a finite threshold
+    # a threshold that is not finite is refused before it is stored, and the
+    # identity stage refuses to sample without one
+    def not_finite(q, counts, rate):
+        return np.full(len(counts), math.nan)
+
+    monkeypatch.setattr(fullinfo, "identity_statistic", not_finite)
+    monkeypatch.setattr(fullinfo, "_CALIBRATED", {})
+    with pytest.raises(ValueError, match="^identity threshold is not finite$"):
+        identity_threshold(UNIFORM2, 0.3)
     mech = randomized_response(0.25)
-    monkeypatch.setattr(fullinfo, "identity_threshold", lambda q, alpha, trials: math.nan)
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="^identity threshold is not finite$"):
         adp_test_fi(mech, SideInfo(*mech.truth), math.log(3.0), 0.0, 0.3,
                     np.random.default_rng(0))
     assert mech.query_counter == [0, 0]
+    assert fullinfo._CALIBRATED == {}
 
 
 def test_cache_is_deterministic_and_persistent(monkeypatch):
@@ -170,19 +192,25 @@ def test_cache_is_deterministic_and_persistent(monkeypatch):
     assert fourth != first
 
 
+class RecordingTable(dict):
+    """A threshold table that records the key of every threshold stored in
+    it: identity_threshold stores once per calibration, on a miss."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
 def counted_calibrations(monkeypatch):
-    """Count calibrate_identity_threshold calls made by identity_threshold,
-    starting from an empty process-wide threshold table."""
-    calls = []
-    calibrate = fullinfo.calibrate_identity_threshold
-
-    def counting(q, alpha, trials, rng):
-        calls.append(q)
-        return calibrate(q, alpha, trials, rng)
-
-    monkeypatch.setattr(fullinfo, "calibrate_identity_threshold", counting)
-    monkeypatch.setattr(fullinfo, "_CALIBRATED", {})
-    return calls
+    """The keys calibrated by identity_threshold, starting from an empty
+    process-wide threshold table."""
+    table = RecordingTable()
+    monkeypatch.setattr(fullinfo, "_CALIBRATED", table)
+    return table.stored
 
 
 @pytest.mark.parametrize("claim_first", [True, False])
@@ -193,8 +221,7 @@ def test_cache_calibrates_a_claim_and_its_permutation_once(monkeypatch, claim_fi
     first, second = (q, permuted) if claim_first else (permuted, q)
     threshold = identity_threshold(first, 0.3, 500)
     assert identity_threshold(second, 0.3, 500) == threshold
-    assert len(calls) == 1
-    assert np.array_equal(calls[0].probs, np.sort(q.probs))
+    assert calls == [documented_key(q, 0.3, 500)]
     # one table entry serves the pair
     assert list(fullinfo._CALIBRATED.values()) == [threshold]
 
