@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _check, _fields, _integer, _object
+from .distributions import _MAX_SIZE, DiscreteDistribution, _check, _fields, _integer, _object
 from .fixtures import CERT_TOL, FIXTURE_NAMES, CertificationError, build_fixture
 from .fullinfo import (
     CALIBRATION_TRIALS, IDENTITY_CONFIDENCE, identity_budget, identity_threshold
@@ -263,7 +263,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    _integer("--n", args.n, 2 if args.null == "twopoint" else 1)
+    _integer("--n", args.n, 2 if args.null == "twopoint" else 1, _MAX_SIZE)
     if args.null == "uniform":
         q = DiscreteDistribution(np.full(args.n, 1.0 / args.n))
     elif args.null == "twopoint":

@@ -37,6 +37,10 @@ NORMALIZATION_TOL = 1e-9
 #: Largest universe size accepted by the 2^n event-enumeration oracles.
 BRUTE_FORCE_MAX_N = 20
 
+#: Largest outcome universe or database size a constructor builds; a
+#: 256-row calibration block of counts at this size holds 128 MiB.
+_MAX_SIZE = 2**16
+
 #: Recognized privacy notions. The random notions weigh privacy failures
 #: over a data distribution instead of over worst-case neighbors.
 NOTIONS = ("pDP", "aDP", "RpDP", "RaDP")

@@ -33,6 +33,7 @@ import numpy as np
 from .distributions import (
     _EPS_MAX,
     BRUTE_FORCE_MAX_N,
+    _MAX_SIZE,
     DiscreteDistribution,
     PrivacyParams,
     _check,
@@ -205,7 +206,7 @@ def adp_lowfreq_fixture(n: int, delta: float, alpha: float) -> FixturePair:
     sum to 2a >= delta + alpha; the private pair's slack is 0. The
     certification records both the per-direction value and the sum.
     """
-    n = _integer("n", n, 3)
+    n = _integer("n", n, 3, _MAX_SIZE)
     if n % 3:
         raise ValueError(f"n must be a multiple of 3; got {n}")
     _check("delta", delta, 0.0, 1.0, open_low=True)

@@ -37,6 +37,7 @@ import numpy as np
 
 from .distributions import (
     _EPS_MAX,
+    _MAX_SIZE,
     DiscreteDistribution,
     _check,
     _integer,
@@ -76,7 +77,7 @@ EXACT_CHECK_TOL = 1e-12
 def identity_budget(n: int, alpha: float) -> int:
     """Poisson rate for one identity test on an n-outcome universe, calibrated
     to succeed with probability ``IDENTITY_CONFIDENCE``."""
-    n = _integer("n", n, 1)
+    n = _integer("n", n, 1, _MAX_SIZE)
     _check("alpha", alpha, 0.0, open_low=True)
     budget = max(1, math.ceil(BUDGET_CONSTANT * math.sqrt(n) / (alpha * alpha)))
     # a Poisson rate numpy can draw, packed as an int64 into threshold keys

@@ -13,16 +13,16 @@ claimed parameters.
 Tester kinds live in one registry, ``_TESTERS``: kind -> (runner
 factory, fields, notion). Once per experiment the package's document
 reader reads the fields (the claim and, for ``adp-budgeted``, ``r``; for
-``adp-fi``, ``calibration_trials``) and the factory
-turns ``(mech, side, **fields)`` into a runner that takes a seed block's
-``(pair, rng)`` streams and returns their outcomes. ``adp-ni`` and
-``adp-budgeted`` check the claim and derive the rate once, draw each
-trial through ``pair.draw`` and decide the block's count rows at once
-(``noinfo._decide``); ``adp-fi`` and ``pdp-fi`` call their tester on
-each trial, and ``adp-fi`` takes its identity thresholds from
-``fullinfo.identity_threshold``, so a claim is calibrated once per
-process. Either way a trial's outcome is bit for bit that of its
-tester called on the trial alone. Any other key is ignored: the sample
+``adp-fi``, ``calibration_trials``) and the factory turns ``(mech, side,
+**fields)`` into a runner that takes a seed block's ``(pair, rng)``
+streams and returns their outcomes. The registry holds no tester logic:
+``adp-ni`` and ``adp-budgeted`` run ``noinfo._runner``, which checks the
+claim and derives the rate once and decides a block's count rows at
+once; ``adp-fi`` and ``pdp-fi`` call their tester on each trial, and
+``adp-fi`` takes its thresholds from ``fullinfo.identity_threshold``, so
+a claim is calibrated once per process. Either way a trial's outcome is
+bit for bit that of its tester called on the trial alone. A seed block
+holds at most 2^16 counts per database. Any other key is ignored: the sample
 rates of ``adp-ni`` and ``pdp-fi`` are always their formulas, and
 ``adp-fi`` always runs ``SUBTEST_REPS`` identity reps. The notion ("aDP"
 or "pDP") selects how the target's distance from the claim is measured.
@@ -33,7 +33,6 @@ the CLI's choices follow.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,7 +45,7 @@ from .distributions import (
 from .fixtures import _FIXTURES, build_fixture
 from .fullinfo import CALIBRATION_TRIALS, adp_test_fi, pdp_test_fi
 from .mechanisms import _MECHANISMS, MechanismPair, SideInfo, mechanism_from_config
-from .noinfo import _claim, _decide, noinfo_rate, poisson_nonzero
+from .noinfo import _runner
 from .outcomes import TestOutcome
 
 #: Two-sided 95% normal quantile used for all Wilson intervals.
@@ -54,6 +53,10 @@ Z95 = 1.959963984540054
 
 #: Trials whose streams are derived in one pass, so memory stays bounded.
 _SEED_BLOCK = 1024
+
+#: Counts per database a seed block holds at most: 512 KiB of int64 rows.
+_BLOCK_COUNTS = 2**16
+
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; its bound is exactly 0 (1) at 0 (all) successes."""
@@ -142,71 +145,31 @@ def _resolve_target(target: dict):
     return mech, side
 
 
-#: Counts per database that a no-information runner decides at once, so
-#: the rows of a wide universe stay a bounded block (512 KiB of int64).
-_DECIDE_COUNTS = 2**16
+def _no_info(mech, side, **fields):
+    """The factory of both no-information kinds; an ``r`` field makes it ``adp-budgeted``."""
+    return _runner(mech.n, **fields)
 
 
-def _noinfo(n, eps, delta, alpha, draw):
-    """The runner of a no-information kind: ``draw(pair, rng)`` samples a
-    trial through ``pair.draw`` and returns (x, y, r), plus the Poisson
-    retries for ``adp-ni``; the rows are decided together, in sub-blocks of
-    at most ``_DECIDE_COUNTS`` counts per database. Only the count rows
-    are kept, never the pairs."""
-    rows = max(1, _DECIDE_COUNTS // n)
+def _full_info(kind, tester):
+    """The factory of a full-information kind: ``tester`` on each trial."""
 
-    def run(streams):
-        streams, outcomes = iter(streams), []
-        while drawn := [draw(*stream) for stream in itertools.islice(streams, rows)]:
-            x, y, r, *retries = zip(*drawn)
-            outcomes += _decide(np.array(x), np.array(y), np.array(r), eps, delta, alpha, *retries)
-        return outcomes
+    def factory(mech, side, **fields):
+        if side is None:
+            raise ValueError(f"{kind} needs side information")
+        return lambda streams: [tester(pair, side, rng=rng, **fields) for pair, rng in streams]
 
-    return run
-
-
-def _adp_ni(mech, side, eps, delta, alpha):
-    delta = _check("delta", delta, 0.0, 1.0)
-    rate = noinfo_rate(mech.n, eps, alpha)  # once per experiment, not per trial
-
-    def draw(pair, rng):
-        r, retries = poisson_nonzero(rate, rng)
-        return pair.draw(0, r), pair.draw(1, r), r, retries
-
-    return _noinfo(mech.n, eps, delta, alpha, draw)
-
-
-def _adp_budgeted(mech, side, eps, delta, alpha, r):
-    eps, delta, alpha = _claim(eps, delta, alpha)
-    r = _integer("r", r, 1)
-    return _noinfo(
-        mech.n, eps, delta, alpha, lambda pair, rng: (pair.draw(0, r), pair.draw(1, r), r)
-    )
-
-
-def _adp_fi(mech, side, eps, delta, alpha, calibration_trials):
-    if side is None:
-        raise ValueError("adp-fi needs side information")
-    return lambda streams: [
-        adp_test_fi(pair, side, eps, delta, alpha, rng, calibration_trials)
-        for pair, rng in streams
-    ]
-
-
-def _pdp_fi(mech, side, eps, alpha):
-    if side is None:
-        raise ValueError("pdp-fi needs side information")
-    return lambda streams: [pdp_test_fi(pair, side, eps, alpha, rng) for pair, rng in streams]
+    return factory
 
 
 _ADP_CLAIM = {"eps": float, "delta": (float, 0.0), "alpha": float}
 
 #: kind -> (runner factory, fields, notion of the claim)
 _TESTERS = {
-    "adp-ni": (_adp_ni, _ADP_CLAIM, "aDP"),
-    "adp-budgeted": (_adp_budgeted, dict(_ADP_CLAIM, r=int), "aDP"),
-    "adp-fi": (_adp_fi, dict(_ADP_CLAIM, calibration_trials=(int, CALIBRATION_TRIALS)), "aDP"),
-    "pdp-fi": (_pdp_fi, {"eps": float, "alpha": float}, "pDP"),
+    "adp-ni": (_no_info, _ADP_CLAIM, "aDP"),
+    "adp-budgeted": (_no_info, dict(_ADP_CLAIM, r=int), "aDP"),
+    "adp-fi": (_full_info("adp-fi", adp_test_fi),
+               dict(_ADP_CLAIM, calibration_trials=(int, CALIBRATION_TRIALS)), "aDP"),
+    "pdp-fi": (_full_info("pdp-fi", pdp_test_fi), {"eps": float, "alpha": float}, "pDP"),
 }
 
 TESTER_KINDS = tuple(_TESTERS)
@@ -247,8 +210,9 @@ def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
     runner = factory(base_mech, side, **claim)
 
     records = []
-    for start in range(0, cfg.trials, _SEED_BLOCK):
-        block = range(start, min(start + _SEED_BLOCK, cfg.trials))
+    size = min(_SEED_BLOCK, max(1, _BLOCK_COUNTS // base_mech.n))
+    for start in range(0, cfg.trials, size):
+        block = range(start, min(start + size, cfg.trials))
         # trial t: default_rng([seed, t]) and a pair at seed * 1_000_003 + t + 1
         streams = base_mech._spawn_many(
             [cfg.seed * 1_000_003 + t + 1 for t in block], [(cfg.seed, t) for t in block]

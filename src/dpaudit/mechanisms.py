@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    DiscreteDistribution, _check, _entry, _fields, _integer, make_distribution
+    _MAX_SIZE, DiscreteDistribution, _check, _entry, _fields, _integer, make_distribution
 )
 
 _TINY = np.finfo(np.float64).tiny
@@ -244,7 +244,7 @@ def truncated_geometric(eps: float, n: int, seed: int = 0) -> MechanismPair:
     is left, raises ValueError.
     """
     _check("eps", eps, 0.0, _GEOMETRIC_EPS_MAX, open_low=True)
-    n = _integer("n", n, 2)
+    n = _integer("n", n, 2, _MAX_SIZE)
     if n % 2:
         raise ValueError(f"n must be even; got {n}")
     w = np.exp(-eps * np.abs(np.arange(n, dtype=np.float64) - (n // 2 - 1)))
@@ -262,7 +262,7 @@ def leaky_mechanism(delta: float, n: int = 3, seed: int = 0) -> MechanismPair:
     delta at every eps, making it a clean soundness target.
     """
     _check("delta", delta, 0.0, 1.0, open_low=True, open_high=True)
-    n = _integer("n", n, 3)
+    n = _integer("n", n, 3, _MAX_SIZE)
     v0 = np.zeros(n)
     v1 = np.zeros(n)
     v0[0] = v1[0] = 1.0 - delta

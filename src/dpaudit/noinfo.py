@@ -17,7 +17,9 @@ the true slack and at most the true slack plus sqrt(n / r) *
 
 The testers take the claim (eps, delta) and alpha as plain arguments
 and check them; the sample size is never an argument of ``adp_test_ni``.
-All functions are pure up to the supplied RNG and mechanism streams.
+``_runner`` tests a block of trials at once: the harness's seed blocks,
+and ``adp_test_ni`` as a block of one. All functions are pure up to the
+supplied RNG and mechanism streams.
 """
 
 from __future__ import annotations
@@ -107,6 +109,34 @@ def _decide(x, y, r, eps, delta, alpha, retries=None, drawn=True) -> list[TestOu
     return outcomes
 
 
+def _runner(n: int, eps: float, delta: float, alpha: float, r: int | None = None):
+    """The no-information tester over blocks of trials on n outcomes:
+    ``adp_test_ni`` with ``r`` None (delta checked, then the rate derived
+    once), ``adp_test_budgeted`` with an integer ``r`` (the claim, then r,
+    checked). The callable returned draws each ``(pair, rng)`` stream of a
+    block through ``pair.draw`` and decides the count rows with one
+    ``_decide`` call, with the bits of the tester on each trial alone."""
+    if r is None:
+        delta = _check("delta", delta, 0.0, 1.0)
+        rate = noinfo_rate(n, eps, alpha)
+
+        def draw(pair, rng):
+            size, retries = poisson_nonzero(rate, rng)
+            return pair.draw(0, size), pair.draw(1, size), size, retries
+    else:
+        eps, delta, alpha = _claim(eps, delta, alpha)
+        r = _integer("r", r, 1)
+
+        def draw(pair, rng):
+            return pair.draw(0, r), pair.draw(1, r), r
+
+    def run(streams):
+        x, y, sizes, *retries = zip(*[draw(*stream) for stream in streams])
+        return _decide(np.array(x), np.array(y), np.array(sizes), eps, delta, alpha, *retries)
+
+    return run
+
+
 def adp_test_ni(
     mech: MechanismPair, eps: float, delta: float, alpha: float, rng: np.random.Generator
 ) -> TestOutcome:
@@ -118,11 +148,7 @@ def adp_test_ni(
     stays below delta + alpha. A claim whose rate is not finite is
     rejected with ValueError.
     """
-    delta = _check("delta", delta, 0.0, 1.0)
-    r, retries = poisson_nonzero(noinfo_rate(mech.n, eps, alpha), rng)
-    x = mech.draw(0, r)
-    y = mech.draw(1, r)
-    return _decide(x, y, r, eps, delta, alpha, retries=[retries])[0]
+    return _runner(mech.n, eps, delta, alpha)([(mech, rng)])[0]
 
 
 def adp_test_budgeted(
@@ -132,7 +158,8 @@ def adp_test_budgeted(
 
     Useful where exact query accounting matters (reductions and the
     random-privacy conversion); the Poissonized form draws a random
-    sample count by design.
+    sample count by design. It decides 1-D rows rather than a block of
+    one, at under half the cost per call of ``_runner``.
     """
     eps, delta, alpha = _claim(eps, delta, alpha)
     r = _integer("r", r, 1)

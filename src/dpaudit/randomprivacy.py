@@ -19,6 +19,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from .distributions import (
+    _MAX_SIZE,
     DiscreteDistribution,
     _check,
     _integer,
@@ -50,7 +51,7 @@ class DataDistribution:
     def __post_init__(self) -> None:
         if len(self.values) != self.entry_dist.n:
             raise ValueError("values and entry distribution must have equal length")
-        object.__setattr__(self, "db_size", _integer("db_size", self.db_size, 1))
+        object.__setattr__(self, "db_size", _integer("db_size", self.db_size, 1, _MAX_SIZE))
 
 
 def data_distribution(

@@ -9,14 +9,18 @@ import pytest
 from dpaudit import (
     ExperimentConfig,
     OperatingCharacteristic,
+    SideInfo,
     Verdict,
     adp_test_budgeted,
-    adp_test_ni,
+    adp_test_fi,
     harness,
+    noinfo_rate,
+    pdp_test_fi,
     run_experiment,
     sweep,
     wilson_interval,
 )
+from dpaudit.noinfo import _decide, poisson_nonzero
 
 RR_TARGET = {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}}
 NI_TESTER = {"kind": "adp-ni", "eps": math.log(3.0), "delta": 0.0, "alpha": 0.3}
@@ -213,13 +217,10 @@ def test_target_names_exactly_one_of_mechanism_and_fixture():
 
 
 def test_full_info_testers_require_side():
-    cfg = ExperimentConfig(
-        tester={"kind": "adp-fi", "eps": 0.0, "delta": 0.0, "alpha": 0.3},
-        target=RR_TARGET,
-        trials=1,
-    )
-    with pytest.raises(ValueError):
-        run_experiment(cfg)
+    for tester in (FI_TESTER, {"kind": "pdp-fi", "eps": 0.5, "alpha": 0.3}):
+        cfg = ExperimentConfig(tester=tester, target=RR_TARGET, trials=1)
+        with pytest.raises(ValueError, match=f"^{tester['kind']} needs side information$"):
+            run_experiment(cfg)
 
 
 def test_side_truth_resolves_to_mechanism_truth():
@@ -286,32 +287,46 @@ TWOPOINT_FAR = {
 }
 
 
+def adp_ni_alone(mech, eps, delta, alpha, rng):
+    """``adp_test_ni`` on one trial, drawn and decided as 1-D rows."""
+    r, retries = poisson_nonzero(noinfo_rate(mech.n, eps, alpha), rng)
+    return _decide(mech.draw(0, r), mech.draw(1, r), r, eps, delta, alpha, retries=[retries])[0]
+
+
 @pytest.mark.parametrize(
     "tester, single",
     [
         ({"kind": "adp-ni", "eps": 0.0, "delta": 0.1, "alpha": 0.3},
-         lambda mech, rng: adp_test_ni(mech, 0.0, 0.1, 0.3, rng)),
+         lambda mech, rng: adp_ni_alone(mech, 0.0, 0.1, 0.3, rng)),
         ({"kind": "adp-budgeted", "eps": 0.0, "delta": 0.1, "alpha": 0.3, "r": 40},
          lambda mech, rng: adp_test_budgeted(mech, 0.0, 0.1, 0.3, 40)),
+        ({"kind": "adp-fi", "eps": 0.0, "delta": 0.4, "alpha": 0.3, "calibration_trials": 300},
+         lambda mech, rng: adp_test_fi(mech, SideInfo(*mech.truth), 0.0, 0.4, 0.3, rng, 300)),
+        ({"kind": "pdp-fi", "eps": 1.0, "alpha": 0.3},
+         lambda mech, rng: pdp_test_fi(mech, SideInfo(*mech.truth), 1.0, 0.3, rng)),
     ],
 )
 def test_block_runner_equals_per_trial_testers(monkeypatch, tmp_path, tester, single):
-    # seed blocks of 3 trials, decided two rows of two outcomes at a time
+    # seed blocks of min(3, 4 // 2) = 2 trials on the two-outcome fixture;
+    # the no-information kinds ignore the side
     monkeypatch.setattr(harness, "_SEED_BLOCK", 3)
-    monkeypatch.setattr(harness, "_DECIDE_COUNTS", 4)
+    monkeypatch.setattr(harness, "_BLOCK_COUNTS", 4)
     records = []
     csv_text = harness._csv_text
     monkeypatch.setattr(harness, "_csv_text", lambda rs: records.extend(rs) or csv_text(rs))
     seed, trials = 2**64 + 1, 8
     out = tmp_path / "trials.csv"
-    run_experiment(ExperimentConfig(tester, TWOPOINT_FAR, trials, seed, str(out)))
-    base, _side = harness._resolve_target(TWOPOINT_FAR)
+    target = dict(TWOPOINT_FAR, side="truth")
+    run_experiment(ExperimentConfig(tester, target, trials, seed, str(out)))
+    base, _side = harness._resolve_target(target)
     expected = []
     for t in range(trials):
         [(mech, rng)] = base._spawn_many([seed * 1_000_003 + t + 1], [(seed, t)])
         expected.append((t, single(mech, rng)))
     assert repr(records) == repr(expected)
-    assert {outcome.verdict for _, outcome in records} == {Verdict.ACCEPT, Verdict.REJECT}
+    verdicts = {outcome.verdict for _, outcome in records}
+    # adp-fi accepts every trial of a pair whose truth is its side
+    assert verdicts == ({Verdict.ACCEPT} if tester["kind"] == "adp-fi" else set(Verdict))
 
 
 #: sha256 of per-trial CSVs written when every trial was decided alone:
