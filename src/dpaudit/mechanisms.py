@@ -168,10 +168,13 @@ class MechanismPair:
 
     def draw(self, db: int, count: int) -> np.ndarray:
         """Histogram of ``count`` fresh i.i.d. samples from database ``db``."""
-        _database(db)
-        count = _integer("count", count)
-        if not 0 <= count <= _MAX_COUNT:
-            raise ValueError(f"count must lie in [0, 2**63 - 1]; got {count}")
+        # the hot path passes ints in range, which need no further check
+        if not (type(db) is int and 0 <= db <= 1
+                and type(count) is int and 0 <= count <= _MAX_COUNT):
+            _database(db)
+            count = _integer("count", count)
+            if not 0 <= count <= _MAX_COUNT:
+                raise ValueError(f"count must lie in [0, 2**63 - 1]; got {count}")
         self.query_counter[db] += count
         return self._rngs[db].multinomial(count, self._pvals[db])
 

@@ -8,6 +8,7 @@ import pytest
 
 from dpaudit import (
     ExperimentConfig,
+    MechanismPair,
     OperatingCharacteristic,
     SideInfo,
     Verdict,
@@ -277,6 +278,21 @@ def test_sweep_empty_values():
 
 
 # -- the block runners decide seed blocks at once, with the per-trial bits
+
+def test_rate_above_the_cap_is_refused_before_any_trial(monkeypatch):
+    # adp-ni at n = 2, eps 0, alpha 1e-9: the rate 32 / alpha^2 lies above 2^62
+    targets = []
+    resolve = harness._resolve_target
+    monkeypatch.setattr(harness, "_resolve_target",
+                        lambda t: targets.append(resolve(t)) or targets[0])
+    monkeypatch.setattr(MechanismPair, "_spawn_many", lambda *args: pytest.fail("streams built"))
+    tester = {"kind": "adp-ni", "eps": 0.0, "delta": 0.1, "alpha": 1e-9}
+    with pytest.raises(ValueError) as caught:
+        run_experiment(ExperimentConfig(tester, RR_TARGET, 3, 0))
+    assert str(caught.value) == "rate must lie in (0, 4.61169e+18]; got 3.1999999999999996e+19"
+    [(mech, _side)] = targets
+    assert mech.query_counter == [0, 0]
+
 
 TWOPOINT_FAR = {
     "fixture": {

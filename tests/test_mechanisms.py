@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dpaudit import (
@@ -21,7 +23,8 @@ from dpaudit import (
 )
 from dpaudit import harness
 from dpaudit.harness import ExperimentConfig, run_experiment
-from dpaudit.mechanisms import _seed_rows, _seed_states, _SeedState
+from dpaudit.distributions import _integer
+from dpaudit.mechanisms import _MAX_COUNT, _database, _seed_rows, _seed_states, _SeedState
 
 
 def test_same_seed_reproduces_streams():
@@ -108,6 +111,51 @@ def test_draw_rejects_counts_beyond_int64():
     # a block whose total passes 2^63 - 1 is still counted exactly
     mech.draw_many(1, np.array([2**62, 2**62]))
     assert mech.query_counter == [2**63 - 1, 2**63 - 1 + 2**63]
+
+
+#: Inputs around draw's bounds: ints and numpy integers at and beside 0, 1
+#: and 2^63 - 1, booleans, integral, fractional and NaN floats, and non-numbers.
+_BOUNDS = (-1, 0, 1, 2, _MAX_COUNT, 2**63)
+_DRAW_INPUTS = (
+    _BOUNDS
+    + (True, False)
+    + tuple(np.int64(v) for v in _BOUNDS if v < 2**63)
+    + tuple(np.uint64(v) for v in _BOUNDS if v >= 0)
+    + tuple(np.uint8(v) for v in _BOUNDS if 0 <= v < 256)
+    + (0.0, 1.0, 2.0, -1.0, 2.0**63, 0.5, 2.5, math.nan)
+    + ("1", None)
+)
+
+
+def _draw_refusal(db, count):
+    """The message of the first check that ``draw(db, count)`` fails, or None."""
+    try:
+        _database(db)
+        whole = _integer("count", count)
+        if not 0 <= whole <= _MAX_COUNT:
+            raise ValueError(f"count must lie in [0, 2**63 - 1]; got {whole}")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# 1,000 examples exhaust the 31 x 31 pairs of inputs
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(db=st.sampled_from(_DRAW_INPUTS), count=st.sampled_from(_DRAW_INPUTS))
+def test_draw_checks_like_database_then_integer_then_range(db, count):
+    mech = leaky_mechanism(0.2, 4, seed=9)
+    refusal = _draw_refusal(db, count)
+    if refusal is not None:
+        with pytest.raises(ValueError) as caught:
+            mech.draw(db, count)
+        assert str(caught.value) == refusal
+        assert mech.query_counter == [0, 0]
+        return
+    twin = leaky_mechanism(0.2, 4, seed=9)
+    assert np.array_equal(mech.draw(db, count), twin.draw(int(db), int(count)))
+    assert mech.query_counter == twin.query_counter
+    assert all(type(c) is int for c in mech.query_counter)
+    assert np.array_equal(mech.draw(db, 3), twin.draw(int(db), 3))
 
 
 @pytest.mark.parametrize(

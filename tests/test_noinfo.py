@@ -14,8 +14,9 @@ from dpaudit import (
     leaky_mechanism,
     noinfo_rate,
     randomized_response,
+    truncated_geometric,
 )
-from dpaudit.noinfo import _decide, poisson_nonzero
+from dpaudit.noinfo import _decide, _runner, poisson_nonzero
 
 
 def test_rate_formula_frozen():
@@ -73,6 +74,18 @@ def test_poisson_nonzero_never_returns_zero():
         assert retries >= 0
     with pytest.raises(ValueError):
         poisson_nonzero(0.0, rng)
+
+
+def test_rate_above_the_cap_is_refused_before_any_draw():
+    # n = 2, eps 0, alpha 1e-9: the rate 32 / alpha^2 lies above 2^62
+    mech = randomized_response(0.25)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as caught:
+        adp_test_ni(mech, 0.0, 0.1, 1e-9, rng)
+    assert str(caught.value) == "rate must lie in (0, 4.61169e+18]; got 3.1999999999999996e+19"
+    assert mech.query_counter == [0, 0]
+    assert rng.bit_generator.state == state
 
 
 def test_poissonized_histogram_counts_match_r():
@@ -177,6 +190,31 @@ def test_block_decision_equals_single_calls_on_criterion_08_inputs():
         assert repr(block) == repr(rows) == repr(single)
         verdicts |= {outcome.verdict for outcome in block}
     assert verdicts == {Verdict.ACCEPT, Verdict.REJECT}
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 64])
+def test_single_row_callers_equal_the_block_on_both_slack_branches(n):
+    # criterion 08's inner claim and budget; rows of fewer than
+    # distributions._SHORT_ROW = 8 outcomes take _slack's Python loop
+    mech = leaky_mechanism(0.5, n) if n % 2 else truncated_geometric(0.5, n)
+    r, claim, seeds = 4800, (0.0, 0.05, 0.1), range(20)
+    p0, p1 = mech.truth
+    counts = counts_tester(*claim)
+    verdicts = set()
+    for pair in ((p0, p0), (p0, p1), (p1, p0)):
+        single = [adp_test_budgeted(MechanismPair(*pair, seed=s), *claim, r) for s in seeds]
+        twins = [(MechanismPair(*pair, seed=s), np.random.default_rng(s)) for s in seeds]
+        run = _runner(n, *claim, r)(twins)
+        assert all(twin.query_counter == [r, r] for twin, _rng in twins)
+        drawn = [MechanismPair(*pair, seed=s) for s in seeds]
+        x = np.array([twin.draw(0, r) for twin in drawn])
+        y = np.array([twin.draw(1, r) for twin in drawn])
+        sizes = np.full(len(seeds), r)
+        assert repr(single) == repr(_decide(x, y, sizes, *claim)) == repr(run)
+        undrawn = [counts(a, b, r) for a, b in zip(x, y)]
+        assert repr(undrawn) == repr(_decide(x, y, sizes, *claim, drawn=False))
+        verdicts |= {outcome.verdict for outcome in single}
+    assert verdicts == set(Verdict)
 
 
 @pytest.mark.parametrize("n", [7, 8, 1024])
