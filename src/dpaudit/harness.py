@@ -18,12 +18,17 @@ reader reads the fields (the claim and, for ``adp-budgeted``, ``r``; for
 streams and returns their outcomes. The registry holds no tester logic:
 ``adp-ni`` and ``adp-budgeted`` run ``noinfo._runner``, which checks the
 claim and derives the rate once and decides a block's count rows at
-once; ``adp-fi`` and ``pdp-fi`` call their tester on each trial, and
-``adp-fi`` takes its thresholds from ``fullinfo.identity_threshold``, so
-a claim is calibrated once per process. Either way a trial's outcome is
-bit for bit that of its tester called on the trial alone. A seed block
-holds at most 2^16 counts per database. Any other key is ignored: the sample
-rates of ``adp-ni`` and ``pdp-fi`` are always their formulas, and
+once; ``adp-fi`` runs ``fullinfo._runner``, which checks the claim and
+takes its thresholds from ``fullinfo.identity_threshold`` once per
+experiment (a claim is calibrated once per process) and, on at least
+``fullinfo._OVERLAP_BINS`` = 128 outcomes, draws and scores each block's
+database 0 on one helper thread while the caller does database 1, so an
+experiment runs on the caller plus at most one helper, started and
+joined per seed block; ``pdp-fi`` calls its tester on each trial. Either
+way a trial's outcome is bit for bit that of its tester called on the
+trial alone. A seed block holds at most 2^16 counts per database. Any
+other key is ignored: the sample rates of ``adp-ni`` and ``pdp-fi`` are
+always their formulas, and
 ``adp-fi`` always runs ``SUBTEST_REPS`` identity reps. The notion ("aDP"
 or "pDP") selects how the target's distance from the claim is measured.
 To add a tester, add its factory and entry there; ``TESTER_KINDS`` and
@@ -39,13 +44,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fullinfo, noinfo
 from .distributions import (
     _check, _entry, _fields, _integer, _object, delta_at_epsilon, exact_pdp_epsilon
 )
 from .fixtures import _FIXTURES, build_fixture
-from .fullinfo import CALIBRATION_TRIALS, adp_test_fi, pdp_test_fi
+from .fullinfo import CALIBRATION_TRIALS, pdp_test_fi
 from .mechanisms import _MECHANISMS, MechanismPair, SideInfo, mechanism_from_config
-from .noinfo import _runner
 from .outcomes import TestOutcome
 
 #: Two-sided 95% normal quantile used for all Wilson intervals.
@@ -147,18 +152,24 @@ def _resolve_target(target: dict):
 
 def _no_info(mech, side, **fields):
     """The factory of both no-information kinds; an ``r`` field makes it ``adp-budgeted``."""
-    return _runner(mech.n, **fields)
+    return noinfo._runner(mech.n, **fields)
 
 
-def _full_info(kind, tester):
-    """The factory of a full-information kind: ``tester`` on each trial."""
+def _full_info(kind, runner):
+    """The factory of a full-information kind: ``runner(n, side, **fields)``,
+    once the target carries side information."""
 
     def factory(mech, side, **fields):
         if side is None:
             raise ValueError(f"{kind} needs side information")
-        return lambda streams: [tester(pair, side, rng=rng, **fields) for pair, rng in streams]
+        return runner(mech.n, side, **fields)
 
     return factory
+
+
+def _pdp_fi(n, side, **fields):
+    """``pdp_test_fi`` on each trial of a block."""
+    return lambda streams: [pdp_test_fi(pair, side, rng=rng, **fields) for pair, rng in streams]
 
 
 _ADP_CLAIM = {"eps": float, "delta": (float, 0.0), "alpha": float}
@@ -167,9 +178,9 @@ _ADP_CLAIM = {"eps": float, "delta": (float, 0.0), "alpha": float}
 _TESTERS = {
     "adp-ni": (_no_info, _ADP_CLAIM, "aDP"),
     "adp-budgeted": (_no_info, dict(_ADP_CLAIM, r=int), "aDP"),
-    "adp-fi": (_full_info("adp-fi", adp_test_fi),
+    "adp-fi": (_full_info("adp-fi", fullinfo._runner),
                dict(_ADP_CLAIM, calibration_trials=(int, CALIBRATION_TRIALS)), "aDP"),
-    "pdp-fi": (_full_info("pdp-fi", pdp_test_fi), {"eps": float, "alpha": float}, "pDP"),
+    "pdp-fi": (_full_info("pdp-fi", _pdp_fi), {"eps": float, "alpha": float}, "pDP"),
 }
 
 TESTER_KINDS = tuple(_TESTERS)

@@ -192,9 +192,15 @@ class MechanismPair:
             counts.size and not 0 <= int(counts.min()) <= int(counts.max()) <= _MAX_COUNT
         ):
             raise ValueError("counts must be a 1-D array of integers in [0, 2**63 - 1]")
+        return self._multinomial(db, counts.astype(np.int64))
+
+    def _multinomial(self, db: int, counts: np.ndarray) -> np.ndarray:
+        """:meth:`draw_many` on a 1-D int64 array of counts that the caller
+        has checked. It touches only database ``db``'s stream and counter,
+        so the two databases of one pair can draw on two threads at once."""
         # summed as Python ints: an int64 sum of valid counts can wrap
         self.query_counter[db] += sum(counts.tolist())
-        return self._rngs[db].multinomial(counts.astype(np.int64), self._pvals[db])
+        return self._rngs[db].multinomial(counts, self._pvals[db])
 
     def _spawn_many(self, seeds, rng_seeds):
         """Yield ``(MechanismPair(*truth, seed=s), np.random.default_rng(e))``,

@@ -1,7 +1,10 @@
 """Experiment harness: determinism, CSV export, Wilson intervals, sweeps."""
 
+import dataclasses
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,16 +14,22 @@ from dpaudit import (
     MechanismPair,
     OperatingCharacteristic,
     SideInfo,
+    TestOutcome,
     Verdict,
     adp_test_budgeted,
-    adp_test_fi,
+    delta_at_epsilon,
+    fullinfo,
     harness,
+    identity_budget,
+    identity_statistic,
+    identity_threshold,
     noinfo_rate,
     pdp_test_fi,
     run_experiment,
     sweep,
     wilson_interval,
 )
+from dpaudit.fullinfo import SUBTEST_REPS
 from dpaudit.noinfo import _decide, poisson_nonzero
 
 RR_TARGET = {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}}
@@ -309,6 +318,67 @@ def adp_ni_alone(mech, eps, delta, alpha, rng):
     return _decide(mech.draw(0, r), mech.draw(1, r), r, eps, delta, alpha, retries=[retries])[0]
 
 
+def adp_fi_alone(mech, eps, delta, alpha, rng, trials):
+    """``adp_test_fi`` on one trial whose side is the pair's truth, from
+    public calls in the tester's order: database 0's threshold, sizes,
+    draws and statistics, then database 1's."""
+    side = SideInfo(*mech.truth)
+    claimed_slack = delta_at_epsilon(side.q0, side.q1, eps)
+    assert claimed_slack <= delta + fullinfo.EXACT_CHECK_TOL  # the trial samples
+    budget = identity_budget(mech.n, alpha)
+    fractions, thresholds = [], []
+    for db, q in ((0, side.q0), (1, side.q1)):
+        threshold = identity_threshold(q, alpha, trials)
+        stats = identity_statistic(q, mech.draw_many(db, rng.poisson(budget, SUBTEST_REPS)), budget)
+        fractions.append(int(np.count_nonzero(stats >= threshold)) / SUBTEST_REPS)
+        thresholds.append(threshold)
+    statistic = max(fractions)
+    return TestOutcome(
+        Verdict.ACCEPT if statistic < 0.5 else Verdict.REJECT,
+        statistic,
+        0.5,
+        tuple(mech.query_counter),
+        {
+            "rule": "accept iff both identity majorities reject under half the time",
+            "claimed_slack": claimed_slack,
+            "rejection_fractions": tuple(fractions),
+            "identity_thresholds": tuple(thresholds),
+            "sample_budget": budget,
+            "reps": SUBTEST_REPS,
+        },
+    )
+
+
+def check_block_runner(monkeypatch, tmp_path, tester, target, single):
+    """``run_experiment`` on 8 trials in seed blocks of min(3, 2n // n) = 2
+    equals ``single`` on each trial alone: outcomes, and each pair's
+    counters. Returns how many blocks overlapped their two databases."""
+    target = dict(target, side="truth")  # the no-information kinds ignore the side
+    base, _side = harness._resolve_target(target)
+    monkeypatch.setattr(harness, "_SEED_BLOCK", 3)
+    monkeypatch.setattr(harness, "_BLOCK_COUNTS", 2 * base.n)
+    records, pairs, overlaps = [], [], []
+    csv_text = harness._csv_text
+    monkeypatch.setattr(harness, "_csv_text", lambda rs: records.extend(rs) or csv_text(rs))
+    spawn_many, overlap = MechanismPair._spawn_many, fullinfo._overlap
+    monkeypatch.setattr(MechanismPair, "_spawn_many",
+                        lambda *args: [pairs.append(s[0]) or s for s in spawn_many(*args)])
+    monkeypatch.setattr(fullinfo, "_overlap", lambda *args: overlaps.append(1) or overlap(*args))
+    seed, trials = 2**64 + 1, 8
+    run_experiment(ExperimentConfig(tester, target, trials, seed, str(tmp_path / "trials.csv")))
+    expected, mechs = [], []
+    for t in range(trials):
+        [(mech, rng)] = spawn_many(base, [seed * 1_000_003 + t + 1], [(seed, t)])
+        expected.append((t, single(mech, rng)))
+        mechs.append(mech)
+    assert repr(records) == repr(expected)
+    assert [pair.query_counter for pair in pairs] == [mech.query_counter for mech in mechs]
+    verdicts = {outcome.verdict for _, outcome in records}
+    # adp-fi accepts every trial of a pair whose truth is its side
+    assert verdicts == ({Verdict.ACCEPT} if tester["kind"] == "adp-fi" else set(Verdict))
+    return len(overlaps)
+
+
 @pytest.mark.parametrize(
     "tester, single",
     [
@@ -317,32 +387,78 @@ def adp_ni_alone(mech, eps, delta, alpha, rng):
         ({"kind": "adp-budgeted", "eps": 0.0, "delta": 0.1, "alpha": 0.3, "r": 40},
          lambda mech, rng: adp_test_budgeted(mech, 0.0, 0.1, 0.3, 40)),
         ({"kind": "adp-fi", "eps": 0.0, "delta": 0.4, "alpha": 0.3, "calibration_trials": 300},
-         lambda mech, rng: adp_test_fi(mech, SideInfo(*mech.truth), 0.0, 0.4, 0.3, rng, 300)),
+         lambda mech, rng: adp_fi_alone(mech, 0.0, 0.4, 0.3, rng, 300)),
         ({"kind": "pdp-fi", "eps": 1.0, "alpha": 0.3},
          lambda mech, rng: pdp_test_fi(mech, SideInfo(*mech.truth), 1.0, 0.3, rng)),
     ],
 )
 def test_block_runner_equals_per_trial_testers(monkeypatch, tmp_path, tester, single):
-    # seed blocks of min(3, 4 // 2) = 2 trials on the two-outcome fixture;
-    # the no-information kinds ignore the side
-    monkeypatch.setattr(harness, "_SEED_BLOCK", 3)
-    monkeypatch.setattr(harness, "_BLOCK_COUNTS", 4)
-    records = []
-    csv_text = harness._csv_text
-    monkeypatch.setattr(harness, "_csv_text", lambda rs: records.extend(rs) or csv_text(rs))
-    seed, trials = 2**64 + 1, 8
+    # two outcomes: adp-fi stays below its crossover to a helper thread
+    assert check_block_runner(monkeypatch, tmp_path, tester, TWOPOINT_FAR, single) == 0
+
+
+LADDER_128 = {"mechanism": {"mechanism": "truncated_geometric", "eps": 0.5, "n": 128}}
+
+
+def test_adp_fi_blocks_above_the_crossover_equal_per_trial_testers(monkeypatch, tmp_path):
+    # 128 outcomes: each of the 4 blocks overlaps its two databases once
+    tester = {"kind": "adp-fi", "eps": 0.5, "delta": 0.0, "alpha": 0.3, "calibration_trials": 300}
+
+    def single(mech, rng):
+        return adp_fi_alone(mech, 0.5, 0.0, 0.3, rng, 300)
+
+    assert check_block_runner(monkeypatch, tmp_path, tester, LADDER_128, single) == 4
+
+
+FI_LADDER_128 = ExperimentConfig(
+    {"kind": "adp-fi", "eps": 0.5, "delta": 0.0, "alpha": 0.3, "calibration_trials": 300},
+    dict(LADDER_128, side="truth"), 6, 3,
+)
+
+
+def test_an_error_on_the_helper_thread_leaves_run_experiment(monkeypatch):
+    multinomial, threads = MechanismPair._multinomial, []
+
+    def failing(pair, db, counts):
+        if db == 0:
+            threads.append(threading.current_thread())
+            raise ValueError("database 0 failed")
+        return multinomial(pair, db, counts)
+
+    before = threading.active_count()
+    run_experiment(FI_LADDER_128)
+    assert threading.active_count() == before
+    monkeypatch.setattr(MechanismPair, "_multinomial", failing)
+    with pytest.raises(ValueError, match="^database 0 failed$"):
+        run_experiment(FI_LADDER_128)
+    assert threading.active_count() == before
+    assert threads and threading.main_thread() not in threads
+
+
+def test_overlapped_blocks_equal_serial_ones_under_fast_thread_switches(monkeypatch, tmp_path):
+    # a switch every 10 µs interleaves the two databases' counter updates
+    cfg = dataclasses.replace(FI_LADDER_128, trials=40, out=str(tmp_path / "overlapped.csv"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        overlapped = run_experiment(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(fullinfo, "_OVERLAP_BINS", math.inf)
+    serial = run_experiment(dataclasses.replace(cfg, out=str(tmp_path / "serial.csv")))
+    assert overlapped == serial
+    assert (tmp_path / "overlapped.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def test_a_claim_the_side_violates_draws_nothing_and_starts_no_thread(monkeypatch, tmp_path):
+    # the ladder's slack at eps 0 is positive, above the claimed delta 0
+    monkeypatch.setattr(MechanismPair, "_multinomial", lambda *args: pytest.fail("drawn"))
+    monkeypatch.setattr(threading, "Thread", lambda *args, **kwargs: pytest.fail("thread"))
     out = tmp_path / "trials.csv"
-    target = dict(TWOPOINT_FAR, side="truth")
-    run_experiment(ExperimentConfig(tester, target, trials, seed, str(out)))
-    base, _side = harness._resolve_target(target)
-    expected = []
-    for t in range(trials):
-        [(mech, rng)] = base._spawn_many([seed * 1_000_003 + t + 1], [(seed, t)])
-        expected.append((t, single(mech, rng)))
-    assert repr(records) == repr(expected)
-    verdicts = {outcome.verdict for _, outcome in records}
-    # adp-fi accepts every trial of a pair whose truth is its side
-    assert verdicts == ({Verdict.ACCEPT} if tester["kind"] == "adp-fi" else set(Verdict))
+    tester = dict(FI_LADDER_128.tester, eps=0.0)
+    (row,) = run_experiment(ExperimentConfig(tester, FI_LADDER_128.target, 6, 3, str(out))).grid
+    assert row.accept_rate == 0.0 and row.mean_queries == 0.0
+    assert {line.split(",", 4)[4] for line in out.read_text().splitlines()[1:]} == {"0,0"}
 
 
 #: sha256 of per-trial CSVs written when every trial was decided alone:
