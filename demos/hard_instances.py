@@ -10,9 +10,7 @@ import math
 import numpy as np
 
 from dpaudit import (
-    MechanismPair,
     adp_twopoint_fixture,
-    counts_tester,
     distinguish,
     noinfo_rate,
     pdp_unverifiable_fixture,
@@ -30,14 +28,15 @@ def main() -> None:
     # a tester good enough to verify the claim can also tell the far
     # instance's databases apart from samples alone
     r = math.ceil(noinfo_rate(2, 0.1, 0.05))
-    tester = counts_tester(0.1, 0.05, 0.05)
+    tester = {"kind": "adp-budgeted", "eps": 0.1, "delta": 0.05, "alpha": 0.05, "r": r}
     correct = [0, 0]
     trials = 40
     for source_db in (0, 1):
         for trial in range(trials):
-            mech = MechanismPair(*fixture.far_instance, seed=100 * source_db + trial + 1)
-            unknown = mech.draw(source_db, r)
-            correct[source_db] += distinguish(tester, mech, unknown) == source_db
+            guess, _queries = distinguish(
+                tester, fixture.far_instance, source_db, 100 * source_db + trial + 1
+            )
+            correct[source_db] += guess == source_db
     print(f"distinguishing the far pair's databases at budget {r}:")
     print(f"  correct {correct[0]}/{trials} when sampling database 0, "
           f"{correct[1]}/{trials} when sampling database 1")

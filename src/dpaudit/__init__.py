@@ -31,7 +31,6 @@ from .fixtures import (
     adp_lowfreq_fixture,
     adp_twopoint_fixture,
     build_fixture,
-    distinguish,
     fi_pdp_fixture,
     mean_sideinfo_fixture,
     pdp_unverifiable_fixture,
@@ -48,6 +47,7 @@ from .harness import (
     ExperimentConfig,
     OCRow,
     OperatingCharacteristic,
+    distinguish,
     run_experiment,
     sweep,
     wilson_interval,
@@ -63,7 +63,6 @@ from .mechanisms import (
 from .noinfo import (
     adp_test_budgeted,
     adp_test_ni,
-    counts_tester,
     noinfo_rate,
 )
 from .outcomes import TestOutcome, Verdict
@@ -101,7 +100,6 @@ __all__ = [
     "adp_lowfreq_fixture",
     "adp_twopoint_fixture",
     "build_fixture",
-    "distinguish",
     "fi_pdp_fixture",
     "mean_sideinfo_fixture",
     "pdp_unverifiable_fixture",
@@ -114,6 +112,7 @@ __all__ = [
     "ExperimentConfig",
     "OCRow",
     "OperatingCharacteristic",
+    "distinguish",
     "run_experiment",
     "sweep",
     "wilson_interval",
@@ -125,7 +124,6 @@ __all__ = [
     "truncated_geometric",
     "adp_test_budgeted",
     "adp_test_ni",
-    "counts_tester",
     "noinfo_rate",
     "TestOutcome",
     "Verdict",

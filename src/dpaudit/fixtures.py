@@ -7,7 +7,7 @@ divergence oracles at construction time. Construction fails with
 CertificationError if any certified quantity misses its target, so a
 fixture that exists is a fixture that has been verified. An instance is
 a plain (p0, p1) pair of output distributions; a tester samples it
-through a ``MechanismPair`` of its own.
+through a ``MechanismPair`` of its own, as ``harness.distinguish`` does.
 
 Outcome label convention: the distinguished outcomes are indices 0, 1, 2
 of the probability vectors; block fixtures lay their three index ranges
@@ -50,7 +50,7 @@ from .distributions import (
     min_mass,
     tv_distance,
 )
-from .mechanisms import MechanismPair, SideInfo, mechanism_from_config
+from .mechanisms import SideInfo, mechanism_from_config
 
 Instance = tuple[DiscreteDistribution, DiscreteDistribution]
 
@@ -450,25 +450,6 @@ def tight_perturbation(
     _certify(tv0 <= alpha + CERT_TOL and tv1 <= alpha + CERT_TOL, "TV budget exceeded")
     info.update({"base_slack": base, "achieved": achieved, "tv0": tv0, "tv1": tv1})
     return q0, q1, info
-
-
-def distinguish(tester, mech: MechanismPair, unknown_db_samples: np.ndarray) -> int:
-    """Decide which database a batch of samples came from.
-
-    Verification implies distinguishing: draw a same-size reference batch
-    from database 0 and hand (unknown, reference) to a two-histogram
-    tester as if they were a mechanism's two databases. Samples from
-    database 0 form an identical pair (accept, return 0); samples from
-    database 1 of a far pair recreate the violation (reject, return 1).
-
-    ``tester`` is a counts-level decision function ``tester(x, y, r) ->
-    TestOutcome`` (:func:`noinfo.counts_tester`); its per-database budget
-    r is the size of the unknown batch.
-    """
-    counts = np.asarray(unknown_db_samples)
-    r = int(counts.sum())
-    outcome = tester(counts, mech.draw(0, r), r)
-    return 0 if outcome.accepted else 1
 
 
 def _mean_sideinfo(eps: float, alpha: float, A: float, base: dict):

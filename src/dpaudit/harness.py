@@ -33,6 +33,9 @@ always their formulas, and
 or "pDP") selects how the target's distance from the claim is measured.
 To add a tester, add its factory and entry there; ``TESTER_KINDS`` and
 the CLI's choices follow.
+
+``distinguish`` runs one trial of the same loop on the box (database 0,
+unknown database) of an instance: every tester kind is a distinguisher.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .distributions import (
 )
 from .fixtures import _FIXTURES, build_fixture
 from .fullinfo import CALIBRATION_TRIALS, pdp_test_fi
-from .mechanisms import _MECHANISMS, MechanismPair, SideInfo, mechanism_from_config
+from .mechanisms import _MECHANISMS, MechanismPair, SideInfo, _database, mechanism_from_config
 from .outcomes import TestOutcome
 
 #: Two-sided 95% normal quantile used for all Wilson intervals.
@@ -79,6 +82,13 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
+def _seed(seed) -> int:
+    """An experiment seed: an integer >= 0, within the float range."""
+    seed = _integer("seed", seed, 0)
+    _check("seed", seed, 0.0)  # 10**400 is refused
+    return seed
+
+
 @dataclass
 class ExperimentConfig:
     """One tester against one target for a number of seeded trials.
@@ -97,8 +107,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.trials = _integer("trials", self.trials, 1)
-        self.seed = _integer("seed", self.seed, 0)
-        _check("seed", self.seed, 0.0)  # and within the float range: 10**400 is refused
+        self.seed = _seed(self.seed)
         _entry(_TESTERS, "tester kind", _fields("tester", self.tester, {"kind": str})["kind"])
         _fields("target", self.target, {})  # refuses a non-object
 
@@ -212,23 +221,30 @@ def _csv_text(records: list[tuple[int, TestOutcome]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _trials(tester: dict, mech: MechanismPair, side, trials: int, seed: int):
+    """The notion and claim of the ``tester`` document, read, and the
+    ``(t, outcome)`` records of trials t = 0..trials-1 on ``mech``'s truth."""
+    kind = _fields("tester", tester, {"kind": str})["kind"]
+    factory, spec, notion = _entry(_TESTERS, "tester kind", kind)
+    claim = _fields(f"{kind} tester", tester, spec)
+    runner = factory(mech, side, **claim)
+
+    records = []
+    size = min(_SEED_BLOCK, max(1, _BLOCK_COUNTS // mech.n))
+    for start in range(0, trials, size):
+        block = range(start, min(start + size, trials))
+        # trial t: default_rng([seed, t]) and a pair at seed * 1_000_003 + t + 1
+        streams = mech._spawn_many(
+            [seed * 1_000_003 + t + 1 for t in block], [(seed, t) for t in block]
+        )
+        records += zip(block, runner(streams), strict=True)
+    return notion, claim, records
+
+
 def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
     """Run all trials, optionally write the per-trial CSV, aggregate."""
     base_mech, side = _resolve_target(cfg.target)
-    kind = cfg.tester["kind"]
-    factory, spec, notion = _TESTERS[kind]
-    claim = _fields(f"{kind} tester", cfg.tester, spec)
-    runner = factory(base_mech, side, **claim)
-
-    records = []
-    size = min(_SEED_BLOCK, max(1, _BLOCK_COUNTS // base_mech.n))
-    for start in range(0, cfg.trials, size):
-        block = range(start, min(start + size, cfg.trials))
-        # trial t: default_rng([seed, t]) and a pair at seed * 1_000_003 + t + 1
-        streams = base_mech._spawn_many(
-            [cfg.seed * 1_000_003 + t + 1 for t in block], [(cfg.seed, t) for t in block]
-        )
-        records += zip(block, runner(streams), strict=True)
+    notion, claim, records = _trials(cfg.tester, base_mech, side, cfg.trials, cfg.seed)
 
     if cfg.out is not None:
         Path(cfg.out).write_text(_csv_text(records))
@@ -246,6 +262,24 @@ def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
         mean_queries=mean_queries,
     )
     return OperatingCharacteristic((row,))
+
+
+def distinguish(tester: dict, instance, db: int, seed: int) -> tuple[int, tuple[int, int]]:
+    """Guess which database of ``instance`` = (p0, p1) the unknown ``db`` is.
+
+    Verification implies distinguishing: run the registry ``tester`` on
+    trial 0 of ``seed`` of the box ``MechanismPair(p0, instance[db])``, with
+    side information ``SideInfo(p0, p0)`` for full-information kinds. At
+    db = 0 the box is an identical pair, which a verifier accepts; at db = 1
+    of a far instance it rejects. Returns ``(guess, queries_used)``, guess 1
+    iff the tester rejects. A ``db`` not 0 or 1, or a seed that
+    ``ExperimentConfig`` refuses, raises ValueError.
+    """
+    _database(db)
+    p0 = instance[0]
+    box = MechanismPair(p0, instance[db])
+    *_, [(_t, outcome)] = _trials(tester, box, SideInfo(p0, p0), 1, _seed(seed))
+    return int(not outcome.accepted), outcome.queries_used
 
 
 def _reader_spec(path: tuple, doc: dict, parent: dict) -> dict:

@@ -15,11 +15,12 @@ soundness follow from the statistic's concentration: E[z] is at least
 the true slack and at most the true slack plus sqrt(n / r) *
 (1 + e^{2 eps}), with variance at most (1 + e^{2 eps}) / r.
 
-The testers take the claim (eps, delta) and alpha as plain arguments
-and check them; the sample size is never an argument of ``adp_test_ni``.
-``_runner`` tests a block of trials at once: the harness's seed blocks,
-and ``adp_test_ni`` as a block of one. All functions are pure up to the
-supplied RNG and mechanism streams.
+The testers ``adp_test_ni`` and ``adp_test_budgeted`` take the claim
+(eps, delta) and alpha as plain arguments and check them; the sample
+size is never an argument of ``adp_test_ni``. ``_runner`` tests a block
+of trials at once: the harness's seed blocks, and ``adp_test_ni`` as a
+block of one. All functions are pure up to the supplied RNG and
+mechanism streams.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .distributions import _EPS_MAX, _check, _holds_bool, _integer, _positive_finite, _slack
+from .distributions import _EPS_MAX, _check, _integer, _positive_finite, _slack
 from .mechanisms import MechanismPair
 from .outcomes import TestOutcome, Verdict
 
@@ -36,7 +37,7 @@ from .outcomes import TestOutcome, Verdict
 #: be absurdly small for this to trigger).
 _MAX_POISSON_RETRIES = 1000
 
-#: Largest Poisson rate drawn: below numpy's limit near 2^63, and an int64 in cache keys.
+#: Largest Poisson rate drawn: below numpy's limit near 2^63, and an int64 in threshold keys.
 _MAX_RATE = 2.0**62
 
 
@@ -81,11 +82,10 @@ def _claim(eps: float, delta: float, alpha: float) -> tuple[float, float, float]
     return eps, delta, _check("alpha", alpha, 0.0, open_low=True)
 
 
-def _outcome(z, r: int, threshold: float, drawn: bool = True) -> TestOutcome:
+def _outcome(z, r: int, threshold: float) -> TestOutcome:
     """The slack rule on one row of r samples per database: accept iff the
     larger of the slack directions ``z = [forward, reverse]``, as ``_slack``
-    returns them, stays below ``threshold`` = delta + alpha. A row ``drawn``
-    from the mechanism reports (r, r) queries, a pre-drawn one (0, 0)."""
+    returns them, stays below ``threshold`` = delta + alpha."""
     z_forward, z_reverse = z
     statistic = z_reverse if z_reverse > z_forward else z_forward  # max(), without its call
     verdict = Verdict.ACCEPT if statistic < threshold else Verdict.REJECT
@@ -95,10 +95,10 @@ def _outcome(z, r: int, threshold: float, drawn: bool = True) -> TestOutcome:
         "z_reverse": z_reverse,
         "r": (r, r),
     }
-    return TestOutcome(verdict, statistic, threshold, (r, r) if drawn else (0, 0), diagnostics)
+    return TestOutcome(verdict, statistic, threshold, (r, r), diagnostics)
 
 
-def _decide(x, y, r, eps, delta, alpha, retries=None, drawn=True) -> list[TestOutcome]:
+def _decide(x, y, r, eps, delta, alpha, retries=None) -> list[TestOutcome]:
     """:func:`_outcome` on each row of counts.
 
     ``x`` and ``y`` hold r samples per row from databases 0 and 1: one
@@ -110,7 +110,7 @@ def _decide(x, y, r, eps, delta, alpha, retries=None, drawn=True) -> list[TestOu
     z = _slack(x, y, eps, r)
     rows = zip(zip(*z), r.tolist()) if isinstance(r, np.ndarray) else ((z, r),)
     threshold = delta + alpha
-    outcomes = [_outcome(row, size, threshold, drawn) for row, size in rows]
+    outcomes = [_outcome(row, size, threshold) for row, size in rows]
     if retries is not None:
         for outcome, tries in zip(outcomes, retries, strict=True):
             outcome.diagnostics["retries"] = tries
@@ -173,41 +173,3 @@ def adp_test_budgeted(
     eps, delta, alpha = _claim(eps, delta, alpha)
     r = _integer("r", r, 1)
     return _outcome(_slack(mech.draw(0, r), mech.draw(1, r), eps, r), r, delta + alpha)
-
-
-def _histogram(name: str, counts) -> np.ndarray:
-    """``counts`` as an array if it is a non-empty 1-D histogram of
-    non-negative integers (an integer dtype: no floats, NaN or booleans,
-    not even one boolean among the integers of a list)."""
-    arr = np.asarray(counts)
-    integers = arr.dtype.kind in "iu" and not _holds_bool(counts)
-    if arr.ndim != 1 or arr.size == 0 or not integers or arr.min() < 0:
-        raise ValueError(
-            f"{name} must be a 1-D histogram of non-negative integers; got {counts!r}"
-        )
-    return arr
-
-
-def counts_tester(eps: float, delta: float, alpha: float):
-    """Decision function over pre-drawn histograms of r samples each.
-
-    Returns a callable ``tester(x, y, r) -> TestOutcome`` that draws
-    nothing and reports no queries, as :func:`fixtures.distinguish` needs.
-    ``x`` and ``y`` must be equal-length 1-D histograms of non-negative
-    integers, ``r`` an integer >= 1 and each histogram must hold exactly
-    r samples; anything else raises ValueError.
-    """
-    eps, delta, alpha = _claim(eps, delta, alpha)
-
-    def tester(x, y, r) -> TestOutcome:
-        x, y = _histogram("x", x), _histogram("y", y)
-        if x.size != y.size:
-            raise ValueError(f"x and y must have the same length; got {x.size} and {y.size}")
-        r = _integer("r", r, 1)
-        if not x.sum() == r == y.sum():
-            raise ValueError(
-                f"x and y must each hold r = {r} samples; got {x.sum()} and {y.sum()}"
-            )
-        return _outcome(_slack(x, y, eps, r), r, delta + alpha, drawn=False)
-
-    return tester

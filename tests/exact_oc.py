@@ -25,7 +25,7 @@ TAIL = 1e-13
 
 
 def accepts(x, y, r: int, eps: float, delta: float, alpha: float) -> np.ndarray:
-    """``counts_tester(eps, delta, alpha)((x, r - x), (y, r - y), r).accepted``
+    """``noinfo._decide((x, r - x), (y, r - y), r, eps, delta, alpha)[0].accepted``
     for integer arrays ``x`` and ``y`` of outcome-0 counts, broadcast."""
     x, y, s, m = np.asarray(x), np.asarray(y), float(r), -math.exp(eps)
     u0, u1, v0, v1 = x / s, (r - x) / s, y / s, (r - y) / s

@@ -25,7 +25,6 @@ from dpaudit import (
     amplification_reps,
     brute_force_delta,
     constant_family,
-    counts_tester,
     data_distribution,
     delta_at_epsilon,
     distinguish,
@@ -44,6 +43,7 @@ from dpaudit import (
     truncated_geometric,
     value_flag_family,
 )
+from dpaudit.noinfo import _decide
 
 import exact_oc
 
@@ -111,12 +111,12 @@ CLAIMS = [(0.0, 0.05, 0.3), (0.1, 0.05, 0.05), (math.log(3.0), 0.0, 0.1), (2.0, 
 
 
 @pytest.mark.parametrize("r", [1, 7, 40])
-def test_exact_decision_is_the_counts_testers(r):
+def test_exact_decision_is_the_row_rule(r):
     x, y = np.meshgrid(np.arange(r + 1), np.arange(r + 1), indexing="ij")
     for eps, delta, alpha in CLAIMS:
-        tester = counts_tester(eps, delta, alpha)
         expected = [
-            [tester([i, r - i], [j, r - j], r).accepted for j in range(r + 1)]
+            [_decide([i, r - i], [j, r - j], r, eps, delta, alpha)[0].accepted
+             for j in range(r + 1)]
             for i in range(r + 1)
         ]
         assert np.array_equal(exact_oc.accepts(x, y, r, eps, delta, alpha), expected)
@@ -233,15 +233,15 @@ def test_criterion_04_full_info_pdp_tester_and_sandwich():
 
 def test_criterion_05_verification_implies_distinguishing():
     fixture = adp_twopoint_fixture(0.1, 0.05, 0.1)
-    tester = counts_tester(0.1, 0.05, 0.05)
-    r = 15791
+    tester = {"kind": "adp-budgeted", "eps": 0.1, "delta": 0.05, "alpha": 0.05, "r": 15791}
     rates = []
     for source_db in (0, 1):
         correct = 0
         for trial in range(200):
-            mech = MechanismPair(*fixture.far_instance, seed=1000 * source_db + trial + 1)
-            unknown = mech.draw(source_db, r)
-            correct += distinguish(tester, mech, unknown) == source_db
+            guess, _queries = distinguish(
+                tester, fixture.far_instance, source_db, 1000 * source_db + trial + 1
+            )
+            correct += guess == source_db
         rates.append(correct / 200)
     _report(
         5,

@@ -12,12 +12,10 @@ from dpaudit import (
     CertificationError,
     DiscreteDistribution,
     FIXTURE_NAMES,
-    MechanismPair,
     adp_lowfreq_fixture,
     adp_twopoint_fixture,
     brute_force_delta,
     build_fixture,
-    counts_tester,
     delta_at_epsilon,
     distinguish,
     exact_pdp_epsilon,
@@ -30,6 +28,7 @@ from dpaudit import (
     tight_perturbation,
     tv_distance,
 )
+from dpaudit.fixtures import CERT_TOL
 
 
 def test_pdp_unverifiable_certified_values():
@@ -99,6 +98,18 @@ def test_adp_lowfreq_large_universe_skips_brute_force():
     pair = adp_lowfreq_fixture(30, 0.3, 0.15)
     assert pair.certification["brute_force_checked"] is False
     assert pair.far_instance[0].n == 30
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: each direction of the far slack is (2 delta + alpha) / 3 < delta",
+)
+@pytest.mark.parametrize("n", [18, 60])
+def test_adp_lowfreq_far_instance_is_alpha_far(n):
+    # the two-sided slack every tester and the harness's distance column read
+    delta, alpha = 0.3, 0.1
+    pair = adp_lowfreq_fixture(n, delta, alpha)
+    assert delta_at_epsilon(*pair.far_instance, 0.0) >= delta + alpha - CERT_TOL
 
 
 def test_adp_lowfreq_preconditions():
@@ -274,16 +285,11 @@ def test_tight_perturbation_is_exact_on_random_pairs(instance):
 
 def test_distinguish_separates_far_pair():
     pair = adp_twopoint_fixture(0.1, 0.05, 0.3)
-    tester = counts_tester(0.1, 0.05, 0.15)
     r = math.ceil(noinfo_rate(2, 0.1, 0.15))
-    mech = MechanismPair(*pair.far_instance, seed=21)
-    from_db0 = mech.draw(0, r)
-    reference = MechanismPair(*mech.truth, seed=23)
-    assert distinguish(tester, reference, from_db0) == 0
-    # the reference batch has the unknown batch's size r
-    assert reference.query_counter == [r, 0]
-    from_db1 = mech.draw(1, r)
-    assert distinguish(tester, MechanismPair(*mech.truth, seed=24), from_db1) == 1
+    tester = {"kind": "adp-budgeted", "eps": 0.1, "delta": 0.05, "alpha": 0.15, "r": r}
+    # each guess costs the tester's own budget r per database of the box
+    assert distinguish(tester, pair.far_instance, 0, 21) == (0, (r, r))
+    assert distinguish(tester, pair.far_instance, 1, 24) == (1, (r, r))
 
 
 def test_build_fixture_dispatch():

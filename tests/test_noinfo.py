@@ -10,7 +10,6 @@ from dpaudit import (
     Verdict,
     adp_test_budgeted,
     adp_test_ni,
-    counts_tester,
     leaky_mechanism,
     noinfo_rate,
     randomized_response,
@@ -39,15 +38,13 @@ def test_rate_validation():
 
 def test_statistic_worked_example():
     def z_forward(x, y, r, eps):
-        return counts_tester(eps, 0.0, 0.1)(x, y, r).diagnostics["z_forward"]
+        return _decide(x, y, r, eps, 0.0, 0.1)[0].diagnostics["z_forward"]
 
     # (9 - 5)/10 on outcome 0, (1 - 5)/10 clipped to 0 on outcome 1
     assert z_forward([9, 1], [5, 5], 10, 0.0) == pytest.approx(0.4)
     assert z_forward([5, 5], [5, 5], 10, 0.0) == 0.0
     # e^eps scaling kills the positive part entirely
     assert z_forward([9, 1], [5, 5], 10, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        z_forward([1], [1], 0, 0.0)
     with pytest.raises(ValueError):
         z_forward([1, 2], [1], 5, 0.0)
 
@@ -118,7 +115,7 @@ def test_reverse_leak_is_caught():
     eps = math.log(2.0)
     x = np.array([10, 90])
     y = np.array([50, 50])
-    out_two = counts_tester(eps, 0.0, 0.1)(x, y, 100)
+    [out_two] = _decide(x, y, 100, eps, 0.0, 0.1)
     # a one-direction test would see only z_forward, and accept
     assert out_two.diagnostics["z_forward"] == pytest.approx(0.0)
     assert out_two.verdict is Verdict.REJECT
@@ -139,35 +136,13 @@ def test_budgeted_variant_uses_exactly_r():
     assert mech.query_counter == [2000, 2000]
 
 
-def test_counts_tester_closure():
-    tester = counts_tester(0.0, 0.05, 0.1)
-    out = tester(np.array([60, 40]), np.array([50, 50]), 100)
-    assert out.statistic == pytest.approx(0.1)
-    assert out.verdict is Verdict.ACCEPT  # 0.1 < delta + alpha = 0.15
-    assert out.queries_used == (0, 0)  # caller already paid for the samples
-    rejecting = tester(np.array([70, 30]), np.array([50, 50]), 100)
-    assert rejecting.verdict is Verdict.REJECT
-    with pytest.raises(ValueError):
-        tester([1], [1], 0)
-
-
-def test_counts_tester_needs_r_samples_in_each_histogram():
-    # a plug-in slack over histograms of 100 samples divided by r = 2
-    # would read 50, far outside [0, 1]
-    tester = counts_tester(0.0, 0.0, 0.1)
-    for x, y, r in (([100, 0], [0, 100], 2), ([1, 1], [1, 0], 2), ([1, 0], [1, 1], 2)):
-        with pytest.raises(ValueError, match="must each hold r"):
-            tester(x, y, r)
-    assert tester([1, 1], [2, 0], 2).statistic == 0.5
-
-
 # -- one decision over a block of count rows equals one call per row
 
 
-def _block_and_rows(x, y, r, claim, retries=None, drawn=True):
-    block = _decide(x, y, r, *claim, retries, drawn)
+def _block_and_rows(x, y, r, claim, retries=None):
+    block = _decide(x, y, r, *claim, retries)
     rows = [
-        _decide(x[i], y[i], int(r[i]), *claim, retries and [retries[i]], drawn)[0]
+        _decide(x[i], y[i], int(r[i]), *claim, retries and [retries[i]])[0]
         for i in range(len(r))
     ]
     return block, rows
@@ -199,7 +174,6 @@ def test_single_row_callers_equal_the_block_on_both_slack_branches(n):
     mech = leaky_mechanism(0.5, n) if n % 2 else truncated_geometric(0.5, n)
     r, claim, seeds = 4800, (0.0, 0.05, 0.1), range(20)
     p0, p1 = mech.truth
-    counts = counts_tester(*claim)
     verdicts = set()
     for pair in ((p0, p0), (p0, p1), (p1, p0)):
         single = [adp_test_budgeted(MechanismPair(*pair, seed=s), *claim, r) for s in seeds]
@@ -211,8 +185,6 @@ def test_single_row_callers_equal_the_block_on_both_slack_branches(n):
         y = np.array([twin.draw(1, r) for twin in drawn])
         sizes = np.full(len(seeds), r)
         assert repr(single) == repr(_decide(x, y, sizes, *claim)) == repr(run)
-        undrawn = [counts(a, b, r) for a, b in zip(x, y)]
-        assert repr(undrawn) == repr(_decide(x, y, sizes, *claim, drawn=False))
         verdicts |= {outcome.verdict for outcome in single}
     assert verdicts == set(Verdict)
 
@@ -230,7 +202,6 @@ def test_block_decision_equals_single_calls_with_per_row_r(n):
         claim = (eps, median - 0.05, 0.05)
         block, rows = _block_and_rows(x, y, r, claim, retries=list(range(1, 49)))
         assert repr(block) == repr(rows)
-        counts = counts_tester(*claim)
-        block, rows = _block_and_rows(x, y, r, claim, drawn=False)
-        assert repr(block) == repr(rows) == repr([counts(a, b, s) for a, b, s in zip(x, y, r)])
+        block, rows = _block_and_rows(x, y, r, claim)
+        assert repr(block) == repr(rows)
         assert {outcome.verdict for outcome in block} == {Verdict.ACCEPT, Verdict.REJECT}
