@@ -11,6 +11,7 @@ configuration errors, 2 when a certification gate fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -247,9 +248,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    values = [_coerce(v) for v in args.values.split(",") if v != ""]
+    if not values:
+        raise ValueError(f"--values names no value; got {args.values!r}")
     spec = {"tester": _object, "target": _object, "trials": (int, 1), "seed": (int, 0)}
     base = ExperimentConfig(**_fields("sweep config", _load_json(args.config), spec))
-    values = [_coerce(v) for v in args.values.split(",") if v != ""]
     results = sweep(base, args.parameter, values)
     lines = ["value,distance,accept_rate,wilson_low,wilson_high,mean_queries"]
     for value, oc in zip(values, results):
@@ -290,7 +293,11 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every verb, built on the first :func:`main` call and
+    reused by the later ones: it binds only the ``_cmd_*`` functions and
+    ``parse_args`` leaves it as it is."""
     parser = _Parser(prog="dp-audit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

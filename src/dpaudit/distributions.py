@@ -58,7 +58,9 @@ def _check(name: str, value, low: float, high: float = _FLOAT_MAX,
 
     The one range check of the package's parameters: NaN, +-inf, values
     out of range and anything but a real number (``None``; strings, bytes
-    and booleans, which ``float`` reads) raise ValueError naming ``name``.
+    and booleans, which ``float`` reads) raise ValueError naming ``name``;
+    against [-inf, inf], which every number but NaN meets, the message
+    says that ``value`` is not a real number.
     """
     v = value
     if type(v) is not float:  # the hot path passes floats, which need no type test
@@ -69,6 +71,8 @@ def _check(name: str, value, low: float, high: float = _FLOAT_MAX,
             v = math.nan
     if (v > low if open_low else v >= low) and (v < high if open_high else v <= high):
         return v
+    if (low, high, open_low, open_high) == (-math.inf, math.inf, False, False):
+        raise ValueError(f"{name} must be a real number; got {value!r}")
     bounds = f"{'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
     raise ValueError(f"{name} must lie in {bounds}; got {value!r}")
 

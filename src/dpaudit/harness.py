@@ -3,12 +3,16 @@
 An experiment is (tester spec, target spec, trials, seed). Trial t draws
 from ``default_rng([seed, t])`` and ``MechanismPair(*truth, seed=seed *
 1_000_003 + t + 1)`` over the target's truth, so its outcome depends only
-on the seed and t, and a re-run is byte-identical. The streams of a seed
-block of trials are derived at once, with the bits of seeding each trial
-alone. Per-trial records can be written to CSV; the aggregate is an
-OperatingCharacteristic row holding the accept rate with a Wilson
-interval and the mean query count at the target's distance from the
-claimed parameters.
+on the seed and t, and a re-run is byte-identical. The stream states of a
+seed block of trials are derived at once, with the bits of seeding each
+trial alone, by ``_block_states(seed, start, stop)``. They depend on
+nothing else, so the last 8 blocks' states (at most 8 x 96 KiB = 768
+KiB, read-only) are kept for the process: a sweep over a tester or
+target parameter derives them for its first value only, and every value
+builds its trials' generators afresh from them. Per-trial records can be
+written to CSV; the aggregate is an OperatingCharacteristic row holding
+the accept rate with a Wilson interval and the mean query count at the
+target's distance from the claimed parameters.
 
 Tester kinds live in one registry, ``_TESTERS``: kind -> (runner
 factory, fields, notion). Once per experiment the package's document
@@ -41,6 +45,7 @@ unknown database) of an instance: every tester kind is a distinguisher.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,13 +58,17 @@ from .distributions import (
 )
 from .fixtures import _FIXTURES, build_fixture
 from .fullinfo import CALIBRATION_TRIALS, pdp_test_fi
-from .mechanisms import _MECHANISMS, MechanismPair, SideInfo, _database, mechanism_from_config
+from .mechanisms import (
+    _MECHANISMS, MechanismPair, SideInfo, _database, _seed_rows, _seed_states, mechanism_from_config
+)
 from .outcomes import TestOutcome
 
 #: Two-sided 95% normal quantile used for all Wilson intervals.
 Z95 = 1.959963984540054
 
-#: Trials whose streams are derived in one pass, so memory stays bounded.
+#: Trials whose stream states are derived in one pass, so memory stays
+#: bounded: 3 x 1,024 states of 4 uint64 words, 96 KiB per block, and
+#: ``_block_states`` keeps the last 8 blocks, at most 768 KiB.
 _SEED_BLOCK = 1024
 
 #: Counts per database a seed block holds at most: 512 KiB of int64 rows.
@@ -221,6 +230,22 @@ def _csv_text(records: list[tuple[int, TestOutcome]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=8)
+def _block_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """The read-only (3 (stop - start), 4) uint64 stream states of trials
+    start..stop-1 of ``seed``: for trial t, those of ``default_rng([seed, t])``
+    and of the two databases of a pair at seed * 1_000_003 + t + 1."""
+    rng_seeds = [(seed, t) for t in range(start, stop)]
+    states = _seed_states(_seed_rows(_pair_seeds(seed, start, stop), rng_seeds))
+    states.flags.writeable = False
+    return states
+
+
+def _pair_seeds(seed: int, start: int, stop: int) -> range:
+    """The pair seeds of trials start..stop-1 of ``seed``."""
+    return range(seed * 1_000_003 + start + 1, seed * 1_000_003 + stop + 1)
+
+
 def _trials(tester: dict, mech: MechanismPair, side, trials: int, seed: int):
     """The notion and claim of the ``tester`` document, read, and the
     ``(t, outcome)`` records of trials t = 0..trials-1 on ``mech``'s truth."""
@@ -232,12 +257,9 @@ def _trials(tester: dict, mech: MechanismPair, side, trials: int, seed: int):
     records = []
     size = min(_SEED_BLOCK, max(1, _BLOCK_COUNTS // mech.n))
     for start in range(0, trials, size):
-        block = range(start, min(start + size, trials))
-        # trial t: default_rng([seed, t]) and a pair at seed * 1_000_003 + t + 1
-        streams = mech._spawn_many(
-            [seed * 1_000_003 + t + 1 for t in block], [(seed, t) for t in block]
-        )
-        records += zip(block, runner(streams), strict=True)
+        stop = min(start + size, trials)
+        streams = mech._spawn_many(_pair_seeds(seed, start, stop), _block_states(seed, start, stop))
+        records += zip(range(start, stop), runner(streams), strict=True)
     return notion, claim, records
 
 
@@ -305,6 +327,11 @@ def sweep(
     "target.mechanism.n"). A path is known when its key is present or its
     document's reader takes it (an ``adp-ni`` tester's omitted ``delta``);
     unknown names raise ValueError.
+
+    Unless a value changes the seed, the trials or the seed-block size
+    (the target's outcome count, from 65 up), or an experiment spans more
+    than 8 seed blocks, the trials' stream states are derived once, for
+    the first value, and reused by the others.
     """
     parts = parameter.split(".")
     results = []

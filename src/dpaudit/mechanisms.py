@@ -202,16 +202,17 @@ class MechanismPair:
         self.query_counter[db] += sum(counts.tolist())
         return self._rngs[db].multinomial(counts, self._pvals[db])
 
-    def _spawn_many(self, seeds, rng_seeds):
-        """Yield ``(MechanismPair(*truth, seed=s), np.random.default_rng(e))``,
-        draw for draw, for each ``s, e`` of two equally long lists; each ``s``
-        is an int >= 0 and each ``e`` a sequence of them.
+    def _spawn_many(self, seeds, states):
+        """Yield ``(MechanismPair(*truth, seed=s), rng)``, draw for draw, for
+        each ``s`` of ``seeds``; ``states`` holds three :func:`_seed_states`
+        rows per item, in turn those of ``rng`` and of database 0 and 1.
 
-        All of their states come from one :func:`_seed_states` pass, and one
-        feed hands them out, but each item's generators are built only when
-        it is yielded.
+        With ``states = _seed_states(_seed_rows(seeds, rng_seeds))``, each
+        ``rng`` is ``np.random.default_rng(e)`` for its ``e`` of ``rng_seeds``.
+        A fresh feed hands the rows out and each item's generators are built
+        only when it is yielded, so ``states`` is only read and may be shared.
         """
-        feed = _SeedState(_seed_states(_seed_rows(seeds, rng_seeds)))
+        feed = _SeedState(states)
         for seed in seeds:
             rng = _generator(feed)  # the feed's rows per item: rng, database 0, database 1
             # a clone without __init__, whose SeedSequence costs more than the kernel's share

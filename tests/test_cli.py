@@ -2,15 +2,19 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from dpaudit import FIXTURE_NAMES
+from dpaudit import FIXTURE_NAMES, cli, harness
 from dpaudit.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, argv):
@@ -665,3 +669,81 @@ def test_sweep_sets_an_optional_key_its_document_omits(
     code, cap = run(capsys, argv)
     assert code == 1
     assert cap.err == f"error: unknown parameter name: {typo!r}\n"
+
+
+@pytest.mark.parametrize("values", ["", ","])
+def test_an_empty_sweep_exits_1(capsys, tmp_path, values):
+    config = write_json(tmp_path / "config.json", {"tester": {}, "target": {}})
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", config, "--parameter", "tester.alpha", "--values", values]
+    code, cap = run(capsys, argv + ["--out", str(out)])
+    assert (code, cap.out) == (1, "")
+    assert cap.err == f"error: --values names no value; got {values!r}\n"
+    assert not out.exists()
+
+
+def test_a_sweep_skips_an_empty_item(capsys, tmp_path, rr_mech):
+    doc = {"tester": {"kind": "adp-ni", "eps": 1.1, "alpha": 0.3},
+           "target": {"mechanism": json.loads(Path(rr_mech).read_text())}, "trials": 2}
+    argv = ["sweep", "--config", write_json(tmp_path / "config.json", doc),
+            "--parameter", "tester.alpha", "--values"]
+    code, cap = run(capsys, argv + ["0.2,,0.3"])
+    assert code == 0
+    assert (code, cap) == run(capsys, argv + ["0.2,0.3"])
+
+
+@pytest.mark.parametrize("value, shown", [("nan", "nan"), ("true", "'true'"),
+                                          ('"0.25"', """'"0.25"'""")])
+def test_a_swept_value_that_is_not_a_real_number_exits_1(capsys, tmp_path, value, shown):
+    doc = {"tester": {"kind": "adp-ni", "eps": 1.1, "alpha": 0.3},
+           "target": {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}}}
+    argv = ["sweep", "--config", write_json(tmp_path / "config.json", doc),
+            "--parameter", "tester.alpha", "--values", value]
+    code, cap = run(capsys, argv)
+    assert (code, cap.out) == (1, "")
+    assert cap.err == f"error: adp-ni tester 'alpha': alpha must be a real number; got {shown}\n"
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch, rr_mech):
+    claim = ["--mech", rr_mech, "--eps", "0.1", "--alpha", "0.3", "--trials", "3"]
+    ni = ["test", "adp-ni", *claim]
+    runs = [
+        (["test", "adp-budgeted", *claim, "--budget", "5"], 0),
+        ([*ni, "--budget", "5"], 1),
+        (ni, 0),
+        (["--help"], 0),
+        (ni, 0),
+        (["test", "adp-ni", "--eps", "0.1"], 1),
+        (ni, 0),
+    ]
+    fresh = {}
+    with monkeypatch.context() as patch:  # a new parser for each call
+        patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        for argv, _ in runs:
+            fresh[tuple(argv)] = run(capsys, argv)
+    assert cli._build_parser() is cli._build_parser()
+    for argv, code in runs:
+        assert run(capsys, argv) == fresh[tuple(argv)]
+        assert fresh[tuple(argv)][0] == code
+        assert "r" not in vars(cli._build_parser().parse_args(ni))
+
+
+def test_a_subprocess_sweep_writes_the_in_process_bytes(capsys, tmp_path, rr_mech):
+    doc = {"tester": {"kind": "adp-ni", "eps": 1.1, "alpha": 0.3},
+           "target": {"mechanism": json.loads(Path(rr_mech).read_text())},
+           "trials": 50, "seed": 3}
+    argv = ["sweep", "--config", write_json(tmp_path / "config.json", doc),
+            "--parameter", "tester.alpha", "--values", "0.3,0.25"]
+    # other verbs warm the parser and the seed block of (seed 3, trials 50)
+    for warm in (["test", "adp-ni", "--mech", rr_mech, "--eps", "1.1", "--alpha", "0.3",
+                  "--trials", "50", "--seed", "3"], ["calibrate", "--n", "2", "--alpha", "0.3"]):
+        assert run(capsys, warm)[0] == 0
+    hits = harness._block_states.cache_info().hits
+    code, cap = run(capsys, argv)
+    assert code == 0 and harness._block_states.cache_info().hits == hits + 2
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    child = subprocess.run([sys.executable, "-m", "dpaudit.cli", *argv], capture_output=True,
+                           env=env, cwd=tmp_path, timeout=120)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout == cap.out.encode()
+    assert len(child.stdout.splitlines()) == 3

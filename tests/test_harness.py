@@ -33,6 +33,7 @@ from dpaudit import (
     wilson_interval,
 )
 from dpaudit.fullinfo import SUBTEST_REPS
+from dpaudit.mechanisms import _seed_rows, _seed_states
 from dpaudit.noinfo import _decide, poisson_nonzero
 
 RR_TARGET = {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}}
@@ -371,7 +372,9 @@ def check_block_runner(monkeypatch, tmp_path, tester, target, single):
     run_experiment(ExperimentConfig(tester, target, trials, seed, str(tmp_path / "trials.csv")))
     expected, mechs = [], []
     for t in range(trials):
-        [(mech, rng)] = spawn_many(base, [seed * 1_000_003 + t + 1], [(seed, t)])
+        pair_seeds = [seed * 1_000_003 + t + 1]
+        states = _seed_states(_seed_rows(pair_seeds, [(seed, t)]))
+        [(mech, rng)] = spawn_many(base, pair_seeds, states)
         expected.append((t, single(mech, rng)))
         mechs.append(mech)
     assert repr(records) == repr(expected)
@@ -399,6 +402,79 @@ def test_block_runner_equals_per_trial_testers(monkeypatch, tmp_path, tester, si
     # two outcomes: adp-fi stays below its crossover to a helper thread
     assert check_block_runner(monkeypatch, tmp_path, tester, TWOPOINT_FAR, single) == 0
 
+
+
+# -- a seed block's stream states are derived once and shared by a sweep's values
+
+BLOCK_TESTERS = [
+    {"kind": "adp-ni", "eps": 0.0, "delta": 0.1, "alpha": 0.3},
+    {"kind": "adp-budgeted", "eps": 0.0, "delta": 0.1, "alpha": 0.3, "r": 40},
+    {"kind": "adp-fi", "eps": 0.0, "delta": 0.4, "alpha": 0.3, "calibration_trials": 300},
+    {"kind": "pdp-fi", "eps": 1.0, "alpha": 0.3},
+]
+BLOCK_IDS = [tester["kind"] for tester in BLOCK_TESTERS]
+
+
+def test_block_states_are_the_read_only_kernel_states():
+    harness._block_states.cache_clear()
+    seed, block = 2**64 + 1, range(5, 9)
+    states = harness._block_states(seed, 5, 9)
+    expected = _seed_states(
+        _seed_rows([seed * 1_000_003 + t + 1 for t in block], [(seed, t) for t in block])
+    )
+    assert states.shape == (12, 4) and states.dtype == np.uint64
+    assert np.array_equal(states, expected)
+    assert not states.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        states[0, 0] = 0
+    assert harness._block_states(seed, 5, 9) is states
+    # distinguish seeds its one trial through the same cache
+    distinguish(BLOCK_TESTERS[0], adp_twopoint_fixture(0.0, 0.1, 0.3).far_instance, 1, seed)
+    assert harness._block_states.cache_info()[1:] == (2, 8, 2)  # misses, maxsize, size
+
+
+@pytest.mark.parametrize("tester", BLOCK_TESTERS, ids=BLOCK_IDS)
+def test_sweep_rows_equal_cold_experiments(monkeypatch, tester):
+    base = ExperimentConfig(tester, dict(TWOPOINT_FAR, side="truth"), 40, 5)
+    calls, kernel = [], harness._seed_states
+    monkeypatch.setattr(harness, "_seed_states", lambda rows: calls.append(1) or kernel(rows))
+    harness._block_states.cache_clear()
+    alphas = [0.3, 0.25, 0.2]
+    rows = sweep(base, "tester.alpha", alphas)
+    assert len(calls) == 1  # the first value derives the one block's states
+    for alpha, oc in zip(alphas, rows):
+        harness._block_states.cache_clear()
+        cold = run_experiment(dataclasses.replace(base, tester=dict(tester, alpha=alpha)))
+        assert repr(oc) == repr(cold)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("tester", BLOCK_TESTERS, ids=BLOCK_IDS)
+def test_evicted_block_states_give_the_same_trials(monkeypatch, tmp_path, tester):
+    # 30 trials in blocks of 3: 10 blocks per experiment, more than the cache holds
+    monkeypatch.setattr(harness, "_SEED_BLOCK", 3)
+    target, seeds = dict(TWOPOINT_FAR, side="truth"), (7, 2**64 + 1, 7, 2**64 + 1)
+    harness._block_states.cache_clear()
+    warm = []
+    for i, seed in enumerate(seeds):
+        run_experiment(ExperimentConfig(tester, target, 30, seed, str(tmp_path / f"{i}.csv")))
+        warm.append((tmp_path / f"{i}.csv").read_text())
+    info = harness._block_states.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 40, info.maxsize)
+    for seed, text in zip(seeds, warm):
+        harness._block_states.cache_clear()
+        run_experiment(ExperimentConfig(tester, target, 30, seed, str(tmp_path / "cold.csv")))
+        assert (tmp_path / "cold.csv").read_text() == text
+    assert warm[0] == warm[2] and warm[1] == warm[3] and warm[0] != warm[1]
+
+
+@pytest.mark.parametrize("value", [math.nan, True, "0.25"], ids=["nan", "true", "string"])
+def test_sweep_refuses_a_value_that_is_not_a_real_number(value):
+    base = ExperimentConfig(tester=NI_TESTER, target=RR_TARGET, trials=2)
+    message = f"adp-ni tester 'alpha': alpha must be a real number; got {value!r}"
+    with pytest.raises(ValueError) as caught:
+        sweep(base, "tester.alpha", [value])
+    assert str(caught.value) == message
 
 LADDER_128 = {"mechanism": {"mechanism": "truncated_geometric", "eps": 0.5, "n": 128}}
 

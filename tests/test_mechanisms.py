@@ -255,7 +255,8 @@ def test_seed_states_equal_seed_sequence_states():
 def test_spawn_many_equals_spawn():
     mech = truncated_geometric(0.5, 6, seed=1)
     seeds, rng_seeds = SEED_EDGES, [(s, t) for t, s in enumerate(SEED_EDGES)]
-    for seed, rng_seed, (pair, rng) in zip(seeds, rng_seeds, mech._spawn_many(seeds, rng_seeds)):
+    states = _seed_states(_seed_rows(seeds, rng_seeds))
+    for seed, rng_seed, (pair, rng) in zip(seeds, rng_seeds, mech._spawn_many(seeds, states)):
         ref = MechanismPair(*mech.truth, seed=seed)
         assert pair.seed == seed and pair.query_counter == [0, 0] and pair.truth == mech.truth
         for db in (0, 1):
