@@ -1,7 +1,10 @@
 """Adversarial fixture constructions and their certification gates."""
 
+import collections
+import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from dpaudit import (
     tight_perturbation,
     tv_distance,
 )
+from dpaudit.distributions import _SHORT_ROW
 from dpaudit.fixtures import CERT_TOL
 
 
@@ -281,6 +285,42 @@ def test_tight_perturbation_is_exact_on_random_pairs(instance):
     assert tv_distance(p1, q1) <= alpha + 1e-12
     if q0.n <= 6:
         assert brute_force_delta(q0, q1, eps) == pytest.approx(achieved, abs=1e-12)
+
+
+def seeded_slack_instances(count=1200, seed=29):
+    """(p0, p1, eps, alpha) in range, n from 2 to 12 (both sides of
+    ``_SHORT_ROW``), with skewed and zero masses so both branches occur."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        n = int(rng.integers(2, 13))
+        w = rng.random((2, n)) ** rng.choice([1.0, 3.0]) * (rng.random((2, n)) > 0.15)
+        w[:, 0] += 1e-3
+        p0, p1 = make_distribution(w[0]), make_distribution(w[1])
+        eps = (0.0, 0.2, 0.7, 1.5)[made % 4]
+        base = delta_at_epsilon(p0, p1, eps)
+        cap = (1.0 - base) / (1.0 + math.exp(eps))
+        if base > 1e-9 and cap > 1e-9:
+            yield p0, p1, eps, float(rng.uniform(0.02, 1.0)) * cap
+            made += 1
+
+
+def test_tight_perturbation_bytes_are_pinned():
+    # q0 and q1 bytes, the branch, its theta or moved mass, and the
+    # achieved slack, hashed over 1,200 seeded inputs
+    digest = hashlib.sha256()
+    branches = collections.Counter()
+    for p0, p1, eps, alpha in seeded_slack_instances():
+        q0, q1, info = tight_perturbation(p0, p1, eps, alpha)
+        branch = info["branch"]
+        branches[branch, p0.n >= _SHORT_ROW] += 1
+        step = info["theta"] if branch == "grow_high" else info["moved"]
+        digest.update(q0.probs.tobytes() + q1.probs.tobytes() + branch.encode())
+        digest.update(struct.pack("<dd", step, info["achieved"]))
+    assert min(branches.values()) > 200 and len(branches) == 4
+    assert digest.hexdigest() == (
+        "c02ea63ff01ab135f6b6c19970173795f781e8b38fb69f821ffcbccc17fd212d"
+    )
 
 
 def test_distinguish_separates_far_pair():
