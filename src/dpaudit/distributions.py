@@ -275,9 +275,10 @@ def make_distribution(weights: Sequence[float] | np.ndarray) -> DiscreteDistribu
 
 
 def _paired(p: DiscreteDistribution, q: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
-    if p.n != q.n:
+    pa, qa = p.probs, q.probs
+    if pa.size != qa.size:
         raise ValueError("distributions must share an outcome universe")
-    return p.probs, q.probs
+    return pa, qa
 
 
 def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -367,14 +368,16 @@ def _slack(a, b, eps: float, r=1) -> list:
             if t > 0.0:
                 reverse += t
         return [forward, reverse]
-    rows = np.array((a, b), dtype=np.float64)
+    rows = np.array((b, a, b), dtype=np.float64)
     if isinstance(r, np.ndarray):  # one sample size per row of a block
         rows /= r[:, None]
     elif r != 1:  # x / 1 is exact, so the division only costs time
         rows /= r
-    # u + (-(e^eps v)) rounds as u - e^eps v does, signed zeros included
-    d = rows[::-1] * -math.exp(eps)
-    d += rows
+    # stacked once as (v, u, v), both orderings are [v, u] * -e^eps + [u, v]
+    # on contiguous halves; u + (-(e^eps v)) rounds as u - e^eps v does,
+    # signed zeros included
+    d = rows[:2] * -math.exp(eps)
+    d += rows[1:]
     np.maximum(0.0, d, out=d)
     return np.add.reduce(d, axis=-1).tolist()
 
@@ -508,7 +511,10 @@ def approx_max_divergence_bruteforce(
         if np.any(positive & (mq == 0)):
             return math.inf
         usable = positive & (mq > 0)
-        np.divide(numer, mq, out=numer, where=usable)
+        # as in _log_ratio, a ratio over a subnormal mass may overflow
+        # to inf, which is the correct value
+        with np.errstate(over="ignore"):
+            np.divide(numer, mq, out=numer, where=usable)
         np.log(numer, out=numer, where=usable)
         best = max(best, float(np.max(numer, where=usable, initial=-math.inf)))
     return best

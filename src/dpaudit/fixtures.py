@@ -375,7 +375,16 @@ def tight_perturbation(
     shifting the first distribution's mass into the event, sized by
     bisection because the removal side can wake up the reverse direction.
     Either move raises ValueError when the outcomes outside the witness
-    event have no room for the moved mass.
+    event have no room for the moved mass. The function holds at every
+    eps up to ``_EPS_MAX``: once alpha e^{-eps} underflows to 0 an event
+    without low mass is not drained (that would divide 0 by 0), and the
+    grow move finds that alpha is below the slack's float resolution.
+
+    The bisection works on Python lists, which ``_slack`` sums without
+    numpy below ``_SHORT_ROW`` outcomes. Each candidate entry is the one
+    IEEE product h * grow or h * shrink that numpy's masked in-place
+    multiply forms, with the factors rounded as before, so the bisection
+    takes the same steps and returns numpy's bits.
     """
     _check("eps", eps, 0.0, _EPS_MAX)
     fwd0, rev0 = _slack(*_paired(p0, p1), eps)
@@ -392,7 +401,8 @@ def tight_perturbation(
 
     t = alpha * math.exp(-eps)
     lo_event = float(lo[event].sum())
-    if lo_event >= t:
+    # t underflows to 0 at large eps; an empty event then has nothing to drain
+    if lo_event >= t and lo_event > 0.0:
         # Drain t of the low distribution's event mass; the forward
         # witness gains e^eps * t = alpha and the reverse direction can
         # rise by at most t, which stays below the new forward value.
@@ -416,22 +426,23 @@ def tight_perturbation(
         outside_mass = float(hi[outside].sum())
         if outside_mass < alpha:
             raise ValueError("no room outside the witness event")
+        rows = list(zip(hi.tolist(), event.tolist()))
+        lo_row = lo.tolist()
 
-        def at(theta: float) -> np.ndarray:
-            out = hi.copy()
-            out[event] *= 1.0 + theta * alpha / event_mass
-            out[outside] *= 1.0 - theta * alpha / outside_mass
-            return out
+        def at(theta: float) -> list:
+            grow = 1.0 + theta * alpha / event_mass
+            shrink = 1.0 - theta * alpha / outside_mass
+            return [h * grow if e else h * shrink for h, e in rows]
 
         low_theta, mid, high_theta = 0.0, 0.5, 1.0
         # the full move always reaches the target in real arithmetic
         # (the witness side gains exactly alpha at theta = 1); leave one
         # order of magnitude under CERT_TOL for rounding in the sums
-        if max(_slack(at(1.0), lo, eps)) < target - 1e-13:
+        if max(_slack(at(1.0), lo_row, eps)) < target - 1e-13:
             raise ValueError("perturbation cannot reach the target slack")
         # halve until the midpoint rounds onto an endpoint
         while low_theta < mid < high_theta:
-            if max(_slack(at(mid), lo, eps)) < target:
+            if max(_slack(at(mid), lo_row, eps)) < target:
                 low_theta = mid
             else:
                 high_theta = mid

@@ -19,9 +19,11 @@ from dpaudit import (
     delta_at_epsilon_directed,
     exact_pdp_epsilon,
     kl_divergence,
+    leaky_mechanism,
     make_distribution,
     max_divergence,
     min_mass,
+    truncated_geometric,
     tv_distance,
 )
 from dpaudit.distributions import _SHORT_ROW, _check, _event_masses, _integer, _slack
@@ -128,6 +130,9 @@ def test_approx_divergence_infinite_branch():
     p = make_distribution([0.5, 0.5])
     q = make_distribution([1.0, 0.0])
     assert approx_max_divergence_bruteforce(p, q, 0.2) == math.inf
+    # (P(E) - delta) / Q(E) overflows over a subnormal Q(E): inf, silently
+    q = make_distribution([1.0, 1e-310])
+    assert approx_max_divergence_bruteforce(p, q, 0.25) == math.inf
 
 
 def test_brute_force_rejects_large_universe():
@@ -312,6 +317,13 @@ def test_slack_matches_reference_on_probabilities():
             assert bits(_slack(p.probs, q.probs, eps)) == bits(
                 slack_reference(p.probs, q.probs, eps)
             )
+    # the sizes the exact-certify and fi-wide benchmarks run
+    for n in (128, 1024):
+        for p, q in (truncated_geometric(0.4, n).truth, leaky_mechanism(0.2, n).truth):
+            for eps in SLACK_EPS + (3.0,):
+                assert bits(_slack(p.probs, q.probs, eps)) == bits(
+                    slack_reference(p.probs, q.probs, eps)
+                )
 
 
 def test_slack_matches_reference_on_counts():

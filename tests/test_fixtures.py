@@ -23,6 +23,7 @@ from dpaudit import (
     distinguish,
     exact_pdp_epsilon,
     fi_pdp_fixture,
+    leaky_mechanism,
     make_distribution,
     mean_sideinfo_fixture,
     mechanism_from_config,
@@ -233,6 +234,14 @@ def test_tight_perturbation_grow_branch():
     assert info["achieved"] == pytest.approx(0.55, abs=1e-12)
     assert tv_distance(p0, q0) <= 0.15 + 1e-12
     assert tv_distance(p1, q1) <= 0.15 + 1e-12
+    # at large eps alpha e^-eps underflows to 0 and the low distribution
+    # has no mass in the witness event {1}, so there is nothing to drain;
+    # alpha is below the slack's float resolution, so the slack stays put
+    p0, p1 = leaky_mechanism(0.3).truth
+    for eps in (400.0, 700.0):
+        q0, q1, info = tight_perturbation(p0, p1, eps, 0.35 / (1 + math.exp(eps)))
+        assert info["branch"] == "grow_high"
+        assert info["achieved"] == info["base_slack"] == 0.3
 
 
 def test_tight_perturbation_handles_swapped_direction():
