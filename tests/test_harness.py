@@ -564,6 +564,14 @@ CSV_PINS = [
     ({"kind": "adp-fi", "eps": math.log(3.0), "delta": 0.0, "alpha": 0.3,
       "calibration_trials": 300}, dict(RR_TARGET, side="truth"), 2**64 + 1,
      "d888098b272cb30d33dfb0db60b7b0727ddd54212afe1a1f4a85b6e83ca8b5f5"),
+    # pdp-fi: the fi-pdp far instance against its claimed side, and
+    # randomized response against its truth
+    ({"kind": "pdp-fi", "eps": 0.3, "alpha": 0.1},
+     {"fixture": {"name": "fi-pdp", "params": {"eps": 0.3, "alpha": 0.1, "beta": 0.05},
+                  "instance": "far"}, "side": "claim"}, 2**64 + 7,
+     "75112e9ee2f2109b318cf2384102689aa2eec47d03e357f29a5d481f3af8561a"),
+    ({"kind": "pdp-fi", "eps": math.log(3.0), "alpha": 0.3}, dict(RR_TARGET, side="truth"),
+     2**66 + 2, "40c04d3298d5aefbc68977ee6c5b4bd096ad01111d3569c3e3f15889562f37be"),
 ]
 
 
