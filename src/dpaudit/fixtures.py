@@ -440,7 +440,10 @@ def tight_perturbation(
         # order of magnitude under CERT_TOL for rounding in the sums
         if max(_slack(at(1.0), lo_row, eps)) < target - 1e-13:
             raise ValueError("perturbation cannot reach the target slack")
-        # halve until the midpoint rounds onto an endpoint
+        # halve until the midpoint rounds onto an endpoint; an alpha below
+        # the slack's float resolution (target == base) moves nothing
+        if target == base:
+            high_theta = 0.0
         while low_theta < mid < high_theta:
             if max(_slack(at(mid), lo_row, eps)) < target:
                 low_theta = mid

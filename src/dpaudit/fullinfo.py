@@ -18,19 +18,22 @@ from that key. A threshold is thus a pure function of its key; it is
 answered from one process-wide table of the thresholds calibrated in
 the process, and experiments that repeat a claim (a sweep over seeds,
 trials or the claimed eps and delta; a truthful and a lying box against
-one claimed side) simulate it once. The statistic is a sum of independent per-bin
-terms, so its null law depends only on the multiset of claimed masses:
-each threshold is keyed and simulated on the ascending-sorted mass
-vector, and a claim and any permutation of it (the two databases of a
-mirror-image mechanism) share one Monte-Carlo run.
-The aDP tester draws and scores each database's majority reps as one
-block, through the same row-vectorised statistic. Its block runner,
-``_runner``, checks the claim and derives the budget, both thresholds and
-each side's null means once per experiment; ``adp_test_fi`` is a block of
-one trial and the harness runs its seed blocks through it. On at least
-``_OVERLAP_BINS`` = 128 outcomes a block draws and scores database 0 on
-one helper thread while the caller does database 1: two threads, from
-disjoint streams, with the bits of one.
+one claimed side) simulate it once. The statistic is a sum of
+independent per-bin terms, so its null law depends only on the multiset
+of claimed masses: each threshold is keyed and simulated on the
+ascending-sorted mass vector, and a claim and any permutation of it (the
+two databases of a mirror-image mechanism) share one Monte-Carlo run.
+
+Each tester is a block runner, ``runner(n, side, **claim)``: ``_runner``
+(aDP) and ``_pdp_runner`` (pDP) check the side with ``_side`` (a
+``SideInfo`` on n outcomes, nothing else) and the claim, and derive
+their rates, thresholds and null means, once per experiment.
+``adp_test_fi`` and ``pdp_test_fi`` are blocks of one trial, and the
+harness runs its seed blocks through them. The aDP runner draws and
+scores each database's majority reps as one block, through the same
+row-vectorised statistic; on at least ``_OVERLAP_BINS`` = 128 outcomes it
+draws and scores database 0 on one helper thread while the caller does
+database 1: two threads, from disjoint streams, with the bits of one.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .distributions import (
     min_mass,
 )
 from .mechanisms import MechanismPair, SideInfo
-from .noinfo import _MAX_RATE, poisson_nonzero
+from .noinfo import _MAX_RATE, _poisson_nonzero
 from .outcomes import TestOutcome, Verdict
 
 #: Bump when the identity statistic changes; it is packed into every
@@ -269,6 +272,16 @@ def _overlap(first, second):
     return first_result, second_result
 
 
+def _side(kind: str, n: int, side) -> SideInfo:
+    """``side``, once it is a ``SideInfo`` on the n outcomes that the
+    full-information ``kind`` tests."""
+    if not isinstance(side, SideInfo):
+        raise ValueError(f"{kind} needs side information")
+    if n != side.n:
+        raise ValueError("mechanism universe does not match the side information")
+    return side
+
+
 def _runner(
     n: int,
     side: SideInfo,
@@ -279,22 +292,22 @@ def _runner(
 ):
     """The full-information aDP tester over blocks of trials on n outcomes.
 
-    Once, before any trial: the claim is checked, its exact slack taken,
-    and the budget, both identity thresholds and each side's support and
-    null means derived. A claim whose slack already exceeds delta gets a
-    runner that draws nothing and rejects every trial. Otherwise the
-    callable returned takes a block of ``(pair, rng)`` streams, draws each
-    trial's two ``SUBTEST_REPS`` Poisson size vectors from its rng (database
-    0's, then database 1's), and then draws and scores database 0 of every
-    trial and database 1 of every trial, on a helper thread and on the
-    caller at once when trials have at least ``_OVERLAP_BINS`` bins. The
-    two touch disjoint streams and counters and call no public function.
-    Outcomes and query counts are bit for bit those of each trial alone.
+    Once, before any trial: the side and claim are checked (``_side``),
+    the claim's exact slack taken, and the budget, both identity
+    thresholds and each side's support and null means derived. A claim
+    whose slack already exceeds delta gets a runner that draws nothing and
+    rejects every trial. Otherwise the callable returned takes a block of
+    ``(pair, rng)`` streams, draws each trial's two ``SUBTEST_REPS``
+    Poisson size vectors from its rng (database 0's, then database 1's),
+    and then draws and scores database 0 of every trial and database 1 of
+    every trial, on a helper thread and on the caller at once when trials
+    have at least ``_OVERLAP_BINS`` bins. The two touch disjoint streams
+    and counters and call no public function. Outcomes and query counts
+    are bit for bit those of each trial alone.
     """
+    side = _side("adp-fi", n, side)
     delta = _check("delta", delta, 0.0, 1.0)
     _check("alpha", alpha, 0.0, open_low=True)
-    if n != side.n:
-        raise ValueError("mechanism universe does not match the side information")
 
     claimed_slack = delta_at_epsilon(side.q0, side.q1, eps)  # checks eps
     if claimed_slack > delta + EXACT_CHECK_TOL:
@@ -383,12 +396,54 @@ def adp_test_fi(
     return _runner(mech.n, side, eps, delta, alpha, calibration_trials)([(mech, rng)])[0]
 
 
+def _pdp_runner(n: int, side: SideInfo, eps: float, alpha: float):
+    """The full-information pDP tester over blocks of trials on n outcomes.
+
+    The side, eps and alpha are checked and the rate derived, and checked
+    against ``_MAX_RATE``, once. The callable returned tests each ``(pair,
+    rng)`` stream of a block in turn: the rng draws database 0's sample
+    count, then database 1's, and the pair draws database 0, then 1.
+    """
+    side = _side("pdp-fi", n, side)
+    eps = _check("eps", eps, 0.0, _EPS_MAX)
+    alpha = _check("alpha", alpha, 0.0, _EPS_MAX, open_low=True)
+    beta = min_mass([side.q0, side.q1])
+    if beta <= 0.0:
+        raise ValueError("claimed distributions must give every outcome positive mass")
+    rate = _check("rate", _rate(n, alpha, beta), 0.0, _MAX_RATE, open_low=True)
+    band_lo, band_hi = math.exp(-alpha), math.exp(alpha)
+    threshold = eps + 2.0 * alpha
+
+    def trial(pair, rng):
+        (r0, retries0), (r1, retries1) = _poisson_nonzero(rate, rng), _poisson_nonzero(rate, rng)
+        x, y = pair.draw(0, r0), pair.draw(1, r1)
+        xf, yf = x / r0, y / r1
+        if np.any(x == 0) or np.any(y == 0):
+            eps_hat = math.inf
+        else:
+            eps_hat = float(np.abs(np.log(xf) - np.log(yf)).max())
+        # every claimed mass is > 0 (beta above), so these divide by no zero
+        bands_ok = all(
+            bool(np.all((ratios >= band_lo) & (ratios <= band_hi)))
+            for ratios in (xf / side.q0.probs, yf / side.q1.probs)
+        )
+        verdict = Verdict.ACCEPT if eps_hat <= threshold and bands_ok else Verdict.REJECT
+        return TestOutcome(verdict, eps_hat, threshold, (r0, r1), {
+            "rule": (
+                "accept iff max |log frequency ratio| <= eps + 2 alpha and all "
+                "frequencies sit within e^{+-alpha} of their claimed values"
+            ),
+            "r": (r0, r1),
+            "retries": retries0 + retries1,
+            "bands_ok": bands_ok,
+            "rate": rate,
+        })
+
+    return lambda streams: [trial(*stream) for stream in streams]
+
+
 def pdp_test_fi(
-    mech: MechanismPair,
-    side: SideInfo,
-    eps: float,
-    alpha: float,
-    rng: np.random.Generator,
+    mech: MechanismPair, side: SideInfo, eps: float, alpha: float, rng: np.random.Generator
 ) -> TestOutcome:
     """Full-information pDP test at claim eps.
 
@@ -399,52 +454,7 @@ def pdp_test_fi(
     Acceptance certifies, with probability >= 2/3, that the box satisfies
     (eps + 10 alpha)-pDP; a box whose databases match the claims exactly
     and satisfy eps-pDP is accepted with probability >= 2/3. ``alpha`` is
-    at most ln(max float), so that e^alpha is finite.
+    at most ln(max float), so that e^alpha is finite. The call is
+    :func:`_pdp_runner` on a block of one trial.
     """
-    eps = _check("eps", eps, 0.0, _EPS_MAX)
-    alpha = _check("alpha", alpha, 0.0, _EPS_MAX, open_low=True)
-    if mech.n != side.n:
-        raise ValueError("mechanism universe does not match the side information")
-    beta = min_mass([side.q0, side.q1])
-    if beta <= 0.0:
-        raise ValueError("claimed distributions must give every outcome positive mass")
-
-    rate = _rate(mech.n, alpha, beta)
-    r0, retries0 = poisson_nonzero(rate, rng)
-    r1, retries1 = poisson_nonzero(rate, rng)
-    x = mech.draw(0, r0)
-    y = mech.draw(1, r1)
-    xf = x / r0
-    yf = y / r1
-
-    if np.any(x == 0) or np.any(y == 0):
-        eps_hat = math.inf
-    else:
-        eps_hat = float(np.abs(np.log(xf) - np.log(yf)).max())
-    band_lo, band_hi = math.exp(-alpha), math.exp(alpha)
-    # every claimed mass is > 0 (beta above), so these divide by no zero
-    ratios0 = xf / side.q0.probs
-    ratios1 = yf / side.q1.probs
-    bands_ok = bool(
-        np.all((ratios0 >= band_lo) & (ratios0 <= band_hi))
-        and np.all((ratios1 >= band_lo) & (ratios1 <= band_hi))
-    )
-
-    threshold = eps + 2.0 * alpha
-    verdict = Verdict.ACCEPT if eps_hat <= threshold and bands_ok else Verdict.REJECT
-    return TestOutcome(
-        verdict,
-        statistic=eps_hat,
-        threshold=threshold,
-        queries_used=(r0, r1),
-        diagnostics={
-            "rule": (
-                "accept iff max |log frequency ratio| <= eps + 2 alpha and all "
-                "frequencies sit within e^{+-alpha} of their claimed values"
-            ),
-            "r": (r0, r1),
-            "retries": retries0 + retries1,
-            "bands_ok": bands_ok,
-            "rate": rate,
-        },
-    )
+    return _pdp_runner(mech.n, side, eps, alpha)([(mech, rng)])[0]

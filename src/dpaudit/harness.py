@@ -14,29 +14,29 @@ written to CSV; the aggregate is an OperatingCharacteristic row holding
 the accept rate with a Wilson interval and the mean query count at the
 target's distance from the claimed parameters.
 
-Tester kinds live in one registry, ``_TESTERS``: kind -> (runner
-factory, fields, notion). Once per experiment the package's document
-reader reads the fields (the claim and, for ``adp-budgeted``, ``r``; for
-``adp-fi``, ``calibration_trials``) and the factory turns ``(mech, side,
-**fields)`` into a runner that takes a seed block's ``(pair, rng)``
-streams and returns their outcomes. The registry holds no tester logic:
-``adp-ni`` and ``adp-budgeted`` run ``noinfo._runner``, which checks the
-claim and derives the rate once and decides a block's count rows at
-once; ``adp-fi`` runs ``fullinfo._runner``, which checks the claim and
-takes its thresholds from ``fullinfo.identity_threshold`` once per
-experiment (a claim is calibrated once per process) and, on at least
-``fullinfo._OVERLAP_BINS`` = 128 outcomes, draws and scores each block's
-database 0 on one helper thread while the caller does database 1, so an
-experiment runs on the caller plus at most one helper, started and
-joined per seed block; ``pdp-fi`` calls its tester on each trial. Either
-way a trial's outcome is bit for bit that of its tester called on the
-trial alone. A seed block holds at most 2^16 counts per database. Any
-other key is ignored: the sample rates of ``adp-ni`` and ``pdp-fi`` are
-always their formulas, and
-``adp-fi`` always runs ``SUBTEST_REPS`` identity reps. The notion ("aDP"
-or "pDP") selects how the target's distance from the claim is measured.
-To add a tester, add its factory and entry there; ``TESTER_KINDS`` and
-the CLI's choices follow.
+Tester kinds live in one registry, ``_TESTERS``: kind -> (runner,
+fields). Once per experiment the package's document reader reads the
+fields (the claim and, for ``adp-budgeted``, ``r``; for ``adp-fi``,
+``calibration_trials``), and ``runner(n, side, **fields)`` checks the
+side and claim and returns the callable that takes a seed block's
+``(pair, rng)`` streams and returns their outcomes. The registry holds no
+tester logic: ``adp-ni`` and ``adp-budgeted`` run ``noinfo._runner``,
+which ignores the side; ``adp-fi`` runs ``fullinfo._runner``, which takes
+its thresholds from ``fullinfo.identity_threshold`` once per experiment
+and, on at least ``fullinfo._OVERLAP_BINS`` = 128 outcomes, draws and
+scores each block's database 0 on one helper thread, started and joined
+per seed block, while the caller does database 1; ``pdp-fi`` runs
+``fullinfo._pdp_runner``, which derives its rate once and tests a
+block's trials in turn. ``adp_test_ni``, ``adp_test_fi`` and
+``pdp_test_fi`` are their runners on a block of one, so a trial's
+outcome is bit for bit that of its tester on the trial alone. A seed
+block holds at most 2^16 counts per database. Any other key is ignored:
+the sample rates of ``adp-ni`` and ``pdp-fi`` are always their formulas,
+and ``adp-fi`` always runs ``SUBTEST_REPS`` identity reps. The target's
+distance from the claim is read from the claim's fields: slack past
+delta for a claim with a ``delta`` (the ``adp-*`` kinds), eps past the
+claimed eps otherwise. To add a tester, add its runner and entry there;
+``TESTER_KINDS`` and the CLI's choices follow.
 
 ``distinguish`` runs one trial of the same loop on the box (database 0,
 unknown database) of an instance: every tester kind is a distinguisher.
@@ -57,7 +57,7 @@ from .distributions import (
     _check, _entry, _fields, _integer, _object, delta_at_epsilon, exact_pdp_epsilon
 )
 from .fixtures import _FIXTURES, build_fixture
-from .fullinfo import CALIBRATION_TRIALS, pdp_test_fi
+from .fullinfo import CALIBRATION_TRIALS
 from .mechanisms import (
     _MECHANISMS, MechanismPair, SideInfo, _database, _seed_rows, _seed_states, mechanism_from_config
 )
@@ -73,6 +73,10 @@ _SEED_BLOCK = 1024
 
 #: Counts per database a seed block holds at most: 512 KiB of int64 rows.
 _BLOCK_COUNTS = 2**16
+
+#: Most trials of one experiment: every trial's record is kept in memory,
+#: at ~0.7 KB each (``tracemalloc``), so this bounds them to ~0.7 GB.
+_MAX_TRIALS = 2**20
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -115,7 +119,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        self.trials = _integer("trials", self.trials, 1)
+        self.trials = _integer("trials", self.trials, 1, _MAX_TRIALS)
         self.seed = _seed(self.seed)
         _entry(_TESTERS, "tester kind", _fields("tester", self.tester, {"kind": str})["kind"])
         _fields("target", self.target, {})  # refuses a non-object
@@ -168,46 +172,27 @@ def _resolve_target(target: dict):
     return mech, side
 
 
-def _no_info(mech, side, **fields):
-    """The factory of both no-information kinds; an ``r`` field makes it ``adp-budgeted``."""
-    return noinfo._runner(mech.n, **fields)
-
-
-def _full_info(kind, runner):
-    """The factory of a full-information kind: ``runner(n, side, **fields)``,
-    once the target carries side information."""
-
-    def factory(mech, side, **fields):
-        if side is None:
-            raise ValueError(f"{kind} needs side information")
-        return runner(mech.n, side, **fields)
-
-    return factory
-
-
-def _pdp_fi(n, side, **fields):
-    """``pdp_test_fi`` on each trial of a block."""
-    return lambda streams: [pdp_test_fi(pair, side, rng=rng, **fields) for pair, rng in streams]
-
-
 _ADP_CLAIM = {"eps": float, "delta": (float, 0.0), "alpha": float}
 
-#: kind -> (runner factory, fields, notion of the claim)
+#: kind -> (runner, fields): ``runner(n, side, **fields)`` checks the side
+#: and claim once and returns the callable that tests a seed block's
+#: ``(pair, rng)`` streams. Only the aDP kinds read a ``delta``.
 _TESTERS = {
-    "adp-ni": (_no_info, _ADP_CLAIM, "aDP"),
-    "adp-budgeted": (_no_info, dict(_ADP_CLAIM, r=int), "aDP"),
-    "adp-fi": (_full_info("adp-fi", fullinfo._runner),
-               dict(_ADP_CLAIM, calibration_trials=(int, CALIBRATION_TRIALS)), "aDP"),
-    "pdp-fi": (_full_info("pdp-fi", _pdp_fi), {"eps": float, "alpha": float}, "pDP"),
+    "adp-ni": (noinfo._runner, _ADP_CLAIM),
+    "adp-budgeted": (noinfo._runner, dict(_ADP_CLAIM, r=int)),
+    "adp-fi": (fullinfo._runner, dict(_ADP_CLAIM, calibration_trials=(int, CALIBRATION_TRIALS))),
+    "pdp-fi": (fullinfo._pdp_runner, {"eps": float, "alpha": float}),
 }
 
 TESTER_KINDS = tuple(_TESTERS)
 
 
-def _distance_from_claim(notion: str, claim: dict, mech: MechanismPair) -> float:
-    """How far the target truth sits from the tester's claimed parameters."""
+def _distance_from_claim(claim: dict, mech: MechanismPair) -> float:
+    """How far the target truth sits from the tester's claimed parameters:
+    in slack past delta for an aDP claim (one with a ``delta``), in eps
+    past the claimed eps for a pDP one."""
     p0, p1 = mech.truth
-    if notion == "aDP":
+    if "delta" in claim:
         return max(0.0, delta_at_epsilon(p0, p1, claim["eps"]) - claim["delta"])
     return max(0.0, exact_pdp_epsilon(p0, p1) - claim["eps"])
 
@@ -247,12 +232,12 @@ def _pair_seeds(seed: int, start: int, stop: int) -> range:
 
 
 def _trials(tester: dict, mech: MechanismPair, side, trials: int, seed: int):
-    """The notion and claim of the ``tester`` document, read, and the
-    ``(t, outcome)`` records of trials t = 0..trials-1 on ``mech``'s truth."""
+    """The claim of the ``tester`` document, read, and the ``(t, outcome)``
+    records of trials t = 0..trials-1 on ``mech``'s truth."""
     kind = _fields("tester", tester, {"kind": str})["kind"]
-    factory, spec, notion = _entry(_TESTERS, "tester kind", kind)
+    make_runner, spec = _entry(_TESTERS, "tester kind", kind)
     claim = _fields(f"{kind} tester", tester, spec)
-    runner = factory(mech, side, **claim)
+    runner = make_runner(mech.n, side, **claim)
 
     records = []
     size = min(_SEED_BLOCK, max(1, _BLOCK_COUNTS // mech.n))
@@ -260,13 +245,13 @@ def _trials(tester: dict, mech: MechanismPair, side, trials: int, seed: int):
         stop = min(start + size, trials)
         streams = mech._spawn_many(_pair_seeds(seed, start, stop), _block_states(seed, start, stop))
         records += zip(range(start, stop), runner(streams), strict=True)
-    return notion, claim, records
+    return claim, records
 
 
 def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
     """Run all trials, optionally write the per-trial CSV, aggregate."""
     base_mech, side = _resolve_target(cfg.target)
-    notion, claim, records = _trials(cfg.tester, base_mech, side, cfg.trials, cfg.seed)
+    claim, records = _trials(cfg.tester, base_mech, side, cfg.trials, cfg.seed)
 
     if cfg.out is not None:
         Path(cfg.out).write_text(_csv_text(records))
@@ -277,7 +262,7 @@ def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
         np.mean([sum(outcome.queries_used) for _, outcome in records])
     )
     row = OCRow(
-        distance=_distance_from_claim(notion, claim, base_mech),
+        distance=_distance_from_claim(claim, base_mech),
         accept_rate=accepts / cfg.trials,
         wilson_low=low,
         wilson_high=high,
@@ -300,7 +285,7 @@ def distinguish(tester: dict, instance, db: int, seed: int) -> tuple[int, tuple[
     _database(db)
     p0 = instance[0]
     box = MechanismPair(p0, instance[db])
-    *_, [(_t, outcome)] = _trials(tester, box, SideInfo(p0, p0), 1, _seed(seed))
+    _claim, [(_t, outcome)] = _trials(tester, box, SideInfo(p0, p0), 1, _seed(seed))
     return int(not outcome.accepted), outcome.queries_used
 
 

@@ -17,9 +17,10 @@ the true slack and at most the true slack plus sqrt(n / r) *
 
 The testers ``adp_test_ni`` and ``adp_test_budgeted`` take the claim
 (eps, delta) and alpha as plain arguments and check them; the sample
-size is never an argument of ``adp_test_ni``. ``_runner`` tests a block
-of trials at once: the harness's seed blocks, and ``adp_test_ni`` as a
-block of one. All functions are pure up to the supplied RNG and
+size is never an argument of ``adp_test_ni``. ``_runner(n, side,
+**claim)``, the harness's runner of both kinds, tests a block of trials
+at once: the harness's seed blocks, and ``adp_test_ni`` as a block of
+one. All functions are pure up to the supplied RNG and
 mechanism streams.
 """
 
@@ -57,14 +58,9 @@ def noinfo_rate(n: int, eps: float, alpha: float) -> float:
     return max(4.0 * n * b * b, 12.0 * b) / (alpha * alpha)
 
 
-def poisson_nonzero(rate: float, rng: np.random.Generator) -> tuple[int, int]:
-    """Poisson draw conditioned on being positive; returns (value, retries)."""
-    _check("rate", rate, 0.0, _MAX_RATE, open_low=True)
-    return _poisson_nonzero(rate, rng)
-
-
 def _poisson_nonzero(rate: float, rng: np.random.Generator) -> tuple[int, int]:
-    """:func:`poisson_nonzero` at a rate the caller has checked."""
+    """Poisson draw conditioned on being positive; returns (value, retries).
+    The caller checks the rate against ``_MAX_RATE`` once per experiment."""
     retries = 0
     while True:
         r = int(rng.poisson(rate))
@@ -117,13 +113,15 @@ def _decide(x, y, r, eps, delta, alpha, retries=None) -> list[TestOutcome]:
     return outcomes
 
 
-def _runner(n: int, eps: float, delta: float, alpha: float, r: int | None = None):
+def _runner(n: int, side, eps: float, delta: float, alpha: float, r: int | None = None):
     """The no-information tester over blocks of trials on n outcomes:
     ``adp_test_ni`` with ``r`` None (delta checked, then the rate derived
-    once), ``adp_test_budgeted`` with an integer ``r`` (the claim, then r,
-    checked). The callable returned draws each ``(pair, rng)`` stream of a
-    block through ``pair.draw`` and decides the count rows with one
-    ``_decide`` call, with the bits of the tester on each trial alone."""
+    and checked against ``_MAX_RATE`` once), ``adp_test_budgeted`` with an
+    integer ``r`` (the claim, then r, checked). ``side``, which every
+    registry runner takes, is ignored. The callable returned draws each
+    ``(pair, rng)`` stream of a block through ``pair.draw`` and decides the
+    count rows with one ``_decide`` call, with the bits of the tester on
+    each trial alone."""
     if r is None:
         delta = _check("delta", delta, 0.0, 1.0)
         rate = _check("rate", noinfo_rate(n, eps, alpha), 0.0, _MAX_RATE, open_low=True)
@@ -156,7 +154,7 @@ def adp_test_ni(
     stays below delta + alpha. A claim whose rate is not finite is
     rejected with ValueError.
     """
-    return _runner(mech.n, eps, delta, alpha)([(mech, rng)])[0]
+    return _runner(mech.n, None, eps, delta, alpha)([(mech, rng)])[0]
 
 
 def adp_test_budgeted(

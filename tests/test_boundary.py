@@ -51,7 +51,7 @@ from dpaudit import (
 )
 from dpaudit.cli import main
 from dpaudit.harness import TESTER_KINDS
-from dpaudit.noinfo import _MAX_RATE, poisson_nonzero
+from dpaudit.noinfo import _MAX_RATE, _poisson_nonzero
 
 NAN = math.nan
 RR = randomized_response(0.25)
@@ -364,10 +364,42 @@ def test_cli_poisson_rate_above_the_cap_is_named(capsys, tmp_path, rr_mech, test
     assert err.startswith("error: rate must lie in (0, 4.61169e+18]"), err
 
 
+@pytest.mark.parametrize(
+    "kind, test", [("adp-fi", adp_test_fi), ("pdp-fi", pdp_test_fi)], ids=["adp-fi", "pdp-fi"]
+)
+@pytest.mark.parametrize("side", [None, "truth", "three"])
+def test_full_info_testers_refuse_what_is_not_their_side_information(kind, test, side):
+    message = f"{kind} needs side information"
+    if side == "three":
+        uniform = make_distribution([1, 1, 1])
+        side = SideInfo(uniform, uniform)
+        message = "mechanism universe does not match the side information"
+    claim = (0.5, 0.0, 0.3) if kind == "adp-fi" else (0.5, 0.3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        test(RR, side, *claim, rng())
+    assert RR.query_counter == [0, 0]
+
+
+def test_cli_refuses_more_trials_than_an_experiment_keeps(capsys, monkeypatch, tmp_path, rr_mech):
+    # every trial's record is kept, at ~0.7 KB each: an experiment runs at most 2^20 trials
+    assert ExperimentConfig(NI_TESTER, RR_TARGET, 2**20).trials == 2**20
+    monkeypatch.setattr(dpaudit.harness, "_block_states", lambda *args: pytest.fail("derived"))
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"tester": NI_TESTER, "target": RR_TARGET, "trials": 1}))
+    for argv in (
+        ["test", "adp-ni", "--mech", rr_mech, "--eps", "0", "--alpha", "0.3",
+         "--trials", "1048577"],
+        ["sweep", "--config", str(config), "--parameter", "trials", "--values", "1048577"],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: trials must be an integer <= 1048576; got 1048577\n", argv
+
+
 def test_poisson_cap_is_a_rate_numpy_draws():
-    assert poisson_nonzero(_MAX_RATE, rng())[0] > 0
-    with pytest.raises(ValueError, match="^rate must lie in"):
-        poisson_nonzero(2.0 * _MAX_RATE, rng())
+    # a rate above the cap is refused once per experiment, before any
+    # draw (test_cli_poisson_rate_above_the_cap_is_named)
+    assert _poisson_nonzero(_MAX_RATE, rng())[0] > 0
 
 
 def test_cli_rejects_a_reduction_above_the_size_cap(capsys, tmp_path):

@@ -23,6 +23,7 @@ from dpaudit import (
     distinguish,
     exact_pdp_epsilon,
     fi_pdp_fixture,
+    fixtures,
     leaky_mechanism,
     make_distribution,
     mean_sideinfo_fixture,
@@ -221,7 +222,7 @@ def test_tight_perturbation_drain_branch_without_low_mass_outside_the_event():
         tight_perturbation(p0, p1, 0.0, 0.1)
 
 
-def test_tight_perturbation_grow_branch():
+def test_tight_perturbation_grow_branch(monkeypatch):
     # witness event {0} holds only 0.05 of the low distribution, below
     # alpha e^{-eps} = 0.075, so draining cannot reach the target
     eps = math.log(2.0)
@@ -237,11 +238,18 @@ def test_tight_perturbation_grow_branch():
     # at large eps alpha e^-eps underflows to 0 and the low distribution
     # has no mass in the witness event {1}, so there is nothing to drain;
     # alpha is below the slack's float resolution, so the slack stays put
+    # and no bisection runs: the base slack and the full move's check
     p0, p1 = leaky_mechanism(0.3).truth
+    slack, calls = fixtures._slack, []
+    monkeypatch.setattr(fixtures, "_slack", lambda *args: calls.append(1) or slack(*args))
     for eps in (400.0, 700.0):
+        calls.clear()
         q0, q1, info = tight_perturbation(p0, p1, eps, 0.35 / (1 + math.exp(eps)))
         assert info["branch"] == "grow_high"
         assert info["achieved"] == info["base_slack"] == 0.3
+        assert info["theta"] == 0.0 and len(calls) <= 2
+        assert q0.probs.tobytes() == p0.probs.tobytes()
+        assert q1.probs.tobytes() == p1.probs.tobytes()
 
 
 def test_tight_perturbation_handles_swapped_direction():

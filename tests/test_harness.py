@@ -26,15 +26,15 @@ from dpaudit import (
     identity_budget,
     identity_statistic,
     identity_threshold,
+    min_mass,
     noinfo_rate,
-    pdp_test_fi,
     run_experiment,
     sweep,
     wilson_interval,
 )
 from dpaudit.fullinfo import SUBTEST_REPS
 from dpaudit.mechanisms import _seed_rows, _seed_states
-from dpaudit.noinfo import _decide, poisson_nonzero
+from dpaudit.noinfo import _decide, _poisson_nonzero
 
 RR_TARGET = {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}}
 NI_TESTER = {"kind": "adp-ni", "eps": math.log(3.0), "delta": 0.0, "alpha": 0.3}
@@ -318,7 +318,7 @@ TWOPOINT_FAR = {
 
 def adp_ni_alone(mech, eps, delta, alpha, rng):
     """``adp_test_ni`` on one trial, drawn and decided as 1-D rows."""
-    r, retries = poisson_nonzero(noinfo_rate(mech.n, eps, alpha), rng)
+    r, retries = _poisson_nonzero(noinfo_rate(mech.n, eps, alpha), rng)
     return _decide(mech.draw(0, r), mech.draw(1, r), r, eps, delta, alpha, retries=[retries])[0]
 
 
@@ -349,6 +349,48 @@ def adp_fi_alone(mech, eps, delta, alpha, rng, trials):
             "identity_thresholds": tuple(thresholds),
             "sample_budget": budget,
             "reps": SUBTEST_REPS,
+        },
+    )
+
+
+def pdp_fi_alone(mech, eps, alpha, rng):
+    """``pdp_test_fi`` on one trial whose side is the pair's truth, from
+    public calls in the tester's order: database 0's sample count, database
+    1's, then database 0's draw and database 1's."""
+    side = SideInfo(*mech.truth)
+    beta = min_mass([side.q0, side.q1])
+    rate = math.log(mech.n) / (alpha * alpha * beta * beta)
+
+    def count():
+        retries = 0
+        while (r := int(rng.poisson(rate))) == 0:
+            retries += 1
+        return r, retries
+
+    (r0, retries0), (r1, retries1) = count(), count()
+    x, y = mech.draw(0, r0), mech.draw(1, r1)
+    xf, yf = x / r0, y / r1
+    eps_hat = (math.inf if np.any(x == 0) or np.any(y == 0)
+               else float(np.abs(np.log(xf) - np.log(yf)).max()))
+    bands_ok = all(
+        bool(np.all((ratios >= math.exp(-alpha)) & (ratios <= math.exp(alpha))))
+        for ratios in (xf / side.q0.probs, yf / side.q1.probs)
+    )
+    threshold = eps + 2.0 * alpha
+    return TestOutcome(
+        Verdict.ACCEPT if eps_hat <= threshold and bands_ok else Verdict.REJECT,
+        eps_hat,
+        threshold,
+        (r0, r1),
+        {
+            "rule": (
+                "accept iff max |log frequency ratio| <= eps + 2 alpha and all "
+                "frequencies sit within e^{+-alpha} of their claimed values"
+            ),
+            "r": (r0, r1),
+            "retries": retries0 + retries1,
+            "bands_ok": bands_ok,
+            "rate": rate,
         },
     )
 
@@ -395,7 +437,7 @@ def check_block_runner(monkeypatch, tmp_path, tester, target, single):
         ({"kind": "adp-fi", "eps": 0.0, "delta": 0.4, "alpha": 0.3, "calibration_trials": 300},
          lambda mech, rng: adp_fi_alone(mech, 0.0, 0.4, 0.3, rng, 300)),
         ({"kind": "pdp-fi", "eps": 1.0, "alpha": 0.3},
-         lambda mech, rng: pdp_test_fi(mech, SideInfo(*mech.truth), 1.0, 0.3, rng)),
+         lambda mech, rng: pdp_fi_alone(mech, 1.0, 0.3, rng)),
     ],
 )
 def test_block_runner_equals_per_trial_testers(monkeypatch, tmp_path, tester, single):

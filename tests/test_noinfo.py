@@ -15,7 +15,7 @@ from dpaudit import (
     randomized_response,
     truncated_geometric,
 )
-from dpaudit.noinfo import _decide, _runner, poisson_nonzero
+from dpaudit.noinfo import _decide, _poisson_nonzero, _runner
 
 
 def test_rate_formula_frozen():
@@ -53,7 +53,7 @@ def test_config_defaults_and_validation():
     # the tester samples at the formula rate: the same stream, the same r
     mech = randomized_response(0.25)
     out = adp_test_ni(mech, 0.1, 0.0, 0.1, np.random.default_rng(0))
-    r, _retries = poisson_nonzero(noinfo_rate(2, 0.1, 0.1), np.random.default_rng(0))
+    r, _retries = _poisson_nonzero(noinfo_rate(2, 0.1, 0.1), np.random.default_rng(0))
     assert out.diagnostics["r"] == (r, r)
     # delta is checked first, so a claim with several bad values names it
     with pytest.raises(ValueError, match="^delta"):
@@ -66,11 +66,11 @@ def test_config_defaults_and_validation():
 def test_poisson_nonzero_never_returns_zero():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        value, retries = poisson_nonzero(0.5, rng)
+        value, retries = _poisson_nonzero(0.5, rng)
         assert value > 0
         assert retries >= 0
-    with pytest.raises(ValueError):
-        poisson_nonzero(0.0, rng)
+    with pytest.raises(ValueError, match="the Poisson draw stays zero"):
+        _poisson_nonzero(0.0, rng)
 
 
 def test_rate_above_the_cap_is_refused_before_any_draw():
@@ -178,7 +178,7 @@ def test_single_row_callers_equal_the_block_on_both_slack_branches(n):
     for pair in ((p0, p0), (p0, p1), (p1, p0)):
         single = [adp_test_budgeted(MechanismPair(*pair, seed=s), *claim, r) for s in seeds]
         twins = [(MechanismPair(*pair, seed=s), np.random.default_rng(s)) for s in seeds]
-        run = _runner(n, *claim, r)(twins)
+        run = _runner(n, None, *claim, r)(twins)
         assert all(twin.query_counter == [r, r] for twin, _rng in twins)
         drawn = [MechanismPair(*pair, seed=s) for s in seeds]
         x = np.array([twin.draw(0, r) for twin in drawn])
