@@ -415,7 +415,8 @@ def _pdp_runner(n: int, side: SideInfo, eps: float, alpha: float):
     threshold = eps + 2.0 * alpha
 
     def trial(pair, rng):
-        (r0, retries0), (r1, retries1) = _poisson_nonzero(rate, rng), _poisson_nonzero(rate, rng)
+        r0, retries0 = _poisson_nonzero(rate, rng)
+        r1, retries1 = _poisson_nonzero(rate, rng)
         x, y = pair.draw(0, r0), pair.draw(1, r1)
         xf, yf = x / r0, y / r1
         if np.any(x == 0) or np.any(y == 0):
