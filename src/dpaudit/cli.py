@@ -24,7 +24,7 @@ from .fixtures import CERT_TOL, FIXTURE_NAMES, CertificationError, build_fixture
 from .fullinfo import (
     CALIBRATION_TRIALS, IDENTITY_CONFIDENCE, identity_budget, identity_threshold
 )
-from .harness import TESTER_KINDS, ExperimentConfig, run_experiment, sweep
+from .harness import _TESTERS, ExperimentConfig, run_experiment, sweep
 from .noinfo import adp_test_budgeted
 from .randomprivacy import (
     amplification_reps,
@@ -102,8 +102,8 @@ def _target_from_args(args) -> dict:
 
 
 def _cmd_test(args) -> int:
-    tester = {"kind": args.tester, "eps": args.eps, "alpha": args.alpha}
-    tester.update((key, getattr(args, key)) for key in ("delta", "r") if key in args)
+    fields = _TESTERS[args.tester][1]
+    tester = {"kind": args.tester, **{key: getattr(args, key) for key in fields if key in args}}
     cfg = ExperimentConfig(
         tester=tester,
         target=_target_from_args(args),
@@ -314,12 +314,12 @@ def _build_parser() -> _Parser:
     common.add_argument("--trials", type=int, default=1)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", help="per-trial CSV path")
-    # a flag that only some kinds read is in the namespace only when given
-    for kind in TESTER_KINDS:
+    # a kind's claim flags follow its _TESTERS fields, in the namespace only when given
+    for kind, (_runner, fields) in _TESTERS.items():
         test = kinds.add_parser(kind, parents=[common], argument_default=argparse.SUPPRESS)
-        if kind.startswith("adp-"):
+        if "delta" in fields:
             test.add_argument("--delta", type=float, help="default: 0")
-        if kind == "adp-budgeted":
+        if "r" in fields:
             test.add_argument("--budget", dest="r", type=int, required=True,
                               help="r: samples per database")
         if kind.endswith("-fi"):

@@ -50,7 +50,7 @@ from .distributions import (
     min_mass,
     tv_distance,
 )
-from .mechanisms import SideInfo, mechanism_from_config
+from .mechanisms import _GEOMETRIC_EPS_MAX, SideInfo, mechanism_from_config
 
 Instance = tuple[DiscreteDistribution, DiscreteDistribution]
 
@@ -111,13 +111,14 @@ def pdp_unverifiable_fixture(eps: float, alpha: float, A: float) -> FixturePair:
     the other has privacy parameter A - eps. Separating them needs on
     the order of e^A / A samples.
 
-    Requires A > 2 eps + alpha (so the far instance really is far) and
+    Requires A > 2 eps + alpha (so the far instance really is far),
     A >= ln(1 + e^{-eps}) (so the private instance's outcome-1 ratio
-    stays within eps; very small A breaks that side).
+    stays within eps; very small A breaks that side) and A <= -ln(smallest
+    normal float) / 2 ~ 354.2 (so e^{-2A} is a normal float).
     """
     _check("eps", eps, 0.0, _EPS_MAX)
     _check("alpha", alpha, 0.0, open_low=True)
-    _check("A", A, 2.0 * eps + alpha, open_low=True)
+    _check("A", A, 2.0 * eps + alpha, _GEOMETRIC_EPS_MAX / 2.0, open_low=True)
     _check("A", A, math.log(1.0 + math.exp(-eps)))
 
     p0 = _dist([math.exp(-A - eps), 1.0 - math.exp(-A - eps)])
@@ -277,11 +278,13 @@ def fi_pdp_fixture(eps: float, alpha: float, beta: float) -> FixturePair:
     first outcome's database-0 mass by e^{-alpha}, moving the worst
     ratio to exactly eps + alpha while staying within KL beta * alpha^2
     of the claim, the gap that forces Omega(1/(beta alpha^2)) samples.
+    beta e^{-eps} and beta e^{-alpha} must be normal floats (to within an
+    ulp at the bounds), which bounds beta from below and alpha from above.
     """
     _check("eps", eps, 0.0, math.log(2.0), open_low=True, open_high=True)
     # beta <= 1 / (1 + e^eps) < 1/2, as eps > 0
-    _check("beta", beta, 0.0, 1.0 / (1.0 + math.exp(eps)), open_low=True)
-    _check("alpha", alpha, 0.0, open_low=True)
+    _check("beta", beta, math.exp(eps - _GEOMETRIC_EPS_MAX), 1.0 / (1.0 + math.exp(eps)))
+    _check("alpha", alpha, 0.0, _GEOMETRIC_EPS_MAX + math.log(beta), open_low=True)
 
     e_pos, e_neg, e_neg_a = math.exp(eps), math.exp(-eps), math.exp(-alpha)
     q0 = _dist([beta, beta, 1.0 - 2.0 * beta])
@@ -319,11 +322,12 @@ def mean_sideinfo_fixture(eps: float, alpha: float, A: float, base: Instance) ->
     outcome, which database 1 never emits, so its true privacy parameter
     is infinite while every sampled statistic (means included) matches
     the private instance to within e^{-A}. The base (p0, p1), the private
-    instance, must be eps-pDP and put zero mass on the last outcome.
+    instance, must be eps-pDP and put zero mass on the last outcome. A is
+    at most -ln(smallest normal float) ~ 708.4, so the leak is a normal float.
     """
     _check("eps", eps, 0.0, _EPS_MAX)
     _check("alpha", alpha, 0.0, open_low=True)
-    _check("A", A, 0.0, open_low=True)
+    _check("A", A, 0.0, _GEOMETRIC_EPS_MAX, open_low=True)
     p0, p1 = base
     if p0.probs[-1] != 0.0 or p1.probs[-1] != 0.0:
         raise ValueError("base must put zero mass on the last outcome")

@@ -282,14 +282,7 @@ def _side(kind: str, n: int, side) -> SideInfo:
     return side
 
 
-def _runner(
-    n: int,
-    side: SideInfo,
-    eps: float,
-    delta: float,
-    alpha: float,
-    calibration_trials: int = CALIBRATION_TRIALS,
-):
+def _runner(n: int, side: SideInfo, eps: float, delta: float, alpha: float):
     """The full-information aDP tester over blocks of trials on n outcomes.
 
     Once, before any trial: the side and claim are checked (``_side``),
@@ -322,7 +315,7 @@ def _runner(
 
     budget = identity_budget(n, alpha)
     claims = (side.q0, side.q1)
-    thresholds = tuple(identity_threshold(q, alpha, calibration_trials) for q in claims)
+    thresholds = tuple(identity_threshold(q, alpha) for q in claims)
     nulls = [_null_means(q, budget) for q in claims]
 
     def fractions(db, pairs, sizes):
@@ -367,13 +360,8 @@ def _runner(
 
 
 def adp_test_fi(
-    mech: MechanismPair,
-    side: SideInfo,
-    eps: float,
-    delta: float,
-    alpha: float,
+    mech: MechanismPair, side: SideInfo, eps: float, delta: float, alpha: float,
     rng: np.random.Generator,
-    calibration_trials: int = CALIBRATION_TRIALS,
 ) -> TestOutcome:
     """Full-information aDP test at claim (eps, delta).
 
@@ -384,7 +372,7 @@ def adp_test_fi(
     majority-amplified identity tests, so a box that accepts is, with
     probability >= 2/3, close enough to the claim that its true slack is
     at most delta + (1 + e^eps) * alpha. Each identity threshold is
-    :func:`identity_threshold` over ``calibration_trials`` null draws.
+    :func:`identity_threshold` over ``CALIBRATION_TRIALS`` null draws.
 
     The call is :func:`_runner` on a block of one trial. From
     ``_OVERLAP_BINS`` = 128 outcomes up, database 0 is drawn and scored on
@@ -393,7 +381,7 @@ def adp_test_fi(
     has ended when the call returns. Below that the call stays on the
     caller's thread.
     """
-    return _runner(mech.n, side, eps, delta, alpha, calibration_trials)([(mech, rng)])[0]
+    return _runner(mech.n, side, eps, delta, alpha)([(mech, rng)])[0]
 
 
 def _pdp_runner(n: int, side: SideInfo, eps: float, alpha: float):

@@ -16,8 +16,8 @@ target's distance from the claimed parameters.
 
 Tester kinds live in one registry, ``_TESTERS``: kind -> (runner,
 fields). Once per experiment the package's document reader reads the
-fields (the claim and, for ``adp-budgeted``, ``r``; for ``adp-fi``,
-``calibration_trials``), and ``runner(n, side, **fields)`` checks the
+fields (the claim and, for ``adp-budgeted``, its sample count ``r``;
+no other kind reads more), and ``runner(n, side, **fields)`` checks the
 side and claim and returns the callable that takes a seed block's
 ``(pair, rng)`` streams and returns their outcomes. The registry holds no
 tester logic: ``adp-ni`` and ``adp-budgeted`` run ``noinfo._runner``,
@@ -32,7 +32,8 @@ block's trials in turn. ``adp_test_ni``, ``adp_test_fi`` and
 outcome is bit for bit that of its tester on the trial alone. A seed
 block holds at most 2^16 counts per database. Any other key is ignored:
 the sample rates of ``adp-ni`` and ``pdp-fi`` are always their formulas,
-and ``adp-fi`` always runs ``SUBTEST_REPS`` identity reps. The target's
+and ``adp-fi`` always runs ``SUBTEST_REPS`` identity reps at thresholds
+calibrated over ``CALIBRATION_TRIALS`` null draws. The target's
 distance from the claim is read from the claim's fields: slack past
 delta for a claim with a ``delta`` (the ``adp-*`` kinds), eps past the
 claimed eps otherwise. To add a tester, add its runner and entry there;
@@ -54,10 +55,10 @@ import numpy as np
 
 from . import fullinfo, noinfo
 from .distributions import (
-    _check, _entry, _fields, _integer, _object, delta_at_epsilon, exact_pdp_epsilon
+    DiscreteDistribution, _check, _entry, _fields, _integer, _object, delta_at_epsilon,
+    exact_pdp_epsilon,
 )
 from .fixtures import _FIXTURES, build_fixture
-from .fullinfo import CALIBRATION_TRIALS
 from .mechanisms import (
     _MECHANISMS, MechanismPair, SideInfo, _database, _seed_rows, _seed_states, mechanism_from_config
 )
@@ -180,7 +181,7 @@ _ADP_CLAIM = {"eps": float, "delta": (float, 0.0), "alpha": float}
 _TESTERS = {
     "adp-ni": (noinfo._runner, _ADP_CLAIM),
     "adp-budgeted": (noinfo._runner, dict(_ADP_CLAIM, r=int)),
-    "adp-fi": (fullinfo._runner, dict(_ADP_CLAIM, calibration_trials=(int, CALIBRATION_TRIALS))),
+    "adp-fi": (fullinfo._runner, _ADP_CLAIM),
     "pdp-fi": (fullinfo._pdp_runner, {"eps": float, "alpha": float}),
 }
 
@@ -279,9 +280,13 @@ def distinguish(tester: dict, instance, db: int, seed: int) -> tuple[int, tuple[
     side information ``SideInfo(p0, p0)`` for full-information kinds. At
     db = 0 the box is an identical pair, which a verifier accepts; at db = 1
     of a far instance it rejects. Returns ``(guess, queries_used)``, guess 1
-    iff the tester rejects. A ``db`` not 0 or 1, or a seed that
-    ``ExperimentConfig`` refuses, raises ValueError.
+    iff the tester rejects. An ``instance`` that is not a pair of
+    ``DiscreteDistribution``s, a ``db`` not 0 or 1, or a seed that
+    ``ExperimentConfig`` refuses raises ValueError.
     """
+    if not (isinstance(instance, (tuple, list)) and len(instance) == 2
+            and all(isinstance(p, DiscreteDistribution) for p in instance)):
+        raise ValueError(f"instance must be a pair (p0, p1) of distributions; got {instance!r}")
     _database(db)
     p0 = instance[0]
     box = MechanismPair(p0, instance[db])

@@ -37,6 +37,7 @@ from dpaudit import (
     identity_threshold,
     leaky_mechanism,
     make_distribution,
+    mean_sideinfo_fixture,
     mechanism_from_config,
     noinfo_rate,
     pdp_test_fi,
@@ -51,6 +52,7 @@ from dpaudit import (
 )
 from dpaudit.cli import main
 from dpaudit.harness import TESTER_KINDS
+from dpaudit.mechanisms import _GEOMETRIC_EPS_MAX
 from dpaudit.noinfo import _MAX_RATE, _poisson_nonzero
 
 NAN = math.nan
@@ -380,6 +382,53 @@ def test_full_info_testers_refuse_what_is_not_their_side_information(kind, test,
     assert RR.query_counter == [0, 0]
 
 
+BASE3 = {"mechanism": "explicit", "p0": {"probs": [0.5, 0.5, 0.0]},
+         "p1": {"probs": [0.6, 0.4, 0.0]}}
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["fixture", "pdp-unverifiable", "--params", "eps=0", "alpha=0.1", "A=800"], "A"),
+    (["fixture", "fi-pdp", "--params", "eps=0.5", "alpha=800", "beta=0.1"], "alpha"),
+    (["fixture", "fi-pdp", "--params", "eps=0.5", "alpha=0.1", "beta=1e-320"], "beta"),
+    (["fixture", "mean-sideinfo", "--params", "eps=0.3", "alpha=0.1", "A=800", "--base", "BASE"],
+     "A"),
+    (["test", "adp-ni", "--fixture", "pdp-unverifiable", "--fixture-params", "eps=0", "alpha=0.1",
+      "A=800", "--eps", "0", "--alpha", "0.1"], "A"),
+])
+def test_cli_fixture_masses_below_the_normal_floats_exit_1(capsys, tmp_path, argv, name):
+    # the masses e^-2A, beta e^-alpha, beta e^-eps and e^-A would be
+    # subnormal or 0: a usage error naming the parameter, not a failed gate
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(BASE3))
+    assert main([str(base) if item == "BASE" else item for item in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must lie in "), err
+
+
+def test_fixtures_build_up_to_their_float_range_bounds():
+    top = _GEOMETRIC_EPS_MAX
+    base = mechanism_from_config(BASE3).truth
+    for build, bound in [
+        (lambda A: pdp_unverifiable_fixture(0.0, 0.1, A), top / 2.0),
+        (lambda A: mean_sideinfo_fixture(0.3, 0.1, A, base), top),
+        (lambda alpha: fi_pdp_fixture(0.5, alpha, 0.1), top + math.log(0.1)),
+    ]:
+        build(bound)
+        with pytest.raises(ValueError, match="must lie in"):
+            build(math.nextafter(bound, math.inf))
+    low = math.exp(0.5 - top)
+    fi_pdp_fixture(0.5, 0.25, low)
+    with pytest.raises(ValueError, match="^beta must lie in"):
+        fi_pdp_fixture(0.5, 0.25, math.nextafter(low, 0.0))
+
+
+@pytest.mark.parametrize("instance", [RR.truth[:1], RR.truth[0], RR.truth + RR.truth[:1]],
+                         ids=["one", "bare", "three"])
+def test_distinguish_refuses_what_is_not_a_pair_of_distributions(instance):
+    with pytest.raises(ValueError, match="^instance must be a pair"):
+        distinguish(NI_TESTER, instance, 1, 0)
+
+
 def test_cli_refuses_more_trials_than_an_experiment_keeps(capsys, monkeypatch, tmp_path, rr_mech):
     # every trial's record is kept, at ~0.7 KB each: an experiment runs at most 2^20 trials
     assert ExperimentConfig(NI_TESTER, RR_TARGET, 2**20).trials == 2**20
@@ -680,8 +729,7 @@ CONSTRUCTORS = {
         {"kind": "adp-ni", "eps": e, "delta": d, "alpha": a}, LEAKY.truth, db, s),
         (x, x, x, small_int, small_int)),
     "adp_test_fi": (lambda e, d, a: adp_test_fi(
-        MechanismPair(*RR.truth, seed=2), RR_SIDE, e, d, a, rng(), calibration_trials=100),
-        (x, x, x)),
+        MechanismPair(*RR.truth, seed=2), RR_SIDE, e, d, a, rng()), (x, x, x)),
     "pdp_test_fi": (lambda e, a: pdp_test_fi(
         MechanismPair(*RR.truth, seed=3), RR_SIDE, e, a, rng()), (x, x)),
     "data_distribution": (lambda s: sample_neighbor_pair(

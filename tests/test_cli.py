@@ -127,6 +127,21 @@ def test_kind_help_lists_only_its_flags(capsys, kind, own, foreign):
     assert set(own) <= flags and not set(foreign) & flags, sorted(flags)
 
 
+@pytest.mark.parametrize("kind", harness.TESTER_KINDS)
+def test_a_test_document_holds_exactly_its_kinds_fields(capsys, monkeypatch, rr_mech, kind):
+    # every flag the kind offers is given; its document gets the kind's
+    # fields in harness._TESTERS, no more and no fewer
+    offered = set(re.findall(r"--[a-z-]+", run(capsys, ["test", kind, "--help"])[1].out))
+    argv = ["test", kind, "--mech", rr_mech, "--eps", "1.1", "--alpha", "0.3"]
+    for flag, value in (("--delta", "0.1"), ("--budget", "40"), ("--side", "truth")):
+        argv += [flag, value] if flag in offered else []
+    documents = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda cfg: documents.append(cfg.tester) or harness.run_experiment(cfg))
+    assert run(capsys, argv)[0] == 0
+    assert set(documents[0]) == {"kind"} | set(harness._TESTERS[kind][1])
+
+
 def test_test_verb_missing_eps(capsys, rr_mech):
     assert main(["test", "adp-ni", "--mech", rr_mech, "--alpha", "0.3"]) == 1
     capsys.readouterr()

@@ -5,6 +5,7 @@ import hashlib
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -138,11 +139,13 @@ def test_rerun_is_byte_identical(tmp_path):
 )
 def test_tester_documents_ignore_rate_and_direction_keys(tmp_path, tester, side):
     # the testers always sample at their formula rates, test both
-    # directions and run SUBTEST_REPS identity reps at the full-information
-    # level; such keys are ignored like any other unknown key
+    # directions and run SUBTEST_REPS identity reps, calibrated over
+    # CALIBRATION_TRIALS null draws, at the full-information level; such
+    # keys are ignored like any other unknown key
     target = RR_TARGET if side is None else dict(RR_TARGET, side=side)
     csvs = []
-    for extra in ({}, {"lambda_rate": 5.0, "both_directions": False, "reps": 3}):
+    extras = {"lambda_rate": 5.0, "both_directions": False, "reps": 3, "calibration_trials": 300}
+    for extra in ({}, extras):
         out = tmp_path / f"{len(csvs)}.csv"
         cfg = ExperimentConfig(dict(tester, **extra), target, trials=4, seed=3, out=str(out))
         run_experiment(cfg)
@@ -152,7 +155,7 @@ def test_tester_documents_ignore_rate_and_direction_keys(tmp_path, tester, side)
 
 @pytest.mark.parametrize(
     "kind, key, value",
-    [("adp-budgeted", "r", 40), ("adp-fi", "calibration_trials", 250)],
+    [("adp-budgeted", "r", 40)],
 )
 def test_integer_tester_keys_are_not_truncated(kind, key, value):
     tester = {"kind": kind, "eps": 1.1, "alpha": 0.3}
@@ -322,7 +325,7 @@ def adp_ni_alone(mech, eps, delta, alpha, rng):
     return _decide(mech.draw(0, r), mech.draw(1, r), r, eps, delta, alpha, retries=[retries])[0]
 
 
-def adp_fi_alone(mech, eps, delta, alpha, rng, trials):
+def adp_fi_alone(mech, eps, delta, alpha, rng):
     """``adp_test_fi`` on one trial whose side is the pair's truth, from
     public calls in the tester's order: database 0's threshold, sizes,
     draws and statistics, then database 1's."""
@@ -332,7 +335,7 @@ def adp_fi_alone(mech, eps, delta, alpha, rng, trials):
     budget = identity_budget(mech.n, alpha)
     fractions, thresholds = [], []
     for db, q in ((0, side.q0), (1, side.q1)):
-        threshold = identity_threshold(q, alpha, trials)
+        threshold = identity_threshold(q, alpha)
         stats = identity_statistic(q, mech.draw_many(db, rng.poisson(budget, SUBTEST_REPS)), budget)
         fractions.append(int(np.count_nonzero(stats >= threshold)) / SUBTEST_REPS)
         thresholds.append(threshold)
@@ -434,8 +437,8 @@ def check_block_runner(monkeypatch, tmp_path, tester, target, single):
          lambda mech, rng: adp_ni_alone(mech, 0.0, 0.1, 0.3, rng)),
         ({"kind": "adp-budgeted", "eps": 0.0, "delta": 0.1, "alpha": 0.3, "r": 40},
          lambda mech, rng: adp_test_budgeted(mech, 0.0, 0.1, 0.3, 40)),
-        ({"kind": "adp-fi", "eps": 0.0, "delta": 0.4, "alpha": 0.3, "calibration_trials": 300},
-         lambda mech, rng: adp_fi_alone(mech, 0.0, 0.4, 0.3, rng, 300)),
+        ({"kind": "adp-fi", "eps": 0.0, "delta": 0.4, "alpha": 0.3},
+         lambda mech, rng: adp_fi_alone(mech, 0.0, 0.4, 0.3, rng)),
         ({"kind": "pdp-fi", "eps": 1.0, "alpha": 0.3},
          lambda mech, rng: pdp_fi_alone(mech, 1.0, 0.3, rng)),
     ],
@@ -451,7 +454,7 @@ def test_block_runner_equals_per_trial_testers(monkeypatch, tmp_path, tester, si
 BLOCK_TESTERS = [
     {"kind": "adp-ni", "eps": 0.0, "delta": 0.1, "alpha": 0.3},
     {"kind": "adp-budgeted", "eps": 0.0, "delta": 0.1, "alpha": 0.3, "r": 40},
-    {"kind": "adp-fi", "eps": 0.0, "delta": 0.4, "alpha": 0.3, "calibration_trials": 300},
+    {"kind": "adp-fi", "eps": 0.0, "delta": 0.4, "alpha": 0.3},
     {"kind": "pdp-fi", "eps": 1.0, "alpha": 0.3},
 ]
 BLOCK_IDS = [tester["kind"] for tester in BLOCK_TESTERS]
@@ -523,18 +526,13 @@ LADDER_128 = {"mechanism": {"mechanism": "truncated_geometric", "eps": 0.5, "n":
 
 def test_adp_fi_blocks_above_the_crossover_equal_per_trial_testers(monkeypatch, tmp_path):
     # 128 outcomes: each of the 4 blocks overlaps its two databases once
-    tester = {"kind": "adp-fi", "eps": 0.5, "delta": 0.0, "alpha": 0.3, "calibration_trials": 300}
-
     def single(mech, rng):
-        return adp_fi_alone(mech, 0.5, 0.0, 0.3, rng, 300)
+        return adp_fi_alone(mech, 0.5, 0.0, 0.3, rng)
 
-    assert check_block_runner(monkeypatch, tmp_path, tester, LADDER_128, single) == 4
+    assert check_block_runner(monkeypatch, tmp_path, FI_TESTER, LADDER_128, single) == 4
 
 
-FI_LADDER_128 = ExperimentConfig(
-    {"kind": "adp-fi", "eps": 0.5, "delta": 0.0, "alpha": 0.3, "calibration_trials": 300},
-    dict(LADDER_128, side="truth"), 6, 3,
-)
+FI_LADDER_128 = ExperimentConfig(FI_TESTER, dict(LADDER_128, side="truth"), 6, 3)
 
 
 def test_an_error_on_the_helper_thread_leaves_run_experiment(monkeypatch):
@@ -554,6 +552,29 @@ def test_an_error_on_the_helper_thread_leaves_run_experiment(monkeypatch):
         run_experiment(FI_LADDER_128)
     assert threading.active_count() == before
     assert threads and threading.main_thread() not in threads
+
+
+def test_an_error_on_the_caller_leaves_once_the_helper_has_ended(monkeypatch):
+    # database 1 fails at once on the caller, while database 0 is still
+    # being drawn on the helper thread
+    multinomial, finished = MechanismPair._multinomial, []
+
+    def slow_or_failing(pair, db, counts):
+        if db == 1:
+            raise ValueError("database 1 failed")
+        time.sleep(0.05)
+        finished.append(threading.current_thread())
+        return multinomial(pair, db, counts)
+
+    before = threading.active_count()
+    monkeypatch.setattr(MechanismPair, "_multinomial", slow_or_failing)
+    with pytest.raises(ValueError, match="^database 1 failed$"):
+        try:
+            run_experiment(dataclasses.replace(FI_LADDER_128, trials=2))
+        finally:
+            seen = list(finished)  # database 0's records as the error leaves
+    assert len(seen) == 2 and threading.main_thread() not in seen
+    assert threading.active_count() == before
 
 
 def test_overlapped_blocks_equal_serial_ones_under_fast_thread_switches(monkeypatch, tmp_path):
@@ -596,16 +617,16 @@ CSV_PINS = [
                   "instance": "far"}}, 2**64,
      "f52d575072052fb6fd04a8903dbbeea6bb80a46b3572782e5679226729546f67"),
     # adp-fi: the mirrored geometric ladder at n = 64 and 1,024, and
-    # randomized response calibrated over 300 null draws
+    # randomized response
     (FI_TESTER, {"mechanism": {"mechanism": "truncated_geometric", "eps": 0.5, "n": 64},
                  "side": "truth"}, 2**64 + 3,
      "7b6f63f3e39587fc7be0efa2bdd286975ebcdb0cd6abea6b59b9ca91bcec9c6d"),
     (FI_TESTER, {"mechanism": {"mechanism": "truncated_geometric", "eps": 0.5, "n": 1024},
                  "side": "truth"}, 2**70,
      "025faa6cebea5d19541f776059ea6ec97ebafaaf19fcb81332dc1d2b0be56f88"),
-    ({"kind": "adp-fi", "eps": math.log(3.0), "delta": 0.0, "alpha": 0.3,
-      "calibration_trials": 300}, dict(RR_TARGET, side="truth"), 2**64 + 1,
-     "d888098b272cb30d33dfb0db60b7b0727ddd54212afe1a1f4a85b6e83ca8b5f5"),
+    ({"kind": "adp-fi", "eps": math.log(3.0), "delta": 0.0, "alpha": 0.3},
+     dict(RR_TARGET, side="truth"), 2**64 + 1,
+     "1d2c8fbd65e4bf2314a50ff73ea6854e6695797fd0e33cccf330bbcc1228ce7b"),
     # pdp-fi: the fi-pdp far instance against its claimed side, and
     # randomized response against its truth
     ({"kind": "pdp-fi", "eps": 0.3, "alpha": 0.1},
