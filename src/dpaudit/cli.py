@@ -187,33 +187,33 @@ def _cmd_test_random(args) -> int:
     return 0
 
 
-def _fixture_doc(args) -> dict:
-    params = _parse_params(args.params, args.base)
-    pair, _side = build_fixture(args.name, params)
-    return {"name": args.name, **pair.to_json_dict()}
+def _fixture_doc(name: str, params: dict) -> dict:
+    pair, _side = build_fixture(name, params)
+    return {"name": name, **pair.to_json_dict()}
 
 
 def _check_same(stored, fresh, path: str = "") -> None:
     """Check a stored fixture document against the ``fresh`` rebuilt one.
 
-    Objects (stored as such or as JSON text) are compared key by key,
-    distributions by probability vector, floats within CERT_TOL; anything
-    else must be equal, a boolean only to a boolean. A differing value
-    raises CertificationError naming its path, a missing or malformed one
-    ValueError.
+    A node whose rebuilt value holds ``probs`` is read as a distribution
+    and compared by probability vector; other objects key by key (either
+    stored as such or as JSON text, as documents were written before they
+    held objects); floats within CERT_TOL; anything else must be equal, a
+    boolean only to a boolean. A differing value raises CertificationError
+    naming its path, a missing or malformed one ValueError.
     """
-    if isinstance(fresh, dict):
+    if isinstance(fresh, dict) and "probs" in fresh:
+        probs = DiscreteDistribution.from_json(stored).probs
+        same = probs.shape == (len(fresh["probs"]),) and np.allclose(
+            probs, fresh["probs"], rtol=0.0, atol=CERT_TOL
+        )
+    elif isinstance(fresh, dict):
         stored = json.loads(stored) if isinstance(stored, str) else stored
         if not isinstance(stored, dict) or not stored.keys() >= fresh.keys():
             raise ValueError(f"{path or 'fixture'} must be an object holding {sorted(fresh)}")
         for key, value in fresh.items():
             _check_same(stored[key], value, f"{path}.{key}" if path else key)
         return
-    if isinstance(fresh, DiscreteDistribution):
-        probs = DiscreteDistribution.from_json(stored).probs
-        same = probs.shape == fresh.probs.shape and np.allclose(
-            probs, fresh.probs, rtol=0.0, atol=CERT_TOL
-        )
     elif type(fresh) is float and type(stored) is float:
         same = math.isclose(stored, fresh, rel_tol=0.0, abs_tol=CERT_TOL)
     else:
@@ -223,26 +223,20 @@ def _check_same(stored, fresh, path: str = "") -> None:
 
 
 def _cmd_fixture(args) -> int:
-    _emit(_fixture_doc(args), args.out)
+    _emit(_fixture_doc(args.name, _parse_params(args.params, args.base)), args.out)
     return 0
 
 
 def _cmd_certify(args) -> int:
-    if args.fixture_file is not None:
-        if args.params is not None or args.base is not None:
-            raise ValueError("--params and --base go with a fixture name, not --fixture-file")
+    if args.fixture_file is None:
+        doc = _fixture_doc(args.name, _parse_params(args.params, args.base))
+    elif args.params is not None or args.base is not None:
+        raise ValueError("--params and --base go with a fixture name, not --fixture-file")
+    else:
         stored = _load_json(args.fixture_file)
         fx = _fields("fixture file", stored, {"name": str, "params": _object})
-        pair, side = build_fixture(fx["name"], fx["params"])
-        doc = {"name": fx["name"], **pair.to_json_dict()}
-        # the distributions themselves, not their JSON text, are compared
-        fresh = dict(doc, private=dict(zip(("p0", "p1"), pair.private_instance)),
-                     far=dict(zip(("p0", "p1"), pair.far_instance)))
-        if side is not None:
-            fresh["side_info"] = {"q0": side.q0, "q1": side.q1}
-        _check_same(stored, fresh)
-    else:
-        doc = _fixture_doc(args)
+        doc = _fixture_doc(fx["name"], fx["params"])
+        _check_same(stored, doc)
     _emit({"name": doc["name"], "certification": doc["certification"]}, args.out)
     return 0
 

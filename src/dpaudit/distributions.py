@@ -212,14 +212,15 @@ class DiscreteDistribution:
         """Number of outcomes."""
         return int(self.probs.size)
 
-    def to_json(self) -> str:
-        """Serialize as ``{"n": ..., "probs": [...]}``.
+    def to_json(self) -> dict:
+        """The document ``{"n": ..., "probs": [...]}`` that
+        :meth:`from_json` reads, as an object, not its text.
 
-        Floats are written with shortest round-trip precision (up to 17
-        significant digits), so ``from_json(to_json(d))`` reproduces the
-        vector bit-exactly.
+        ``json.dumps`` writes the floats with shortest round-trip precision
+        (up to 17 significant digits), so the vector survives the text
+        bit-exactly.
         """
-        return json.dumps({"n": self.n, "probs": [float(p) for p in self.probs]})
+        return {"n": self.n, "probs": self.probs.tolist()}
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "DiscreteDistribution":

@@ -21,6 +21,11 @@ part) and ignores other keys, so an emitted document, whose params also
 hold derived values, rebuilds as is.
 To add a fixture, add its entry there; ``FIXTURE_NAMES`` and the CLI's
 choices follow.
+
+``FixturePair.to_json_dict`` alone decides what a fixture document looks
+like (``dp-audit fixture`` emits it, ``certify --fixture-file`` checks a
+stored file against it): each distribution, and fi-pdp's ``side_info``,
+is the nested object its ``from_json`` reads, not JSON text.
 """
 
 from __future__ import annotations
@@ -65,10 +70,6 @@ class CertificationError(Exception):
 def _certify(ok: bool, message: str) -> None:
     if not ok:
         raise CertificationError(message)
-
-
-def _dist(values) -> DiscreteDistribution:
-    return DiscreteDistribution(np.asarray(values, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,9 @@ def pdp_unverifiable_fixture(eps: float, alpha: float, A: float) -> FixturePair:
     _check("A", A, 2.0 * eps + alpha, _GEOMETRIC_EPS_MAX / 2.0, open_low=True)
     _check("A", A, math.log(1.0 + math.exp(-eps)))
 
-    p0 = _dist([math.exp(-A - eps), 1.0 - math.exp(-A - eps)])
-    p1 = _dist([math.exp(-A), 1.0 - math.exp(-A)])
-    q1 = _dist([math.exp(-2.0 * A), 1.0 - math.exp(-2.0 * A)])
+    p0 = DiscreteDistribution([math.exp(-A - eps), 1.0 - math.exp(-A - eps)])
+    p1 = DiscreteDistribution([math.exp(-A), 1.0 - math.exp(-A)])
+    q1 = DiscreteDistribution([math.exp(-2.0 * A), 1.0 - math.exp(-2.0 * A)])
 
     eps_private = exact_pdp_epsilon(p0, p1)
     eps_far = exact_pdp_epsilon(p0, q1)
@@ -166,10 +167,10 @@ def adp_twopoint_fixture(eps: float, delta: float, alpha: float) -> FixturePair:
     if math.exp(eps) / 2.0 + delta + alpha >= 1.0:
         raise ValueError("need e^eps / 2 + delta + alpha < 1")
 
-    uniform = _dist([0.5, 0.5])
+    uniform = DiscreteDistribution([0.5, 0.5])
     bump = math.exp(eps) / 2.0
-    p1 = _dist([bump + delta, 1.0 - bump - delta])
-    q1 = _dist([bump + delta + alpha, 1.0 - bump - delta - alpha])
+    p1 = DiscreteDistribution([bump + delta, 1.0 - bump - delta])
+    q1 = DiscreteDistribution([bump + delta + alpha, 1.0 - bump - delta - alpha])
 
     d_private, rev_private = _slack(p1.probs, uniform.probs, eps)
     d_far, rev_far = _slack(q1.probs, uniform.probs, eps)
@@ -225,8 +226,8 @@ def adp_lowfreq_fixture(n: int, delta: float, alpha: float) -> FixturePair:
     moved = np.zeros(n)
     moved[block : 2 * block] = hi_mass
     moved[2 * block :] = lo_mass
-    x = _dist(shared)
-    y = _dist(moved)
+    x = DiscreteDistribution(shared)
+    y = DiscreteDistribution(moved)
 
     d_private = delta_at_epsilon(x, x, 0.0)
     d_fwd, d_rev = _slack(x.probs, y.probs, 0.0)
@@ -287,9 +288,9 @@ def fi_pdp_fixture(eps: float, alpha: float, beta: float) -> FixturePair:
     _check("alpha", alpha, 0.0, _GEOMETRIC_EPS_MAX + math.log(beta), open_low=True)
 
     e_pos, e_neg, e_neg_a = math.exp(eps), math.exp(-eps), math.exp(-alpha)
-    q0 = _dist([beta, beta, 1.0 - 2.0 * beta])
-    q1 = _dist([e_pos * beta, e_neg * beta, 1.0 - (e_pos + e_neg) * beta])
-    p0_far = _dist([e_neg_a * beta, (2.0 - e_neg_a) * beta, 1.0 - 2.0 * beta])
+    q0 = DiscreteDistribution([beta, beta, 1.0 - 2.0 * beta])
+    q1 = DiscreteDistribution([e_pos * beta, e_neg * beta, 1.0 - (e_pos + e_neg) * beta])
+    p0_far = DiscreteDistribution([e_neg_a * beta, (2.0 - e_neg_a) * beta, 1.0 - 2.0 * beta])
 
     eps_side = exact_pdp_epsilon(q0, q1)
     eps_far = exact_pdp_epsilon(p0_far, q1)
@@ -338,7 +339,7 @@ def mean_sideinfo_fixture(eps: float, alpha: float, A: float, base: Instance) ->
     leak = math.exp(-A)
     q0 = np.array(p0.probs) * (1.0 - leak)
     q0[-1] = leak
-    q0d = _dist(q0)
+    q0d = DiscreteDistribution(q0)
 
     eps_far = exact_pdp_epsilon(q0d, p1)
     tv_gap = tv_distance(p0, q0d)
@@ -458,8 +459,8 @@ def tight_perturbation(
         lo_new = lo
         info = {"branch": "grow_high", "theta": high_theta}
 
-    q_hi = _dist(hi_new)
-    q_lo = _dist(lo_new)
+    q_hi = DiscreteDistribution(hi_new)
+    q_lo = DiscreteDistribution(lo_new)
     q0, q1 = (q_lo, q_hi) if swapped else (q_hi, q_lo)
 
     achieved = delta_at_epsilon(q0, q1, eps)

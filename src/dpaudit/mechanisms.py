@@ -296,9 +296,10 @@ class SideInfo:
     def n(self) -> int:
         return self.q0.n
 
-    def to_json(self) -> str:
-        """``{"q0": ..., "q1": ...}``, each in DiscreteDistribution's format."""
-        return f'{{"q0": {self.q0.to_json()}, "q1": {self.q1.to_json()}}}'
+    def to_json(self) -> dict:
+        """The ``--side`` document ``{"q0": ..., "q1": ...}``, as an object,
+        each entry in DiscreteDistribution's format."""
+        return {"q0": self.q0.to_json(), "q1": self.q1.to_json()}
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "SideInfo":

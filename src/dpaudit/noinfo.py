@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .distributions import _EPS_MAX, _check, _integer, _positive_finite, _slack
-from .mechanisms import MechanismPair
+from .mechanisms import _MAX_COUNT, MechanismPair
 from .outcomes import TestOutcome, Verdict
 
 #: Give up if the Poisson draw keeps coming back zero (rate would have to
@@ -131,7 +131,7 @@ def _runner(n: int, side, eps: float, delta: float, alpha: float, r: int | None 
             return pair.draw(0, size), pair.draw(1, size), size, retries
     else:
         eps, delta, alpha = _claim(eps, delta, alpha)
-        r = _integer("r", r, 1)
+        r = _integer("r", r, 1, _MAX_COUNT)
 
         def draw(pair, rng):
             return pair.draw(0, r), pair.draw(1, r), r
@@ -169,5 +169,5 @@ def adp_test_budgeted(
     ``_runner`` (``timeit``, 1 thread, 2 vCPUs).
     """
     eps, delta, alpha = _claim(eps, delta, alpha)
-    r = _integer("r", r, 1)
+    r = _integer("r", r, 1, _MAX_COUNT)
     return _outcome(_slack(mech.draw(0, r), mech.draw(1, r), eps, r), r, delta + alpha)

@@ -93,6 +93,13 @@ def test_adp_test_budgeted_rejects_bad_claim(eps, delta, alpha, name):
     assert RR.query_counter == [0, 0]
 
 
+def test_adp_test_budgeted_names_r_above_the_largest_count():
+    # numpy's multinomial draws at most 2**63 - 1 samples; r is refused by name
+    with pytest.raises(ValueError, match=f"^r must be an integer <= {2**63 - 1}; got {2**63}$"):
+        adp_test_budgeted(RR, 0.0, 0.0, 0.1, 2**63)
+    assert RR.query_counter == [0, 0]
+
+
 def test_adp_ni_config_rejects_nan_eps():
     with pytest.raises(ValueError, match="eps"):
         adp_test_ni(RR, NAN, 0.0, 0.3, rng())
@@ -184,6 +191,13 @@ def test_cli_bad_claim_exits_1_without_traceback(capsys, rr_mech, argv):
     assert main(argv + ["--mech", rr_mech]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_budget_above_the_largest_count_names_r(capsys, rr_mech):
+    argv = ["test", "adp-budgeted", "--mech", rr_mech, "--eps", "0", "--alpha", "0.1",
+            "--budget", str(10**20)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: r must be an integer <= {2**63 - 1}; got {10**20}\n"
 
 
 @pytest.mark.parametrize(
@@ -359,7 +373,7 @@ def test_cli_poisson_rate_above_the_cap_is_named(capsys, tmp_path, rr_mech, test
     argv = ["test", tester, "--mech", rr_mech, "--eps", "1.1", "--alpha", "1e-10"]
     if side:
         path = tmp_path / "side.json"
-        path.write_text(RR_SIDE.to_json())
+        path.write_text(json.dumps(RR_SIDE.to_json()))
         argv += ["--side", str(path)]
     assert main(argv) == 1
     err = capsys.readouterr().err

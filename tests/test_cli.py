@@ -158,7 +158,7 @@ def test_budget_beyond_int64_exits_1(capsys, rr_mech):
             "--budget", "10000000000000000000"]
     code, cap = run(capsys, argv)
     assert code == 1
-    assert cap.err == "error: count must lie in [0, 2**63 - 1]; got 10000000000000000000\n"
+    assert cap.err == "error: r must be an integer <= 9223372036854775807; got 10000000000000000000\n"
 
 
 def test_test_verb_fixture_target(capsys):
@@ -437,7 +437,6 @@ def test_certify_rejects_a_tampered_field(capsys, tmp_path, argv, field, change)
 def test_certify_forgives_rounding_below_the_tolerance(capsys, tmp_path):
     def nudge(doc):
         doc["certification"]["eps_far"] += 1e-13
-        doc["side_info"] = json.loads(doc["side_info"])  # an object, not its text
 
     code, _ = certify_changed(capsys, tmp_path, FI_PDP, nudge)
     assert code == 0
@@ -459,16 +458,56 @@ def test_certify_rejects_tampered_fixture(capsys, tmp_path):
     )
     capsys.readouterr()
     doc = json.loads(fixture_path.read_text())
-    probs_doc = json.loads(doc["far"]["p1"])
+    probs = doc["far"]["p1"]["probs"]
     # mass-preserving nudge: still a valid distribution, no longer the fixture
-    probs_doc["probs"][0] += 1e-6
-    probs_doc["probs"][1] -= 1e-6
-    doc["far"]["p1"] = json.dumps(probs_doc)
+    probs[0] += 1e-6
+    probs[1] -= 1e-6
     fixture_path.write_text(json.dumps(doc))
 
     code, cap = run(capsys, ["certify", "--fixture-file", str(fixture_path)])
     assert code == 2
     assert "certification failure" in cap.err
+
+
+#: fi-pdp's golden as documents were written when each distribution and
+#: side_info were JSON text inside the JSON
+TEXT_FORM = GOLDEN / "fixture-fi-pdp-text.json"
+
+
+def test_certify_reads_documents_that_hold_distributions_as_text(capsys, tmp_path):
+    code, cap = run(capsys, ["certify", "--fixture-file", str(TEXT_FORM)])
+    assert (code, cap.err) == (0, "")
+    new = run(capsys, ["certify", "--fixture-file", str(GOLDEN / "fixture-fi-pdp.json")])
+    assert new == (0, cap)
+
+    doc = json.loads(TEXT_FORM.read_text())
+    far_p1 = json.loads(doc["far"]["p1"])
+    # mass-preserving nudge of the text: a valid distribution, not the fixture
+    far_p1["probs"][0] += 1e-6
+    far_p1["probs"][1] -= 1e-6
+    doc["far"]["p1"] = json.dumps(far_p1)
+    code, cap = run(capsys, ["certify", "--fixture-file", write_json(tmp_path / "doc.json", doc)])
+    assert code == 2
+    assert cap.err == "certification failure: far.p1 no longer matches its construction\n"
+
+
+def test_emitted_side_info_is_a_side_document(capsys, tmp_path):
+    # what `jq .side_info` and `jq .far` take from an emitted fi-pdp document
+    code, cap = run(capsys, FI_PDP)
+    assert code == 0
+    doc = json.loads(cap.out)
+    side = write_json(tmp_path / "side.json", doc["side_info"])
+    mech = write_json(tmp_path / "far.json", {"mechanism": "explicit", **doc["far"]})
+    claim = ["--eps", "0.5", "--alpha", "0.2", "--trials", "3", "--seed", "7"]
+    by_file = tmp_path / "by_file.csv"
+    assert main(["test", "pdp-fi", "--mech", mech, "--side", side, *claim,
+                 "--out", str(by_file)]) == 0
+    by_name = tmp_path / "by_name.csv"
+    assert main(["test", "pdp-fi", "--fixture", "fi-pdp", "--fixture-params",
+                 *FIXTURE_PARAMS["fi-pdp"], "--instance", "far", "--side", "claim", *claim,
+                 "--out", str(by_name)]) == 0
+    capsys.readouterr()
+    assert by_file.read_bytes() == by_name.read_bytes()
 
 
 def test_certify_by_name(capsys):

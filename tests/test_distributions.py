@@ -1,6 +1,7 @@
 """Exact divergence and slack arithmetic against frozen values and the
 event-enumeration oracles."""
 
+import json
 import math
 import tracemalloc
 
@@ -91,6 +92,11 @@ def test_delta_directed_is_one_sided():
     assert delta_at_epsilon_directed(Q, P, math.log(1.8)) > 0.0
 
 
+def test_hypothesis_draws_the_same_examples_on_every_run():
+    # set by the profile in conftest.py, for the property tests below too
+    assert settings.default.derandomize
+
+
 @given(dist_pairs())
 def test_delta_at_zero_equals_tv(pair):
     p, q = pair
@@ -178,8 +184,9 @@ def test_distribution_is_read_only():
 
 def test_json_round_trip_is_bit_exact():
     d = make_distribution([1.0, math.pi, math.e])
-    back = DiscreteDistribution.from_json(d.to_json())
-    assert np.array_equal(back.probs, d.probs)
+    for doc in (d.to_json(), json.dumps(d.to_json())):
+        back = DiscreteDistribution.from_json(doc)
+        assert back.probs.tobytes() == d.probs.tobytes()
 
 
 def test_from_json_rejects_bad_documents():

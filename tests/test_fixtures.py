@@ -385,5 +385,6 @@ def test_fixture_json_document_shape():
     assert set(doc) == {"claim", "params", "private", "far", "certification"}
     assert doc["claim"]["notion"] == "aDP"
     assert set(doc["private"]) == {"p0", "p1"}
-    rebuilt = make_distribution(json.loads(doc["far"]["p1"])["probs"])
+    assert doc["far"]["p1"] == {"n": 6, "probs": pair.far_instance[1].probs.tolist()}
+    rebuilt = make_distribution(doc["far"]["p1"]["probs"])
     assert rebuilt.n == 6

@@ -1,6 +1,7 @@
 """Sampling oracles: reproducibility, stream independence, query
 accounting, and exact privacy parameters of the mechanism zoo."""
 
+import json
 import math
 
 import numpy as np
@@ -435,6 +436,6 @@ def test_side_info_round_trip():
 def test_side_info_json_is_pinned():
     # built from DiscreteDistribution.to_json: one serialisation of a vector
     side = SideInfo(make_distribution([3, 1]), make_distribution([1, 3]))
-    assert side.to_json() == (
+    assert json.dumps(side.to_json()) == (
         '{"q0": {"n": 2, "probs": [0.75, 0.25]}, "q1": {"n": 2, "probs": [0.25, 0.75]}}'
     )
