@@ -60,7 +60,8 @@ from .distributions import (
 )
 from .fixtures import _FIXTURES, build_fixture
 from .mechanisms import (
-    _MECHANISMS, MechanismPair, SideInfo, _database, _seed_rows, _seed_states, mechanism_from_config
+    _BLOCK_COUNTS, _MECHANISMS, MechanismPair, SideInfo, _database, _seed_rows, _seed_states,
+    mechanism_from_config,
 )
 from .outcomes import TestOutcome
 
@@ -71,9 +72,6 @@ Z95 = 1.959963984540054
 #: bounded: 3 x 1,024 states of 4 uint64 words, 96 KiB per block, and
 #: ``_block_states`` keeps the last 8 blocks, at most 768 KiB.
 _SEED_BLOCK = 1024
-
-#: Counts per database a seed block holds at most: 512 KiB of int64 rows.
-_BLOCK_COUNTS = 2**16
 
 #: Most trials of one experiment: every trial's record is kept in memory,
 #: at ~0.7 KB each (``tracemalloc``), so this bounds them to ~0.7 GB.

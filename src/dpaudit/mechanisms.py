@@ -34,6 +34,11 @@ _GEOMETRIC_EPS_MAX = -float(np.log(_TINY))
 #: compared as Python ints: as a float, 2^63 rounds onto this bound.
 _MAX_COUNT = 2**63 - 1
 
+#: Counts per database that one block of drawn rows holds at most: 512 KiB
+#: of int64 rows. The harness's seed blocks and a read-ahead pair's blocks
+#: keep to it.
+_BLOCK_COUNTS = 2**16
+
 #: numpy's SeedSequence hash: pool size and constants.
 _POOL = 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -225,6 +230,89 @@ class MechanismPair:
 
     def __repr__(self) -> str:
         return f"MechanismPair(n={self.n}, seed={self.seed})"
+
+
+class _ReadAheadPair(MechanismPair):
+    """A :class:`MechanismPair` for a caller that asks each database the
+    same count about ``reps`` times, as ``random_privacy_test``'s amplified
+    inner tester does; it serves the bits of ``MechanismPair(p0, p1, seed)``.
+
+    Once a database has been asked the same count on its last two draws, the
+    pair saves that database's ``bit_generator.state`` and draws the next
+    rows of that count, the one asked included, in one ``multinomial`` call.
+    A block holds at most the reps left (``reps`` minus the draws the
+    database has served) and at most ``max(1, _BLOCK_COUNTS // n)`` rows, so
+    never more than 2^16 counts, 512 KiB, whatever ``reps`` and ``n``. Its
+    rows are served in order, and ``query_counter`` counts only the rows
+    served. A draw of another count, a draw whose arguments are not plain
+    ints, and any ``draw_many`` first rewind: the saved state is restored and
+    the rows served are drawn again, so the stream stands where single draws
+    leave it, and the database draws singly for the rest of the pair. So at
+    most one block per database is wasted. Row j of a ``multinomial`` block
+    is the j-th successive draw (see :meth:`draw_many`), so every row served
+    and every query count equal those of the plain pair.
+
+    A row served from a block is a view of it. Single rows come straight
+    from the stream, without a second argument check in ``draw``. Each
+    database keeps its own read-ahead state, so the two databases may still
+    draw on two threads at once, as :meth:`_multinomial` allows.
+    """
+
+    def __init__(self, p0: DiscreteDistribution, p1: DiscreteDistribution, seed: int,
+                 reps: int) -> None:
+        super().__init__(p0, p1, seed)
+        self._rows = max(1, _BLOCK_COUNTS // self.n)
+        self._left = [reps, reps]  # reps left to read ahead; 0 once drawing singly
+        self._last = [None, None]  # the count each database last drew
+        self._blocks = [None, None]  # [rows, next row, stream state before the rows]
+
+    def draw(self, db: int, count: int) -> np.ndarray:
+        if not (type(db) is int and 0 <= db <= 1
+                and type(count) is int and 0 <= count <= _MAX_COUNT):
+            self._rewind(0)
+            self._rewind(1)
+            return super().draw(db, count)  # which checks the arguments
+        block = self._blocks[db]
+        if block is not None:
+            rows, i, _ = block
+            if i == len(rows):  # used up: the stream already stands past it
+                self._blocks[db] = None
+                self._left[db] -= i
+            elif count == self._last[db]:
+                block[1] = i + 1
+                self.query_counter[db] += count
+                return rows[i]
+            else:
+                self._rewind(db)
+        last = self._last[db]
+        self._last[db] = count
+        if count == last and (size := min(self._left[db], self._rows)) > 1:
+            rng = self._rngs[db]
+            state = rng.bit_generator.state
+            rows = rng.multinomial(count, self._pvals[db], size=size)
+            self._blocks[db] = [rows, 1, state]
+            self.query_counter[db] += count
+            return rows[0]
+        self._left[db] -= 1
+        self.query_counter[db] += count
+        return self._rngs[db].multinomial(count, self._pvals[db])
+
+    def _multinomial(self, db: int, counts: np.ndarray) -> np.ndarray:
+        self._rewind(db)
+        return super()._multinomial(db, counts)
+
+    def _rewind(self, db: int) -> None:
+        """Put database ``db``'s stream where single draws of the rows served
+        leave it, and draw singly from there on."""
+        block = self._blocks[db]
+        if block is not None:
+            rows, served, state = block
+            if served < len(rows):
+                rng = self._rngs[db]
+                rng.bit_generator.state = state
+                rng.multinomial(self._last[db], self._pvals[db], size=served)
+            self._blocks[db] = None
+        self._left[db] = 0
 
 
 def randomized_response(flip_prob: float, seed: int = 0) -> MechanismPair:

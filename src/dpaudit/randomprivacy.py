@@ -13,7 +13,7 @@ where w weights how much a measure violation costs relative to alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .distributions import (
     _positive_finite,
     make_distribution,
 )
-from .mechanisms import MechanismPair
+from .mechanisms import MechanismPair, _ReadAheadPair
 from .outcomes import TestOutcome, Verdict
 
 Database = tuple
@@ -47,11 +47,16 @@ class DataDistribution:
     values: tuple
     entry_dist: DiscreteDistribution
     db_size: int = 1
+    #: the inverse CDF ``Generator.choice`` builds from ``p`` on every call
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.values) != self.entry_dist.n:
             raise ValueError("values and entry distribution must have equal length")
         object.__setattr__(self, "db_size", _integer("db_size", self.db_size, 1, _MAX_SIZE))
+        cdf = self.entry_dist.probs.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
 
 
 def data_distribution(
@@ -75,10 +80,20 @@ def sample_neighbor_pair(
     same as resampling a uniformly random position. The fresh entry may
     equal the old one; the two databases then coincide, which is a valid
     (if degenerate) neighbor pair.
+
+    The entries are drawn as ``rng.choice(n, size, p=dd.entry_dist.probs)``
+    draws them, indices and stream alike, through the inverse CDF that
+    ``dd`` keeps, without ``choice``'s checks of ``p`` on every call. A
+    ``dd`` that is not a DataDistribution or an ``rng`` that is not a
+    ``numpy.random.Generator`` raises ValueError.
     """
-    idx = rng.choice(dd.entry_dist.n, size=dd.db_size, p=dd.entry_dist.probs)
-    d0 = tuple(dd.values[i] for i in idx)
-    j = int(rng.choice(dd.entry_dist.n, p=dd.entry_dist.probs))
+    if not isinstance(dd, DataDistribution):
+        raise ValueError(f"dd must be a DataDistribution; got {dd!r}")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator; got {rng!r}")
+    cdf = dd._cdf
+    d0 = tuple(dd.values[i] for i in cdf.searchsorted(rng.random(dd.db_size), side="right"))
+    j = int(cdf.searchsorted(rng.random(), side="right"))
     d1 = (dd.values[j],) + d0[1:]
     return d0, d1
 
@@ -138,6 +153,15 @@ def trial_count(penalty_weight: float, alpha: float, gamma: float) -> int:
     return math.ceil(math.log(3.0) * numerator / (a * a))
 
 
+def _output(family: Family, db: Database) -> DiscreteDistribution:
+    dist = family(db)
+    if not isinstance(dist, DiscreteDistribution):
+        raise ValueError(
+            f"family must map each database to a DiscreteDistribution; got {dist!r} for {db!r}"
+        )
+    return dist
+
+
 def random_privacy_test(
     family: Family,
     dd: DataDistribution,
@@ -151,15 +175,32 @@ def random_privacy_test(
 
     For each of m = trial_count(penalty_weight, alpha, gamma) neighbor
     pairs the inner tester runs k = amplification_reps(penalty_weight,
-    alpha) times on ``MechanismPair(family(d0), family(d1))``; the pair is
-    marked non-private iff a majority of runs reject (ties count as
-    non-private). Accepts iff the marked fraction y satisfies
-    y <= gamma + alpha / penalty_weight. A family that maps the two
-    databases to different universes raises ValueError.
+    alpha) times on ``MechanismPair(family(d0), family(d1), seed=s)``, s
+    drawn from ``rng`` after the databases; the pair is marked
+    non-private iff a majority of runs reject (ties count as non-private).
+    Accepts iff the marked fraction y satisfies y <= gamma + alpha /
+    penalty_weight. A family that maps the two databases to different
+    universes raises ValueError.
 
     The inner tester must reject pairs that violate the claim and accept
     pairs that meet it, each with probability >= 2/3 on fresh samples;
-    any of the two-database testers in this package qualifies.
+    any of the two-database testers in this package qualifies. A family
+    value that is not a DiscreteDistribution, an inner result that is not
+    a TestOutcome, and a ``dd`` or ``rng`` that :func:`sample_neighbor_pair`
+    refuses raise ValueError.
+
+    Each pair reads ahead (``mechanisms._ReadAheadPair``): once a database
+    has been asked the same count on its last two draws, its stream state
+    is saved and the next rows of that count come from one multinomial
+    call, at most the k reps left and at most 2^16 counts (512 KiB) in
+    all, so a k of ~12,800 at n = 2^16 still takes 512 KiB, not ~6.7 GB.
+    A draw of another count or a ``draw_many`` rewinds: the state is
+    restored and the rows served are drawn again, and the database draws
+    singly for the rest of the pair, so at most one block per database
+    and pair is wasted. Every row the inner tester sees and every query
+    count is that of ``MechanismPair(family(d0), family(d1), seed=s)``;
+    a budgeted inner tester makes two multinomial calls per database and
+    pair, not k.
 
     The promise, with such an inner tester: a family whose failing
     measure is at most gamma is accepted, and one whose failing measure
@@ -177,10 +218,16 @@ def random_privacy_test(
     queries = [0, 0]
     for _ in range(m):
         d0, d1 = sample_neighbor_pair(dd, rng)
-        mech = MechanismPair(family(d0), family(d1), seed=int(rng.integers(2**63)))
+        p0, p1 = _output(family, d0), _output(family, d1)
+        mech = _ReadAheadPair(p0, p1, int(rng.integers(2**63)), k)
         rejections = 0
         for _ in range(k):
-            if two_db_tester(mech, rng).rejected:
+            outcome = two_db_tester(mech, rng)
+            if not isinstance(outcome, TestOutcome):
+                raise ValueError(
+                    f"the two-database tester must return a TestOutcome; got {outcome!r}"
+                )
+            if outcome.rejected:
                 rejections += 1
         marked += math.floor(0.5 + rejections / k)
         queries[0] += mech.query_counter[0]

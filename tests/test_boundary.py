@@ -20,6 +20,7 @@ from dpaudit import (
     MechanismPair,
     PrivacyParams,
     SideInfo,
+    Verdict,
     adp_lowfreq_fixture,
     adp_test_budgeted,
     adp_test_fi,
@@ -130,6 +131,47 @@ def test_random_privacy_test_checks_claim_with_explicit_sizes():
     ):
         with pytest.raises(ValueError):
             random_privacy_test(family, dd, inner, rng=rng(), **kwargs)
+
+
+REDUCTION = {
+    "family": constant_family(RR.truth[0]),
+    "dd": data_distribution([0, 1]),
+    "two_db_tester": lambda mech, g: adp_test_budgeted(mech, 0.0, 0.0, 0.3, 10),
+    "gamma": 0.0, "alpha": 0.5, "penalty_weight": 1.0,
+}
+
+
+def reduce(**changed):
+    return random_privacy_test(**{**REDUCTION, "rng": rng(), **changed})
+
+
+@pytest.mark.parametrize("bad", [None, 5, np.random.RandomState(0)], ids=["None", "5", "legacy"])
+def test_reduction_names_an_rng_that_is_not_a_generator(bad):
+    message = "^rng must be a numpy.random.Generator; got "
+    with pytest.raises(ValueError, match=message):
+        sample_neighbor_pair(data_distribution([0, 1]), bad)
+    with pytest.raises(ValueError, match=message):
+        reduce(rng=bad)
+
+
+@pytest.mark.parametrize("bad", [None, [0, 1], RR.truth[0]], ids=["None", "values", "entries"])
+def test_reduction_names_a_dd_that_is_not_a_data_distribution(bad):
+    with pytest.raises(ValueError, match="^dd must be a DataDistribution; got "):
+        sample_neighbor_pair(bad, rng())
+    with pytest.raises(ValueError, match="^dd must be a DataDistribution; got "):
+        reduce(dd=bad)
+
+
+@pytest.mark.parametrize("bad", [None, [0.75, 0.25], RR], ids=["None", "list", "pair"])
+def test_reduction_names_a_family_value_that_is_not_a_distribution(bad):
+    with pytest.raises(ValueError, match="^family must map each database to a DiscreteDistri"):
+        reduce(family=lambda db: bad)
+
+
+@pytest.mark.parametrize("bad", [None, True, Verdict.REJECT], ids=["None", "bool", "verdict"])
+def test_reduction_names_an_inner_result_that_is_not_an_outcome(bad):
+    with pytest.raises(ValueError, match="^the two-database tester must return a TestOutcome"):
+        reduce(two_db_tester=lambda mech, g: bad)
 
 
 def test_fi_pdp_config_rejects_alpha_whose_exponential_overflows():

@@ -25,7 +25,9 @@ from dpaudit import (
 from dpaudit import harness
 from dpaudit.harness import ExperimentConfig, run_experiment
 from dpaudit.distributions import _integer
-from dpaudit.mechanisms import _MAX_COUNT, _database, _seed_rows, _seed_states, _SeedState
+from dpaudit.mechanisms import (
+    _MAX_COUNT, _database, _ReadAheadPair, _seed_rows, _seed_states, _SeedState
+)
 
 
 def test_same_seed_reproduces_streams():
@@ -181,6 +183,51 @@ def test_draw_many_validation():
         with pytest.raises(ValueError):
             mech.draw_many(db, counts)
     assert mech.query_counter == [0, 0]
+
+
+#: A read-ahead pair's calls: a plain draw, a draw whose arguments are
+#: numpy or float numbers, and a draw_many of two rows.
+READ_AHEAD_CALLS = {
+    "draw": lambda db, count: ("draw", (db, count)),
+    "odd": lambda db, count: ("draw", (np.int64(db), float(count))),
+    "draw_many": lambda db, count: ("draw_many", (db, np.array([count, count]))),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    reps=st.integers(1, 12),
+    calls=st.lists(st.tuples(st.sampled_from(sorted(READ_AHEAD_CALLS)), st.integers(0, 1),
+                             st.sampled_from([0, 3, 3, 3, 40])), max_size=40),
+)
+def test_a_read_ahead_pair_serves_the_plain_pairs_rows(reps, calls):
+    p0, p1 = leaky_mechanism(0.3, 4).truth
+    pair, plain = _ReadAheadPair(p0, p1, 11, reps), MechanismPair(p0, p1, seed=11)
+    for kind, db, count in calls:
+        method, args = READ_AHEAD_CALLS[kind](db, count)
+        assert np.array_equal(getattr(pair, method)(*args), getattr(plain, method)(*args))
+        assert pair.query_counter == plain.query_counter
+    # a count not asked before rewinds any block: the streams stand level
+    for db in (0, 1):
+        assert np.array_equal(pair.draw(db, 7), plain.draw(db, 7))
+
+
+@pytest.mark.parametrize("n, reps, rows", [(2**15, 50, 2), (2**15, 12_800, 2), (4, 9, 8)])
+def test_a_read_ahead_block_holds_the_reps_left_and_at_most_2_to_the_16_counts(n, reps, rows):
+    # a block starts at the second draw of a count, so it holds reps - 1 rows
+    # unless 2^16 counts bound it: 2 rows of 2^15 outcomes
+    p0 = make_distribution(np.arange(1, n + 1, dtype=float))
+    p1 = make_distribution(np.ones(n))
+    pair = _ReadAheadPair(p0, p1, 7, reps)
+    plain = MechanismPair(p0, p1, seed=7)
+    sizes = set()
+    for _ in range(9):
+        for db in (0, 1):
+            assert np.array_equal(pair.draw(db, 3), plain.draw(db, 3))
+            block = pair._blocks[db]
+            sizes.add(0 if block is None else len(block[0]))
+    assert sizes == {0, rows}
+    assert pair.query_counter == plain.query_counter == [27, 27]
 
 
 def test_database_index_is_an_integer():

@@ -1,14 +1,18 @@
 """Reduction from random-neighbor privacy to two-database testing."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from dpaudit import (
+    MechanismPair,
     TestOutcome,
     Verdict,
     adp_test_budgeted,
+    adp_test_ni,
     amplification_reps,
     constant_family,
     data_distribution,
@@ -66,6 +70,20 @@ def test_neighbor_pairs_differ_in_first_entry_only():
         assert len(d0) == len(d1) == 6
         assert d0[1:] == d1[1:]
         assert all(v in range(5) for v in d0)
+
+
+@pytest.mark.parametrize("weights, db_size", [
+    ([1.0], 1), ([0.8, 0.2], 3), ([1.0, 2.0, 3.0], 7), ([0.1, 0.0, 0.6, 0.3], 5),
+])
+def test_neighbor_pairs_are_drawn_as_rng_choice_draws_them(weights, db_size):
+    dd = data_distribution(range(len(weights)), weights, db_size)
+    for seed in range(300):
+        got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        d0, d1 = sample_neighbor_pair(dd, got)
+        entries = ref.choice(len(weights), size=db_size, p=dd.entry_dist.probs)
+        fresh = ref.choice(len(weights), p=dd.entry_dist.probs)
+        assert d0 == tuple(entries.tolist()) and d1 == (int(fresh),) + d0[1:]
+        assert got.bit_generator.state == ref.bit_generator.state
 
 
 def test_neighbor_sampling_matches_entry_distribution():
@@ -191,3 +209,113 @@ def test_defaults_come_from_formulas():
     assert out.diagnostics["trials"] == trial_count(2.0, 0.2, 0.1) == 27
     assert out.diagnostics["reps"] == amplification_reps(2.0, 0.2) == 54
     assert out.diagnostics["inner_tests"] == 27 * 54
+
+
+class Recording:
+    """Forwards an inner tester's draws to its pair, keeping each call and
+    a copy of what it returned."""
+
+    def __init__(self, pair, log):
+        self.n = pair.n
+        self._pair = pair
+        self._log = log
+
+    def draw(self, db, count):
+        row = self._pair.draw(db, count)
+        self._log.append(("draw", db, count, row.copy()))
+        return row
+
+    def draw_many(self, db, counts):
+        rows = self._pair.draw_many(db, counts)
+        self._log.append(("draw_many", db, counts, rows.copy()))
+        return rows
+
+
+def budgeted(mech, rng, r=40):
+    return adp_test_budgeted(mech, 0.0, 0.05, 0.1, r)
+
+
+def alternating_counts():
+    calls = itertools.count()
+    return lambda mech, rng: budgeted(mech, rng, (100, 200)[next(calls) % 2])
+
+
+def two_draws_per_call(mech, rng):
+    first = budgeted(mech, rng)
+    second = budgeted(mech, rng)
+    return first if first.rejected else second
+
+
+def draw_many_then_draw():
+    calls = itertools.count()
+
+    def inner(mech, rng):
+        if next(calls) % 5 == 2:
+            mech.draw_many(0, np.array([40, 40]))
+            mech.draw_many(1, np.array([40]))
+        return budgeted(mech, rng)
+
+    return inner
+
+
+#: Inner testers of every draw shape: one count per call, Poisson counts
+#: that now and then repeat, two alternating counts, two draws of one count
+#: per call, and draw_many between draws.
+INNER_SHAPES = {
+    "budgeted": lambda: budgeted,
+    "adp_test_ni": lambda: lambda mech, rng: adp_test_ni(mech, 0.0, 0.05, 0.9, rng),
+    "alternating": alternating_counts,
+    "twice": lambda: two_draws_per_call,
+    "draw_many": draw_many_then_draw,
+}
+
+
+def recorded_reduction(shape, seed):
+    """Run the reduction with the shape's inner tester on a family that is
+    private on half of the neighbor pairs; return the outcome and, for each
+    pair, the pair and its log of draw calls."""
+    inner = INNER_SHAPES[shape]()
+    pairs = {}
+
+    def wrapped(mech, rng):
+        _, log = pairs.setdefault(id(mech), (mech, []))
+        return inner(Recording(mech, log), rng)
+
+    leaky = leaky_mechanism(0.5).truth
+    out = random_privacy_test(
+        value_flag_family({1}, leaky[1], leaky[0]), data_distribution([0, 1]), wrapped,
+        gamma=0.0, alpha=0.5, penalty_weight=1.0, rng=np.random.default_rng([33, seed]),
+    )
+    return out, list(pairs.values())
+
+
+@pytest.mark.parametrize("shape", sorted(INNER_SHAPES))
+def test_every_row_a_reduction_pair_serves_is_the_plain_pairs(shape):
+    for seed in range(3):
+        out, pairs = recorded_reduction(shape, seed)
+        assert len(pairs) == out.diagnostics["trials"] == 5
+        for pair, log in pairs:
+            plain = MechanismPair(*pair.truth, seed=pair.seed)
+            for method, db, arg, rows in log:
+                assert np.array_equal(getattr(plain, method)(db, arg), rows)
+            assert plain.query_counter == pair.query_counter
+        assert out.queries_used == tuple(map(sum, zip(*(p.query_counter for p, _ in pairs))))
+
+
+REDUCTION_PIN = "753b0dbd82f9b0b5271fd1bb750d34aa683812ccffef8610bd008f94676a7884"
+
+
+def test_reduction_outcomes_and_rows_are_pinned():
+    # every outcome and every row the inner testers saw, over each shape;
+    # the digest was taken when each pair drew every row singly
+    digest = hashlib.sha256()
+    for shape in sorted(INNER_SHAPES):
+        for seed in range(3):
+            out, pairs = recorded_reduction(shape, seed)
+            summary = (shape, out.verdict.name, out.statistic, out.queries_used,
+                       out.diagnostics["marked"])
+            digest.update(repr(summary).encode())
+            for _, log in pairs:
+                for *_, rows in log:
+                    digest.update(rows.astype("<i8").tobytes())
+    assert digest.hexdigest() == REDUCTION_PIN
