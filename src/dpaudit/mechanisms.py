@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _MAX_SIZE, DiscreteDistribution, _check, _entry, _fields, _integer, make_distribution
+    _MAX_SIZE, DiscreteDistribution, _check, _entry, _fields, _integer, _slack, make_distribution
 )
 
 _TINY = np.finfo(np.float64).tiny
@@ -256,6 +256,12 @@ class _ReadAheadPair(MechanismPair):
     from the stream, without a second argument check in ``draw``. Each
     database keeps its own read-ahead state, so the two databases may still
     draw on two threads at once, as :meth:`_multinomial` allows.
+
+    ``noinfo.adp_test_budgeted`` asks :meth:`_scored` first: once both
+    databases serve equally long blocks of its count at the same row, the
+    rest of both is scored with one ``_slack`` pass, and each call takes
+    its row's slacks from there, with the bits and query counts of two
+    ``draw`` calls and a ``_slack`` on their rows.
     """
 
     def __init__(self, p0: DiscreteDistribution, p1: DiscreteDistribution, seed: int,
@@ -265,6 +271,7 @@ class _ReadAheadPair(MechanismPair):
         self._left = [reps, reps]  # reps left to read ahead; 0 once drawing singly
         self._last = [None, None]  # the count each database last drew
         self._blocks = [None, None]  # [rows, next row, stream state before the rows]
+        self._scores = None  # (block 0, block 1, eps, count, first row, forward, reverse)
 
     def draw(self, db: int, count: int) -> np.ndarray:
         if not (type(db) is int and 0 <= db <= 1
@@ -296,6 +303,39 @@ class _ReadAheadPair(MechanismPair):
         self._left[db] -= 1
         self.query_counter[db] += count
         return self._rngs[db].multinomial(count, self._pvals[db])
+
+    def _scored(self, eps: float, count: int):
+        """``_slack(self.draw(0, count), self.draw(1, count), eps, count)``
+        from the blocks' scores, or None where the blocks cannot serve it.
+
+        The first call that finds both databases serving equally long blocks
+        of ``count`` at the same row scores the rest of both with one
+        ``_slack`` pass, whose block rows have the bits of the same rows
+        passed alone; a (3, k, n) and a (2, k, n) float64 temporary, at most
+        2.5 MiB. Each block pair is scored at one eps, as rescoring at each
+        change of eps could cost a block per call: a call at another eps,
+        and any other state, returns None, and the caller draws and scores
+        its two rows one by one. A served score advances both blocks and
+        ``query_counter`` as the two draws would. eps and ``count`` are
+        checked by the caller, and both databases' state is touched.
+        """
+        b0, b1 = self._blocks
+        scores = self._scores
+        if scores is None or scores[0] is not b0 or scores[1] is not b1:
+            if (b0 is None or b1 is None or not count == self._last[0] == self._last[1]
+                    or (i := b0[1]) != b1[1] or i == len(b0[0]) or len(b0[0]) != len(b1[0])):
+                return None
+            rest = np.full(len(b0[0]) - i, count)
+            z = _slack(b0[0][i:], b1[0][i:], eps, rest)
+            scores = self._scores = (b0, b1, eps, count, i, *z)
+        _, _, scored_eps, scored_count, first, forward, reverse = scores
+        j = (i := b0[1]) - first
+        if i != b1[1] or j == len(forward) or eps != scored_eps or count != scored_count:
+            return None
+        b0[1] = b1[1] = i + 1
+        self.query_counter[0] += count
+        self.query_counter[1] += count
+        return forward[j], reverse[j]
 
     def _multinomial(self, db: int, counts: np.ndarray) -> np.ndarray:
         self._rewind(db)

@@ -26,12 +26,13 @@ mechanism streams.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .distributions import _EPS_MAX, _check, _integer, _positive_finite, _slack
-from .mechanisms import _MAX_COUNT, MechanismPair
+from .mechanisms import _MAX_COUNT, MechanismPair, _ReadAheadPair
 from .outcomes import TestOutcome, Verdict
 
 #: Give up if the Poisson draw keeps coming back zero (rate would have to
@@ -157,6 +158,16 @@ def adp_test_ni(
     return _runner(mech.n, None, eps, delta, alpha)([(mech, rng)])[0]
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _budget(eps: float, delta: float, alpha: float, r: int) -> tuple[float, float, int]:
+    """``adp_test_budgeted``'s checked eps, threshold delta + alpha and r.
+    Cached per argument tuple and argument types, so a value equal to a
+    cached one but of another type (True for 1) is checked as itself; an
+    argument the checks refuse raises, and nothing is cached for it."""
+    eps, delta, alpha = _claim(eps, delta, alpha)
+    return eps, delta + alpha, _integer("r", r, 1, _MAX_COUNT)
+
+
 def adp_test_budgeted(
     mech: MechanismPair, eps: float, delta: float, alpha: float, r: int
 ) -> TestOutcome:
@@ -165,14 +176,20 @@ def adp_test_budgeted(
     Useful where exact query accounting matters (reductions and the
     random-privacy conversion); the Poissonized form draws a random
     sample count by design. It decides its one row with ``_outcome``
-    rather than a block of one: ~3.7 µs per call against ~10 µs through
-    ``_runner`` (``timeit``, 1 thread, 2 vCPUs). Inside
-    ``random_privacy_test`` the pair reads ahead, so after each
-    database's first draw its rows come from one multinomial block: at
-    r = 4800 on 3 outcomes, 54 calls on one pair cost ~3.9 µs each
-    against ~5.8 µs on a plain pair (``timeit``, 1 thread, the pair's
-    ~31 µs construction taken out).
+    rather than a block of one, and checks each distinct tuple of claim
+    and r once (``_budget``), as the reduction repeats one tuple for
+    every call. On the read-ahead pair of ``random_privacy_test``
+    (``mechanisms._ReadAheadPair``) the slack of both databases' rows is
+    read from the pair's scores, one ``_slack`` pass over the rest of
+    both blocks, where the pair can serve them: the same bits, query
+    counts and stream states as ``_slack(mech.draw(0, r), mech.draw(1, r),
+    eps, r)``, which every other pair, wrapper and state takes.
     """
-    eps, delta, alpha = _claim(eps, delta, alpha)
-    r = _integer("r", r, 1, _MAX_COUNT)
-    return _outcome(_slack(mech.draw(0, r), mech.draw(1, r), eps, r), r, delta + alpha)
+    try:
+        eps, threshold, r = _budget(eps, delta, alpha, r)
+    except TypeError:  # an unhashable argument, which the checks name
+        eps, threshold, r = _budget.__wrapped__(eps, delta, alpha, r)
+    z = mech._scored(eps, r) if type(mech) is _ReadAheadPair else None
+    if z is None:
+        z = _slack(mech.draw(0, r), mech.draw(1, r), eps, r)
+    return _outcome(z, r, threshold)

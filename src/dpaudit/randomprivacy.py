@@ -40,8 +40,10 @@ Family = Callable[[Database], DiscreteDistribution]
 class DataDistribution:
     """IID-entry distribution over databases of a fixed size.
 
-    ``values`` are the possible entry values; ``entry_dist`` weights them.
-    A database is db_size independent draws.
+    ``values`` are the possible entry values, kept as a tuple;
+    ``entry_dist`` weights them. A database is db_size independent draws.
+    ``values`` that are not iterable and an ``entry_dist`` that is not a
+    DiscreteDistribution raise ValueError naming the argument.
     """
 
     values: tuple
@@ -51,6 +53,8 @@ class DataDistribution:
     _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _entries(self.values))
+        _distribution("entry_dist", self.entry_dist)
         if len(self.values) != self.entry_dist.n:
             raise ValueError("values and entry distribution must have equal length")
         object.__setattr__(self, "db_size", _integer("db_size", self.db_size, 1, _MAX_SIZE))
@@ -59,13 +63,25 @@ class DataDistribution:
         object.__setattr__(self, "_cdf", cdf)
 
 
+def _entries(values) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"values must be an iterable of entry values; got {values!r}") from None
+
+
+def _distribution(name: str, value) -> None:
+    if not isinstance(value, DiscreteDistribution):
+        raise ValueError(f"{name} must be a DiscreteDistribution; got {value!r}")
+
+
 def data_distribution(
     values: Sequence[Hashable],
     weights: Sequence[float] | None = None,
     db_size: int = 1,
 ) -> DataDistribution:
     """Build a DataDistribution; uniform over values when weights is None."""
-    values = tuple(values)
+    values = _entries(values)
     if weights is None:
         weights = [1.0] * len(values)
     return DataDistribution(values, make_distribution(weights), db_size)
@@ -114,8 +130,11 @@ def value_flag_family(
     the (p_plain, p_flagged) pair of output distributions; all other
     pairs see identical outputs. Used to build families that are private
     on most neighbor pairs but blatantly non-private on a set of known
-    measure.
+    measure. A ``p_flagged`` or ``p_plain`` that is not a
+    DiscreteDistribution raises ValueError naming it.
     """
+    _distribution("p_flagged", p_flagged)
+    _distribution("p_plain", p_plain)
     if p_flagged.n != p_plain.n:
         raise ValueError("the two output distributions must share a universe")
     return lambda db: p_flagged if db[0] in flagged else p_plain
@@ -200,7 +219,11 @@ def random_privacy_test(
     and pair is wasted. Every row the inner tester sees and every query
     count is that of ``MechanismPair(family(d0), family(d1), seed=s)``;
     a budgeted inner tester makes two multinomial calls per database and
-    pair, not k.
+    pair, not k. ``adp_test_budgeted`` on such a pair checks its claim
+    once per argument tuple and, once both databases serve blocks, reads
+    each call's slacks from one ``_slack`` pass over the rest of both
+    blocks, so at k = 54 on 3 outcomes a pair makes three ``_slack``
+    calls, not k; its outcomes have the bits of per-row scoring.
 
     The promise, with such an inner tester: a family whose failing
     measure is at most gamma is accepted, and one whose failing measure

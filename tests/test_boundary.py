@@ -50,11 +50,13 @@ from dpaudit import (
     tight_perturbation,
     trial_count,
     truncated_geometric,
+    value_flag_family,
 )
 from dpaudit.cli import main
 from dpaudit.harness import TESTER_KINDS
 from dpaudit.mechanisms import _GEOMETRIC_EPS_MAX
 from dpaudit.noinfo import _MAX_RATE, _poisson_nonzero
+from dpaudit.randomprivacy import DataDistribution
 
 NAN = math.nan
 RR = randomized_response(0.25)
@@ -99,6 +101,41 @@ def test_adp_test_budgeted_names_r_above_the_largest_count():
     with pytest.raises(ValueError, match=f"^r must be an integer <= {2**63 - 1}; got {2**63}$"):
         adp_test_budgeted(RR, 0.0, 0.0, 0.1, 2**63)
     assert RR.query_counter == [0, 0]
+
+
+#: A valid claim and r whose entries compare equal to False, 0, True and 1.
+BUDGET = {"eps": 0.0, "delta": 0.0, "alpha": 1.0, "r": 1}
+#: Per argument, values the checks refuse: the boolean equal to the valid
+#: value, NaN, out-of-range values and an unhashable list.
+REFUSED_BUDGET = {
+    "eps": (False, NAN, -1.0, 800.0, [0.0]),
+    "delta": (False, NAN, -0.5, 1.5, [0.0]),
+    "alpha": (True, NAN, 0.0, -1.0, [1.0]),
+    "r": (True, NAN, 0, 2**63, 1.5, [1]),
+}
+#: Per argument, numbers of other types equal to the valid value, which pass.
+ACCEPTED_BUDGET = {
+    "eps": (0, np.float64(0.0)),
+    "delta": (0, np.float64(0.0)),
+    "alpha": (1, np.float64(1.0)),
+    "r": (1.0, np.int64(1), np.float64(1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET))
+def test_adp_test_budgeted_checks_each_argument_after_a_cached_claim(name):
+    # the checked claim and r are kept per argument tuple; a value equal to
+    # the kept one but of another type is checked as itself
+    def call(value):
+        return adp_test_budgeted(MechanismPair(*RR.truth, seed=9), **{**BUDGET, name: value})
+
+    reference = call(BUDGET[name])
+    assert call(BUDGET[name]) == reference
+    for bad in REFUSED_BUDGET[name]:
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            call(bad)
+    for same in ACCEPTED_BUDGET[name]:
+        assert call(same) == reference
 
 
 def test_adp_ni_config_rejects_nan_eps():
@@ -160,6 +197,21 @@ def test_reduction_names_a_dd_that_is_not_a_data_distribution(bad):
         sample_neighbor_pair(bad, rng())
     with pytest.raises(ValueError, match="^dd must be a DataDistribution; got "):
         reduce(dd=bad)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DataDistribution((0, 1), [0.5, 0.5]),
+     r"^entry_dist must be a DiscreteDistribution; got \[0.5, 0.5\]$"),
+    (lambda: DataDistribution(5, make_distribution([1.0])),
+     "^values must be an iterable of entry values; got 5$"),
+    (lambda: data_distribution(5), "^values must be an iterable of entry values; got 5$"),
+    (lambda: value_flag_family({1}, 3, 4), "^p_flagged must be a DiscreteDistribution; got 3$"),
+    (lambda: value_flag_family({1}, RR.truth[0], 4),
+     "^p_plain must be a DiscreteDistribution; got 4$"),
+], ids=["entry_dist", "values", "data_distribution", "p_flagged", "p_plain"])
+def test_reduction_inputs_name_a_malformed_argument(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("bad", [None, [0.75, 0.25], RR], ids=["None", "list", "pair"])

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -14,6 +14,7 @@ from dpaudit import (
     DiscreteDistribution,
     MechanismPair,
     SideInfo,
+    adp_test_budgeted,
     delta_at_epsilon,
     exact_pdp_epsilon,
     leaky_mechanism,
@@ -228,6 +229,43 @@ def test_a_read_ahead_block_holds_the_reps_left_and_at_most_2_to_the_16_counts(n
             sizes.add(0 if block is None else len(block[0]))
     assert sizes == {0, rows}
     assert pair.query_counter == plain.query_counter == [27, 27]
+
+
+#: Calls between budgeted tests on a pair: (kind, eps, count, db, repeats).
+SCORED_CALLS = st.tuples(
+    st.sampled_from(["budgeted"] * 4 + ["draw", "draw_many"]), st.sampled_from([0.0, 0.5]),
+    st.sampled_from([40, 41]), st.integers(0, 1), st.integers(1, 6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3, 2**15]), reps=st.integers(1, 12), seed=st.integers(0, 2**63 - 1),
+       calls=st.lists(SCORED_CALLS, max_size=12))
+@example(n=3, reps=9, seed=5, calls=[("budgeted", 0.0, 40, 0, 3), ("budgeted", 0.5, 40, 0, 2),
+                                     ("budgeted", 0.0, 40, 0, 6)])
+@example(n=3, reps=12, seed=7, calls=[("draw", 0.0, 41, 1, 1), ("budgeted", 0.0, 40, 0, 4)])
+@example(n=2**15, reps=7, seed=6, calls=[("budgeted", 0.5, 41, 0, 6), ("draw", 0.5, 41, 1, 1),
+                                         ("budgeted", 0.5, 41, 0, 4)])
+def test_budgeted_tests_on_a_read_ahead_pair_match_the_plain_pairs(n, reps, seed, calls):
+    # adp_test_budgeted reads a read-ahead pair's scored blocks where it can;
+    # every outcome, row, query count and stream state is the plain pair's
+    p0 = make_distribution(np.arange(1, n + 1, dtype=float))
+    p1 = make_distribution(np.ones(n))
+    pair, plain = _ReadAheadPair(p0, p1, seed, reps), MechanismPair(p0, p1, seed=seed)
+    for kind, eps, count, db, repeats in calls:
+        for _ in range(repeats):
+            if kind == "budgeted":
+                outcomes = [adp_test_budgeted(m, eps, 0.05, 0.1, count) for m in (pair, plain)]
+                assert repr(outcomes[0]) == repr(outcomes[1])  # bits, signed zeros included
+            elif kind == "draw":
+                assert np.array_equal(pair.draw(db, count), plain.draw(db, count))
+            else:
+                counts = np.array([count, count])
+                assert np.array_equal(pair.draw_many(db, counts), plain.draw_many(db, counts))
+    assert pair.query_counter == plain.query_counter
+    for db in (0, 1):  # a draw_many rewinds any block: the streams stand level
+        assert np.array_equal(pair.draw_many(db, np.array([3])), plain.draw_many(db, np.array([3])))
+        assert pair._rngs[db].bit_generator.state == plain._rngs[db].bit_generator.state
 
 
 def test_database_index_is_an_integer():

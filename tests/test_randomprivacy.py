@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dpaudit import (
     trial_count,
     value_flag_family,
 )
+from dpaudit import distributions
 from dpaudit.randomprivacy import DataDistribution
 
 
@@ -319,3 +321,72 @@ def test_reduction_outcomes_and_rows_are_pinned():
                 for *_, rows in log:
                     digest.update(rows.astype("<i8").tobytes())
     assert digest.hexdigest() == REDUCTION_PIN
+
+
+def criterion_08_digest(runs):
+    """sha256 of every inner outcome and every reduction outcome over the
+    first ``runs`` seeds of each of criterion 08's two families, with the
+    inner tester called on the reduction's own pairs."""
+    leaky = leaky_mechanism(0.5).truth
+    s = (1.0 - math.sqrt(0.4)) / 2.0
+    cases = (
+        (constant_family(leaky[0]), data_distribution([0]), 81),
+        (value_flag_family({1}, leaky[1], leaky[0]), data_distribution([0, 1], [1.0 - s, s]), 82),
+    )
+    digest = hashlib.sha256()
+
+    def record(outcome):
+        digest.update(repr((outcome.verdict.name, outcome.statistic, outcome.threshold,
+                            outcome.queries_used, outcome.diagnostics)).encode())
+        return outcome
+
+    def inner(mech, rng):
+        return record(adp_test_budgeted(mech, 0.0, 0.05, 0.1, 4800))
+
+    for family, dd, seed in cases:
+        for run in range(runs):
+            record(random_privacy_test(family, dd, inner, gamma=0.1, alpha=0.2,
+                                       penalty_weight=2.0, rng=np.random.default_rng([seed, run])))
+    return digest.hexdigest()
+
+
+#: taken when every inner call drew and scored its two rows one by one
+CRITERION_08_PIN = "4b835876b67e7e8ad1ddb98e11406fdcd46c2e858829c466377462d84b9ccdd3"
+
+
+def test_criterion_08_inner_outcomes_are_pinned():
+    assert criterion_08_digest(100) == CRITERION_08_PIN
+
+
+def test_a_reduction_scores_each_pairs_blocks_in_one_slack_call(monkeypatch):
+    # on criterion 08's flagged family, an inner call scores its rows alone
+    # until both databases serve a block; then one _slack call scores the
+    # rest of both blocks. Per-row scoring would make 54 calls per pair.
+    slack = distributions._slack
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return slack(*args)
+
+    for module in list(sys.modules.values()):  # each module that binds the kernel
+        if module.__name__.startswith("dpaudit") and getattr(module, "_slack", None) is slack:
+            monkeypatch.setattr(module, "_slack", counted)
+    pairs = {}
+
+    def inner(mech, rng):
+        before = calls[0]
+        outcome = adp_test_budgeted(mech, 0.0, 0.05, 0.1, 4800)
+        _, blocks, slacks = pairs.setdefault(id(mech), (mech, {}, [0]))
+        blocks.update((id(block), block) for block in mech._blocks if block is not None)
+        slacks[0] += calls[0] - before
+        return outcome
+
+    leaky = leaky_mechanism(0.5).truth
+    s = (1.0 - math.sqrt(0.4)) / 2.0
+    random_privacy_test(value_flag_family({1}, leaky[1], leaky[0]),
+                        data_distribution([0, 1], [1.0 - s, s]), inner, gamma=0.1, alpha=0.2,
+                        penalty_weight=2.0, rng=np.random.default_rng([82, 0]))
+    assert len(pairs) == 27
+    for _, blocks, (slacks,) in pairs.values():
+        assert len(blocks) == 2 and slacks <= 2 + len(blocks)
