@@ -275,8 +275,31 @@ def make_distribution(weights: Sequence[float] | np.ndarray) -> DiscreteDistribu
     return DiscreteDistribution(arr / total)
 
 
+def _distribution(name: str, value) -> DiscreteDistribution:
+    """``value``, once it is a DiscreteDistribution; ValueError naming ``name`` otherwise."""
+    if not isinstance(value, DiscreteDistribution):
+        raise ValueError(f"{name} must be a DiscreteDistribution; got {value!r}")
+    return value
+
+
+def _instance(name: str, value) -> tuple:
+    """``value``, once it is a pair (p0, p1) of DiscreteDistributions."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2
+            and all(isinstance(p, DiscreteDistribution) for p in value)):
+        raise ValueError(f"{name} must be a pair (p0, p1) of distributions; got {value!r}")
+    return value
+
+
+def _rng(rng) -> np.random.Generator:
+    """``rng``, once it is a ``numpy.random.Generator``."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator; got {rng!r}")
+    return rng
+
+
 def _paired(p: DiscreteDistribution, q: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
-    pa, qa = p.probs, q.probs
+    pa = _distribution("each distribution", p).probs
+    qa = _distribution("each distribution", q).probs
     if pa.size != qa.size:
         raise ValueError("distributions must share an outcome universe")
     return pa, qa
@@ -523,7 +546,7 @@ def approx_max_divergence_bruteforce(
 
 def min_mass(dists: Iterable[DiscreteDistribution]) -> float:
     """Minimum entry across all given distributions (zero entries count)."""
-    values = [float(d.probs.min()) for d in dists]
+    values = [float(_distribution("each of dists", d).probs.min()) for d in dists]
     if not values:
         raise ValueError("min_mass needs at least one distribution")
     return min(values)

@@ -44,6 +44,7 @@ from .distributions import (
     _check,
     _entry,
     _fields,
+    _instance,
     _integer,
     _object,
     _paired,
@@ -329,7 +330,7 @@ def mean_sideinfo_fixture(eps: float, alpha: float, A: float, base: Instance) ->
     _check("eps", eps, 0.0, _EPS_MAX)
     _check("alpha", alpha, 0.0, open_low=True)
     _check("A", A, 0.0, _GEOMETRIC_EPS_MAX, open_low=True)
-    p0, p1 = base
+    p0, p1 = _instance("base", base)
     if p0.probs[-1] != 0.0 or p1.probs[-1] != 0.0:
         raise ValueError("base must put zero mass on the last outcome")
     eps_base = exact_pdp_epsilon(p0, p1)

@@ -50,9 +50,11 @@ from .distributions import (
     _MAX_SIZE,
     DiscreteDistribution,
     _check,
+    _distribution,
     _integer,
     _majority_reps,
     _positive_finite,
+    _rng,
     delta_at_epsilon,
     min_mass,
 )
@@ -126,7 +128,7 @@ def identity_statistic(
     """
     _check("rate", rate, 0.0, open_low=True)
     c = np.asarray(counts)
-    if c.ndim < 1 or c.shape[-1] != q.n:
+    if c.ndim < 1 or c.shape[-1] != _distribution("q", q).n:
         raise ValueError("counts length must match the distribution")
     stats = _identity_scores(c, *_null_means(q, rate))
     return float(stats) if stats.ndim == 0 else stats
@@ -202,7 +204,7 @@ def identity_threshold(
     own bin order sum their terms in another order. A threshold that is
     not finite is refused before it is stored.
     """
-    budget = identity_budget(q.n, alpha)
+    budget = identity_budget(_distribution("q", q).n, alpha)
     trials = _integer("trials", trials, 100, _MAX_CALIBRATION_TRIALS)
     probs = np.sort(q.probs)
     h = hashlib.sha256(probs.tobytes())
@@ -381,7 +383,7 @@ def adp_test_fi(
     has ended when the call returns. Below that the call stays on the
     caller's thread.
     """
-    return _runner(mech.n, side, eps, delta, alpha)([(mech, rng)])[0]
+    return _runner(mech.n, side, eps, delta, alpha)([(mech, _rng(rng))])[0]
 
 
 def _pdp_runner(n: int, side: SideInfo, eps: float, alpha: float):
@@ -446,4 +448,4 @@ def pdp_test_fi(
     at most ln(max float), so that e^alpha is finite. The call is
     :func:`_pdp_runner` on a block of one trial.
     """
-    return _pdp_runner(mech.n, side, eps, alpha)([(mech, rng)])[0]
+    return _pdp_runner(mech.n, side, eps, alpha)([(mech, _rng(rng))])[0]

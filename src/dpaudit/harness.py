@@ -55,8 +55,7 @@ import numpy as np
 
 from . import fullinfo, noinfo
 from .distributions import (
-    DiscreteDistribution, _check, _entry, _fields, _integer, _object, delta_at_epsilon,
-    exact_pdp_epsilon,
+    _check, _entry, _fields, _instance, _integer, _object, delta_at_epsilon, exact_pdp_epsilon,
 )
 from .fixtures import _FIXTURES, build_fixture
 from .mechanisms import (
@@ -247,9 +246,16 @@ def _trials(tester: dict, mech: MechanismPair, side, trials: int, seed: int):
     return claim, records
 
 
+def _config(name: str, cfg) -> ExperimentConfig:
+    if not isinstance(cfg, ExperimentConfig):
+        raise ValueError(f"{name} must be an ExperimentConfig; got {cfg!r}")
+    return cfg
+
+
 def run_experiment(cfg: ExperimentConfig) -> OperatingCharacteristic:
-    """Run all trials, optionally write the per-trial CSV, aggregate."""
-    base_mech, side = _resolve_target(cfg.target)
+    """Run all trials, optionally write the per-trial CSV, aggregate. A
+    ``cfg`` that is not an ExperimentConfig raises ValueError."""
+    base_mech, side = _resolve_target(_config("cfg", cfg).target)
     claim, records = _trials(cfg.tester, base_mech, side, cfg.trials, cfg.seed)
 
     if cfg.out is not None:
@@ -282,11 +288,8 @@ def distinguish(tester: dict, instance, db: int, seed: int) -> tuple[int, tuple[
     ``DiscreteDistribution``s, a ``db`` not 0 or 1, or a seed that
     ``ExperimentConfig`` refuses raises ValueError.
     """
-    if not (isinstance(instance, (tuple, list)) and len(instance) == 2
-            and all(isinstance(p, DiscreteDistribution) for p in instance)):
-        raise ValueError(f"instance must be a pair (p0, p1) of distributions; got {instance!r}")
+    p0 = _instance("instance", instance)[0]
     _database(db)
-    p0 = instance[0]
     box = MechanismPair(p0, instance[db])
     _claim, [(_t, outcome)] = _trials(tester, box, SideInfo(p0, p0), 1, _seed(seed))
     return int(not outcome.accepted), outcome.queries_used
@@ -319,8 +322,17 @@ def sweep(
     Unless a value changes the seed, the trials or the seed-block size
     (the target's outcome count, from 65 up), or an experiment spans more
     than 8 seed blocks, the trials' stream states are derived once, for
-    the first value, and reused by the others.
+    the first value, and reused by the others. A ``base`` that is not an
+    ExperimentConfig, a ``parameter`` that is not a string and ``values``
+    that are not iterable raise ValueError.
     """
+    _config("base", base)
+    if not isinstance(parameter, str):
+        raise ValueError(f"parameter must be a dotted config path; got {parameter!r}")
+    try:
+        values = list(values)
+    except TypeError:
+        raise ValueError(f"values must be an iterable of config values; got {values!r}") from None
     parts = parameter.split(".")
     results = []
     for value in values:

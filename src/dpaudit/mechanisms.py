@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _MAX_SIZE, DiscreteDistribution, _check, _entry, _fields, _integer, _slack, make_distribution
+    _MAX_SIZE, DiscreteDistribution, _check, _distribution, _entry, _fields, _integer, _slack,
+    make_distribution,
 )
 
 _TINY = np.finfo(np.float64).tiny
@@ -158,7 +159,7 @@ class MechanismPair:
 
     def __init__(self, p0: DiscreteDistribution, p1: DiscreteDistribution, seed: int = 0) -> None:
         seed = _integer("seed", seed, 0)
-        if p0.n != p1.n:
+        if _distribution("p0", p0).n != _distribution("p1", p1).n:
             raise ValueError("databases must share an outcome universe")
         self.n = p0.n
         self.truth: tuple[DiscreteDistribution, DiscreteDistribution] = (p0, p1)
@@ -233,126 +234,90 @@ class MechanismPair:
 
 
 class _ReadAheadPair(MechanismPair):
-    """A :class:`MechanismPair` for a caller that asks each database the
-    same count about ``reps`` times, as ``random_privacy_test``'s amplified
-    inner tester does; it serves the bits of ``MechanismPair(p0, p1, seed)``.
+    """A :class:`MechanismPair` whose :meth:`_scored` reads ahead for a
+    caller that runs ``noinfo.adp_test_budgeted`` about ``reps`` times at
+    one claim and count, as ``random_privacy_test``'s amplified inner
+    tester does; it serves the bits of ``MechanismPair(p0, p1, seed)``.
 
-    Once a database has been asked the same count on its last two draws, the
-    pair saves that database's ``bit_generator.state`` and draws the next
-    rows of that count, the one asked included, in one ``multinomial`` call.
-    A block holds at most the reps left (``reps`` minus the draws the
-    database has served) and at most ``max(1, _BLOCK_COUNTS // n)`` rows, so
-    never more than 2^16 counts, 512 KiB, whatever ``reps`` and ``n``. Its
-    rows are served in order, and ``query_counter`` counts only the rows
-    served. A draw of another count, a draw whose arguments are not plain
-    ints, and any ``draw_many`` first rewind: the saved state is restored and
-    the rows served are drawn again, so the stream stands where single draws
-    leave it, and the database draws singly for the rest of the pair. So at
-    most one block per database is wasted. Row j of a ``multinomial`` block
-    is the j-th successive draw (see :meth:`draw_many`), so every row served
-    and every query count equal those of the plain pair.
+    The second :meth:`_scored` call in a row at one eps and count saves
+    both databases' ``bit_generator.state``, draws the next rows of that
+    count, the one asked included, with one ``multinomial`` call per
+    database, scores them with one ``_slack`` pass and keeps only the
+    scores. A block holds at most the calls left and at most ``max(1,
+    _BLOCK_COUNTS // n)`` rows, so at most 2^16 counts per database
+    whatever ``reps`` and ``n``, and scoring it allocates a (3, k, n) and a
+    (2, k, n) float64 temporary, at most 2.5 MiB. Row j of a ``multinomial``
+    block is the j-th successive draw (see :meth:`draw_many`) and
+    ``_slack`` gives a block row the bits of the row passed alone, so every
+    score and query count is that of two draws and a ``_slack`` on them.
 
-    A row served from a block is a view of it. Single rows come straight
-    from the stream, without a second argument check in ``draw``. Each
-    database keeps its own read-ahead state, so the two databases may still
-    draw on two threads at once, as :meth:`_multinomial` allows.
-
-    ``noinfo.adp_test_budgeted`` asks :meth:`_scored` first: once both
-    databases serve equally long blocks of its count at the same row, the
-    rest of both is scored with one ``_slack`` pass, and each call takes
-    its row's slacks from there, with the bits and query counts of two
-    ``draw`` calls and a ``_slack`` on their rows.
+    A :meth:`_scored` call at another eps or count, and any :meth:`draw`,
+    :meth:`draw_many` or :meth:`_multinomial`, first rewind: the saved
+    state is restored and the rows served are drawn again, so the stream
+    stands where single draws leave it, and the pair draws singly from
+    then on; at most one block is wasted. :meth:`draw` and
+    :meth:`_multinomial` rewind only their own database, so the two
+    databases may still draw on two threads at once.
     """
 
     def __init__(self, p0: DiscreteDistribution, p1: DiscreteDistribution, seed: int,
                  reps: int) -> None:
         super().__init__(p0, p1, seed)
         self._rows = max(1, _BLOCK_COUNTS // self.n)
-        self._left = [reps, reps]  # reps left to read ahead; 0 once drawing singly
-        self._last = [None, None]  # the count each database last drew
-        self._blocks = [None, None]  # [rows, next row, stream state before the rows]
-        self._scores = None  # (block 0, block 1, eps, count, first row, forward, reverse)
+        self._left = reps  # calls left to read ahead for; at most 0 once drawing singly
+        self._key = None  # the (eps, count) of the last _scored call
+        self._block = None  # [rows served, forward, reverse, [state 0, state 1]]
 
     def draw(self, db: int, count: int) -> np.ndarray:
-        if not (type(db) is int and 0 <= db <= 1
-                and type(count) is int and 0 <= count <= _MAX_COUNT):
-            self._rewind(0)
-            self._rewind(1)
-            return super().draw(db, count)  # which checks the arguments
-        block = self._blocks[db]
-        if block is not None:
-            rows, i, _ = block
-            if i == len(rows):  # used up: the stream already stands past it
-                self._blocks[db] = None
-                self._left[db] -= i
-            elif count == self._last[db]:
-                block[1] = i + 1
-                self.query_counter[db] += count
-                return rows[i]
-            else:
-                self._rewind(db)
-        last = self._last[db]
-        self._last[db] = count
-        if count == last and (size := min(self._left[db], self._rows)) > 1:
-            rng = self._rngs[db]
-            state = rng.bit_generator.state
-            rows = rng.multinomial(count, self._pvals[db], size=size)
-            self._blocks[db] = [rows, 1, state]
-            self.query_counter[db] += count
-            return rows[0]
-        self._left[db] -= 1
-        self.query_counter[db] += count
-        return self._rngs[db].multinomial(count, self._pvals[db])
-
-    def _scored(self, eps: float, count: int):
-        """``_slack(self.draw(0, count), self.draw(1, count), eps, count)``
-        from the blocks' scores, or None where the blocks cannot serve it.
-
-        The first call that finds both databases serving equally long blocks
-        of ``count`` at the same row scores the rest of both with one
-        ``_slack`` pass, whose block rows have the bits of the same rows
-        passed alone; a (3, k, n) and a (2, k, n) float64 temporary, at most
-        2.5 MiB. Each block pair is scored at one eps, as rescoring at each
-        change of eps could cost a block per call: a call at another eps,
-        and any other state, returns None, and the caller draws and scores
-        its two rows one by one. A served score advances both blocks and
-        ``query_counter`` as the two draws would. eps and ``count`` are
-        checked by the caller, and both databases' state is touched.
-        """
-        b0, b1 = self._blocks
-        scores = self._scores
-        if scores is None or scores[0] is not b0 or scores[1] is not b1:
-            if (b0 is None or b1 is None or not count == self._last[0] == self._last[1]
-                    or (i := b0[1]) != b1[1] or i == len(b0[0]) or len(b0[0]) != len(b1[0])):
-                return None
-            rest = np.full(len(b0[0]) - i, count)
-            z = _slack(b0[0][i:], b1[0][i:], eps, rest)
-            scores = self._scores = (b0, b1, eps, count, i, *z)
-        _, _, scored_eps, scored_count, first, forward, reverse = scores
-        j = (i := b0[1]) - first
-        if i != b1[1] or j == len(forward) or eps != scored_eps or count != scored_count:
-            return None
-        b0[1] = b1[1] = i + 1
-        self.query_counter[0] += count
-        self.query_counter[1] += count
-        return forward[j], reverse[j]
+        _database(db)
+        self._rewind(db)
+        return super().draw(db, count)
 
     def _multinomial(self, db: int, counts: np.ndarray) -> np.ndarray:
         self._rewind(db)
         return super()._multinomial(db, counts)
 
+    def _scored(self, eps: float, count: int):
+        """``_slack(self.draw(0, count), self.draw(1, count), eps, count)``,
+        from the block's scores where it can serve them. eps and ``count``
+        are checked by the caller, and both databases' state is touched."""
+        key = (eps, count)
+        block = self._block
+        if block is not None and (key != self._key or self._left <= 0 or block[0] == len(block[1])):
+            if key == self._key and self._left > 0:  # used up: both streams stand past it
+                self._left -= block[0]
+            else:
+                self._rewind(0)
+                self._rewind(1)
+            block = self._block = None
+        if block is None:
+            if key != self._key or (size := min(self._left, self._rows)) < 2:
+                self._key = key
+                self._left -= 1
+                return _slack(MechanismPair.draw(self, 0, count),
+                              MechanismPair.draw(self, 1, count), eps, count)
+            rngs, pvals = self._rngs, self._pvals
+            states = [rngs[0].bit_generator.state, rngs[1].bit_generator.state]
+            block = self._block = [0, *_slack(rngs[0].multinomial(count, pvals[0], size=size),
+                                              rngs[1].multinomial(count, pvals[1], size=size),
+                                              eps, np.full(size, count)), states]
+        served, forward, reverse, _ = block
+        block[0] = served + 1
+        self.query_counter[0] += count
+        self.query_counter[1] += count
+        return forward[served], reverse[served]
+
     def _rewind(self, db: int) -> None:
         """Put database ``db``'s stream where single draws of the rows served
-        leave it, and draw singly from there on."""
-        block = self._blocks[db]
-        if block is not None:
-            rows, served, state = block
-            if served < len(rows):
+        leave it, and draw singly from then on."""
+        self._left = 0
+        block = self._block
+        if block is not None and (state := block[3][db]) is not None:
+            block[3][db] = None
+            if block[0] < len(block[1]):
                 rng = self._rngs[db]
                 rng.bit_generator.state = state
-                rng.multinomial(self._last[db], self._pvals[db], size=served)
-            self._blocks[db] = None
-        self._left[db] = 0
+                rng.multinomial(self._key[1], self._pvals[db], size=block[0])
 
 
 def randomized_response(flip_prob: float, seed: int = 0) -> MechanismPair:
@@ -417,7 +382,7 @@ class SideInfo:
     q1: DiscreteDistribution
 
     def __post_init__(self) -> None:
-        if self.q0.n != self.q1.n:
+        if _distribution("q0", self.q0).n != _distribution("q1", self.q1).n:
             raise ValueError("claimed distributions must share an outcome universe")
 
     @property

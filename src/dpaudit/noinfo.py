@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .distributions import _EPS_MAX, _check, _integer, _positive_finite, _slack
+from .distributions import _EPS_MAX, _check, _integer, _positive_finite, _rng, _slack
 from .mechanisms import _MAX_COUNT, MechanismPair, _ReadAheadPair
 from .outcomes import TestOutcome, Verdict
 
@@ -155,7 +155,7 @@ def adp_test_ni(
     stays below delta + alpha. A claim whose rate is not finite is
     rejected with ValueError.
     """
-    return _runner(mech.n, None, eps, delta, alpha)([(mech, rng)])[0]
+    return _runner(mech.n, None, eps, delta, alpha)([(mech, _rng(rng))])[0]
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -179,17 +179,15 @@ def adp_test_budgeted(
     rather than a block of one, and checks each distinct tuple of claim
     and r once (``_budget``), as the reduction repeats one tuple for
     every call. On the read-ahead pair of ``random_privacy_test``
-    (``mechanisms._ReadAheadPair``) the slack of both databases' rows is
-    read from the pair's scores, one ``_slack`` pass over the rest of
-    both blocks, where the pair can serve them: the same bits, query
-    counts and stream states as ``_slack(mech.draw(0, r), mech.draw(1, r),
-    eps, r)``, which every other pair, wrapper and state takes.
+    (``mechanisms._ReadAheadPair``) the slacks come from the pair's
+    ``_scored``, which reads ahead and scores a block of rows at once:
+    the same bits, query counts and stream states as ``_slack(mech.draw(0,
+    r), mech.draw(1, r), eps, r)``, which every other pair and wrapper takes.
     """
     try:
         eps, threshold, r = _budget(eps, delta, alpha, r)
     except TypeError:  # an unhashable argument, which the checks name
         eps, threshold, r = _budget.__wrapped__(eps, delta, alpha, r)
-    z = mech._scored(eps, r) if type(mech) is _ReadAheadPair else None
-    if z is None:
-        z = _slack(mech.draw(0, r), mech.draw(1, r), eps, r)
+    z = (mech._scored(eps, r) if type(mech) is _ReadAheadPair
+         else _slack(mech.draw(0, r), mech.draw(1, r), eps, r))
     return _outcome(z, r, threshold)

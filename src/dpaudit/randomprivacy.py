@@ -22,9 +22,11 @@ from .distributions import (
     _MAX_SIZE,
     DiscreteDistribution,
     _check,
+    _distribution,
     _integer,
     _majority_reps,
     _positive_finite,
+    _rng,
     make_distribution,
 )
 from .mechanisms import MechanismPair, _ReadAheadPair
@@ -70,11 +72,6 @@ def _entries(values) -> tuple:
         raise ValueError(f"values must be an iterable of entry values; got {values!r}") from None
 
 
-def _distribution(name: str, value) -> None:
-    if not isinstance(value, DiscreteDistribution):
-        raise ValueError(f"{name} must be a DiscreteDistribution; got {value!r}")
-
-
 def data_distribution(
     values: Sequence[Hashable],
     weights: Sequence[float] | None = None,
@@ -105,8 +102,7 @@ def sample_neighbor_pair(
     """
     if not isinstance(dd, DataDistribution):
         raise ValueError(f"dd must be a DataDistribution; got {dd!r}")
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError(f"rng must be a numpy.random.Generator; got {rng!r}")
+    _rng(rng)
     cdf = dd._cdf
     d0 = tuple(dd.values[i] for i in cdf.searchsorted(rng.random(dd.db_size), side="right"))
     j = int(cdf.searchsorted(rng.random(), side="right"))
@@ -130,9 +126,12 @@ def value_flag_family(
     the (p_plain, p_flagged) pair of output distributions; all other
     pairs see identical outputs. Used to build families that are private
     on most neighbor pairs but blatantly non-private on a set of known
-    measure. A ``p_flagged`` or ``p_plain`` that is not a
-    DiscreteDistribution raises ValueError naming it.
+    measure. A ``flagged`` that is not a set or frozenset, and a
+    ``p_flagged`` or ``p_plain`` that is not a DiscreteDistribution, raise
+    ValueError naming it.
     """
+    if not isinstance(flagged, (set, frozenset)):
+        raise ValueError(f"flagged must be a set of entry values; got {flagged!r}")
     _distribution("p_flagged", p_flagged)
     _distribution("p_plain", p_plain)
     if p_flagged.n != p_plain.n:
@@ -203,27 +202,21 @@ def random_privacy_test(
 
     The inner tester must reject pairs that violate the claim and accept
     pairs that meet it, each with probability >= 2/3 on fresh samples;
-    any of the two-database testers in this package qualifies. A family
-    value that is not a DiscreteDistribution, an inner result that is not
-    a TestOutcome, and a ``dd`` or ``rng`` that :func:`sample_neighbor_pair`
+    any of the two-database testers in this package qualifies. A
+    ``family`` or ``two_db_tester`` that is not callable, a family value
+    that is not a DiscreteDistribution, an inner result that is not a
+    TestOutcome, and a ``dd`` or ``rng`` that :func:`sample_neighbor_pair`
     refuses raise ValueError.
 
-    Each pair reads ahead (``mechanisms._ReadAheadPair``): once a database
-    has been asked the same count on its last two draws, its stream state
-    is saved and the next rows of that count come from one multinomial
-    call, at most the k reps left and at most 2^16 counts (512 KiB) in
-    all, so a k of ~12,800 at n = 2^16 still takes 512 KiB, not ~6.7 GB.
-    A draw of another count or a ``draw_many`` rewinds: the state is
-    restored and the rows served are drawn again, and the database draws
-    singly for the rest of the pair, so at most one block per database
-    and pair is wasted. Every row the inner tester sees and every query
-    count is that of ``MechanismPair(family(d0), family(d1), seed=s)``;
-    a budgeted inner tester makes two multinomial calls per database and
-    pair, not k. ``adp_test_budgeted`` on such a pair checks its claim
-    once per argument tuple and, once both databases serve blocks, reads
-    each call's slacks from one ``_slack`` pass over the rest of both
-    blocks, so at k = 54 on 3 outcomes a pair makes three ``_slack``
-    calls, not k; its outcomes have the bits of per-row scoring.
+    Each pair is a ``mechanisms._ReadAheadPair``, which reads ahead for
+    ``adp_test_budgeted`` only: from the second of its calls at one claim
+    and count, the pair's next rows, at most the k reps left and at most
+    2^16 counts per database, are drawn with one multinomial call per
+    database and scored with one ``_slack`` pass, so at k = 54 a pair
+    makes two multinomial calls per database and two ``_slack`` calls,
+    not k of each. Any other inner tester draws singly. Every outcome and
+    query count is that of ``MechanismPair(family(d0), family(d1),
+    seed=s)``.
 
     The promise, with such an inner tester: a family whose failing
     measure is at most gamma is accepted, and one whose failing measure
@@ -233,6 +226,9 @@ def random_privacy_test(
     threshold sits alpha/w above gamma; at measure gamma + alpha with
     w = 1, rejection may be close to 1/2.
     """
+    for name, value in (("family", family), ("two_db_tester", two_db_tester)):
+        if not callable(value):
+            raise ValueError(f"{name} must be callable; got {value!r}")
     # the formulas check gamma, alpha and penalty_weight
     m = trial_count(penalty_weight, alpha, gamma)
     k = amplification_reps(penalty_weight, alpha)

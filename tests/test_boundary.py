@@ -35,16 +35,19 @@ from dpaudit import (
     distinguish,
     fi_pdp_fixture,
     identity_budget,
+    identity_statistic,
     identity_threshold,
     leaky_mechanism,
     make_distribution,
     mean_sideinfo_fixture,
     mechanism_from_config,
+    min_mass,
     noinfo_rate,
     pdp_test_fi,
     pdp_unverifiable_fixture,
     random_privacy_test,
     randomized_response,
+    run_experiment,
     sample_neighbor_pair,
     sweep,
     tight_perturbation,
@@ -61,6 +64,7 @@ from dpaudit.randomprivacy import DataDistribution
 NAN = math.nan
 RR = randomized_response(0.25)
 RR_SIDE = SideInfo(*RR.truth)
+RR_TARGET = {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}}
 
 
 def rng():
@@ -226,6 +230,71 @@ def test_reduction_names_an_inner_result_that_is_not_an_outcome(bad):
         reduce(two_db_tester=lambda mech, g: bad)
 
 
+LISTS = ([0.5, 0.5], [0.5, 0.5])
+#: A distribution argument that is not a DiscreteDistribution: each call
+#: raised AttributeError reading ``.n`` or ``.probs`` before it was named.
+NOT_A_DISTRIBUTION = {
+    "delta_at_epsilon": (lambda: delta_at_epsilon(LISTS[0], RR.truth[1], 0.1),
+                         r"^each distribution must be a DiscreteDistribution; got \[0.5, 0.5\]$"),
+    "tight_perturbation": (lambda: tight_perturbation(RR.truth[0], LISTS[0], 0.1, 0.01),
+                           "^each distribution must be a DiscreteDistribution; got "),
+    "MechanismPair": (lambda: MechanismPair(LISTS[0], RR.truth[1]),
+                      "^p0 must be a DiscreteDistribution; got "),
+    "MechanismPair_p1": (lambda: MechanismPair(RR.truth[0], None),
+                         "^p1 must be a DiscreteDistribution; got None$"),
+    "SideInfo": (lambda: SideInfo(LISTS[0], RR.truth[1]), "^q0 must be a DiscreteDistribution"),
+    "SideInfo_q1": (lambda: SideInfo(RR.truth[0], "q"), "^q1 must be a DiscreteDistribution"),
+    "identity_threshold": (lambda: identity_threshold(LISTS[0], 0.3),
+                           "^q must be a DiscreteDistribution; got "),
+    "identity_statistic": (lambda: identity_statistic(LISTS[0], np.array([1, 2]), 3.0),
+                           "^q must be a DiscreteDistribution; got "),
+    "min_mass": (lambda: min_mass([None]),
+                 "^each of dists must be a DiscreteDistribution; got None$"),
+    "mean_sideinfo_fixture": (lambda: mean_sideinfo_fixture(0.1, 0.1, 5.0, LISTS),
+                              r"^base must be a pair \(p0, p1\) of distributions; got "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_DISTRIBUTION))
+def test_a_distribution_argument_that_is_not_one_is_named(name):
+    call, message = NOT_A_DISTRIBUTION[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+BUDGETED_RR = ExperimentConfig({"kind": "adp-budgeted", "eps": 0.0, "delta": 0.1, "alpha": 0.3,
+                                "r": 10}, RR_TARGET, 5)
+#: A generator, callable, set, config or sequence argument of the wrong
+#: kind: each call raised AttributeError or TypeError before it was named.
+MALFORMED = {
+    "adp_test_ni": (lambda: adp_test_ni(MechanismPair(*RR.truth), 0.0, 0.1, 0.3, None),
+                    "^rng must be a numpy.random.Generator; got None$"),
+    "adp_test_fi": (lambda: adp_test_fi(MechanismPair(*RR.truth), RR_SIDE, 1.1, 0.1, 0.3, None),
+                    "^rng must be a numpy.random.Generator; got None$"),
+    "pdp_test_fi": (lambda: pdp_test_fi(MechanismPair(*RR.truth), RR_SIDE, 1.1, 0.3, 5),
+                    "^rng must be a numpy.random.Generator; got 5$"),
+    "family": (lambda: reduce(family=RR.truth[0]), "^family must be callable; got "),
+    "two_db_tester": (lambda: reduce(two_db_tester=None), "^two_db_tester must be callable"),
+    "flagged": (lambda: value_flag_family(5, *RR.truth), "^flagged must be a set of entry values"),
+    "flagged_list": (lambda: value_flag_family([1], *RR.truth), "^flagged must be a set of "),
+    "run_experiment": (lambda: run_experiment(vars(BUDGETED_RR)),
+                       "^cfg must be an ExperimentConfig; got "),
+    "sweep_base": (lambda: sweep(vars(BUDGETED_RR), "trials", [1]),
+                   "^base must be an ExperimentConfig; got "),
+    "sweep_parameter": (lambda: sweep(BUDGETED_RR, 5, [1]),
+                        "^parameter must be a dotted config path; got 5$"),
+    "sweep_values": (lambda: sweep(BUDGETED_RR, "trials", None),
+                     "^values must be an iterable of config values; got None$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_a_malformed_callable_generator_or_config_argument_is_named(name):
+    call, message = MALFORMED[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_fi_pdp_config_rejects_alpha_whose_exponential_overflows():
     with pytest.raises(ValueError, match="alpha"):
         pdp_test_fi(RR, RR_SIDE, 0.5, 800.0, rng())
@@ -327,7 +396,6 @@ def test_cli_overflowing_parameters_exit_1(capsys, tmp_path, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-RR_TARGET = {"mechanism": {"mechanism": "randomized_response", "flip_prob": 0.25}}
 NI_TESTER = {"kind": "adp-ni", "eps": 0.2, "alpha": 0.1}
 SWEEP = ["sweep", "--parameter", "seed", "--values", "1", "--config"]
 RANDOM = ["test", "random", "--alpha", "0.3", "--inner-alpha", "0.2", "--inner-budget", "10",

@@ -1,8 +1,10 @@
 """Each demo script and each python block of the README runs to
-completion in-process, so neither can drift from the API, and each
-demo prints exactly its seeded output in ``tests/golden/<demo>.txt``."""
+completion in-process, so neither can drift from the API, each demo
+prints exactly its seeded output in ``tests/golden/<demo>.txt``, and
+each package name the README gives resolves."""
 
 import contextlib
+import importlib
 import io
 import re
 import runpy
@@ -13,9 +15,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 GOLDEN = ROOT / "tests" / "golden"
-README_BLOCKS = re.findall(
-    r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), flags=re.M | re.S
-)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, flags=re.M | re.S)
+#: Each backticked ``module.name`` or ``module.name.attr`` of the package,
+#: such as `mechanisms._ReadAheadPair._scored`.
+README_NAMES = sorted(set(re.findall(
+    r"`(cli|distributions|fixtures|fullinfo|harness|mechanisms|noinfo|outcomes|randomprivacy)"
+    r"\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`", README)))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -40,3 +46,14 @@ def test_demos_are_found():
     # an empty glob would parametrize nothing and pass silently
     assert DEMOS
     assert README_BLOCKS
+
+
+def test_every_dotted_name_the_readme_gives_resolves():
+    # a refactor that deletes or renames a documented private name fails here
+    assert len(README_NAMES) >= 20
+    missing = []
+    for module, name, attr in README_NAMES:
+        owner = getattr(importlib.import_module(f"dpaudit.{module}"), name, None)
+        if owner is None or (attr and not hasattr(owner, attr)):
+            missing.append(".".join(filter(None, (module, name, attr))))
+    assert missing == []

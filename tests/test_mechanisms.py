@@ -3,6 +3,7 @@ accounting, and exact privacy parameters of the mechanism zoo."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dpaudit import (
     MechanismPair,
     SideInfo,
     adp_test_budgeted,
+    adp_test_fi,
     delta_at_epsilon,
     exact_pdp_epsilon,
     leaky_mechanism,
@@ -215,18 +217,17 @@ def test_a_read_ahead_pair_serves_the_plain_pairs_rows(reps, calls):
 
 @pytest.mark.parametrize("n, reps, rows", [(2**15, 50, 2), (2**15, 12_800, 2), (4, 9, 8)])
 def test_a_read_ahead_block_holds_the_reps_left_and_at_most_2_to_the_16_counts(n, reps, rows):
-    # a block starts at the second draw of a count, so it holds reps - 1 rows
-    # unless 2^16 counts bound it: 2 rows of 2^15 outcomes
+    # a block starts at the second budgeted call of a claim and count, so it
+    # holds reps - 1 rows unless 2^16 counts bound it: 2 rows of 2^15 outcomes
     p0 = make_distribution(np.arange(1, n + 1, dtype=float))
     p1 = make_distribution(np.ones(n))
     pair = _ReadAheadPair(p0, p1, 7, reps)
     plain = MechanismPair(p0, p1, seed=7)
     sizes = set()
     for _ in range(9):
-        for db in (0, 1):
-            assert np.array_equal(pair.draw(db, 3), plain.draw(db, 3))
-            block = pair._blocks[db]
-            sizes.add(0 if block is None else len(block[0]))
+        outcomes = [adp_test_budgeted(m, 0.5, 0.05, 0.1, 3) for m in (pair, plain)]
+        assert repr(outcomes[0]) == repr(outcomes[1])
+        sizes.add(0 if pair._block is None else len(pair._block[1]))
     assert sizes == {0, rows}
     assert pair.query_counter == plain.query_counter == [27, 27]
 
@@ -265,6 +266,32 @@ def test_budgeted_tests_on_a_read_ahead_pair_match_the_plain_pairs(n, reps, seed
     assert pair.query_counter == plain.query_counter
     for db in (0, 1):  # a draw_many rewinds any block: the streams stand level
         assert np.array_equal(pair.draw_many(db, np.array([3])), plain.draw_many(db, np.array([3])))
+        assert pair._rngs[db].bit_generator.state == plain._rngs[db].bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_full_information_tests_between_budgeted_ones_on_a_read_ahead_pair_match_the_plain_pairs(
+        seed):
+    # at 128 outcomes adp_test_fi draws database 0 on a helper thread while
+    # the caller draws database 1, so the two rewind a read-ahead block at
+    # once; a switch every microsecond interleaves them
+    p0, p1 = truncated_geometric(0.5, 128).truth
+    side = SideInfo(p0, p1)
+    pair, plain = _ReadAheadPair(p0, p1, seed, 12), MechanismPair(p0, p1, seed=seed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for kind in ["budgeted"] * 3 + ["fi"] + ["budgeted"] * 3 + ["fi", "budgeted"]:
+            if kind == "budgeted":
+                outcomes = [adp_test_budgeted(m, 0.5, 0.05, 0.1, 40) for m in (pair, plain)]
+            else:
+                outcomes = [adp_test_fi(m, side, 0.5, 0.05, 0.3, np.random.default_rng(seed))
+                            for m in (pair, plain)]
+            assert repr(outcomes[0]) == repr(outcomes[1])
+    finally:
+        sys.setswitchinterval(interval)
+    assert pair.query_counter == plain.query_counter
+    for db in (0, 1):
         assert pair._rngs[db].bit_generator.state == plain._rngs[db].bit_generator.state
 
 

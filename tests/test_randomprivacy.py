@@ -359,9 +359,9 @@ def test_criterion_08_inner_outcomes_are_pinned():
 
 
 def test_a_reduction_scores_each_pairs_blocks_in_one_slack_call(monkeypatch):
-    # on criterion 08's flagged family, an inner call scores its rows alone
-    # until both databases serve a block; then one _slack call scores the
-    # rest of both blocks. Per-row scoring would make 54 calls per pair.
+    # on criterion 08's flagged family, the first inner call on a pair scores
+    # its two rows alone; the second draws both databases' block and scores
+    # it with one _slack call. Per-row scoring would make 54 calls per pair.
     slack = distributions._slack
     calls = [0]
 
@@ -378,7 +378,8 @@ def test_a_reduction_scores_each_pairs_blocks_in_one_slack_call(monkeypatch):
         before = calls[0]
         outcome = adp_test_budgeted(mech, 0.0, 0.05, 0.1, 4800)
         _, blocks, slacks = pairs.setdefault(id(mech), (mech, {}, [0]))
-        blocks.update((id(block), block) for block in mech._blocks if block is not None)
+        if mech._block is not None:
+            blocks[id(mech._block)] = mech._block
         slacks[0] += calls[0] - before
         return outcome
 
@@ -389,4 +390,4 @@ def test_a_reduction_scores_each_pairs_blocks_in_one_slack_call(monkeypatch):
                         penalty_weight=2.0, rng=np.random.default_rng([82, 0]))
     assert len(pairs) == 27
     for _, blocks, (slacks,) in pairs.values():
-        assert len(blocks) == 2 and slacks <= 2 + len(blocks)
+        assert len(blocks) == 1 and slacks <= 1 + len(blocks)
